@@ -3,8 +3,8 @@
     qksd <driver> --config <path> [--seed N] [--trials N] [--out PATH]
                   [--mode binomial|gaussian] [--construction ...] [--workers N]
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error or system above the size cap,
+3 infeasible budget, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleBudgetError, NumericalError
+from .errors import ConfigError, InfeasibleBudgetError, NumericalError, ResourceLimitError
 from .harness import config as config_mod
 from .harness import drivers
 
@@ -61,6 +61,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = DRIVERS[args.driver](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)

@@ -32,4 +32,4 @@ class IllPosedError(NumericalError):
 
 
 class ResourceLimitError(QksdError):
-    """Requested dense object exceeds the configured qubit cap."""
+    """Requested object exceeds a size cap (sector dimension or dense qubits)."""

@@ -7,6 +7,11 @@ terms into groups of pairwise anticommuting strings; each group, rescaled to
 unit 2-norm, is a Hermitian unitary fragment U_j, giving H = id_coeff*I + sum_j
 beta_j U_j with beta_j the group 2-norm.  The 1-norm of the beta weights is the
 variance prefactor used throughout the sampling model.
+
+Operators act on states of a particle-number sector through apply_pauli_sum:
+a Pauli string maps a Fock basis state to one other basis state with a
+phase, so a sum of strings needs no matrix.  The Kronecker-built dense
+matrices (pauli_to_dense, fragment_dense) serve as test references.
 """
 
 from __future__ import annotations
@@ -228,6 +233,62 @@ def sorted_insertion_partition(h: PauliSum) -> UnitaryPartition:
 DENSE_QUBIT_CAP = 14
 
 
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each non-negative int64."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def _string_action(axes: str, basis: np.ndarray):
+    """Where one Pauli string sends each state of a sorted Fock basis.
+
+    P|b> = i^{n_Y} (-1)^{|b & zy|} |b ^ xy>, with xy the bits of the X and Y
+    factors and zy those of the Z and Y factors (Y = iXZ).  Returns (src, dst,
+    phase): basis position src maps to position dst with that phase.  Images
+    outside `basis` are dropped, which leaves the projected block.
+    """
+    nq = len(axes)
+    xy = sum(1 << (nq - 1 - q) for q, a in enumerate(axes) if a in "XY")
+    zy = sum(1 << (nq - 1 - q) for q, a in enumerate(axes) if a in "ZY")
+    images = basis ^ xy
+    dst = np.minimum(np.searchsorted(basis, images), len(basis) - 1)
+    src = np.flatnonzero(basis[dst] == images)
+    sign = 1 - 2 * _parity(basis[src] & zy)
+    return src, dst[src], (1j ** axes.count("Y")) * sign
+
+
+def apply_pauli_sum(
+    terms: Iterable[tuple[float, PauliString]], basis: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """Project-apply-project a weighted Pauli-string sum: P (sum_s c_s s) P states.
+
+    `basis` holds sorted Fock indices in the Kronecker order of pauli_to_dense
+    (qubit q on bit n_qubits-1-q) and P projects onto their span; `states`
+    has one row per basis state (a vector or a block of columns).  Each string
+    acts as an XOR mask with a sign, so no operator matrix is formed.  This is
+    the idiom of OpenFermion's number-restricted Jordan-Wigner operators.
+    """
+    out = np.zeros(states.shape, dtype=complex)
+    pad = (1,) * (states.ndim - 1)
+    for coeff, string in terms:
+        src, dst, phase = _string_action(string.axes, basis)
+        out[dst] += (coeff * phase).reshape(phase.shape + pad) * states[src]
+    return out
+
+
+def pauli_sum_block(h: PauliSum, basis: np.ndarray) -> np.ndarray:
+    """Dense block of h on the span of the sorted Fock indices `basis`.
+
+    The matrix of apply_pauli_sum(h.terms, basis, .), filled entry by entry.
+    """
+    block = np.zeros((len(basis), len(basis)), dtype=complex)
+    for coeff, string in h.terms:
+        src, dst, phase = _string_action(string.axes, basis)
+        block[dst, src] += coeff * phase
+    return block
+
+
 def pauli_to_dense(
     p: Union[PauliString, PauliSum],
     n_qubits: int | None = None,
@@ -236,7 +297,9 @@ def pauli_to_dense(
     """Dense matrix of a PauliString or PauliSum by Kronecker products.
 
     Qubit 0 is the leftmost tensor factor (most significant bit of the basis
-    index).  Refuses to build matrices beyond `cap` qubits.
+    index).  Refuses to build matrices beyond `cap` qubits.  The drivers never
+    build full-space operators; this is the reference the sector-restricted
+    apply_pauli_sum is checked against.
     """
     nq = p.n_qubits if n_qubits is None else n_qubits
     if nq != p.n_qubits:
@@ -258,7 +321,10 @@ def pauli_to_dense(
 def fragment_dense(
     partition: UnitaryPartition, j: int, cap: int = DENSE_QUBIT_CAP
 ) -> np.ndarray:
-    """Dense matrix of unitary fragment U_j (unit-norm member combination)."""
+    """Dense matrix of unitary fragment U_j (unit-norm member combination).
+
+    A reference for tests; measurement targets apply fragments matrix-free.
+    """
     group = partition.groups[j]
     dim = 2**partition.n_qubits
     acc = np.zeros((dim, dim), dtype=complex)

@@ -9,6 +9,7 @@ worker count reproduces byte-identical files.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -17,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .. import bounds
-from ..errors import EmptyBasisError, IllPosedError, InfeasibleBudgetError
-from ..evolution import Spectrum, diagonalize, hartree_fock_state, sector_ground_energy
+from ..errors import ConfigError, EmptyBasisError, IllPosedError, InfeasibleBudgetError
+from ..evolution import Spectrum, diagonalize, hartree_fock_state, sector_indices
 from ..gevp import (
     basis_thresholding,
     chi_between_thresholds,
@@ -29,7 +30,7 @@ from ..gevp import (
 from ..hamiltonian import (
     UnitaryPartition,
     build_hubbard_1d,
-    pauli_to_dense,
+    pauli_sum_block,
     sorted_insertion_partition,
 )
 from ..krylov import KrylovConfig, MeasurementTargets, default_time_step, measurement_targets
@@ -57,6 +58,7 @@ from .records import (
 
 _WEYL_SLACK = 1e-12
 _BOUND_SLACK = 1e-9
+_E0_TOL = 1e-12  # |E0| below this fraction of sum_j beta_j counts as zero
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +68,15 @@ _BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SystemBundle:
-    """Everything derived once per (L, t, u, filling): spectra, reference, dt."""
+    """Everything derived once per (L, t, u, filling), in the reference's sector.
+
+    `basis` holds the sector's sorted Fock indices; `spectrum` and `ref_state`
+    are in its coordinates, and e0_sector is the spectrum's lowest eigenvalue.
+    """
 
     partition: UnitaryPartition
     id_coeff: float
+    basis: np.ndarray
     spectrum: Spectrum
     ref_state: np.ndarray
     e0_sector: float
@@ -81,17 +88,28 @@ class SystemBundle:
 
 
 def build_system(cfg: ExperimentConfig) -> SystemBundle:
-    ham = build_hubbard_1d(cfg.sites, cfg.t_hop, cfg.u_int)
-    partition = sorted_insertion_partition(ham)
-    dense = pauli_to_dense(ham)
-    spectrum = diagonalize(dense)
     n_up, n_down = cfg.filling
-    ref = hartree_fock_state(cfg.sites, cfg.t_hop, n_up, n_down)
-    e0 = sector_ground_energy(dense, cfg.sites, n_up, n_down)
+    basis = sector_indices(cfg.sites, n_up, n_down)  # enforces the dimension cap
+    ham = build_hubbard_1d(cfg.sites, cfg.t_hop, cfg.u_int)
+    if not ham.non_identity_terms:
+        raise ConfigError(
+            f"L = {cfg.sites}, t = {cfg.t_hop}, u = {cfg.u_int} leaves H a multiple "
+            "of the identity: there is nothing to partition or sample"
+        )
+    partition = sorted_insertion_partition(ham)
+    spectrum = diagonalize(pauli_sum_block(ham, basis))
+    e0 = float(spectrum.eigenvalues[0])
+    if abs(e0) <= _E0_TOL * partition.beta_norm:
+        raise ConfigError(
+            f"sector ({n_up}, {n_down}) of L = {cfg.sites} has ground energy {e0!r}: "
+            "relative energy errors are undefined"
+        )
+    ref = hartree_fock_state(cfg.sites, cfg.t_hop, n_up, n_down, basis)
     dt = cfg.dt if cfg.dt is not None else default_time_step(partition)
     return SystemBundle(
         partition=partition,
         id_coeff=ham.identity_coefficient,
+        basis=basis,
         spectrum=spectrum,
         ref_state=ref,
         e0_sector=e0,
@@ -110,6 +128,7 @@ def targets_for(
         system.ref_state,
         cfg_k,
         construction,
+        system.basis,
     )
 
 
@@ -145,6 +164,17 @@ def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
             ranges.append((start, count))
             start += count
     return ranges
+
+
+def _worker_count(requested: int, trials: int, cpus: Optional[int]) -> int:
+    """Processes worth starting: at most one per CPU and one per trial."""
+    return max(1, min(requested, trials, cpus or 1))
+
+
+def _chunk_layout(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
+    """Trial chunks of a run and the worker count that maps them."""
+    workers = _worker_count(cfg.workers, cfg.trials, os.cpu_count())
+    return _chunk_ranges(cfg.trials, workers), workers
 
 
 def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int) -> list:
@@ -317,7 +347,7 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges = _chunk_ranges(cfg.trials, cfg.workers)
+    ranges, workers = _chunk_layout(cfg)
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
     rows: list[dict] = []
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
@@ -343,7 +373,7 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
                 sampled_any = True
                 bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
                 fn = partial(_norms_chunk, (targets, plan, noise, kind, expected))
-                norms = np.concatenate(_map_chunks(fn, ranges, cfg.workers))
+                norms = np.concatenate(_map_chunks(fn, ranges, workers))
                 for trial, norm in enumerate(norms):
                     rows.append(
                         {
@@ -397,7 +427,7 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges = _chunk_ranges(cfg.trials, cfg.workers)
+    ranges, workers = _chunk_layout(cfg)
     n = cfg.n_list[0]
     targets = targets_for(system, n, "toeplitz")
     _, s_exact = expected_pair(targets, cfg.hardware_lambda)
@@ -406,7 +436,7 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     for m in cfg.m_list:
         plan_s = allocate_toeplitz(m, n, is_h=False)
         fn = partial(_spectrum_chunk, (targets, plan_s, noise, s_exact))
-        parts = _map_chunks(fn, ranges, cfg.workers)
+        parts = _map_chunks(fn, ranges, workers)
         vals = np.concatenate([p[0] for p in parts])  # (T, n) descending
         ds_norms = np.concatenate([p[1] for p in parts])
         eps = bounds.optimal_epsilon(n, m)
@@ -435,7 +465,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges = _chunk_ranges(cfg.trials, cfg.workers)
+    ranges, workers = _chunk_layout(cfg)
     n = cfg.n_list[0]
     e0 = system.e0_sector
     rows: list[dict] = []
@@ -457,12 +487,12 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
                 m_h, m_s = split_budget(m, n, construction, system.beta_norm)
                 plan_h = _plan_for("H", construction, m_h, n, targets.betas)
                 plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-            except (InfeasibleBudgetError, ValueError):
+            except InfeasibleBudgetError:
                 rows.append({**base, "row_kind": "skipped"})
                 continue
             eps = bounds.optimal_epsilon(n, m_s)
             fn = partial(_sweep_chunk, (targets, plan_h, plan_s, noise, eps))
-            parts = _map_chunks(fn, ranges, cfg.workers)
+            parts = _map_chunks(fn, ranges, workers)
             sweep = np.concatenate([p[0] for p in parts])  # (T, n)
             eps_energy = np.concatenate([p[1] for p in parts])
             eps_dims = np.concatenate([p[2] for p in parts])
@@ -499,7 +529,7 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
     """Energy error of the threshold-rule solution across the (n, M) grid."""
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges = _chunk_ranges(cfg.trials, cfg.workers)
+    ranges, workers = _chunk_layout(cfg)
     e0 = system.e0_sector
     rows: list[dict] = []
     for construction in cfg.constructions:
@@ -511,12 +541,12 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
                     m_h, m_s = split_budget(m, n, construction, system.beta_norm)
                     plan_h = _plan_for("H", construction, m_h, n, targets.betas)
                     plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-                except (InfeasibleBudgetError, ValueError):
+                except InfeasibleBudgetError:
                     rows.append({**base, "trials_used": 0})
                     continue
                 eps = bounds.optimal_epsilon(n, m_s)
                 fn = partial(_scan_chunk, (targets, plan_h, plan_s, noise, eps))
-                parts = _map_chunks(fn, ranges, cfg.workers)
+                parts = _map_chunks(fn, ranges, workers)
                 energies = np.concatenate([p[0] for p in parts])
                 dims = np.concatenate([p[1] for p in parts])
                 rel = _rel_errors(energies, e0)
@@ -547,7 +577,7 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges = _chunk_ranges(cfg.trials, cfg.workers)
+    ranges, workers = _chunk_layout(cfg)
     rows: list[dict] = []
     for construction in cfg.constructions:
         for n in cfg.n_list:
@@ -561,7 +591,7 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
                     m_h, m_s = split_budget(m, n, construction, system.beta_norm)
                     plan_h = _plan_for("H", construction, m_h, n, targets.betas)
                     plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-                except (InfeasibleBudgetError, ValueError):
+                except InfeasibleBudgetError:
                     rows.append({**base, "row_kind": "skipped"})
                     continue
                 eps = bounds.optimal_epsilon(n, m_s)
@@ -579,7 +609,7 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
                     targets, plan_h, plan_s, noise, eps, h_exact, s_exact,
                     ex, sol_ex, lam_min, e_h, e_s, m_h, m_s,
                 )
-                parts = _map_chunks(partial(_perturbation_chunk, args), ranges, cfg.workers)
+                parts = _map_chunks(partial(_perturbation_chunk, args), ranges, workers)
                 qualifying = 0
                 satisfied_count = 0
                 for part in parts:

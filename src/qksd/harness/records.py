@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import ExperimentConfig
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"  # 0.2.0: exact values computed in the reference state's particle sector
 
 ERROR_NORM_COLUMNS = (
     "row_kind", "construction", "kind", "n", "m_budget", "trial",

@@ -10,6 +10,11 @@ for k = 0..n-1 determine the whole pair; the symmetric grid is absorbed as a
 relabeling.  The non-Toeplitz mode instead fills H elementwise from the basis
 states, which matters once the propagator only approximately commutes with H
 (Trotterization) or when each element is sampled independently.
+
+The exact values behind every measurement are computed in the reference
+state's particle-number sector: the spectrum is that sector's block, and the
+fragments U_j act on the Krylov columns as projected Pauli sums, without a
+full-space operator.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import Spectrum
-from .hamiltonian import UnitaryPartition, fragment_dense
+from .hamiltonian import UnitaryPartition, apply_pauli_sum
 
 
 @dataclass(frozen=True)
@@ -209,11 +214,17 @@ def measurement_targets(
     ref_state: np.ndarray,
     cfg: KrylovConfig,
     construction: str,
+    basis: np.ndarray | None = None,
 ) -> MeasurementTargets:
-    """Exact per-fragment Hadamard-test values, computed by dense algebra.
+    """Exact per-fragment Hadamard-test values on the span of `basis`.
 
-    Fragments U_j are Hermitian unitaries, so <phi|U_j U(k dt)|phi> =
-    (U_j phi)^dag (U(k dt) phi); all overlaps lie in the closed unit disk.
+    `spec` and `ref_state` are in the coordinates of the sorted Fock indices
+    `basis` (default: the full 2^{n_qubits} Fock basis).  Fragments U_j are
+    Hermitian unitaries, so <phi|U_j U(k dt)|phi> = (U_j phi)^dag (U(k dt)
+    phi); all overlaps lie in the closed unit disk.  When `basis` spans an
+    H-invariant sector holding the reference, every Krylov column lies in it
+    and the projected fragments P U_j P give the same values; they are applied
+    matrix-free to the block of columns.
     """
     if construction == "toeplitz":
         ks = np.arange(cfg.n)
@@ -221,15 +232,21 @@ def measurement_targets(
         ks = cfg.grid
     else:
         raise ValueError(f"unknown construction {construction!r}")
+    if basis is None:
+        basis = np.arange(2**partition.n_qubits)
     seq = exact_sequences(spec, ref_state, cfg)
     amps = spec.eigenvectors.conj().T @ ref_state
     phases = np.exp(-1j * np.outer(spec.eigenvalues * cfg.dt, ks))
     psi = spec.eigenvectors @ (phases * amps[:, None])  # columns U(k dt)|phi_0>
-    frags = [fragment_dense(partition, j) for j in range(partition.n_groups)]
+    groups = partition.groups
     if construction == "toeplitz":
-        frag = np.array([(u @ ref_state).conj() @ psi for u in frags])
+        frag = np.array(
+            [apply_pauli_sum(g.members, basis, ref_state).conj() @ psi for g in groups]
+        )
     else:
-        frag = np.array([psi.conj().T @ (u @ psi) for u in frags])
+        frag = np.array(
+            [psi.conj().T @ apply_pauli_sum(g.members, basis, psi) for g in groups]
+        )
         frag = 0.5 * (frag + np.transpose(frag, (0, 2, 1)).conj())
     return MeasurementTargets(
         construction=construction,

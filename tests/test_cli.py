@@ -71,6 +71,32 @@ def test_main_infeasible(conf, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        ("L = 1\n", "ground energy"),  # sector (1, 0): E0 = 0, relative errors undefined
+        ("L = 2\nt = 0\nu = 0\n", "multiple of the identity"),
+    ],
+)
+def test_main_degenerate_system(tmp_path, capsys, body, reason):
+    p = tmp_path / "degenerate.conf"
+    out = tmp_path / "never.csv"
+    p.write_text(body + f"n = 3\nM = 1e4\ntrials = 2\nout = {out}\n")
+    assert main(["optimal-threshold", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err
+    assert not out.exists()
+
+
+def test_main_sector_cap(conf, tmp_path, capsys, monkeypatch):
+    from qksd import evolution
+
+    monkeypatch.setattr(evolution, "SECTOR_DIM_CAP", 3)  # L = 2 half filling has 4
+    assert main(["error-norms", "--config", str(conf)]) == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_main_unknown_driver(conf):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", str(conf)])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from qksd import evolution
+from qksd.errors import ResourceLimitError
 from qksd.evolution import (
     diagonalize,
     exact_propagator,
@@ -114,3 +116,43 @@ def test_hartree_fock_overlap_with_interacting_ground():
     gs = np.zeros(h.shape[0], dtype=complex)
     gs[idx] = vecs[:, 0]
     assert abs(gs.conj() @ state) ** 2 > 0.5
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_sector_indices_match_brute_force(L):
+    nq = 2 * L
+    for n_up in range(L + 1):
+        for n_down in range(L + 1):
+            want = [
+                b
+                for b in range(2**nq)
+                if sum((b >> (nq - 1 - 2 * i)) & 1 for i in range(L)) == n_up
+                and sum((b >> (nq - 2 - 2 * i)) & 1 for i in range(L)) == n_down
+            ]
+            np.testing.assert_array_equal(sector_indices(L, n_up, n_down), want)
+
+
+def test_sector_indices_cap_and_range(monkeypatch):
+    with pytest.raises(ValueError):
+        sector_indices(2, 3, 0)
+    monkeypatch.setattr(evolution, "SECTOR_DIM_CAP", 3)
+    assert len(sector_indices(2, 1, 0)) == 2
+    with pytest.raises(ResourceLimitError):
+        sector_indices(2, 1, 1)  # dimension 4
+
+
+def test_hartree_fock_state_in_sector_basis():
+    L, t = 3, 0.35
+    idx = sector_indices(L, 2, 1)
+    full = hartree_fock_state(L, t, 2, 1)
+    sector = hartree_fock_state(L, t, 2, 1, basis=idx)
+    assert sector.shape == (len(idx),)
+    np.testing.assert_allclose(sector, full[idx], rtol=0, atol=1e-15)
+
+
+def test_diagonalize_real_block_matches_complex():
+    h = pauli_to_dense(build_hubbard_1d(2, 0.2, 0.1))
+    assert not h.imag.any()
+    sp = diagonalize(h)
+    assert not np.iscomplexobj(sp.eigenvectors)
+    np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(h), atol=1e-14)

@@ -7,16 +7,21 @@ validates the symbolic JW pipeline end to end.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qksd.evolution import sector_indices
 from qksd.hamiltonian import (
     PauliString,
     PauliSum,
+    apply_pauli_sum,
     build_hubbard_1d,
     combo_product,
     fragment_dense,
     jw_lowering,
     jw_raising,
     multiply_strings,
+    pauli_sum_block,
     pauli_to_dense,
     sorted_insertion_partition,
 )
@@ -206,3 +211,42 @@ def test_pauli_sum_merges_duplicates():
     coeff, s = ps.non_identity_terms[0]
     assert s.axes == "XX" and abs(coeff - 0.75) < 1e-15
     assert abs(ps.identity_coefficient - 1.0) < 1e-15
+
+
+@given(
+    sites=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_sector_action_matches_dense_block(sites, seed, data):
+    """A Pauli string applied in any particle sector (or the whole Fock space)
+    equals the sector block of its dense matrix."""
+    nq = 2 * sites
+    string = PauliString(data.draw(st.text("IXYZ", min_size=nq, max_size=nq)))
+    dense = pauli_to_dense(string)
+    rng = np.random.default_rng(seed)
+    bases = [
+        sector_indices(sites, n_up, n_down)
+        for n_up in range(sites + 1)
+        for n_down in range(sites + 1)
+    ] + [np.arange(2**nq)]
+    for idx in bases:
+        want = dense[np.ix_(idx, idx)]
+        states = rng.normal(size=(len(idx), 3)) + 1j * rng.normal(size=(len(idx), 3))
+        got = apply_pauli_sum([(0.7, string)], idx, states)
+        np.testing.assert_allclose(got, 0.7 * want @ states, rtol=0, atol=1e-12)
+        vec = apply_pauli_sum([(1.0, string)], idx, states[:, 0])
+        np.testing.assert_allclose(vec, want @ states[:, 0], rtol=0, atol=1e-12)
+        block = pauli_sum_block(PauliSum.from_terms([(0.7, string)], nq), idx)
+        np.testing.assert_allclose(block, 0.7 * want, rtol=0, atol=1e-15)
+
+
+def test_hamiltonian_sector_block_matches_dense():
+    spec = build_hubbard_1d(3, 0.3, 0.7)
+    dense = pauli_to_dense(spec)
+    for n_up, n_down in ((2, 1), (1, 1), (3, 0)):
+        idx = sector_indices(3, n_up, n_down)
+        np.testing.assert_allclose(
+            pauli_sum_block(spec, idx), dense[np.ix_(idx, idx)], rtol=0, atol=1e-14
+        )

@@ -20,7 +20,8 @@ from qksd.harness import (
     run_threshold_sweep,
 )
 from qksd.harness.config import config_from_mapping, parse_config_text
-from qksd.harness.drivers import _chunk_ranges
+from qksd.harness import drivers
+from qksd.harness.drivers import _chunk_ranges, _worker_count
 from qksd.harness.records import config_hash, format_value, write_csv
 
 
@@ -180,6 +181,13 @@ def test_chunk_ranges():
         lo += count
 
 
+def test_worker_count():
+    assert _worker_count(1, 1000, 8) == 1
+    assert _worker_count(64, 1000, 2) == 2  # never more processes than CPUs
+    assert _worker_count(4, 3, 16) == 3  # nor than trials to share
+    assert _worker_count(4, 1000, None) == 1  # CPU count unknown: run inline
+
+
 # ---------------------------------------------------------------------------
 # Drivers at desk scale
 # ---------------------------------------------------------------------------
@@ -312,3 +320,17 @@ def test_driver_rows_match_written_file(tmp_path):
     assert lines[1].split(",")[0] == "row_kind"
     # one line per row plus comment, header, and trailing newline
     assert len(lines) == len(res.rows) + 3
+
+
+@pytest.mark.parametrize(
+    "runner", [run_threshold_sweep, run_optimal_threshold_scan, run_perturbation_vs_bound]
+)
+def test_plan_value_error_propagates(tmp_path, monkeypatch, runner):
+    """Only an infeasible budget marks a cell skipped; other plan errors surface."""
+
+    def broken_split(*args, **kwargs):
+        raise ValueError("allocation bug")
+
+    monkeypatch.setattr(drivers, "split_budget", broken_split)
+    with pytest.raises(ValueError, match="allocation bug"):
+        runner(small_cfg(tmp_path, "plan.csv"))

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from qksd.evolution import diagonalize, exact_propagator, hartree_fock_state
-from qksd.hamiltonian import build_hubbard_1d, pauli_to_dense, sorted_insertion_partition
+from qksd.evolution import (
+    diagonalize,
+    exact_propagator,
+    hartree_fock_state,
+    sector_ground_energy,
+    sector_indices,
+)
+from qksd.hamiltonian import (
+    build_hubbard_1d,
+    fragment_dense,
+    pauli_to_dense,
+    sorted_insertion_partition,
+)
+from qksd.harness import ExperimentConfig, build_system, targets_for
 from qksd.krylov import (
     KrylovConfig,
     build_pair,
@@ -138,3 +150,50 @@ def test_measurement_targets_lie_in_unit_square(system):
         assert np.abs(tg.frag.imag).max() <= 1.0 + 1e-12
         assert np.abs(tg.s_seq.real).max() <= 1.0 + 1e-12
         assert np.abs(tg.s_seq.imag).max() <= 1.0 + 1e-12
+
+
+def dense_path_targets(L, t, u, n_up, n_down, cfg, construction):
+    """(dense H, s_seq, frag) by full-space dense algebra and dense fragments."""
+    ham = build_hubbard_1d(L, t, u)
+    part = sorted_insertion_partition(ham)
+    h = pauli_to_dense(ham)
+    sp = diagonalize(h)
+    idx = sector_indices(L, n_up, n_down)
+    hop = pauli_to_dense(build_hubbard_1d(L, t, 0.0))[np.ix_(idx, idx)]
+    ref = np.zeros(4**L, dtype=complex)
+    ref[idx] = np.linalg.eigh(hop)[1][:, 0]
+    amps = sp.eigenvectors.conj().T @ ref
+
+    def columns(ks):
+        phases = np.exp(-1j * np.outer(sp.eigenvalues * cfg.dt, ks))
+        return sp.eigenvectors @ (phases * amps[:, None])
+
+    s_seq = ref.conj() @ columns(np.arange(cfg.n))
+    s_seq[0] = 1.0
+    frags = [fragment_dense(part, j) for j in range(part.n_groups)]
+    if construction == "toeplitz":
+        psi = columns(np.arange(cfg.n))
+        frag = np.array([(f @ ref).conj() @ psi for f in frags])
+    else:
+        psi = columns(cfg.grid)
+        frag = np.array([psi.conj().T @ f @ psi for f in frags])
+    return h, s_seq, frag
+
+
+@pytest.mark.parametrize(
+    "L, n_up, n_down",
+    [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (3, 1, 2), (4, 2, 2), (4, 3, 1)],
+)
+@pytest.mark.parametrize("construction", ["toeplitz", "nontoeplitz"])
+def test_sector_targets_match_dense_path(L, n_up, n_down, construction):
+    """Sector-basis, matrix-free targets equal the full-space dense algebra."""
+    t, u = 0.2, 0.7
+    system = build_system(
+        ExperimentConfig(sites=L, t_hop=t, u_int=u, n_up=n_up, n_down=n_down)
+    )
+    np.testing.assert_array_equal(system.basis, sector_indices(L, n_up, n_down))
+    tg = targets_for(system, 5, construction)
+    h, s_seq, frag = dense_path_targets(L, t, u, n_up, n_down, tg.config, construction)
+    assert abs(system.e0_sector - sector_ground_energy(h, L, n_up, n_down)) < 1e-12
+    np.testing.assert_allclose(tg.s_seq, s_seq, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tg.frag, frag, rtol=0, atol=1e-12)
