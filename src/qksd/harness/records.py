@@ -17,7 +17,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import ExperimentConfig
 
-ARTIFACT_VERSION = "0.2.0"  # 0.2.0: exact values computed in the reference state's particle sector
+# 0.2.0: exact values computed in the reference state's particle sector.
+# 0.3.0: binomial draws come from one stream per (seed, trial, matrix) instead
+# of one per coordinate, so binomial-mode rows change; gaussian rows do not.
+ARTIFACT_VERSION = "0.3.0"
 
 ERROR_NORM_COLUMNS = (
     "row_kind", "construction", "kind", "n", "m_budget", "trial",

@@ -1,12 +1,13 @@
 """Deterministic, schedule-independent random streams.
 
-Every sampled configuration owns a stream keyed by the full coordinate tuple
-(seed, trial, target, element, fragment, configuration), so a result never
-depends on which worker drew it or in what order.  Keys come from a splitmix64
-absorption chain; Gaussian draws map one counter-hashed 64-bit word through the
-inverse normal CDF, which keeps ensemble generation fully vectorized.  Binomial
-draws (which need a stateful algorithm) seed a PCG64 generator with the same
-key.
+Keys come from a splitmix64 absorption chain over integer coordinates, so a
+result never depends on which worker drew it or in what order.  Gaussian draws
+are keyed per coordinate (seed, trial, target, element, fragment,
+configuration) and map one counter-hashed 64-bit word through the inverse
+normal CDF, which keeps ensemble generation fully vectorized.  Binomial draws
+need a stateful algorithm: an ensemble seeds one PCG64 generator per (seed,
+trial, target) and draws that trial's sampled coordinates in canonical order,
+while the scalar `hadamard_estimate` seeds one per full coordinate key.
 """
 
 from __future__ import annotations
@@ -78,5 +79,10 @@ def normals(keys: np.ndarray, counter: int = 0) -> np.ndarray:
 
 
 def generator(key: int) -> np.random.Generator:
-    """Stateful generator for draws that need one (binomial mode)."""
+    """Stateful generator for draws that need one (binomial mode).
+
+    Ensembles pass the key of (seed, trial, target) and draw a whole trial's
+    counts for that matrix from it; the scalar estimator passes a full
+    coordinate key.
+    """
     return np.random.Generator(np.random.PCG64(key))

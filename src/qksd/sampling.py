@@ -13,6 +13,13 @@ Two noise modes: "binomial" draws the actual binomial counts (ground truth);
 which is what the norm-bound theory models and is fully vectorizable.
 Gaussian estimates are intentionally not clamped to [-1, 1].
 
+Random streams: gaussian draws are keyed per coordinate (seed, trial, target,
+element, fragment, configuration).  Binomial ensemble draws come from one
+generator per (seed, trial, target), which draws the trial's sampled
+coordinates in the C order of the (element, configuration, fragment) grid.
+`hadamard_estimate` keys its binomial draw per coordinate, so it is not a
+slice of an ensemble.
+
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
 """
@@ -338,31 +345,32 @@ def _gaussian_block(
 
 def _binomial_block(
     seed: int,
-    trial: int,
+    trials_1d: np.ndarray,
     target_code: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    frag: np.ndarray,
-    cfg: np.ndarray,
     means: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """Same contract as _gaussian_block for a single trial, binomial draws."""
-    ba, bb, bf, bc, bmean, bm = np.broadcast_arrays(a, b, frag, cfg, means, counts)
-    flat_mean = bmean.ravel()
-    flat_m = bm.ravel()
-    out = np.zeros_like(flat_mean)
-    fa, fb = ba.ravel(), bb.ravel()
-    ff, fc = bf.ravel(), bc.ravel()
-    for i in range(len(out)):
-        m = int(flat_m[i])
-        if m <= 0:
-            continue
-        key = rngstream.stream_key(
-            seed, trial, target_code, int(fa[i]), int(fb[i]), int(ff[i]), int(fc[i])
-        )
-        out[i] = _binomial_part(key, float(flat_mean[i]), m)
-    return out.reshape(bmean.shape)
+    """Binomial estimates of shape (T, *grid), one generator per trial.
+
+    The generator keyed (seed, trial, target) draws every sampled coordinate
+    of the broadcast (means, counts) grid in one vector call, in the grid's C
+    order; zero-count coordinates consume no draw and stay 0.  The key depends
+    only on the absolute trial index, so any chunking of the trials agrees.
+    """
+    means, counts = np.broadcast_arrays(means, counts)
+    sampled = counts > 0
+    m = counts[sampled]
+    mean = means[sampled]
+    out_of_range = np.abs(mean) > 1.0 + 1e-9
+    if np.any(out_of_range):
+        bad = float(mean[out_of_range][0])
+        raise ValueError(f"binomial mode needs |part| <= 1, got {bad}")
+    p = 0.5 * (1.0 + np.clip(mean, -1.0, 1.0))
+    out = np.zeros((len(trials_1d),) + means.shape)
+    for i, trial in enumerate(trials_1d):
+        gen = rngstream.generator(rngstream.stream_key(seed, int(trial), target_code))
+        out[i][sampled] = 2.0 * gen.binomial(m, p) / m - 1.0
+    return out
 
 
 def _estimate_blocks(
@@ -377,19 +385,18 @@ def _estimate_blocks(
     counts: np.ndarray,
     mode: str,
 ) -> np.ndarray:
-    """Estimates of shape (T, *grid) for both noise modes."""
+    """Estimates of shape (T, *grid) for both noise modes.
+
+    a/b/frag/cfg key the gaussian draws per coordinate; binomial draws are
+    keyed per trial and take coordinates in the grid's C order.
+    """
     extra = (1,) * means.ndim
     if mode == "gaussian":
         trials = trials_1d.reshape((-1,) + extra)
         return _gaussian_block(
             seed, trials, target_code, a, b, frag, cfg, means, counts
         )
-    out = np.empty((len(trials_1d),) + means.shape)
-    for i, trial in enumerate(trials_1d):
-        out[i] = _binomial_block(
-            seed, int(trial), target_code, a, b, frag, cfg, means, counts
-        )
-    return out
+    return _binomial_block(seed, trials_1d, target_code, means, counts)
 
 
 def _hermitian_toeplitz_stack(seq: np.ndarray) -> np.ndarray:

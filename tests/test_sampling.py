@@ -30,7 +30,9 @@ from qksd import (
     sample_pair,
     split_budget,
 )
+from qksd import rngstream
 from qksd.krylov import KrylovPair
+from qksd.sampling import TARGETS, sample_overlap_ensemble
 
 
 def synthetic_targets(n, betas, s_seq, frag, construction="toeplitz", id_coeff=0.0):
@@ -358,6 +360,190 @@ def test_ensemble_chunks_reproduce_full_run():
     )
     assert np.array_equal(h_all[5:], h_tail)
     assert np.array_equal(s_all[5:], s_tail)
+
+
+# ---------------------------------------------------------------------------
+# Binomial draw order, chunk invariance and range guard
+# ---------------------------------------------------------------------------
+
+
+def _scalar_binomial_reference(seed, trial, target, means, counts):
+    """One scalar draw at a time, in C order of the grid, from the trial stream."""
+    gen = rngstream.generator(rngstream.stream_key(seed, trial, TARGETS.index(target)))
+    est = np.zeros(means.shape)
+    for idx in np.ndindex(means.shape):
+        m = int(counts[idx])
+        if m == 0:
+            continue
+        p = 0.5 * (1.0 + min(1.0, max(-1.0, float(means[idx]))))
+        est[idx] = 2.0 * gen.binomial(m, p) / m - 1.0
+    return est
+
+
+def _grid_counts(plan, positions, n_frag):
+    """Counts on the (position, config, fragment) grid; positions are (a, b)."""
+    row = {pos: i for i, pos in enumerate(positions)}
+    counts = np.zeros((len(positions), 2, n_frag), dtype=np.int64)
+    for e in plan.entries:
+        counts[row[(e.a, e.b)], ("real", "imag").index(e.config), e.fragment] += e.shots
+    return counts
+
+
+def _hand_plan(target, n, configs, n_frag, zero):
+    """Mixed shot counts over (a, b, config) x fragment, one zero at `zero`."""
+    entries = []
+    for i, (a, b, cfg) in enumerate(configs):
+        for j in range(n_frag):
+            shots = 0 if (a, b, cfg, j) == zero else 7 + 11 * i + 5 * j
+            entries.append(ShotEntry(a, b, cfg, j, shots))
+    budget = sum(e.shots for e in entries)
+    return ShotPlan(target, n, budget, tuple(entries))
+
+
+def _random_overlaps(rng, shape):
+    return rng.uniform(-0.9, 0.9, size=shape) + 1j * rng.uniform(-0.9, 0.9, size=shape)
+
+
+def test_binomial_toeplitz_h_matches_scalar_draw_order():
+    rng = np.random.default_rng(17)
+    n, betas = 5, np.array([0.5, 0.3, 0.2])
+    targets = synthetic_targets(
+        n=n, betas=betas, s_seq=[1.0, 0.2, 0.1, 0.05, 0.02],
+        frag=_random_overlaps(rng, (3, n)), id_coeff=0.25,
+    )
+    configs = [(0, 0, "real")] + [
+        (k, 0, cfg) for k in range(1, n) for cfg in ("real", "imag")
+    ]
+    plan = _hand_plan("H_toeplitz", n, configs, 3, zero=(2, 0, "imag", 1))
+    noise = NoiseSpec(mode="binomial", rng_seed=29)
+    stack, zero_shot = sample_hamiltonian_ensemble(targets, plan, noise, 3, first_trial=4)
+    assert zero_shot
+    counts = _grid_counts(plan, [(k, 0) for k in range(n)], 3)
+    assert counts[2, 1, 1] == 0 and counts[3, 1, 2] > 0  # zero mid-grid
+    f = targets.frag
+    means = np.stack([f.real.T, f.imag.T], axis=1)  # (n, 2, J)
+    for t in range(3):
+        est = _scalar_binomial_reference(29, 4 + t, "H_toeplitz", means, counts)
+        h_seq = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas + 0.25 * targets.s_seq
+        expected = np.array(
+            [[h_seq[l - k] if l >= k else h_seq[k - l].conj() for l in range(n)]
+             for k in range(n)]
+        )
+        np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+
+
+def test_binomial_elementwise_h_matches_scalar_draw_order():
+    rng = np.random.default_rng(18)
+    n, betas = 3, np.array([0.6, 0.4])
+    frag = _random_overlaps(rng, (2, n, n))
+    targets = synthetic_targets(
+        n=n, betas=betas, s_seq=[1.0, 0.1, 0.05], frag=frag,
+        construction="nontoeplitz", id_coeff=0.1,
+    )
+    positions = [(a, b) for a in range(n) for b in range(a, n)]
+    configs = [
+        (a, b, cfg) for a, b in positions for cfg in ("real", "imag") if cfg == "real" or a < b
+    ]
+    plan = _hand_plan("H_nontoeplitz", n, configs, 2, zero=(0, 2, "real", 0))
+    noise = NoiseSpec(mode="binomial", rng_seed=31)
+    stack, zero_shot = sample_hamiltonian_ensemble(targets, plan, noise, 2, first_trial=9)
+    assert zero_shot
+    counts = _grid_counts(plan, positions, 2)
+    tri = np.array([[frag[j, a, b] for j in range(2)] for a, b in positions])  # (P, J)
+    means = np.stack([tri.real, tri.imag], axis=1)  # (P, 2, J)
+    s_mat = expected_pair(targets)[1]
+    for t in range(2):
+        est = _scalar_binomial_reference(31, 9 + t, "H_nontoeplitz", means, counts)
+        vals = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas
+        expected = np.zeros((n, n), dtype=complex)
+        for (a, b), v in zip(positions, vals):
+            expected[a, b] = v + 0.1 * s_mat[a, b]
+            expected[b, a] = expected[a, b].conj()
+        np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+
+
+def test_binomial_overlap_matches_scalar_draw_order():
+    n = 5
+    s_seq = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.4j, 0.05j, -0.6])
+    targets = synthetic_targets(n=n, betas=[1.0], s_seq=s_seq, frag=np.zeros((1, n)))
+    configs = [(k, 0, cfg) for k in range(1, n) for cfg in ("real", "imag")]
+    plan = _hand_plan("S_toeplitz", n, configs, 1, zero=(2, 0, "imag", 0))
+    noise = NoiseSpec(mode="binomial", rng_seed=37)
+    stack, zero_shot = sample_overlap_ensemble(targets, plan, noise, 2, first_trial=3)
+    assert zero_shot
+    counts = _grid_counts(plan, [(k, 0) for k in range(n)], 1)[:, :, 0]
+    means = np.stack([s_seq.real, s_seq.imag], axis=1)  # (n, 2)
+    for t in range(2):
+        est = _scalar_binomial_reference(37, 3 + t, "S_toeplitz", means, counts)
+        seq = est[:, 0] + 1j * est[:, 1]
+        seq[0] = 1.0
+        expected = np.array(
+            [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
+             for k in range(n)]
+        )
+        np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    construction=st.sampled_from(["toeplitz", "nontoeplitz"]),
+    trials=st.integers(2, 9),
+    split=st.integers(1, 8),
+    first=st.integers(0, 40),
+    seed=st.integers(0, 2**31),
+)
+def test_binomial_chunks_reproduce_full_run(construction, trials, split, first, seed):
+    split = min(split, trials - 1)
+    n, betas = 3, np.array([0.7, 0.3])
+    frag_shape = (2, n) if construction == "toeplitz" else (2, n, n)
+    targets = synthetic_targets(
+        n=n, betas=betas, s_seq=[1.0, 0.1, 0.2],
+        frag=_random_overlaps(np.random.default_rng(seed), frag_shape),
+        construction=construction,
+    )
+    if construction == "toeplitz":
+        plan_h = allocate_toeplitz(900, n, is_h=True, betas=betas)
+    else:
+        plan_h = allocate_nontoeplitz(900, n, betas=betas)
+    plan_s = allocate_toeplitz(900, n, is_h=False)
+    noise = NoiseSpec(mode="binomial", rng_seed=seed)
+    h_all, s_all, _ = sample_ensemble(targets, plan_h, plan_s, noise, trials, first)
+    h_a, s_a, _ = sample_ensemble(targets, plan_h, plan_s, noise, split, first)
+    h_b, s_b, _ = sample_ensemble(
+        targets, plan_h, plan_s, noise, trials - split, first + split
+    )
+    assert np.array_equal(h_all, np.concatenate([h_a, h_b]))
+    assert np.array_equal(s_all, np.concatenate([s_a, s_b]))
+
+
+def _guard_targets(frag):
+    return synthetic_targets(n=3, betas=[0.5, 0.5], s_seq=[1.0, 0.1, 0.2], frag=frag)
+
+
+def _guard_plan():
+    configs = [(0, 0, "real")] + [(k, 0, cfg) for k in (1, 2) for cfg in ("real", "imag")]
+    return _hand_plan("H_toeplitz", 3, configs, 2, zero=(2, 0, "real", 1))
+
+
+def test_binomial_ensemble_rejects_sampled_out_of_range_mean():
+    noise = NoiseSpec(mode="binomial", rng_seed=0)
+    frag = np.full((2, 3), 0.2 + 0.1j)
+    frag[1, 1] = 1.01 + 0.1j
+    with pytest.raises(ValueError, match=r"binomial mode needs \|part\| <= 1, got 1.01"):
+        sample_hamiltonian_ensemble(_guard_targets(frag), _guard_plan(), noise, 2)
+    frag[1, 1] = complex(1.0 + 1e-10, 0.1)  # within clipping tolerance: fine
+    sample_hamiltonian_ensemble(_guard_targets(frag), _guard_plan(), noise, 2)
+
+
+def test_binomial_ensemble_ignores_out_of_range_mean_without_shots():
+    noise = NoiseSpec(mode="binomial", rng_seed=0)
+    frag = np.full((2, 3), 0.2 + 0.1j)
+    frag[1, 2] = 1.01 + 0.1j  # (element 2, real, fragment 1) has zero shots
+    frag[0, 0] = 0.2 + 1.01j  # diagonal imag is never sampled
+    stack, zero_shot = sample_hamiltonian_ensemble(
+        _guard_targets(frag), _guard_plan(), noise, 2
+    )
+    assert zero_shot and np.all(np.isfinite(stack))
 
 
 def test_seed_changes_samples():
