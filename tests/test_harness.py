@@ -4,7 +4,13 @@ Driver tests run at desk scale (tiny budgets, a handful of trials) and check
 row structure plus the worker-count independence of the output bytes.
 """
 
+import hashlib
+import importlib
+import importlib.util
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +340,79 @@ def test_plan_value_error_propagates(tmp_path, monkeypatch, runner):
     monkeypatch.setattr(drivers, "split_budget", broken_split)
     with pytest.raises(ValueError, match="allocation bug"):
         runner(small_cfg(tmp_path, "plan.csv"))
+
+
+# ---------------------------------------------------------------------------
+# Output bytes of the shipped configs
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+DRIVER_FOR_CONFIG = {
+    "error_norms": run_error_norm_ensemble,
+    "singular_spectrum": run_singular_spectrum,
+    "threshold_sweep": run_threshold_sweep,
+    "optimal_threshold": run_optimal_threshold_scan,
+    "perturbation_bound": run_perturbation_vs_bound,
+}
+BINOMIAL_BOTH = {"mode": "binomial", "constructions": ("toeplitz", "nontoeplitz")}
+# sha256 of each CSV at trials = 8, header included; artifact version 0.3.0.
+# A change that moves any of these must bump ARTIFACT_VERSION and re-pin them.
+DRIVER_DIGESTS = {
+    ("error_norms", None):
+        "0bbfc9caf5b931c12695928e0999d54b427e86a4eb9eb77910c7bb60dc3456e7",
+    ("singular_spectrum", None):
+        "fe78c08bf80d024d455b05f0fae6c163ddecea3eac012f8100c8a263ee065767",
+    ("threshold_sweep", None):
+        "56a0461cb19bfa1b06086cf670d6154587882fd010f3195b2240b0bb015b5cb6",
+    ("optimal_threshold", None):
+        "77a2e52481db7ff97a7e7c26b9cc023c045e5102ffd0258aa58775b024cf57f7",
+    ("perturbation_bound", None):
+        "d243b27e79d5feef51358115de3d3a224aa06a3114a6d9c1a05603d67cdd2275",
+    ("perturbation_bound", "binomial"):
+        "7fa821dacaf98b034dcecffef7bffc344270b84dfd4f773ec50436e18580cd03",
+}
+
+
+@pytest.mark.parametrize(
+    "name, variant", list(DRIVER_DIGESTS), ids=lambda v: v or "shipped"
+)
+def test_driver_digests(tmp_path, name, variant):
+    """Every shipped config reproduces its pinned CSV bytes."""
+    out = tmp_path / f"{name}.csv"
+    overrides = {"trials": 8, "out": str(out)}
+    if variant == "binomial":
+        overrides.update(BINOMIAL_BOTH)
+    cfg = load_config(str(CONFIG_DIR / f"{name}.conf"), overrides)
+    DRIVER_FOR_CONFIG[name](cfg)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DRIVER_DIGESTS[(name, variant)]
+
+
+def test_bench_contract(tmp_path, monkeypatch):
+    """The benchmark's tracer and timers still find the names they hook."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name, _ in spans.TRACED:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
+    assert callable(drivers.ProcessPoolExecutor)
+
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(drivers, "build_system", counting(drivers.build_system))
+    monkeypatch.setattr(drivers, "write_csv", counting(drivers.write_csv))
+    cfg = load_config(
+        str(CONFIG_DIR / "singular_spectrum.conf"),
+        {"trials": 2, "out": str(tmp_path / "spec.csv")},
+    )
+    drivers.run_singular_spectrum(cfg)
+    assert calls == {"build_system": 1, "write_csv": 1}
