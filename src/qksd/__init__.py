@@ -5,88 +5,17 @@ Fermi-Hubbard chains, injects measurement noise that is statistically
 faithful to Hadamard-test estimation under optimal shot allocations,
 solves the thresholded generalized eigenvalue problem, and checks the
 resulting ground-energy error against a priori bounds.
+
+The top level re-exports the calls of the README's Python API; everything
+else is imported from its module (`qksd.sampling`, `qksd.gevp`, ...).
 """
 
-from .bounds import (
-    chi_upper_bound,
-    concentration_tail,
-    crawford_inverse_upper,
-    error_norm_bound,
-    error_norm_bound_tight,
-    expected_norm_from_variance,
-    norm_bound_pair,
-    optimal_epsilon,
-    optimal_variance,
-    sampling_perturbation_bound,
-    trotter_depth_threshold,
-    variance_statistic,
-    weyl_relative_bound,
-)
-from .errors import (
-    ConfigError,
-    EmptyBasisError,
-    IllPosedError,
-    InfeasibleBudgetError,
-    NumericalError,
-    QksdError,
-    ResourceLimitError,
-)
-from .evolution import (
-    Propagator,
-    Spectrum,
-    diagonalize,
-    exact_propagator,
-    hartree_fock_state,
-    sector_ground_energy,
-    sector_indices,
-    trotter_propagator,
-)
-from .gevp import (
-    GevpSolution,
-    ThresholdResult,
-    basis_thresholding,
-    chi_between_thresholds,
-    conjugated_chi,
-    eigenangle_check,
-    perturbation_magnitude,
-    solve_gevp,
-    threshold_and_solve,
-    top_k_thresholding,
-)
-from .hamiltonian import (
-    PauliString,
-    PauliSum,
-    UnitaryPartition,
-    build_hubbard_1d,
-    fragment_dense,
-    pauli_to_dense,
-    sorted_insertion_partition,
-)
-from .krylov import (
-    KrylovConfig,
-    KrylovPair,
-    MeasurementTargets,
-    build_pair,
-    default_time_step,
-    exact_sequences,
-    measurement_targets,
-    toeplitz_matrix,
-)
+from .bounds import optimal_epsilon
+from .gevp import threshold_and_solve
 from .sampling import (
-    EstimateResult,
     NoiseSpec,
-    SampledPair,
-    ShotEntry,
-    ShotPlan,
-    allocate_nontoeplitz,
     allocate_toeplitz,
-    apply_hardware_decay,
-    decay_exponent,
-    expected_pair,
     hadamard_estimate,
-    sample_ensemble,
-    sample_hamiltonian_ensemble,
-    sample_overlap_ensemble,
     sample_pair,
     split_budget,
 )
@@ -94,73 +23,11 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
-    "EmptyBasisError",
-    "EstimateResult",
-    "GevpSolution",
-    "IllPosedError",
-    "InfeasibleBudgetError",
-    "KrylovConfig",
-    "KrylovPair",
-    "MeasurementTargets",
     "NoiseSpec",
-    "NumericalError",
-    "PauliString",
-    "PauliSum",
-    "Propagator",
-    "QksdError",
-    "ResourceLimitError",
-    "SampledPair",
-    "ShotEntry",
-    "ShotPlan",
-    "Spectrum",
-    "ThresholdResult",
-    "UnitaryPartition",
-    "allocate_nontoeplitz",
     "allocate_toeplitz",
-    "apply_hardware_decay",
-    "basis_thresholding",
-    "build_hubbard_1d",
-    "build_pair",
-    "chi_between_thresholds",
-    "chi_upper_bound",
-    "concentration_tail",
-    "conjugated_chi",
-    "crawford_inverse_upper",
-    "decay_exponent",
-    "default_time_step",
-    "diagonalize",
-    "eigenangle_check",
-    "error_norm_bound",
-    "error_norm_bound_tight",
-    "exact_propagator",
-    "exact_sequences",
-    "expected_norm_from_variance",
-    "expected_pair",
-    "fragment_dense",
     "hadamard_estimate",
-    "hartree_fock_state",
-    "measurement_targets",
-    "norm_bound_pair",
     "optimal_epsilon",
-    "optimal_variance",
-    "pauli_to_dense",
-    "perturbation_magnitude",
-    "sample_ensemble",
-    "sample_hamiltonian_ensemble",
-    "sample_overlap_ensemble",
     "sample_pair",
-    "sampling_perturbation_bound",
-    "sector_ground_energy",
-    "sector_indices",
-    "solve_gevp",
-    "sorted_insertion_partition",
     "split_budget",
     "threshold_and_solve",
-    "toeplitz_matrix",
-    "top_k_thresholding",
-    "trotter_depth_threshold",
-    "trotter_propagator",
-    "variance_statistic",
-    "weyl_relative_bound",
 ]

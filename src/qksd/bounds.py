@@ -4,20 +4,17 @@ All formulas are exact evaluations of the non-asymptotic expressions used by
 the experiment drivers: expected spectral-norm bounds for the sampling error
 matrices, the matrix variance statistic behind them, the optimal truncation
 threshold, concentration tails, and the post-threshold eigenvalue perturbation
-bound.  Natural logarithms throughout.  Quantities that are asymptotic scaling
-diagnostics (Trotter depth crossover, the conjugated-perturbation upper bound)
-are labeled as such and never gate pass/fail decisions.
+bound.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
-CONSTRUCTIONS = ("toeplitz", "nontoeplitz")
+from .krylov import CONSTRUCTIONS
 
 
 def _check_construction(construction: str) -> None:
@@ -38,18 +35,6 @@ def error_norm_bound(n: int, v_z: float, construction: str) -> float:
     if construction == "toeplitz":
         return 2.0 * n * v_z * math.sqrt(2.0 * log2n)
     return 2.0 * n * v_z * math.sqrt(n * log2n)
-
-
-def error_norm_bound_tight(n: int, v_z: float, is_hamiltonian: bool) -> float:
-    """Sharper Toeplitz-form bound 2 V_Z (sqrt(2) n + delta - sqrt(2)) sqrt(log 2n).
-
-    delta = 1 when the matrix has a sampled diagonal (H), 0 otherwise (S).
-    Exposed as a diagnostic; the simplified form above is what drivers check.
-    """
-    if n < 1 or v_z <= 0:
-        raise ValueError("need n >= 1 and V_Z > 0")
-    delta = 1.0 if is_hamiltonian else 0.0
-    return 2.0 * v_z * (math.sqrt(2.0) * n + delta - math.sqrt(2.0)) * math.sqrt(math.log(2 * n))
 
 
 def norm_bound_pair(n: int, beta_norm: float, construction: str) -> tuple[float, float]:
@@ -123,10 +108,7 @@ def variance_statistic(plan, v_z: float) -> float:
     The expected spectral norm of the error matrix obeys
     E[norm] <= sqrt(2 v log 2n).
     """
-    totals: dict = {}
-    for entry in plan.entries:
-        key = (entry.a, entry.b)
-        totals[key] = totals.get(key, 0) + entry.shots
+    totals = plan.element_totals()
     n = plan.n
     if plan.target in ("S_toeplitz", "H_toeplitz"):
         counts = np.zeros(n)
@@ -189,90 +171,3 @@ def crawford_inverse_upper(eps: float, e0: float) -> float:
     if not eps > 0:
         raise ValueError("eps must be positive")
     return 1.0 / (eps * math.sqrt(e0**2 + 1.0))
-
-
-def weyl_relative_bound(
-    h_norm: float,
-    s_norm: float,
-    s_inv_norm: float,
-    dh_norm: float,
-    ds_norm: float,
-    s_inv_ds_norm: float,
-) -> Optional[float]:
-    """Weyl-inequality eigenvalue bound from norms and condition numbers.
-
-    |E_tilde - E| <= (|H| |S^-1| / (1 - |S^-1 dS|)) * (cond(S) |dS|/|S| + |dH|/|H|),
-    valid only while |S^-1 dS| < 1; returns None otherwise.
-    """
-    if s_inv_ds_norm >= 1.0:
-        return None
-    cond_s = s_norm * s_inv_norm
-    lead = h_norm * s_inv_norm / (1.0 - s_inv_ds_norm)
-    return lead * (cond_s * ds_norm / s_norm + dh_norm / h_norm)
-
-
-def trotter_depth_threshold(
-    n_fragments: int, dt: float, h_norm: float, beta_norm: float, n: int, m_h: float
-) -> float:
-    """Scaling diagnostic: circuit depth at which Trotter bias overtakes shot noise.
-
-    N_Gamma * dt^2 * (|H| / |H|_beta) * sqrt(n^3 M_H / log n), unit constant.
-    Asymptotic form; never used in pass/fail checks.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2 for the log factor")
-    return (
-        n_fragments * dt**2 * (h_norm / beta_norm) * math.sqrt(n**3 * m_h / math.log(n))
-    )
-
-
-def chi_upper_bound(
-    n: int,
-    mu: float,
-    rho: float,
-    s_norm: float,
-    eps: float,
-    ds_norm: float,
-    dh_norm: float,
-    alpha: float = 0.5,
-) -> float:
-    """Scaling diagnostic: upper bound for the conjugated perturbation magnitude.
-
-    3 (2 + mu) n^3 (1 + 1/rho) (|S|/eps)^alpha |dS| + |dH|.  mu defaults to the
-    largest |generalized eigenvalue| of the exact pair; rho is a free spectral
-    margin parameter supplied by configuration.
-    """
-    if rho <= 0 or eps <= 0:
-        raise ValueError("need rho > 0 and eps > 0")
-    return 3.0 * (2.0 + mu) * n**3 * (1.0 + 1.0 / rho) * (s_norm / eps) ** alpha * ds_norm + dh_norm
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Bundle of every bound evaluated for one experiment cell or trial.
-
-    sampling_bound is None when its arcsine argument exceeds 1 (reported as
-    not-applicable); weyl_bound is None when the Weyl precondition fails.
-    assumptions maps predicate names to one of {"holds", "violated", "unknown"}.
-    """
-
-    e_h: float
-    e_s: float
-    epsilon_opt: float
-    v_stat: float
-    tail_prob: float
-    sampling_bound: Optional[float]
-    crawford_inverse_upper: float
-    weyl_bound: Optional[float]
-    trotter_depth: Optional[float]
-    assumptions: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("e_h", "e_s", "epsilon_opt", "v_stat", "crawford_inverse_upper"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not 0.0 <= self.tail_prob <= 1.0:
-            raise ValueError("tail_prob must lie in [0, 1]")
-        for flag in self.assumptions.values():
-            if flag not in ("holds", "violated", "unknown"):
-                raise ValueError(f"invalid assumption flag {flag!r}")

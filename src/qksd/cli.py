@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleBudgetError, NumericalError, ResourceLimitError
 from .harness import config as config_mod
 from .harness import drivers
+from .krylov import CONSTRUCTIONS
 
 DRIVERS = {
     "error-norms": drivers.run_error_norm_ensemble,
@@ -38,10 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--mode", choices=("binomial", "gaussian"), default=None)
-    parser.add_argument(
-        "--construction", choices=("toeplitz", "nontoeplitz"), default=None
-    )
+    parser.add_argument("--mode", choices=config_mod.MODES, default=None)
+    parser.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
     parser.add_argument("--workers", type=int, default=None)
     return parser
 

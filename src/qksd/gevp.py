@@ -72,6 +72,22 @@ class GevpSolution:
         return float(self.eigenangles[0])
 
 
+def _project(
+    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray, epsilon: float
+) -> ThresholdResult:
+    """Reduced pair on the overlap eigenvectors `keep`, in the order given."""
+    v_kept = vecs[:, keep]
+    a = _hermitize(v_kept.conj().T @ h @ v_kept)
+    b = np.diag(vals[keep]).astype(complex)
+    return ThresholdResult(
+        A=a,
+        B=b,
+        V_kept=v_kept,
+        retained_indices=tuple(int(i) for i in keep),
+        epsilon=float(epsilon),
+    )
+
+
 def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> ThresholdResult:
     """Project (H, S) onto eigenvectors of S with eigenvalue > epsilon.
 
@@ -91,16 +107,7 @@ def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> Threshol
             f"no overlap eigenvalue exceeds epsilon = {epsilon:g}"
         )
     keep = keep[::-1]  # eigh is ascending; retain descending
-    v_kept = vecs[:, keep]
-    a = _hermitize(v_kept.conj().T @ h @ v_kept)
-    b = np.diag(vals[keep]).astype(complex)
-    return ThresholdResult(
-        A=a,
-        B=b,
-        V_kept=v_kept,
-        retained_indices=tuple(int(i) for i in keep),
-        epsilon=float(epsilon),
-    )
+    return _project(h, vals, vecs, keep, epsilon)
 
 
 def top_k_thresholding(h: np.ndarray, s: np.ndarray, k: int) -> ThresholdResult:
@@ -124,16 +131,7 @@ def top_k_thresholding(h: np.ndarray, s: np.ndarray, k: int) -> ThresholdResult:
             f"only {positive.size} positive overlap directions, {k} requested"
         )
     keep = np.argsort(vals)[::-1][:k]
-    v_kept = vecs[:, keep]
-    a = _hermitize(v_kept.conj().T @ h @ v_kept)
-    b = np.diag(vals[keep]).astype(complex)
-    return ThresholdResult(
-        A=a,
-        B=b,
-        V_kept=v_kept,
-        retained_indices=tuple(int(i) for i in keep),
-        epsilon=0.0,
-    )
+    return _project(h, vals, vecs, keep, 0.0)
 
 
 def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
@@ -187,11 +185,6 @@ def threshold_and_solve(
 # ---------------------------------------------------------------------------
 
 
-def perturbation_magnitude(delta_h: np.ndarray, delta_s: np.ndarray) -> float:
-    """eta: root sum of squared spectral norms of the raw error matrices."""
-    return math.hypot(spectral_norm(delta_h), spectral_norm(delta_s))
-
-
 @dataclass(frozen=True)
 class ChiResult:
     chi: float
@@ -224,19 +217,6 @@ def chi_between_thresholds(ex: ThresholdResult, pe: ThresholdResult) -> ChiResul
         exact=ex,
         perturbed=pe,
     )
-
-
-def conjugated_chi(
-    h_exact: np.ndarray,
-    s_exact: np.ndarray,
-    h_pert: np.ndarray,
-    s_pert: np.ndarray,
-    epsilon: float,
-) -> ChiResult:
-    """chi comparing the two pairs thresholded at the same epsilon."""
-    ex = basis_thresholding(h_exact, s_exact, epsilon)
-    pe = basis_thresholding(h_pert, s_pert, epsilon)
-    return chi_between_thresholds(ex, pe)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from .drivers import (
     run_threshold_sweep,
     targets_for,
 )
-from .records import DriverResult, TrialRecord, write_csv
+from .records import DriverResult, write_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -25,6 +25,5 @@ __all__ = [
     "run_optimal_threshold_scan",
     "run_perturbation_vs_bound",
     "DriverResult",
-    "TrialRecord",
     "write_csv",
 ]

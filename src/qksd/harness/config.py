@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..errors import ConfigError
+from ..krylov import CONSTRUCTIONS
+from ..sampling import decay_exponent
 
-CONSTRUCTIONS = ("toeplitz", "nontoeplitz")
 MODES = ("binomial", "gaussian")
 
 
@@ -175,12 +176,13 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("hardware_r and hardware_depth must be given together")
         r = _parse_float("hardware_r", raw["hardware_r"])
         depth = _parse_int("hardware_depth", raw["hardware_depth"])
-        if not 0.0 < r <= 1.0:
-            raise ConfigError("hardware_r must lie in (0, 1]")
         if depth < 0:
             raise ConfigError("hardware_depth must be >= 0")
         sites = kwargs.get("sites", ExperimentConfig.sites)
-        kwargs["hardware_lambda"] = 2 * sites * depth * math.log(1.0 / r)
+        try:
+            kwargs["hardware_lambda"] = decay_exponent(r, 2 * sites, depth)
+        except ValueError as exc:
+            raise ConfigError(f"hardware_r: {exc}") from None
 
     return ExperimentConfig(**kwargs)
 

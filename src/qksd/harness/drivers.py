@@ -1,7 +1,9 @@
 """Experiment drivers: system setup, trial ensembles, aggregation, CSV output.
 
-Each driver maps an ExperimentConfig to one CSV.  Trials fan out over a
-process pool in contiguous chunks; since every trial's random stream is keyed
+Each driver maps an ExperimentConfig to one CSV.  Threshold-sweep,
+optimal-threshold and perturbation-bound walk the same (construction, n, M)
+cells (`_pair_cells`); within a cell, `_trials` fans the trials out over a
+process pool in contiguous chunks.  Since every trial's random stream is keyed
 by its absolute trial index, the chunking is invisible in the output and any
 worker count reproduces byte-identical files.
 """
@@ -13,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from ..sampling import (
     allocate_nontoeplitz,
     allocate_toeplitz,
     expected_pair,
+    sample_ensemble,
     sample_hamiltonian_ensemble,
     sample_overlap_ensemble,
     split_budget,
@@ -52,7 +55,7 @@ from .records import (
     SPECTRUM_COLUMNS,
     SWEEP_COLUMNS,
     DriverResult,
-    TrialRecord,
+    check_finite,
     write_csv,
 )
 
@@ -171,17 +174,23 @@ def _worker_count(requested: int, trials: int, cpus: Optional[int]) -> int:
     return max(1, min(requested, trials, cpus or 1))
 
 
-def _chunk_layout(cfg: ExperimentConfig) -> tuple[list[tuple[int, int]], int]:
-    """Trial chunks of a run and the worker count that maps them."""
-    workers = _worker_count(cfg.workers, cfg.trials, os.cpu_count())
-    return _chunk_ranges(cfg.trials, workers), workers
-
-
 def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int) -> list:
     if workers <= 1 or len(ranges) <= 1:
         return [fn(r) for r in ranges]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, ranges))  # map preserves submission order
+
+
+def _trials(cfg: ExperimentConfig, chunk: Callable, *args) -> list[np.ndarray]:
+    """Run chunk(args, (start, count)) over the run's trial chunks.
+
+    `chunk` returns a tuple of per-trial arrays or row lists; each position is
+    joined across chunks in trial order (rows into an object array).
+    """
+    workers = _worker_count(cfg.workers, cfg.trials, os.cpu_count())
+    ranges = _chunk_ranges(cfg.trials, workers)
+    parts = _map_chunks(partial(chunk, args), ranges, workers)
+    return [np.concatenate(joined) for joined in zip(*parts)]
 
 
 def _spec_norms(stack: np.ndarray) -> np.ndarray:
@@ -190,21 +199,105 @@ def _spec_norms(stack: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Sampled-pair cells
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _PairCell:
+    """A feasible (construction, n, M) cell: what its trials sample and solve."""
+
+    targets: MeasurementTargets
+    h_exact: np.ndarray
+    s_exact: np.ndarray
+    m_h: int
+    m_s: int
+    plan_h: ShotPlan
+    plan_s: ShotPlan
+    eps: float  # threshold e_S / sqrt(M_S)
+
+
+def _pair_cells(
+    cfg: ExperimentConfig, system: SystemBundle, n_list: Sequence[int]
+) -> Iterator[tuple[dict, Optional[_PairCell]]]:
+    """(base row, cell) per (construction, n, M) in config order.
+
+    The cell is None when the budget split or a shot plan is infeasible.
+    Targets and the exact pair are built once per (construction, n).
+    """
+    for construction in cfg.constructions:
+        for n in n_list:
+            targets = targets_for(system, n, construction)
+            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
+            for m in cfg.m_list:
+                base = {"construction": construction, "n": n, "m_budget": m}
+                try:
+                    m_h, m_s = split_budget(m, n, construction, system.beta_norm)
+                    plan_h = _plan_for("H", construction, m_h, n, targets.betas)
+                    plan_s = _plan_for("S", construction, m_s, n, targets.betas)
+                except InfeasibleBudgetError:
+                    yield base, None
+                    continue
+                eps = bounds.optimal_epsilon(n, m_s)
+                yield base, _PairCell(
+                    targets, h_exact, s_exact, m_h, m_s, plan_h, plan_s, eps
+                )
+
+
+def _sample_cell(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
+    start, count = rng
+    h_stack, s_stack, _ = sample_ensemble(
+        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
+    )
+    return h_stack, s_stack
+
+
+def _top_k_energies(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ground energy keeping the top k overlap directions, k = 1..n.
+
+    nan where the pair has fewer than k positive overlap directions.
+    """
+    n = h.shape[0]
+    energies = np.full(n, math.nan)
+    for k in range(1, n + 1):
+        try:
+            thr = top_k_thresholding(h, s, k)
+        except (EmptyBasisError, IllPosedError):
+            continue
+        energies[k - 1] = solve_gevp(thr.A, thr.B).ground_energy
+    return energies
+
+
+def _epsilon_rule(h_stack: np.ndarray, s_stack: np.ndarray, eps: float):
+    """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives."""
+    energies = np.full(len(h_stack), math.nan)
+    dims = np.zeros(len(h_stack), dtype=np.int64)
+    for i, (h, s) in enumerate(zip(h_stack, s_stack)):
+        try:
+            thr = basis_thresholding(h, s, eps)
+        except EmptyBasisError:
+            continue
+        energies[i] = solve_gevp(thr.A, thr.B).ground_energy
+        dims[i] = thr.n_eps
+    return energies, dims
+
+
+# ---------------------------------------------------------------------------
 # Chunk workers (top-level so they pickle)
 # ---------------------------------------------------------------------------
 
 
-def _norms_chunk(args, rng: tuple[int, int]) -> np.ndarray:
+def _norms_chunk(args, rng: tuple[int, int]):
     targets, plan, noise, kind, expected = args
     start, count = rng
     if kind == "S":
         stack, _ = sample_overlap_ensemble(targets, plan, noise, count, start)
     else:
         stack, _ = sample_hamiltonian_ensemble(targets, plan, noise, count, start)
-    return _spec_norms(stack - expected)
+    return (_spec_norms(stack - expected),)
 
 
-def _spectrum_chunk(args, rng: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum_chunk(args, rng: tuple[int, int]):
     targets, plan_s, noise, s_exact = args
     start, count = rng
     stack, _ = sample_overlap_ensemble(targets, plan_s, noise, count, start)
@@ -212,103 +305,78 @@ def _spectrum_chunk(args, rng: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]
     return vals, _spec_norms(stack - s_exact)
 
 
-def _sample_pair_stacks(targets, plan_h, plan_s, noise, rng):
-    start, count = rng
-    h_stack, _ = sample_hamiltonian_ensemble(targets, plan_h, noise, count, start)
-    s_stack, _ = sample_overlap_ensemble(targets, plan_s, noise, count, start)
-    return h_stack, s_stack
-
-
-def _epsilon_rule_energy(h: np.ndarray, s: np.ndarray, eps: float):
-    """(energy, n_eps) under the threshold rule, or (nan, 0) if nothing survives."""
-    try:
-        thr = basis_thresholding(h, s, eps)
-    except EmptyBasisError:
-        return math.nan, 0
-    sol = solve_gevp(thr.A, thr.B)
-    return sol.ground_energy, thr.n_eps
-
-
 def _sweep_chunk(args, rng):
-    targets, plan_h, plan_s, noise, eps = args
-    h_stack, s_stack = _sample_pair_stacks(targets, plan_h, plan_s, noise, rng)
-    count = h_stack.shape[0]
-    n = targets.n
-    sweep = np.full((count, n), math.nan)
-    eps_energy = np.full(count, math.nan)
-    eps_dims = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        h, s = h_stack[i], s_stack[i]
-        for k in range(1, n + 1):
-            try:
-                thr = top_k_thresholding(h, s, k)
-            except (EmptyBasisError, IllPosedError):
-                continue  # fewer than k positive directions in this trial
-            sweep[i, k - 1] = solve_gevp(thr.A, thr.B).ground_energy
-        eps_energy[i], eps_dims[i] = _epsilon_rule_energy(h, s, eps)
-    return sweep, eps_energy, eps_dims
+    cell, noise = args
+    h_stack, s_stack = _sample_cell(cell, noise, rng)
+    sweep = np.array([_top_k_energies(h, s) for h, s in zip(h_stack, s_stack)])
+    return (sweep, *_epsilon_rule(h_stack, s_stack, cell.eps))
 
 
 def _scan_chunk(args, rng):
-    targets, plan_h, plan_s, noise, eps = args
-    h_stack, s_stack = _sample_pair_stacks(targets, plan_h, plan_s, noise, rng)
-    count = h_stack.shape[0]
-    energies = np.full(count, math.nan)
-    dims = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        energies[i], dims[i] = _epsilon_rule_energy(h_stack[i], s_stack[i], eps)
-    return energies, dims
+    cell, noise = args
+    h_stack, s_stack = _sample_cell(cell, noise, rng)
+    return _epsilon_rule(h_stack, s_stack, cell.eps)
+
+
+def _flag(ok: bool) -> str:
+    return "holds" if ok else "violated"
+
+
+_UNKNOWN_FLAGS = dict.fromkeys(
+    ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"), "unknown"
+)
 
 
 def _perturbation_chunk(args, rng):
-    (
-        targets,
-        plan_h,
-        plan_s,
-        noise,
-        eps,
-        h_exact,
-        s_exact,
-        ex_threshold,
-        exact_solution,
-        lam_min,
-        e_h,
-        e_s,
-        m_h,
-        m_s,
-    ) = args
-    h_stack, s_stack = _sample_pair_stacks(targets, plan_h, plan_s, noise, rng)
-    start, count = rng
-    out = []
-    for i in range(count):
-        h, s = h_stack[i], s_stack[i]
-        dh = float(np.linalg.norm(h - h_exact, 2))
-        ds = float(np.linalg.norm(s - s_exact, 2))
+    """Trial rows of one perturbation-bound cell, keyed by PERTURBATION_COLUMNS.
+
+    `fixed` holds the columns shared by every trial row of the cell; `limits`
+    the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).
+    """
+    cell, noise, ex, sol_ex, limits, fixed = args
+    h_stack, s_stack = _sample_cell(cell, noise, rng)
+    lam_min = float(np.min(ex.b_diagonal))
+    bound = fixed["bound"]
+    start, _ = rng
+    rows = []
+    for i, (h, s) in enumerate(zip(h_stack, s_stack)):
+        dh = float(np.linalg.norm(h - cell.h_exact, 2))
+        ds = float(np.linalg.norm(s - cell.s_exact, 2))
         eta = math.hypot(dh, ds)
+        row = {**fixed, "trial": start + i, "dh_norm": dh, "ds_norm": ds, "eta": eta}
         try:
-            pe = basis_thresholding(h, s, eps)
+            pe = basis_thresholding(h, s, cell.eps)
         except EmptyBasisError:
-            out.append((start + i, dh, ds, eta, None, None, None, None, None))
+            rows.append(check_finite({**row, **_UNKNOWN_FLAGS, "qualifies": False}))
             continue
-        chi_res = chi_between_thresholds(ex_threshold, pe)
+        chi_res = chi_between_thresholds(ex, pe)
         sol = solve_gevp(pe.A, pe.B)
-        check = eigenangle_check(exact_solution, sol, chi_res.chi, lam_min)
-        norms_under = dh < e_h / math.sqrt(m_h) and ds < e_s / math.sqrt(m_s)
-        chi_le_eta = chi_res.chi <= eta
-        out.append(
-            (
-                start + i,
-                dh,
-                ds,
-                eta,
-                chi_res.chi,
-                pe.n_eps,
-                sol.ground_energy,
-                sol.cond_s,
-                (check, norms_under, chi_le_eta, chi_res.dim_mismatch),
-            )
+        check = eigenangle_check(sol_ex, sol, chi_res.chi, lam_min)
+        flags = {
+            "chi_small": _flag(check.err_assumption),
+            "angle_gap": _flag(check.gap_assumption),
+            "norms_under": _flag(dh < limits[0] and ds < limits[1]),
+            "chi_le_eta": _flag(chi_res.chi <= eta),
+            "dims_matched": _flag(not chi_res.dim_mismatch),
+        }
+        observed = abs(sol.ground_energy - sol_ex.ground_energy)
+        qualifies = (
+            all(v == "holds" for v in flags.values())
+            and bound is not None
+            and not check.degenerate
         )
-    return out
+        row.update(
+            flags,
+            n_eps=pe.n_eps,
+            chi=chi_res.chi,
+            e0_sampled=sol.ground_energy,
+            cond_s=sol.cond_s,
+            observed=observed,
+            qualifies=qualifies,
+            satisfied=observed <= bound + _BOUND_SLACK if qualifies else None,
+        )
+        rows.append(check_finite(row))
+    return (rows,)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +415,6 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges, workers = _chunk_layout(cfg)
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
     rows: list[dict] = []
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
@@ -372,8 +439,9 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
                     continue
                 sampled_any = True
                 bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
-                fn = partial(_norms_chunk, (targets, plan, noise, kind, expected))
-                norms = np.concatenate(_map_chunks(fn, ranges, workers))
+                (norms,) = _trials(
+                    cfg, _norms_chunk, targets, plan, noise, kind, expected
+                )
                 for trial, norm in enumerate(norms):
                     rows.append(
                         {
@@ -427,7 +495,6 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges, workers = _chunk_layout(cfg)
     n = cfg.n_list[0]
     targets = targets_for(system, n, "toeplitz")
     _, s_exact = expected_pair(targets, cfg.hardware_lambda)
@@ -435,10 +502,8 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     rows: list[dict] = []
     for m in cfg.m_list:
         plan_s = allocate_toeplitz(m, n, is_h=False)
-        fn = partial(_spectrum_chunk, (targets, plan_s, noise, s_exact))
-        parts = _map_chunks(fn, ranges, workers)
-        vals = np.concatenate([p[0] for p in parts])  # (T, n) descending
-        ds_norms = np.concatenate([p[1] for p in parts])
+        # vals: (T, n) descending per trial
+        vals, ds_norms = _trials(cfg, _spectrum_chunk, targets, plan_s, noise, s_exact)
         eps = bounds.optimal_epsilon(n, m)
         dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
         for i in range(n):
@@ -465,63 +530,47 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges, workers = _chunk_layout(cfg)
     n = cfg.n_list[0]
     e0 = system.e0_sector
     rows: list[dict] = []
-    for construction in cfg.constructions:
-        targets = targets_for(system, n, construction)
-        h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
-        ideal = {}
+    ideal: dict[str, np.ndarray] = {}  # noiseless sweep, once per construction
+    for base, cell in _pair_cells(cfg, system, (n,)):
+        if cell is None:
+            rows.append({**base, "row_kind": "skipped"})
+            continue
+        construction = base["construction"]
+        if construction not in ideal:
+            ideal[construction] = _rel_errors(
+                _top_k_energies(cell.h_exact, cell.s_exact), e0
+            )
+        sweep, eps_energy, eps_dims = _trials(cfg, _sweep_chunk, cell, noise)
         for k in range(1, n + 1):
-            try:
-                thr = top_k_thresholding(h_exact, s_exact, k)
-            except (EmptyBasisError, IllPosedError):
-                ideal[k] = None
-                continue
-            energy = solve_gevp(thr.A, thr.B).ground_energy
-            ideal[k] = abs(energy - e0) / abs(e0)
-        for m in cfg.m_list:
-            base = {"construction": construction, "n": n, "m_budget": m}
-            try:
-                m_h, m_s = split_budget(m, n, construction, system.beta_norm)
-                plan_h = _plan_for("H", construction, m_h, n, targets.betas)
-                plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-            except InfeasibleBudgetError:
-                rows.append({**base, "row_kind": "skipped"})
-                continue
-            eps = bounds.optimal_epsilon(n, m_s)
-            fn = partial(_sweep_chunk, (targets, plan_h, plan_s, noise, eps))
-            parts = _map_chunks(fn, ranges, workers)
-            sweep = np.concatenate([p[0] for p in parts])  # (T, n)
-            eps_energy = np.concatenate([p[1] for p in parts])
-            eps_dims = np.concatenate([p[2] for p in parts])
-            for k in range(1, n + 1):
-                rel = _rel_errors(sweep[:, k - 1], e0)
-                rows.append(
-                    {
-                        **base,
-                        "row_kind": "sweep",
-                        "k": k,
-                        "trials_used": int(np.sum(np.isfinite(rel))),
-                        "rms_rel_error": _rms(rel),
-                        "mean_rel_error": _mean(rel),
-                        "ideal_rel_error": ideal[k],
-                        "epsilon": eps,
-                    }
-                )
-            rel = _rel_errors(eps_energy, e0)
+            rel = _rel_errors(sweep[:, k - 1], e0)
+            ideal_k = ideal[construction][k - 1]
             rows.append(
                 {
                     **base,
-                    "row_kind": "epsilon_rule",
+                    "row_kind": "sweep",
+                    "k": k,
                     "trials_used": int(np.sum(np.isfinite(rel))),
                     "rms_rel_error": _rms(rel),
                     "mean_rel_error": _mean(rel),
-                    "mean_n_eps": float(np.mean(eps_dims)),
-                    "epsilon": eps,
+                    "ideal_rel_error": None if np.isnan(ideal_k) else float(ideal_k),
+                    "epsilon": cell.eps,
                 }
             )
+        rel = _rel_errors(eps_energy, e0)
+        rows.append(
+            {
+                **base,
+                "row_kind": "epsilon_rule",
+                "trials_used": int(np.sum(np.isfinite(rel))),
+                "rms_rel_error": _rms(rel),
+                "mean_rel_error": _mean(rel),
+                "mean_n_eps": float(np.mean(eps_dims)),
+                "epsilon": cell.eps,
+            }
+        )
     return write_csv(cfg.out, SWEEP_COLUMNS, rows, cfg)
 
 
@@ -529,41 +578,28 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
     """Energy error of the threshold-rule solution across the (n, M) grid."""
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges, workers = _chunk_layout(cfg)
     e0 = system.e0_sector
     rows: list[dict] = []
-    for construction in cfg.constructions:
-        for n in cfg.n_list:
-            targets = targets_for(system, n, construction)
-            for m in cfg.m_list:
-                base = {"construction": construction, "n": n, "m_budget": m}
-                try:
-                    m_h, m_s = split_budget(m, n, construction, system.beta_norm)
-                    plan_h = _plan_for("H", construction, m_h, n, targets.betas)
-                    plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-                except InfeasibleBudgetError:
-                    rows.append({**base, "trials_used": 0})
-                    continue
-                eps = bounds.optimal_epsilon(n, m_s)
-                fn = partial(_scan_chunk, (targets, plan_h, plan_s, noise, eps))
-                parts = _map_chunks(fn, ranges, workers)
-                energies = np.concatenate([p[0] for p in parts])
-                dims = np.concatenate([p[1] for p in parts])
-                rel = _rel_errors(energies, e0)
-                used = np.isfinite(rel)
-                rows.append(
-                    {
-                        **base,
-                        "m_h": m_h,
-                        "m_s": m_s,
-                        "epsilon": eps,
-                        "trials_used": int(np.sum(used)),
-                        "rms_rel_error": _rms(rel),
-                        "mean_rel_error": _mean(rel),
-                        "mean_n_eps": float(np.mean(dims[used])) if used.any() else None,
-                        "e0_sector": e0,
-                    }
-                )
+    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+        if cell is None:
+            rows.append({**base, "trials_used": 0})
+            continue
+        energies, dims = _trials(cfg, _scan_chunk, cell, noise)
+        rel = _rel_errors(energies, e0)
+        used = np.isfinite(rel)
+        rows.append(
+            {
+                **base,
+                "m_h": cell.m_h,
+                "m_s": cell.m_s,
+                "epsilon": cell.eps,
+                "trials_used": int(np.sum(used)),
+                "rms_rel_error": _rms(rel),
+                "mean_rel_error": _mean(rel),
+                "mean_n_eps": float(np.mean(dims[used])) if used.any() else None,
+                "e0_sector": e0,
+            }
+        )
     return write_csv(cfg.out, SCAN_COLUMNS, rows, cfg)
 
 
@@ -577,130 +613,50 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
     """
     system = build_system(cfg)
     noise = noise_from(cfg)
-    ranges, workers = _chunk_layout(cfg)
     rows: list[dict] = []
-    for construction in cfg.constructions:
-        for n in cfg.n_list:
-            targets = targets_for(system, n, construction)
-            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
-            full = basis_thresholding(h_exact, s_exact, cfg.epsilon_ideal)
-            e0_full = solve_gevp(full.A, full.B).ground_energy
-            for m in cfg.m_list:
-                base = {"construction": construction, "n": n, "m_budget": m}
-                try:
-                    m_h, m_s = split_budget(m, n, construction, system.beta_norm)
-                    plan_h = _plan_for("H", construction, m_h, n, targets.betas)
-                    plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-                except InfeasibleBudgetError:
-                    rows.append({**base, "row_kind": "skipped"})
-                    continue
-                eps = bounds.optimal_epsilon(n, m_s)
-                e_h, e_s = bounds.norm_bound_pair(n, system.beta_norm, construction)
-                ex = basis_thresholding(h_exact, s_exact, eps)
-                sol_ex = solve_gevp(ex.A, ex.B)
-                lam_min = float(np.min(ex.b_diagonal))
-                bound = bounds.sampling_perturbation_bound(
-                    ex.n_eps, e_h, e_s, m_h + m_s, sol_ex.d0, sol_ex.ground_energy
-                )
-                d0_inv_upper = bounds.crawford_inverse_upper(
-                    eps, sol_ex.ground_energy
-                )
-                args = (
-                    targets, plan_h, plan_s, noise, eps, h_exact, s_exact,
-                    ex, sol_ex, lam_min, e_h, e_s, m_h, m_s,
-                )
-                parts = _map_chunks(partial(_perturbation_chunk, args), ranges, workers)
-                qualifying = 0
-                satisfied_count = 0
-                for part in parts:
-                    for item in part:
-                        trial, dh, ds, eta, chi, n_eps, energy, cond_s, checks = item
-                        if checks is None:
-                            flags = {k: "unknown" for k in ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims")}
-                            record = TrialRecord(
-                                trial=trial, seed=cfg.seed, n=n, n_eps=None,
-                                m_h=m_h, m_s=m_s, dh_norm=dh, ds_norm=ds,
-                                eta=eta, chi=None, e0_sector=system.e0_sector,
-                                e0_full=e0_full, e0_reduced=sol_ex.ground_energy,
-                                e0_sampled=None, d0=sol_ex.d0,
-                                d0_inv_upper=d0_inv_upper, cond_s=None,
-                                bound=bound, observed=None, flags=flags,
-                            )
-                            qualifies = False
-                            satisfied = None
-                        else:
-                            check, norms_under, chi_le_eta, mismatch = checks
-                            flags = {
-                                "chi_small": "holds" if check.err_assumption else "violated",
-                                "angle_gap": "holds" if check.gap_assumption else "violated",
-                                "norms_under": "holds" if norms_under else "violated",
-                                "chi_le_eta": "holds" if chi_le_eta else "violated",
-                                "dims": "violated" if mismatch else "holds",
-                            }
-                            observed = abs(energy - sol_ex.ground_energy)
-                            qualifies = (
-                                all(v == "holds" for v in flags.values())
-                                and bound is not None
-                                and not check.degenerate
-                            )
-                            satisfied = (
-                                observed <= bound + _BOUND_SLACK if qualifies else None
-                            )
-                            record = TrialRecord(
-                                trial=trial, seed=cfg.seed, n=n, n_eps=n_eps,
-                                m_h=m_h, m_s=m_s, dh_norm=dh, ds_norm=ds,
-                                eta=eta, chi=chi, e0_sector=system.e0_sector,
-                                e0_full=e0_full, e0_reduced=sol_ex.ground_energy,
-                                e0_sampled=energy, d0=sol_ex.d0,
-                                d0_inv_upper=d0_inv_upper, cond_s=cond_s,
-                                bound=bound, observed=observed, flags=flags,
-                            )
-                        if qualifies:
-                            qualifying += 1
-                            if satisfied:
-                                satisfied_count += 1
-                        rows.append(
-                            {
-                                **base,
-                                "row_kind": "trial",
-                                "m_h": record.m_h,
-                                "m_s": record.m_s,
-                                "trial": record.trial,
-                                "seed": record.seed,
-                                "n_eps": record.n_eps,
-                                "dh_norm": record.dh_norm,
-                                "ds_norm": record.ds_norm,
-                                "eta": record.eta,
-                                "chi": record.chi,
-                                "e0_sector": record.e0_sector,
-                                "e0_full": record.e0_full,
-                                "e0_reduced": record.e0_reduced,
-                                "e0_sampled": record.e0_sampled,
-                                "d0": record.d0,
-                                "d0_inv_upper": record.d0_inv_upper,
-                                "cond_s": record.cond_s,
-                                "bound": record.bound,
-                                "observed": record.observed,
-                                "chi_small": record.flags["chi_small"],
-                                "angle_gap": record.flags["angle_gap"],
-                                "norms_under": record.flags["norms_under"],
-                                "chi_le_eta": record.flags["chi_le_eta"],
-                                "dims_matched": record.flags["dims"],
-                                "qualifies": qualifies,
-                                "satisfied": satisfied,
-                            }
-                        )
-                rows.append(
-                    {
-                        **base,
-                        "row_kind": "cell_summary",
-                        "m_h": m_h,
-                        "m_s": m_s,
-                        "bound": bound,
-                        "qualifying_trials": qualifying,
-                        "satisfaction_rate": (
-                            satisfied_count / qualifying if qualifying else None
-                        ),
-                    }
-                )
+    e0_full: dict[tuple[str, int], float] = {}  # once per (construction, n)
+    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+        if cell is None:
+            rows.append({**base, "row_kind": "skipped"})
+            continue
+        construction, n = base["construction"], base["n"]
+        if (construction, n) not in e0_full:
+            full = basis_thresholding(cell.h_exact, cell.s_exact, cfg.epsilon_ideal)
+            e0_full[construction, n] = solve_gevp(full.A, full.B).ground_energy
+        e_h, e_s = bounds.norm_bound_pair(n, system.beta_norm, construction)
+        ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+        sol_ex = solve_gevp(ex.A, ex.B)
+        bound = bounds.sampling_perturbation_bound(
+            ex.n_eps, e_h, e_s, cell.m_h + cell.m_s, sol_ex.d0, sol_ex.ground_energy
+        )
+        split = {**base, "m_h": cell.m_h, "m_s": cell.m_s}
+        fixed = {
+            **split,
+            "row_kind": "trial",
+            "seed": cfg.seed,
+            "e0_sector": system.e0_sector,
+            "e0_full": e0_full[construction, n],
+            "e0_reduced": sol_ex.ground_energy,
+            "d0": sol_ex.d0,
+            "d0_inv_upper": bounds.crawford_inverse_upper(
+                cell.eps, sol_ex.ground_energy
+            ),
+            "bound": bound,
+        }
+        limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
+        (trial_rows,) = _trials(
+            cfg, _perturbation_chunk, cell, noise, ex, sol_ex, limits, fixed
+        )
+        rows.extend(trial_rows)
+        qualifying = sum(row["qualifies"] for row in trial_rows)
+        satisfied = sum(bool(row["satisfied"]) for row in trial_rows)
+        rows.append(
+            {
+                **split,
+                "row_kind": "cell_summary",
+                "bound": bound,
+                "qualifying_trials": qualifying,
+                "satisfaction_rate": satisfied / qualifying if qualifying else None,
+            }
+        )
     return write_csv(cfg.out, PERTURBATION_COLUMNS, rows, cfg)

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import ExperimentConfig
 
@@ -48,39 +48,12 @@ PERTURBATION_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One sampled trial of the thresholded-solution experiment."""
-
-    trial: int
-    seed: int
-    n: int
-    n_eps: Optional[int]
-    m_h: int
-    m_s: int
-    dh_norm: float
-    ds_norm: float
-    eta: float
-    chi: Optional[float]
-    e0_sector: float
-    e0_full: float
-    e0_reduced: float
-    e0_sampled: Optional[float]
-    d0: float
-    d0_inv_upper: float
-    cond_s: Optional[float]
-    bound: Optional[float]
-    observed: Optional[float]
-    flags: Mapping[str, str]  # chi_small/angle_gap/norms_under/chi_le_eta/dims -> holds|violated|unknown
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} is not finite; use None for n/a")
-        for name, flag in self.flags.items():
-            if flag not in ("holds", "violated", "unknown"):
-                raise ValueError(f"flag {name}={flag!r} invalid")
+def check_finite(row: Mapping) -> Mapping:
+    """Return the row unchanged; raise if a float in it is nan or infinite."""
+    for name, value in row.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite; use None for n/a")
+    return row
 
 
 def format_value(v) -> str:

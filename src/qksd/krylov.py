@@ -26,6 +26,8 @@ import numpy as np
 from .evolution import Spectrum
 from .hamiltonian import UnitaryPartition, apply_pauli_sum
 
+CONSTRUCTIONS = ("toeplitz", "nontoeplitz")
+
 
 @dataclass(frozen=True)
 class KrylovConfig:
@@ -52,18 +54,6 @@ class ToeplitzSequences:
 
     h: np.ndarray
     s: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.s)
-
-
-@dataclass(frozen=True)
-class KrylovPair:
-    H: np.ndarray
-    S: np.ndarray
-    construction: str  # "toeplitz" | "nontoeplitz"
-    config: KrylovConfig
 
 
 @dataclass(frozen=True)
@@ -114,97 +104,16 @@ def exact_sequences(spec: Spectrum, ref_state: np.ndarray, cfg: KrylovConfig) ->
     return ToeplitzSequences(h=h, s=s)
 
 
-def sequences_from_step(
-    h_dense: np.ndarray, ref_state: np.ndarray, step: np.ndarray, cfg: KrylovConfig
-) -> ToeplitzSequences:
-    """Sequences for an arbitrary one-step propagator (e.g. Trotterized)."""
-    h = np.empty(cfg.n, dtype=complex)
-    s = np.empty(cfg.n, dtype=complex)
-    phi = ref_state.astype(complex)
-    bra = ref_state.conj()
-    h_bra = (h_dense @ ref_state).conj()
-    for k in range(cfg.n):
-        s[k] = bra @ phi
-        h[k] = h_bra @ phi
-        phi = step @ phi
-    s[0] = 1.0
-    h[0] = h[0].real
-    return ToeplitzSequences(h=h, s=s)
-
-
 def toeplitz_matrix(seq: np.ndarray) -> np.ndarray:
-    """Hermitian Toeplitz matrix with entry (k,l) = seq[l-k], conjugated below."""
-    n = len(seq)
+    """Hermitian Toeplitz matrix with entry (k,l) = seq[l-k], conjugated below.
+
+    Works over the last axis: a (..., n) stack of sequences gives a
+    (..., n, n) stack of matrices.
+    """
+    n = seq.shape[-1]
     idx = np.subtract.outer(np.arange(n), np.arange(n))  # idx[k,l] = k - l
-    base = seq[np.abs(idx)]
+    base = seq[..., np.abs(idx)]
     return np.where(idx <= 0, base, base.conj())
-
-
-def toeplitz_pair(seq: ToeplitzSequences, cfg: KrylovConfig) -> KrylovPair:
-    if seq.n != cfg.n:
-        raise ValueError("sequence length does not match Krylov order")
-    return KrylovPair(
-        H=toeplitz_matrix(seq.h), S=toeplitz_matrix(seq.s), construction="toeplitz", config=cfg
-    )
-
-
-def _basis_states(ref_state: np.ndarray, step: np.ndarray, cfg: KrylovConfig) -> np.ndarray:
-    """Columns |phi_k> = step^k |phi_0> over the symmetric grid."""
-    half = cfg.n // 2
-    dim = len(ref_state)
-    cols = {0: ref_state.astype(complex)}
-    fwd = ref_state.astype(complex)
-    for k in range(1, half + 1):
-        fwd = step @ fwd
-        cols[k] = fwd
-    step_dag = step.conj().T
-    bwd = ref_state.astype(complex)
-    for k in range(1, half + 1):
-        bwd = step_dag @ bwd
-        cols[-k] = bwd
-    out = np.empty((dim, cfg.n), dtype=complex)
-    for j, g in enumerate(cfg.grid):
-        out[:, j] = cols[int(g)]
-    return out
-
-
-def nontoeplitz_pair(
-    h_dense: np.ndarray, ref_state: np.ndarray, step: np.ndarray, cfg: KrylovConfig
-) -> KrylovPair:
-    """Elementwise H_kl = <phi_k|H|phi_l>; S stays Toeplitz (step is unitary)."""
-    psi = _basis_states(ref_state, step, cfg)
-    h_mat = psi.conj().T @ h_dense @ psi
-    h_mat = 0.5 * (h_mat + h_mat.conj().T)  # remove floating asymmetry
-    s_seq = np.empty(cfg.n, dtype=complex)
-    phi = ref_state.astype(complex)
-    bra = ref_state.conj()
-    for k in range(cfg.n):
-        s_seq[k] = bra @ phi
-        phi = step @ phi
-    s_seq[0] = 1.0
-    return KrylovPair(
-        H=h_mat, S=toeplitz_matrix(s_seq), construction="nontoeplitz", config=cfg
-    )
-
-
-def build_pair(
-    cfg: KrylovConfig,
-    construction: str,
-    sequences: ToeplitzSequences | None = None,
-    h_dense: np.ndarray | None = None,
-    ref_state: np.ndarray | None = None,
-    step: np.ndarray | None = None,
-) -> KrylovPair:
-    """Dispatch to the Toeplitz or elementwise builder."""
-    if construction == "toeplitz":
-        if sequences is None:
-            raise ValueError("toeplitz construction needs sequences")
-        return toeplitz_pair(sequences, cfg)
-    if construction == "nontoeplitz":
-        if h_dense is None or ref_state is None or step is None:
-            raise ValueError("nontoeplitz construction needs h_dense, ref_state, step")
-        return nontoeplitz_pair(h_dense, ref_state, step, cfg)
-    raise ValueError(f"unknown construction {construction!r}")
 
 
 def measurement_targets(

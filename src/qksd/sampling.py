@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bounds, rngstream
 from .errors import InfeasibleBudgetError
-from .krylov import KrylovPair, MeasurementTargets, toeplitz_matrix
+from .krylov import MeasurementTargets, toeplitz_matrix
 
 TARGETS = ("S_toeplitz", "H_toeplitz", "H_nontoeplitz")
 _TARGET_CODE = {t: i for i, t in enumerate(TARGETS)}
@@ -399,14 +399,6 @@ def _estimate_blocks(
     return _binomial_block(seed, trials_1d, target_code, means, counts)
 
 
-def _hermitian_toeplitz_stack(seq: np.ndarray) -> np.ndarray:
-    """(T, n, n) Hermitian Toeplitz matrices from (T, n) leading sequences."""
-    n = seq.shape[-1]
-    idx = np.subtract.outer(np.arange(n), np.arange(n))  # k - l
-    base = seq[:, np.abs(idx)]
-    return np.where(idx <= 0, base, base.conj())
-
-
 def expected_pair(
     targets: MeasurementTargets, hardware_lambda: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +459,7 @@ def sample_overlap_ensemble(
     )
     s_seq_est = est[:, :, 0] + 1j * est[:, :, 1]
     s_seq_est[:, 0] = s_true[0]  # normalization is known, not sampled
-    return _hermitian_toeplitz_stack(s_seq_est), zero_shot
+    return toeplitz_matrix(s_seq_est), zero_shot
 
 
 def sample_hamiltonian_ensemble(
@@ -515,7 +507,7 @@ def sample_hamiltonian_ensemble(
         )
         vals = est[:, :, 0, :] + 1j * est[:, :, 1, :]  # (T, n, J)
         h_seq = vals @ betas + targets.id_coeff * s_true  # (T, n)
-        return _hermitian_toeplitz_stack(h_seq), zero_shot
+        return toeplitz_matrix(h_seq), zero_shot
     else:
         f_true = decay * targets.frag  # (J, n, n)
         counts_full = _nontoeplitz_counts(plan_h, n_frag)  # (n, n, 2, J)
@@ -596,21 +588,3 @@ def decay_exponent(r: float, n_qubits: int, depth: int) -> float:
     if not 0.0 < r <= 1.0:
         raise ValueError("fidelity r must lie in (0, 1]")
     return n_qubits * depth * math.log(1.0 / r)
-
-
-def apply_hardware_decay(pair: KrylovPair, lam: float) -> KrylovPair:
-    """Scale both matrices of an exact pair by e^{-lambda}.
-
-    For sampled pairs the decay is applied inside sample_ensemble (the true
-    overlaps decay before sampling noise is added); this matrix-level form
-    covers the noiseless limit, where the GEVP is invariant.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    factor = math.exp(-lam)
-    return KrylovPair(
-        H=factor * pair.H,
-        S=factor * pair.S,
-        construction=pair.construction,
-        config=pair.config,
-    )

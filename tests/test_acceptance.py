@@ -13,42 +13,50 @@ import time
 
 import numpy as np
 
-from qksd import (
-    KrylovConfig,
-    NoiseSpec,
-    allocate_nontoeplitz,
-    allocate_toeplitz,
-    basis_thresholding,
-    build_hubbard_1d,
-    chi_between_thresholds,
-    default_time_step,
-    diagonalize,
-    eigenangle_check,
-    exact_propagator,
-    exact_sequences,
-    expected_pair,
-    fragment_dense,
-    hadamard_estimate,
-    hartree_fock_state,
-    measurement_targets,
-    pauli_to_dense,
-    sample_pair,
-    sector_ground_energy,
-    solve_gevp,
-    sorted_insertion_partition,
-    split_budget,
-    threshold_and_solve,
-    toeplitz_matrix,
-    trotter_propagator,
-    variance_statistic,
-)
 from qksd.bounds import (
     expected_norm_from_variance,
     nontoeplitz_variance_from_counts,
     optimal_epsilon,
     toeplitz_variance_from_counts,
+    variance_statistic,
 )
-from qksd.hamiltonian import jw_lowering
+from qksd.evolution import (
+    diagonalize,
+    exact_propagator,
+    hartree_fock_state,
+    sector_ground_energy,
+    trotter_propagator,
+)
+from qksd.gevp import (
+    basis_thresholding,
+    chi_between_thresholds,
+    eigenangle_check,
+    solve_gevp,
+    threshold_and_solve,
+)
+from qksd.hamiltonian import (
+    build_hubbard_1d,
+    fragment_dense,
+    jw_lowering,
+    pauli_to_dense,
+    sorted_insertion_partition,
+)
+from qksd.krylov import (
+    KrylovConfig,
+    default_time_step,
+    exact_sequences,
+    measurement_targets,
+    toeplitz_matrix,
+)
+from qksd.sampling import (
+    NoiseSpec,
+    allocate_nontoeplitz,
+    allocate_toeplitz,
+    expected_pair,
+    hadamard_estimate,
+    sample_pair,
+    split_budget,
+)
 from qksd.harness import (
     ExperimentConfig,
     build_system,

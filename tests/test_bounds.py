@@ -49,15 +49,6 @@ def test_error_norm_bound_formulas():
         bounds.error_norm_bound(5, 1.0, "hankel")
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 25])
-@pytest.mark.parametrize("delta", [0, 1])
-def test_simplified_dominates_tight(n, delta):
-    v = 1.3
-    tight = bounds.error_norm_bound_tight(n, v, is_hamiltonian=bool(delta))
-    simple = bounds.error_norm_bound(n, v, "toeplitz")
-    assert simple >= tight - 1e-12
-
-
 def test_norm_bound_pair_s_always_toeplitz():
     e_h, e_s = bounds.norm_bound_pair(7, 2.5, "nontoeplitz")
     assert e_h == pytest.approx(bounds.error_norm_bound(7, 2.5, "nontoeplitz"))
@@ -130,15 +121,6 @@ def test_expected_norm_from_variance():
     )
 
 
-def test_tight_bound_equals_norm_of_optimal_variance():
-    # E[norm] <= sqrt(2 v_opt log 2n) reproduces the tight closed form
-    n, m, v_z = 9, 10**8, 1.7
-    v_opt = bounds.optimal_variance(m, n, v_z, "toeplitz", is_hamiltonian=True)
-    via_variance = bounds.expected_norm_from_variance(v_opt, n)
-    direct = bounds.error_norm_bound_tight(n, v_z, is_hamiltonian=True) / math.sqrt(m)
-    assert via_variance == pytest.approx(direct, rel=1e-12)
-
-
 def test_concentration_tail():
     assert bounds.concentration_tail(8, 1.0) == pytest.approx((1 / 16) ** 0.25)
     with pytest.raises(ValueError):
@@ -159,49 +141,3 @@ def test_crawford_inverse_upper():
     assert bounds.crawford_inverse_upper(0.2, -0.35) == pytest.approx(
         1.0 / (0.2 * math.sqrt(0.35**2 + 1))
     )
-
-
-def test_weyl_relative_bound_precondition():
-    assert bounds.weyl_relative_bound(1, 1, 1, 0.1, 0.1, 1.0) is None
-    val = bounds.weyl_relative_bound(2.0, 1.5, 0.8, 0.1, 0.05, 0.04)
-    cond = 1.5 * 0.8
-    want = (2.0 * 0.8 / 0.96) * (cond * 0.05 / 1.5 + 0.1 / 2.0)
-    assert val == pytest.approx(want)
-
-
-def test_trotter_depth_threshold_scaling():
-    base = bounds.trotter_depth_threshold(10, 0.1, 1.0, 0.5, 9, 1e8)
-    assert base > 0
-    # more shots push the crossover deeper
-    assert bounds.trotter_depth_threshold(10, 0.1, 1.0, 0.5, 9, 1e10) > base
-    with pytest.raises(ValueError):
-        bounds.trotter_depth_threshold(10, 0.1, 1.0, 0.5, 1, 1e8)
-
-
-def test_chi_upper_bound_monotone():
-    a = bounds.chi_upper_bound(5, 1.0, 1.0, 2.0, 0.1, 0.01, 0.02)
-    b = bounds.chi_upper_bound(5, 1.0, 1.0, 2.0, 0.1, 0.02, 0.02)
-    assert b > a
-    with pytest.raises(ValueError):
-        bounds.chi_upper_bound(5, 1.0, 0.0, 2.0, 0.1, 0.01, 0.02)
-
-
-def test_bound_report_validation():
-    rep = bounds.BoundReport(
-        e_h=1.0, e_s=1.0, epsilon_opt=0.1, v_stat=0.2, tail_prob=0.5,
-        sampling_bound=None, crawford_inverse_upper=2.0, weyl_bound=None,
-        trotter_depth=None, assumptions={"angle_gap": "holds"},
-    )
-    assert rep.sampling_bound is None
-    with pytest.raises(ValueError):
-        bounds.BoundReport(
-            e_h=1.0, e_s=1.0, epsilon_opt=0.1, v_stat=0.2, tail_prob=1.5,
-            sampling_bound=None, crawford_inverse_upper=2.0, weyl_bound=None,
-            trotter_depth=None,
-        )
-    with pytest.raises(ValueError):
-        bounds.BoundReport(
-            e_h=1.0, e_s=1.0, epsilon_opt=0.1, v_stat=0.2, tail_prob=0.5,
-            sampling_bound=None, crawford_inverse_upper=2.0, weyl_bound=None,
-            trotter_depth=None, assumptions={"angle_gap": "maybe"},
-        )

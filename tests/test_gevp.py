@@ -6,22 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qksd import (
-    EmptyBasisError,
-    IllPosedError,
-    KrylovConfig,
+from qksd.errors import EmptyBasisError, IllPosedError
+from qksd.gevp import (
     basis_thresholding,
     chi_between_thresholds,
-    conjugated_chi,
     eigenangle_check,
-    perturbation_magnitude,
     solve_gevp,
+    spectral_norm,
     threshold_and_solve,
     top_k_thresholding,
 )
-from qksd.gevp import spectral_norm
-from qksd.krylov import KrylovPair
-from qksd.sampling import apply_hardware_decay
 
 
 def random_pair(n, rng, s_floor=1e-3):
@@ -151,17 +145,18 @@ def test_threshold_and_solve_pipeline():
     assert len(sol.eigenvalues) == thr.n_eps
 
 
-def test_perturbation_magnitude_is_norm_hypot():
-    dh = np.diag([3.0, 0.0]).astype(complex)
-    ds = np.diag([0.0, 4.0]).astype(complex)
-    assert perturbation_magnitude(dh, ds) == pytest.approx(5.0)
-    assert spectral_norm(np.zeros((0, 0))) == 0.0
+def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):
+    """chi between the two pairs, each thresholded at the same epsilon."""
+    return chi_between_thresholds(
+        basis_thresholding(h_exact, s_exact, epsilon),
+        basis_thresholding(h_pert, s_pert, epsilon),
+    )
 
 
 def test_chi_zero_for_identical_pairs():
     rng = np.random.default_rng(6)
     h, s = random_pair(5, rng)
-    res = conjugated_chi(h, s, h, s, 1e-2)
+    res = chi_at(h, s, h, s, 1e-2)
     assert res.chi == pytest.approx(0.0, abs=1e-12)
     assert not res.dim_mismatch
 
@@ -170,7 +165,7 @@ def test_chi_dim_mismatch_reported():
     h = np.eye(3, dtype=complex)
     s1 = np.diag([1.0, 0.6, 0.3]).astype(complex)
     s2 = np.diag([1.0, 0.6, 0.01]).astype(complex)
-    res = conjugated_chi(h, s1, h, s2, 0.1)
+    res = chi_at(h, s1, h, s2, 0.1)
     assert res.n_eps_exact == 3 and res.n_eps_perturbed == 2
     assert res.dim_mismatch
 
@@ -179,7 +174,7 @@ def test_chi_small_for_small_perturbations():
     rng = np.random.default_rng(7)
     h, s = random_pair(5, rng, s_floor=0.2)
     dh = 1e-6 * np.eye(5)
-    res = conjugated_chi(h, s, h + dh, s, 1e-2)
+    res = chi_at(h, s, h + dh, s, 1e-2)
     assert res.chi < 1e-4
     ex = basis_thresholding(h, s, 1e-2)
     pe = basis_thresholding(h + dh, s, 1e-2)
@@ -206,6 +201,7 @@ def test_chi_invariant_to_basis_rotation():
     # raw difference is large, aligned chi vanishes
     assert spectral_norm(rotated.A - ex.A) > 0.1
     assert chi_between_thresholds(ex, rotated).chi == pytest.approx(0.0, abs=1e-12)
+    assert spectral_norm(np.zeros((0, 0))) == 0.0  # empty difference, zero norm
 
 
 def test_eigenangle_check_logic():
@@ -246,8 +242,7 @@ def test_eigenangle_check_single_dimension():
 def test_decay_leaves_gevp_invariant():
     rng = np.random.default_rng(9)
     h, s = random_pair(5, rng, s_floor=0.1)
-    pair = KrylovPair(H=h, S=s, construction="toeplitz", config=KrylovConfig(5, 0.3))
-    decayed = apply_hardware_decay(pair, 0.9)
-    a = solve_gevp(pair.H, pair.S)
-    b = solve_gevp(decayed.H, decayed.S)
+    decay = math.exp(-0.9)
+    a = solve_gevp(h, s)
+    b = solve_gevp(decay * h, decay * s)
     assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)

@@ -4,6 +4,7 @@ Driver tests run at desk scale (tiny budgets, a handful of trials) and check
 row structure plus the worker-count independence of the output bytes.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qksd import ConfigError, InfeasibleBudgetError
+from qksd.errors import ConfigError, InfeasibleBudgetError
 from qksd.harness import (
     ExperimentConfig,
     load_config,
@@ -28,7 +29,7 @@ from qksd.harness import (
 from qksd.harness.config import config_from_mapping, parse_config_text
 from qksd.harness import drivers
 from qksd.harness.drivers import _chunk_ranges, _worker_count
-from qksd.harness.records import config_hash, format_value, write_csv
+from qksd.harness.records import check_finite, config_hash, format_value, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +327,24 @@ def test_driver_rows_match_written_file(tmp_path):
     assert lines[1].split(",")[0] == "row_kind"
     # one line per row plus comment, header, and trailing newline
     assert len(lines) == len(res.rows) + 3
+
+
+def test_perturbation_rows_are_checked_finite(tmp_path, monkeypatch):
+    """A nan or infinite float in a trial row raises, naming its column."""
+    row = {"trial": 3, "chi": 0.5, "observed": None, "qualifies": True}
+    assert check_finite(row) is row
+    for bad in (math.nan, math.inf, np.float64(-np.inf)):
+        with pytest.raises(ValueError, match="^observed is not finite"):
+            check_finite({**row, "observed": bad})
+
+    real = drivers.chi_between_thresholds
+
+    def nan_chi(ex, pe):
+        return dataclasses.replace(real(ex, pe), chi=math.nan)
+
+    monkeypatch.setattr(drivers, "chi_between_thresholds", nan_chi)
+    with pytest.raises(ValueError, match="^chi is not finite"):
+        run_perturbation_vs_bound(small_cfg(tmp_path, "nan.csv", trials=2))
 
 
 @pytest.mark.parametrize(

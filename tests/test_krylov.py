@@ -19,13 +19,12 @@ from qksd.hamiltonian import (
 from qksd.harness import ExperimentConfig, build_system, targets_for
 from qksd.krylov import (
     KrylovConfig,
-    build_pair,
     default_time_step,
     exact_sequences,
     measurement_targets,
-    sequences_from_step,
     toeplitz_matrix,
 )
+from qksd.sampling import expected_pair
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +60,12 @@ def test_toeplitz_matrix_structure():
         for l in range(3):
             want = seq[l - k] if l >= k else np.conj(seq[k - l])
             assert m[k, l] == want
+    # a stack of sequences along the last axis gives a stack of matrices
+    other = np.array([0.5 + 0j, -1.0j, 0.25 + 0.75j])
+    stack = toeplitz_matrix(np.stack([seq, other]))
+    assert stack.shape == (2, 3, 3)
+    np.testing.assert_array_equal(stack[0], m)
+    np.testing.assert_array_equal(stack[1], toeplitz_matrix(other))
 
 
 def test_exact_sequences_match_direct_overlaps(system):
@@ -77,46 +82,32 @@ def test_exact_sequences_match_direct_overlaps(system):
     assert seqs.h[0].imag == 0.0
 
 
-def test_sequences_from_step_agrees_with_exact(system):
-    _spec, part, h, sp, ref = system
-    cfg = KrylovConfig(n=5, dt=default_time_step(part))
-    step = exact_propagator(sp, cfg.dt).matrix
-    a = exact_sequences(sp, ref, cfg)
-    b = sequences_from_step(h, ref, step, cfg)
-    np.testing.assert_allclose(a.s, b.s, atol=1e-12)
-    np.testing.assert_allclose(a.h, b.h, atol=1e-12)
-
-
-def test_pair_builders_agree_for_exact_evolution(system):
+def test_pair_builders_agree_for_exact_evolution():
     """With the exact propagator the elementwise H equals the Toeplitz H."""
-    _spec, part, h, sp, ref = system
-    cfg = KrylovConfig(n=7, dt=default_time_step(part))
-    seqs = exact_sequences(sp, ref, cfg)
-    tp = build_pair(cfg, "toeplitz", sequences=seqs)
-    step = exact_propagator(sp, cfg.dt).matrix
-    ntp = build_pair(cfg, "nontoeplitz", h_dense=h, ref_state=ref, step=step)
-    assert np.abs(tp.H - ntp.H).max() < 1e-10
-    assert np.abs(tp.S - ntp.S).max() < 1e-10
-    assert np.abs(tp.S - tp.S.conj().T).max() == 0.0
+    for sites in (2, 3, 4):
+        system = build_system(ExperimentConfig(sites=sites))
+        tp_h, tp_s = expected_pair(targets_for(system, 7, "toeplitz"))
+        ntp_h, ntp_s = expected_pair(targets_for(system, 7, "nontoeplitz"))
+        assert np.abs(tp_h - ntp_h).max() < 1e-10
+        assert np.abs(tp_s - ntp_s).max() < 1e-10
+        assert np.abs(tp_s - tp_s.conj().T).max() == 0.0
 
 
 def test_pair_overlap_matrix_is_psd(system):
-    _spec, part, _h, sp, ref = system
+    spec, part, _h, sp, ref = system
     cfg = KrylovConfig(n=9, dt=default_time_step(part))
-    pair = build_pair(cfg, "toeplitz", sequences=exact_sequences(sp, ref, cfg))
-    vals = np.linalg.eigvalsh(pair.S)
+    targets = measurement_targets(sp, part, spec.identity_coefficient, ref, cfg, "toeplitz")
+    _, s = expected_pair(targets)
+    vals = np.linalg.eigvalsh(s)
     assert vals.min() > -1e-12
     assert vals.max() <= cfg.n + 1e-9  # Gram matrix of unit vectors
 
 
-def test_build_pair_argument_validation(system):
+def test_measurement_targets_argument_validation(system):
+    spec, part, _h, sp, ref = system
     cfg = KrylovConfig(n=3, dt=0.2)
     with pytest.raises(ValueError):
-        build_pair(cfg, "toeplitz")
-    with pytest.raises(ValueError):
-        build_pair(cfg, "nontoeplitz")
-    with pytest.raises(ValueError):
-        build_pair(cfg, "circulant")
+        measurement_targets(sp, part, spec.identity_coefficient, ref, cfg, "circulant")
 
 
 @pytest.mark.parametrize("construction", ["toeplitz", "nontoeplitz"])
@@ -133,9 +124,12 @@ def test_measurement_targets_reconstruct_pair(system, construction):
     else:
         h_mat = np.tensordot(tg.betas, tg.frag, axes=1)
         h_mat = h_mat + spec.identity_coefficient * toeplitz_matrix(tg.s_seq)
-        step = exact_propagator(sp, cfg.dt).matrix
-        want = build_pair(cfg, "nontoeplitz", h_dense=h, ref_state=ref, step=step)
-        np.testing.assert_allclose(h_mat, want.H, atol=1e-12)
+        # elementwise oracle: H_kl = <phi_k|H|phi_l> over the symmetric grid
+        psi = np.column_stack(
+            [exact_propagator(sp, k * cfg.dt).matrix @ ref for k in cfg.grid]
+        )
+        want = psi.conj().T @ h @ psi
+        np.testing.assert_allclose(h_mat, want, atol=1e-12)
 
 
 def test_measurement_targets_lie_in_unit_square(system):

@@ -12,27 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qksd import (
-    InfeasibleBudgetError,
-    KrylovConfig,
-    MeasurementTargets,
+from qksd import rngstream
+from qksd.errors import InfeasibleBudgetError
+from qksd.krylov import KrylovConfig, MeasurementTargets
+from qksd.sampling import (
+    TARGETS,
     NoiseSpec,
     ShotEntry,
     ShotPlan,
     allocate_nontoeplitz,
     allocate_toeplitz,
-    apply_hardware_decay,
     decay_exponent,
     expected_pair,
     hadamard_estimate,
     sample_ensemble,
     sample_hamiltonian_ensemble,
+    sample_overlap_ensemble,
     sample_pair,
     split_budget,
 )
-from qksd import rngstream
-from qksd.krylov import KrylovPair
-from qksd.sampling import TARGETS, sample_overlap_ensemble
 
 
 def synthetic_targets(n, betas, s_seq, frag, construction="toeplitz", id_coeff=0.0):
@@ -592,19 +590,6 @@ def test_decay_exponent_validation():
     with pytest.raises(ValueError):
         decay_exponent(1.2, 8, 100)
     assert decay_exponent(1.0, 8, 100) == 0.0
-
-
-def test_apply_decay_identity_at_zero():
-    pair = KrylovPair(
-        H=np.eye(3, dtype=complex),
-        S=np.eye(3, dtype=complex),
-        construction="toeplitz",
-        config=KrylovConfig(n=3, dt=1.0),
-    )
-    out = apply_hardware_decay(pair, 0.0)
-    assert np.array_equal(out.H, pair.H)
-    with pytest.raises(ValueError):
-        apply_hardware_decay(pair, -0.1)
 
 
 def test_decay_scales_expected_pair():
