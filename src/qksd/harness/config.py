@@ -14,9 +14,7 @@ from typing import Optional
 
 from ..errors import ConfigError
 from ..krylov import CONSTRUCTIONS
-from ..sampling import decay_exponent
-
-MODES = ("binomial", "gaussian")
+from ..sampling import MODES, decay_exponent
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -181,16 +182,16 @@ def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int) -
         return list(pool.map(fn, ranges))  # map preserves submission order
 
 
-def _trials(cfg: ExperimentConfig, chunk: Callable, *args) -> list[np.ndarray]:
-    """Run chunk(args, (start, count)) over the run's trial chunks.
-
-    `chunk` returns a tuple of per-trial arrays or row lists; each position is
-    joined across chunks in trial order (rows into an object array).
-    """
+def _trials(cfg: ExperimentConfig, chunk: Callable, *args) -> list:
+    """chunk(args, (start, count)) per trial chunk of the run, in trial order."""
     workers = _worker_count(cfg.workers, cfg.trials, os.cpu_count())
     ranges = _chunk_ranges(cfg.trials, workers)
-    parts = _map_chunks(partial(chunk, args), ranges, workers)
-    return [np.concatenate(joined) for joined in zip(*parts)]
+    return _map_chunks(partial(chunk, args), ranges, workers)
+
+
+def _columns(parts: list) -> Iterator[np.ndarray]:
+    """Join chunks that each return a tuple of per-trial arrays, column by column."""
+    return map(np.concatenate, zip(*parts))
 
 
 def _spec_norms(stack: np.ndarray) -> np.ndarray:
@@ -205,11 +206,15 @@ def _spec_norms(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PairCell:
-    """A feasible (construction, n, M) cell: what its trials sample and solve."""
+    """A feasible (construction, n, M) cell: what its trials sample and solve.
+
+    h_exact and s_exact are None when the cells were walked without the
+    exact pair.
+    """
 
     targets: MeasurementTargets
-    h_exact: np.ndarray
-    s_exact: np.ndarray
+    h_exact: Optional[np.ndarray]
+    s_exact: Optional[np.ndarray]
     m_h: int
     m_s: int
     plan_h: ShotPlan
@@ -218,17 +223,22 @@ class _PairCell:
 
 
 def _pair_cells(
-    cfg: ExperimentConfig, system: SystemBundle, n_list: Sequence[int]
+    cfg: ExperimentConfig,
+    system: SystemBundle,
+    n_list: Sequence[int],
+    exact: bool = True,
 ) -> Iterator[tuple[dict, Optional[_PairCell]]]:
     """(base row, cell) per (construction, n, M) in config order.
 
     The cell is None when the budget split or a shot plan is infeasible.
-    Targets and the exact pair are built once per (construction, n).
+    Targets and, if `exact`, the exact pair are built once per (construction, n).
     """
     for construction in cfg.constructions:
         for n in n_list:
             targets = targets_for(system, n, construction)
-            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
+            h_exact, s_exact = (
+                expected_pair(targets, cfg.hardware_lambda) if exact else (None, None)
+            )
             for m in cfg.m_list:
                 base = {"construction": construction, "n": n, "m_budget": m}
                 try:
@@ -242,14 +252,6 @@ def _pair_cells(
                 yield base, _PairCell(
                     targets, h_exact, s_exact, m_h, m_s, plan_h, plan_s, eps
                 )
-
-
-def _sample_cell(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
-    start, count = rng
-    h_stack, s_stack, _ = sample_ensemble(
-        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
-    )
-    return h_stack, s_stack
 
 
 def _top_k_energies(h: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -294,7 +296,7 @@ def _norms_chunk(args, rng: tuple[int, int]):
         stack, _ = sample_overlap_ensemble(targets, plan, noise, count, start)
     else:
         stack, _ = sample_hamiltonian_ensemble(targets, plan, noise, count, start)
-    return (_spec_norms(stack - expected),)
+    return _spec_norms(stack - expected)
 
 
 def _spectrum_chunk(args, rng: tuple[int, int]):
@@ -307,14 +309,20 @@ def _spectrum_chunk(args, rng: tuple[int, int]):
 
 def _sweep_chunk(args, rng):
     cell, noise = args
-    h_stack, s_stack = _sample_cell(cell, noise, rng)
+    start, count = rng
+    h_stack, s_stack, _ = sample_ensemble(
+        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
+    )
     sweep = np.array([_top_k_energies(h, s) for h, s in zip(h_stack, s_stack)])
     return (sweep, *_epsilon_rule(h_stack, s_stack, cell.eps))
 
 
 def _scan_chunk(args, rng):
     cell, noise = args
-    h_stack, s_stack = _sample_cell(cell, noise, rng)
+    start, count = rng
+    h_stack, s_stack, _ = sample_ensemble(
+        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
+    )
     return _epsilon_rule(h_stack, s_stack, cell.eps)
 
 
@@ -322,9 +330,15 @@ def _flag(ok: bool) -> str:
     return "holds" if ok else "violated"
 
 
-_UNKNOWN_FLAGS = dict.fromkeys(
-    ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"), "unknown"
-)
+# Trial columns of a sampled S~ that keeps no direction above eps: nothing to solve.
+_EMPTY_BASIS = {
+    **dict.fromkeys(
+        ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"),
+        "unknown",
+    ),
+    **dict.fromkeys(("n_eps", "chi", "e0_sampled", "cond_s", "observed", "satisfied")),
+    "qualifies": False,
+}
 
 
 def _perturbation_chunk(args, rng):
@@ -334,10 +348,12 @@ def _perturbation_chunk(args, rng):
     the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).
     """
     cell, noise, ex, sol_ex, limits, fixed = args
-    h_stack, s_stack = _sample_cell(cell, noise, rng)
+    start, count = rng
+    h_stack, s_stack, _ = sample_ensemble(
+        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
+    )
     lam_min = float(np.min(ex.b_diagonal))
     bound = fixed["bound"]
-    start, _ = rng
     rows = []
     for i, (h, s) in enumerate(zip(h_stack, s_stack)):
         dh = float(np.linalg.norm(h - cell.h_exact, 2))
@@ -347,7 +363,7 @@ def _perturbation_chunk(args, rng):
         try:
             pe = basis_thresholding(h, s, cell.eps)
         except EmptyBasisError:
-            rows.append(check_finite({**row, **_UNKNOWN_FLAGS, "qualifies": False}))
+            rows.append(check_finite({**row, **_EMPTY_BASIS}))
             continue
         chi_res = chi_between_thresholds(ex, pe)
         sol = solve_gevp(pe.A, pe.B)
@@ -376,7 +392,7 @@ def _perturbation_chunk(args, rng):
             satisfied=observed <= bound + _BOUND_SLACK if qualifies else None,
         )
         rows.append(check_finite(row))
-    return (rows,)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +455,8 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
                     continue
                 sampled_any = True
                 bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
-                (norms,) = _trials(
-                    cfg, _norms_chunk, targets, plan, noise, kind, expected
+                norms = np.concatenate(
+                    _trials(cfg, _norms_chunk, targets, plan, noise, kind, expected)
                 )
                 for trial, norm in enumerate(norms):
                     rows.append(
@@ -503,7 +519,9 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     for m in cfg.m_list:
         plan_s = allocate_toeplitz(m, n, is_h=False)
         # vals: (T, n) descending per trial
-        vals, ds_norms = _trials(cfg, _spectrum_chunk, targets, plan_s, noise, s_exact)
+        vals, ds_norms = _columns(
+            _trials(cfg, _spectrum_chunk, targets, plan_s, noise, s_exact)
+        )
         eps = bounds.optimal_epsilon(n, m)
         dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
         for i in range(n):
@@ -543,7 +561,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
             ideal[construction] = _rel_errors(
                 _top_k_energies(cell.h_exact, cell.s_exact), e0
             )
-        sweep, eps_energy, eps_dims = _trials(cfg, _sweep_chunk, cell, noise)
+        sweep, eps_energy, eps_dims = _columns(_trials(cfg, _sweep_chunk, cell, noise))
         for k in range(1, n + 1):
             rel = _rel_errors(sweep[:, k - 1], e0)
             ideal_k = ideal[construction][k - 1]
@@ -580,11 +598,11 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
     noise = noise_from(cfg)
     e0 = system.e0_sector
     rows: list[dict] = []
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+    for base, cell in _pair_cells(cfg, system, cfg.n_list, exact=False):
         if cell is None:
             rows.append({**base, "trials_used": 0})
             continue
-        energies, dims = _trials(cfg, _scan_chunk, cell, noise)
+        energies, dims = _columns(_trials(cfg, _scan_chunk, cell, noise))
         rel = _rel_errors(energies, e0)
         used = np.isfinite(rel)
         rows.append(
@@ -644,8 +662,10 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
             "bound": bound,
         }
         limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
-        (trial_rows,) = _trials(
-            cfg, _perturbation_chunk, cell, noise, ex, sol_ex, limits, fixed
+        trial_rows = list(
+            chain.from_iterable(
+                _trials(cfg, _perturbation_chunk, cell, noise, ex, sol_ex, limits, fixed)
+            )
         )
         rows.extend(trial_rows)
         qualifying = sum(row["qualifies"] for row in trial_rows)

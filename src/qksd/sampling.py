@@ -36,6 +36,7 @@ from . import bounds, rngstream
 from .errors import InfeasibleBudgetError
 from .krylov import MeasurementTargets, toeplitz_matrix
 
+MODES = ("binomial", "gaussian")  # noise models
 TARGETS = ("S_toeplitz", "H_toeplitz", "H_nontoeplitz")
 _TARGET_CODE = {t: i for i, t in enumerate(TARGETS)}
 _CFG_CODE = {"real": 0, "imag": 1}
@@ -85,7 +86,7 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("binomial", "gaussian"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if self.hardware_lambda < 0:
             raise ValueError("hardware_lambda must be >= 0")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qksd.errors import ConfigError, InfeasibleBudgetError
+from qksd.errors import ConfigError, EmptyBasisError, InfeasibleBudgetError
 from qksd.harness import (
     ExperimentConfig,
     load_config,
@@ -345,6 +345,46 @@ def test_perturbation_rows_are_checked_finite(tmp_path, monkeypatch):
     monkeypatch.setattr(drivers, "chi_between_thresholds", nan_chi)
     with pytest.raises(ValueError, match="^chi is not finite"):
         run_perturbation_vs_bound(small_cfg(tmp_path, "nan.csv", trials=2))
+
+
+def test_perturbation_empty_sampled_basis(tmp_path, monkeypatch):
+    """A sampled S~ with no direction above eps gives a full 'na' trial row."""
+    cfg = small_cfg(tmp_path, "full.csv", trials=2, m_list=(200_000,))
+    full = run_perturbation_vs_bound(cfg)
+    trial_keys = {
+        frozenset(r) for r in full.rows if r["row_kind"] == "trial"
+    }
+    assert len(trial_keys) == 1
+
+    exact_pairs = []
+    real_pair, real_thr = drivers.expected_pair, drivers.basis_thresholding
+
+    def recorded_pair(*args):
+        pair = real_pair(*args)
+        exact_pairs.append(pair[0])
+        return pair
+
+    def empty_when_sampled(h, s, eps):
+        if not any(h is exact for exact in exact_pairs):
+            raise EmptyBasisError("no sampled direction above eps")
+        return real_thr(h, s, eps)
+
+    monkeypatch.setattr(drivers, "expected_pair", recorded_pair)
+    monkeypatch.setattr(drivers, "basis_thresholding", empty_when_sampled)
+    res = run_perturbation_vs_bound(dataclasses.replace(cfg, out=str(tmp_path / "e.csv")))
+    trials = [r for r in res.rows if r["row_kind"] == "trial"]
+    assert len(trials) == 2
+    for r in trials:
+        assert frozenset(r) in trial_keys
+        assert r["qualifies"] is False and r["satisfied"] is None
+        for flag in ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"):
+            assert r[flag] == "unknown"
+        for col in ("n_eps", "chi", "e0_sampled", "cond_s", "observed"):
+            assert r[col] is None
+        assert r["eta"] >= max(r["dh_norm"], r["ds_norm"])
+    (summary,) = [r for r in res.rows if r["row_kind"] == "cell_summary"]
+    assert summary["qualifying_trials"] == 0
+    assert summary["satisfaction_rate"] is None
 
 
 @pytest.mark.parametrize(
