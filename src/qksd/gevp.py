@@ -4,7 +4,10 @@ The raw pair (H, S) is ill-conditioned: S is a Gram matrix whose spectrum
 decays fast, so noise in the small singular directions wrecks a direct solve.
 basis_thresholding projects both matrices onto the eigenvectors of S with
 eigenvalue above a cutoff, giving a reduced pair (A, B) with B diagonal and
-safely positive.  solve_gevp then symmetrizes with B^{-1/2}.
+safely positive.  solve_gevp then symmetrizes with B^{-1/2}.  When only the
+ground energy is wanted, top_k_energies and epsilon_energy select and solve
+from a given eigh(S), so one decomposition serves every k and the threshold
+rule.
 
 Perturbations are compared in the eigenangle coordinate arctan(E), where the
 conditioning is governed by d0 = |x0^dag (A + iB) x0|.  The deviation between
@@ -178,6 +181,55 @@ def threshold_and_solve(
 ) -> tuple[ThresholdResult, GevpSolution]:
     thr = basis_thresholding(h, s, epsilon)
     return thr, solve_gevp(thr.A, thr.B)
+
+
+# ---------------------------------------------------------------------------
+# Ground energies from a given overlap eigendecomposition
+# ---------------------------------------------------------------------------
+
+
+def _reduced_ground_energy(
+    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray
+) -> float:
+    """solve_gevp(...).ground_energy of the pair reduced to the directions `keep`.
+
+    The reduced B is diag(vals[keep]), so B^{-1/2} is the diagonal d and the
+    symmetrized pair is (d A) d: the same floating-point operations as
+    solve_gevp's products with its diagonal inv_sqrt, without eigh(B).
+    """
+    v_kept = vecs[:, keep]
+    a = _hermitize(v_kept.conj().T @ h @ v_kept)
+    d = vals[keep] ** -0.5
+    sym = _hermitize((d[:, None] * a) * d[None, :])
+    return float(np.linalg.eigh(sym)[0][0])
+
+
+def top_k_energies(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Ground energy keeping the top k overlap directions, k = 1..n.
+
+    (vals, vecs) = eigh(S).  Entry k - 1 equals top_k_thresholding(h, s, k)
+    then solve_gevp, bit for bit; it is nan where S has fewer than k positive
+    eigenvalues.
+    """
+    energies = np.full(len(vals), math.nan)
+    order = np.argsort(vals)[::-1]
+    for k in range(1, int(np.count_nonzero(vals > 0)) + 1):
+        energies[k - 1] = _reduced_ground_energy(h, vals, vecs, order[:k])
+    return energies
+
+
+def epsilon_energy(
+    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, epsilon: float
+) -> tuple[float, int]:
+    """(ground energy, n_eps) keeping the overlap directions above epsilon.
+
+    (vals, vecs) = eigh(S).  Equals basis_thresholding(h, s, epsilon) then
+    solve_gevp, bit for bit; (nan, 0) when no eigenvalue exceeds epsilon.
+    """
+    keep = np.flatnonzero(vals > epsilon)[::-1]
+    if keep.size == 0:
+        return math.nan, 0
+    return _reduced_ground_energy(h, vals, vecs, keep), int(keep.size)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Each driver maps an ExperimentConfig to one CSV.  Threshold-sweep,
 optimal-threshold and perturbation-bound walk the same (construction, n, M)
-cells (`_pair_cells`); within a cell, `_trials` fans the trials out over a
-process pool in contiguous chunks.  Since every trial's random stream is keyed
-by its absolute trial index, the chunking is invisible in the output and any
-worker count reproduces byte-identical files.
+cells (`_pair_cells`); within a cell, the run's `_Fanout` splits the trials
+into contiguous chunks and maps them over one process pool per driver run,
+opened at the first fan-out and shut down before the driver returns.  Since
+every trial's random stream is keyed by its absolute trial index, the chunking
+is invisible in the output and any worker count reproduces byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .. import bounds
-from ..errors import ConfigError, EmptyBasisError, IllPosedError, InfeasibleBudgetError
+from ..errors import ConfigError, EmptyBasisError, InfeasibleBudgetError
 from ..evolution import Spectrum, diagonalize, hartree_fock_state, sector_indices
 from ..gevp import (
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
+    epsilon_energy,
     solve_gevp,
-    top_k_thresholding,
+    top_k_energies,
 )
 from ..hamiltonian import (
     UnitaryPartition,
@@ -175,18 +178,50 @@ def _worker_count(requested: int, trials: int, cpus: Optional[int]) -> int:
     return max(1, min(requested, trials, cpus or 1))
 
 
-def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int) -> list:
-    if workers <= 1 or len(ranges) <= 1:
+def _usable_cpus() -> Optional[int]:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+class _Fanout:
+    """Trial fan-out of one driver run, used as a context manager.
+
+    The chunk layout is fixed by the config.  A process pool is opened at the
+    first map with more than one chunk, reused by every later one, and shut
+    down, its children joined, when the `with` block exits, raising or not.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
+        self.ranges = _chunk_ranges(cfg.trials, self.workers)
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> _Fanout:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool
+
+    def __call__(self, chunk: Callable, *args) -> list:
+        """chunk(args, (start, count)) per trial chunk of the run, in trial order."""
+        return _map_chunks(partial(chunk, args), self.ranges, self)
+
+
+def _map_chunks(
+    fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
+) -> list:
+    if len(ranges) <= 1:
         return [fn(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ranges))  # map preserves submission order
-
-
-def _trials(cfg: ExperimentConfig, chunk: Callable, *args) -> list:
-    """chunk(args, (start, count)) per trial chunk of the run, in trial order."""
-    workers = _worker_count(cfg.workers, cfg.trials, os.cpu_count())
-    ranges = _chunk_ranges(cfg.trials, workers)
-    return _map_chunks(partial(chunk, args), ranges, workers)
+    return list(fanout.pool().map(fn, ranges))  # map preserves submission order
 
 
 def _columns(parts: list) -> Iterator[np.ndarray]:
@@ -254,33 +289,22 @@ def _pair_cells(
                 )
 
 
-def _top_k_energies(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Ground energy keeping the top k overlap directions, k = 1..n.
-
-    nan where the pair has fewer than k positive overlap directions.
-    """
-    n = h.shape[0]
-    energies = np.full(n, math.nan)
-    for k in range(1, n + 1):
-        try:
-            thr = top_k_thresholding(h, s, k)
-        except (EmptyBasisError, IllPosedError):
-            continue
-        energies[k - 1] = solve_gevp(thr.A, thr.B).ground_energy
-    return energies
+def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
+    """Sampled H~ stack of trials rng = (start, count), and eigh of the S~ stack."""
+    start, count = rng
+    h_stack, s_stack, _ = sample_ensemble(
+        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
+    )
+    vals, vecs = np.linalg.eigh(s_stack)
+    return h_stack, vals, vecs
 
 
-def _epsilon_rule(h_stack: np.ndarray, s_stack: np.ndarray, eps: float):
+def _epsilon_rule(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray, eps: float):
     """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives."""
     energies = np.full(len(h_stack), math.nan)
     dims = np.zeros(len(h_stack), dtype=np.int64)
-    for i, (h, s) in enumerate(zip(h_stack, s_stack)):
-        try:
-            thr = basis_thresholding(h, s, eps)
-        except EmptyBasisError:
-            continue
-        energies[i] = solve_gevp(thr.A, thr.B).ground_energy
-        dims[i] = thr.n_eps
+    for i, trial in enumerate(zip(h_stack, vals, vecs)):
+        energies[i], dims[i] = epsilon_energy(*trial, eps)
     return energies, dims
 
 
@@ -309,21 +333,14 @@ def _spectrum_chunk(args, rng: tuple[int, int]):
 
 def _sweep_chunk(args, rng):
     cell, noise = args
-    start, count = rng
-    h_stack, s_stack, _ = sample_ensemble(
-        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
-    )
-    sweep = np.array([_top_k_energies(h, s) for h, s in zip(h_stack, s_stack)])
-    return (sweep, *_epsilon_rule(h_stack, s_stack, cell.eps))
+    h_stack, vals, vecs = _sampled_eigh(cell, noise, rng)
+    sweep = np.array([top_k_energies(*trial) for trial in zip(h_stack, vals, vecs)])
+    return (sweep, *_epsilon_rule(h_stack, vals, vecs, cell.eps))
 
 
 def _scan_chunk(args, rng):
     cell, noise = args
-    start, count = rng
-    h_stack, s_stack, _ = sample_ensemble(
-        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
-    )
-    return _epsilon_rule(h_stack, s_stack, cell.eps)
+    return _epsilon_rule(*_sampled_eigh(cell, noise, rng), cell.eps)
 
 
 def _flag(ok: bool) -> str:
@@ -429,77 +446,78 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
     Emits per-trial rows, one summary per (kind, n, M) cell, and one fitted
     log-log slope row per (kind, M) across the n grid.
     """
-    system = build_system(cfg)
-    noise = noise_from(cfg)
-    kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
-    rows: list[dict] = []
-    slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
-    sampled_any = False
-    for kind, construction in kinds:
-        v_z = 1.0 if kind == "S" else system.beta_norm
-        for n in cfg.n_list:
-            targets = targets_for(system, n, construction)
-            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
-            expected = s_exact if kind == "S" else h_exact
-            for m in cfg.m_list:
-                base = {
-                    "construction": construction,
-                    "kind": kind,
-                    "n": n,
-                    "m_budget": m,
-                }
-                try:
-                    plan = _plan_for(kind, construction, m, n, targets.betas)
-                except InfeasibleBudgetError as exc:
-                    rows.append({**base, "row_kind": "skipped", "note": str(exc)})
-                    continue
-                sampled_any = True
-                bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
-                norms = np.concatenate(
-                    _trials(cfg, _norms_chunk, targets, plan, noise, kind, expected)
-                )
-                for trial, norm in enumerate(norms):
+    with _Fanout(cfg) as trials:
+        system = build_system(cfg)
+        noise = noise_from(cfg)
+        kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
+        rows: list[dict] = []
+        slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
+        sampled_any = False
+        for kind, construction in kinds:
+            v_z = 1.0 if kind == "S" else system.beta_norm
+            for n in cfg.n_list:
+                targets = targets_for(system, n, construction)
+                h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
+                expected = s_exact if kind == "S" else h_exact
+                for m in cfg.m_list:
+                    base = {
+                        "construction": construction,
+                        "kind": kind,
+                        "n": n,
+                        "m_budget": m,
+                    }
+                    try:
+                        plan = _plan_for(kind, construction, m, n, targets.betas)
+                    except InfeasibleBudgetError as exc:
+                        rows.append({**base, "row_kind": "skipped", "note": str(exc)})
+                        continue
+                    sampled_any = True
+                    bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
+                    norms = np.concatenate(
+                        trials(_norms_chunk, targets, plan, noise, kind, expected)
+                    )
+                    for trial, norm in enumerate(norms):
+                        rows.append(
+                            {
+                                **base,
+                                "row_kind": "trial",
+                                "trial": trial,
+                                "norm": float(norm),
+                                "bound": bound,
+                                "under_bound": bool(norm < bound),
+                            }
+                        )
+                    mean_norm = float(np.mean(norms))
                     rows.append(
                         {
                             **base,
-                            "row_kind": "trial",
-                            "trial": trial,
-                            "norm": float(norm),
+                            "row_kind": "cell_summary",
                             "bound": bound,
-                            "under_bound": bool(norm < bound),
+                            "mean_norm": mean_norm,
+                            "frac_under": float(np.mean(norms < bound)),
                         }
                     )
-                mean_norm = float(np.mean(norms))
-                rows.append(
-                    {
-                        **base,
-                        "row_kind": "cell_summary",
-                        "bound": bound,
-                        "mean_norm": mean_norm,
-                        "frac_under": float(np.mean(norms < bound)),
-                    }
-                )
-                slope_points.setdefault((kind, construction, m), []).append(
-                    (n, mean_norm)
-                )
-    for (kind, construction, m), points in slope_points.items():
-        if len(points) < 2:
-            continue
-        ns = np.log([p[0] for p in points])
-        means = np.log([p[1] for p in points])
-        slope = float(np.polyfit(ns, means, 1)[0])
-        rows.append(
-            {
-                "row_kind": "slope",
-                "construction": construction,
-                "kind": kind,
-                "m_budget": m,
-                "slope": slope,
-            }
-        )
-    if not sampled_any:
-        raise InfeasibleBudgetError("every (kind, n, M) cell was infeasible")
-    return write_csv(cfg.out, ERROR_NORM_COLUMNS, rows, cfg)
+                    slope_points.setdefault((kind, construction, m), []).append(
+                        (n, mean_norm)
+                    )
+        for (kind, construction, m), points in slope_points.items():
+            if len(points) < 2:
+                continue
+            ns = np.log([p[0] for p in points])
+            means = np.log([p[1] for p in points])
+            slope = float(np.polyfit(ns, means, 1)[0])
+            rows.append(
+                {
+                    "row_kind": "slope",
+                    "construction": construction,
+                    "kind": kind,
+                    "m_budget": m,
+                    "slope": slope,
+                }
+            )
+        if not sampled_any:
+            raise InfeasibleBudgetError("every (kind, n, M) cell was infeasible")
+        return write_csv(cfg.out, ERROR_NORM_COLUMNS, rows, cfg)
 
 
 def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
@@ -509,34 +527,35 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     is the fraction of trials with |perturbed - exact| <= ||Delta_S|| for that
     index; the threshold column carries eps = e_S / sqrt(M_S).
     """
-    system = build_system(cfg)
-    noise = noise_from(cfg)
-    n = cfg.n_list[0]
-    targets = targets_for(system, n, "toeplitz")
-    _, s_exact = expected_pair(targets, cfg.hardware_lambda)
-    exact_vals = np.linalg.eigvalsh(s_exact)[::-1]
-    rows: list[dict] = []
-    for m in cfg.m_list:
-        plan_s = allocate_toeplitz(m, n, is_h=False)
-        # vals: (T, n) descending per trial
-        vals, ds_norms = _columns(
-            _trials(cfg, _spectrum_chunk, targets, plan_s, noise, s_exact)
-        )
-        eps = bounds.optimal_epsilon(n, m)
-        dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
-        for i in range(n):
-            rows.append(
-                {
-                    "m_budget": m,
-                    "index": i + 1,
-                    "exact_value": float(exact_vals[i]),
-                    "mean_value": float(np.mean(vals[:, i])),
-                    "std_value": float(np.std(vals[:, i])),
-                    "epsilon": eps,
-                    "weyl_fraction": float(np.mean(dev_ok[:, i])),
-                }
+    with _Fanout(cfg) as trials:
+        system = build_system(cfg)
+        noise = noise_from(cfg)
+        n = cfg.n_list[0]
+        targets = targets_for(system, n, "toeplitz")
+        _, s_exact = expected_pair(targets, cfg.hardware_lambda)
+        exact_vals = np.linalg.eigvalsh(s_exact)[::-1]
+        rows: list[dict] = []
+        for m in cfg.m_list:
+            plan_s = allocate_toeplitz(m, n, is_h=False)
+            # vals: (T, n) descending per trial
+            vals, ds_norms = _columns(
+                trials(_spectrum_chunk, targets, plan_s, noise, s_exact)
             )
-    return write_csv(cfg.out, SPECTRUM_COLUMNS, rows, cfg)
+            eps = bounds.optimal_epsilon(n, m)
+            dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
+            for i in range(n):
+                rows.append(
+                    {
+                        "m_budget": m,
+                        "index": i + 1,
+                        "exact_value": float(exact_vals[i]),
+                        "mean_value": float(np.mean(vals[:, i])),
+                        "std_value": float(np.std(vals[:, i])),
+                        "epsilon": eps,
+                        "weyl_fraction": float(np.mean(dev_ok[:, i])),
+                    }
+                )
+        return write_csv(cfg.out, SPECTRUM_COLUMNS, rows, cfg)
 
 
 def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
@@ -546,79 +565,81 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
     epsilon_rule row applies eps = e_S / sqrt(M_S) per trial.  Errors are
     relative to the exact sector ground energy.
     """
-    system = build_system(cfg)
-    noise = noise_from(cfg)
-    n = cfg.n_list[0]
-    e0 = system.e0_sector
-    rows: list[dict] = []
-    ideal: dict[str, np.ndarray] = {}  # noiseless sweep, once per construction
-    for base, cell in _pair_cells(cfg, system, (n,)):
-        if cell is None:
-            rows.append({**base, "row_kind": "skipped"})
-            continue
-        construction = base["construction"]
-        if construction not in ideal:
-            ideal[construction] = _rel_errors(
-                _top_k_energies(cell.h_exact, cell.s_exact), e0
-            )
-        sweep, eps_energy, eps_dims = _columns(_trials(cfg, _sweep_chunk, cell, noise))
-        for k in range(1, n + 1):
-            rel = _rel_errors(sweep[:, k - 1], e0)
-            ideal_k = ideal[construction][k - 1]
+    with _Fanout(cfg) as trials:
+        system = build_system(cfg)
+        noise = noise_from(cfg)
+        n = cfg.n_list[0]
+        e0 = system.e0_sector
+        rows: list[dict] = []
+        ideal: dict[str, np.ndarray] = {}  # noiseless sweep, once per construction
+        for base, cell in _pair_cells(cfg, system, (n,)):
+            if cell is None:
+                rows.append({**base, "row_kind": "skipped"})
+                continue
+            construction = base["construction"]
+            if construction not in ideal:
+                ideal[construction] = _rel_errors(
+                    top_k_energies(cell.h_exact, *np.linalg.eigh(cell.s_exact)), e0
+                )
+            sweep, eps_energy, eps_dims = _columns(trials(_sweep_chunk, cell, noise))
+            for k in range(1, n + 1):
+                rel = _rel_errors(sweep[:, k - 1], e0)
+                ideal_k = ideal[construction][k - 1]
+                rows.append(
+                    {
+                        **base,
+                        "row_kind": "sweep",
+                        "k": k,
+                        "trials_used": int(np.sum(np.isfinite(rel))),
+                        "rms_rel_error": _rms(rel),
+                        "mean_rel_error": _mean(rel),
+                        "ideal_rel_error": None if np.isnan(ideal_k) else float(ideal_k),
+                        "epsilon": cell.eps,
+                    }
+                )
+            rel = _rel_errors(eps_energy, e0)
             rows.append(
                 {
                     **base,
-                    "row_kind": "sweep",
-                    "k": k,
+                    "row_kind": "epsilon_rule",
                     "trials_used": int(np.sum(np.isfinite(rel))),
                     "rms_rel_error": _rms(rel),
                     "mean_rel_error": _mean(rel),
-                    "ideal_rel_error": None if np.isnan(ideal_k) else float(ideal_k),
+                    "mean_n_eps": float(np.mean(eps_dims)),
                     "epsilon": cell.eps,
                 }
             )
-        rel = _rel_errors(eps_energy, e0)
-        rows.append(
-            {
-                **base,
-                "row_kind": "epsilon_rule",
-                "trials_used": int(np.sum(np.isfinite(rel))),
-                "rms_rel_error": _rms(rel),
-                "mean_rel_error": _mean(rel),
-                "mean_n_eps": float(np.mean(eps_dims)),
-                "epsilon": cell.eps,
-            }
-        )
-    return write_csv(cfg.out, SWEEP_COLUMNS, rows, cfg)
+        return write_csv(cfg.out, SWEEP_COLUMNS, rows, cfg)
 
 
 def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
     """Energy error of the threshold-rule solution across the (n, M) grid."""
-    system = build_system(cfg)
-    noise = noise_from(cfg)
-    e0 = system.e0_sector
-    rows: list[dict] = []
-    for base, cell in _pair_cells(cfg, system, cfg.n_list, exact=False):
-        if cell is None:
-            rows.append({**base, "trials_used": 0})
-            continue
-        energies, dims = _columns(_trials(cfg, _scan_chunk, cell, noise))
-        rel = _rel_errors(energies, e0)
-        used = np.isfinite(rel)
-        rows.append(
-            {
-                **base,
-                "m_h": cell.m_h,
-                "m_s": cell.m_s,
-                "epsilon": cell.eps,
-                "trials_used": int(np.sum(used)),
-                "rms_rel_error": _rms(rel),
-                "mean_rel_error": _mean(rel),
-                "mean_n_eps": float(np.mean(dims[used])) if used.any() else None,
-                "e0_sector": e0,
-            }
-        )
-    return write_csv(cfg.out, SCAN_COLUMNS, rows, cfg)
+    with _Fanout(cfg) as trials:
+        system = build_system(cfg)
+        noise = noise_from(cfg)
+        e0 = system.e0_sector
+        rows: list[dict] = []
+        for base, cell in _pair_cells(cfg, system, cfg.n_list, exact=False):
+            if cell is None:
+                rows.append({**base, "trials_used": 0})
+                continue
+            energies, dims = _columns(trials(_scan_chunk, cell, noise))
+            rel = _rel_errors(energies, e0)
+            used = np.isfinite(rel)
+            rows.append(
+                {
+                    **base,
+                    "m_h": cell.m_h,
+                    "m_s": cell.m_s,
+                    "epsilon": cell.eps,
+                    "trials_used": int(np.sum(used)),
+                    "rms_rel_error": _rms(rel),
+                    "mean_rel_error": _mean(rel),
+                    "mean_n_eps": float(np.mean(dims[used])) if used.any() else None,
+                    "e0_sector": e0,
+                }
+            )
+        return write_csv(cfg.out, SCAN_COLUMNS, rows, cfg)
 
 
 def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
@@ -629,54 +650,55 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
     exact thresholded solution; each cell closes with a summary row holding
     the qualifying-trial count and satisfaction rate.
     """
-    system = build_system(cfg)
-    noise = noise_from(cfg)
-    rows: list[dict] = []
-    e0_full: dict[tuple[str, int], float] = {}  # once per (construction, n)
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
-        if cell is None:
-            rows.append({**base, "row_kind": "skipped"})
-            continue
-        construction, n = base["construction"], base["n"]
-        if (construction, n) not in e0_full:
-            full = basis_thresholding(cell.h_exact, cell.s_exact, cfg.epsilon_ideal)
-            e0_full[construction, n] = solve_gevp(full.A, full.B).ground_energy
-        e_h, e_s = bounds.norm_bound_pair(n, system.beta_norm, construction)
-        ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
-        sol_ex = solve_gevp(ex.A, ex.B)
-        bound = bounds.sampling_perturbation_bound(
-            ex.n_eps, e_h, e_s, cell.m_h + cell.m_s, sol_ex.d0, sol_ex.ground_energy
-        )
-        split = {**base, "m_h": cell.m_h, "m_s": cell.m_s}
-        fixed = {
-            **split,
-            "row_kind": "trial",
-            "seed": cfg.seed,
-            "e0_sector": system.e0_sector,
-            "e0_full": e0_full[construction, n],
-            "e0_reduced": sol_ex.ground_energy,
-            "d0": sol_ex.d0,
-            "d0_inv_upper": bounds.crawford_inverse_upper(
-                cell.eps, sol_ex.ground_energy
-            ),
-            "bound": bound,
-        }
-        limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
-        trial_rows = list(
-            chain.from_iterable(
-                _trials(cfg, _perturbation_chunk, cell, noise, ex, sol_ex, limits, fixed)
+    with _Fanout(cfg) as trials:
+        system = build_system(cfg)
+        noise = noise_from(cfg)
+        rows: list[dict] = []
+        e0_full: dict[tuple[str, int], float] = {}  # once per (construction, n)
+        for base, cell in _pair_cells(cfg, system, cfg.n_list):
+            if cell is None:
+                rows.append({**base, "row_kind": "skipped"})
+                continue
+            construction, n = base["construction"], base["n"]
+            if (construction, n) not in e0_full:
+                full = basis_thresholding(cell.h_exact, cell.s_exact, cfg.epsilon_ideal)
+                e0_full[construction, n] = solve_gevp(full.A, full.B).ground_energy
+            e_h, e_s = bounds.norm_bound_pair(n, system.beta_norm, construction)
+            ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+            sol_ex = solve_gevp(ex.A, ex.B)
+            bound = bounds.sampling_perturbation_bound(
+                ex.n_eps, e_h, e_s, cell.m_h + cell.m_s, sol_ex.d0, sol_ex.ground_energy
             )
-        )
-        rows.extend(trial_rows)
-        qualifying = sum(row["qualifies"] for row in trial_rows)
-        satisfied = sum(bool(row["satisfied"]) for row in trial_rows)
-        rows.append(
-            {
+            split = {**base, "m_h": cell.m_h, "m_s": cell.m_s}
+            fixed = {
                 **split,
-                "row_kind": "cell_summary",
+                "row_kind": "trial",
+                "seed": cfg.seed,
+                "e0_sector": system.e0_sector,
+                "e0_full": e0_full[construction, n],
+                "e0_reduced": sol_ex.ground_energy,
+                "d0": sol_ex.d0,
+                "d0_inv_upper": bounds.crawford_inverse_upper(
+                    cell.eps, sol_ex.ground_energy
+                ),
                 "bound": bound,
-                "qualifying_trials": qualifying,
-                "satisfaction_rate": satisfied / qualifying if qualifying else None,
             }
-        )
-    return write_csv(cfg.out, PERTURBATION_COLUMNS, rows, cfg)
+            limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
+            trial_rows = list(
+                chain.from_iterable(
+                    trials(_perturbation_chunk, cell, noise, ex, sol_ex, limits, fixed)
+                )
+            )
+            rows.extend(trial_rows)
+            qualifying = sum(row["qualifies"] for row in trial_rows)
+            satisfied = sum(bool(row["satisfied"]) for row in trial_rows)
+            rows.append(
+                {
+                    **split,
+                    "row_kind": "cell_summary",
+                    "bound": bound,
+                    "qualifying_trials": qualifying,
+                    "satisfaction_rate": satisfied / qualifying if qualifying else None,
+                }
+            )
+        return write_csv(cfg.out, PERTURBATION_COLUMNS, rows, cfg)

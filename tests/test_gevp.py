@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qksd.errors import EmptyBasisError, IllPosedError
 from qksd.gevp import (
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
+    epsilon_energy,
     solve_gevp,
     spectral_norm,
     threshold_and_solve,
+    top_k_energies,
     top_k_thresholding,
 )
 
@@ -143,6 +147,60 @@ def test_threshold_and_solve_pipeline():
     thr, sol = threshold_and_solve(h, s, 1e-2)
     assert sol.cond_s == pytest.approx(thr.b_diagonal[0] / thr.b_diagonal[-1])
     assert len(sol.eigenvalues) == thr.n_eps
+
+
+def per_trial_energies(h, s, epsilon):
+    """The oracle: threshold and solve_gevp afresh for every k and the eps rule."""
+    top_k = np.full(len(s), math.nan)
+    for k in range(1, len(s) + 1):
+        try:
+            thr = top_k_thresholding(h, s, k)
+        except (EmptyBasisError, IllPosedError):
+            continue
+        top_k[k - 1] = solve_gevp(thr.A, thr.B).ground_energy
+    try:
+        thr = basis_thresholding(h, s, epsilon)
+    except EmptyBasisError:
+        return top_k, (math.nan, 0)
+    return top_k, (solve_gevp(thr.A, thr.B).ground_energy, thr.n_eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spectrum=st.lists(
+        st.one_of(st.floats(-0.5, 1.0), st.sampled_from([0.0, 1e-14, 1.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(0.0, 1.2),
+)
+@example(spectrum=[0.7], trials=1, seed=0, epsilon=0.1)  # n = 1
+@example(spectrum=[0.4, 0.0, -0.3, 1e-3], trials=2, seed=1, epsilon=0.0)  # k > positives
+@example(spectrum=[-0.2, -0.1], trials=1, seed=2, epsilon=0.0)  # nothing positive
+@example(spectrum=[0.3, 0.5, 0.9], trials=2, seed=3, epsilon=1.1)  # eps above all
+def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, epsilon):
+    """One batched eigh(S) shared by every k and the eps rule gives the oracle's bits."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    h_stack, s_stack = [], []
+    for _ in range(trials):
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        s = (q * np.array(spectrum)) @ q.conj().T
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h_stack.append(0.5 * (g + g.conj().T))
+        s_stack.append(0.5 * (s + s.conj().T))
+    h_stack, s_stack = np.array(h_stack), np.array(s_stack)
+    vals, vecs = np.linalg.eigh(s_stack)
+    for h, s, w, v in zip(h_stack, s_stack, vals, vecs):
+        top_k, rule = per_trial_energies(h, s, epsilon)
+        assert np.array_equal(top_k_energies(h, w, v), top_k, equal_nan=True)
+        assert np.array_equal(epsilon_energy(h, w, v, epsilon), rule, equal_nan=True)
+        positives = int(np.count_nonzero(w > 0))
+        assert np.isfinite(top_k[:positives]).all() and np.isnan(top_k[positives:]).all()
+        if rule[1] == 0:
+            assert not (w > epsilon).any() and math.isnan(rule[0])
 
 
 def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):

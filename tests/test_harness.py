@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import multiprocessing
 import sys
 from collections import Counter
 from pathlib import Path
@@ -188,11 +189,17 @@ def test_chunk_ranges():
         lo += count
 
 
-def test_worker_count():
+def test_worker_count(monkeypatch):
     assert _worker_count(1, 1000, 8) == 1
     assert _worker_count(64, 1000, 2) == 2  # never more processes than CPUs
     assert _worker_count(4, 3, 16) == 3  # nor than trials to share
     assert _worker_count(4, 1000, None) == 1  # CPU count unknown: run inline
+    # the CPUs counted are those the affinity mask lets this process use
+    monkeypatch.setattr(drivers.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(drivers.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _worker_count(4, 1000, drivers._usable_cpus()) == 1
+    monkeypatch.delattr(drivers.os, "sched_getaffinity")  # no mask: all CPUs
+    assert _worker_count(4, 1000, drivers._usable_cpus()) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +324,74 @@ def test_driver_output_worker_invariant(tmp_path):
         out[workers] = (tmp_path / f"w{workers}.csv").read_bytes()
     # header hash excludes worker count, rows are trial-keyed: bytes match
     assert out[1] == out[3]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Process pools the drivers open, on a machine that lends them two CPUs."""
+    opened = []
+
+    class CountingPool(drivers.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(drivers, "_usable_cpus", lambda: 2)
+    return opened
+
+
+POOLED_DRIVERS = {  # each grid has two cells, so one pool serves two maps
+    "threshold_sweep": (run_threshold_sweep, {"m_list": (50_000, 100_000)}),
+    "optimal_threshold": (run_optimal_threshold_scan, {"n_list": (3, 5)}),
+    "perturbation_bound": (run_perturbation_vs_bound, {"m_list": (100_000, 200_000)}),
+    "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}),
+}
+
+
+@pytest.mark.parametrize("name", list(POOLED_DRIVERS))
+def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, name):
+    runner, grid = POOLED_DRIVERS[name]
+    maps = Counter()
+    real_map = drivers._map_chunks
+
+    def counted_map(fn, ranges, fanout):
+        maps[len(ranges)] += 1
+        return real_map(fn, ranges, fanout)
+
+    monkeypatch.setattr(drivers, "_map_chunks", counted_map)
+    out = {}
+    for workers in (1, 2):
+        cfg = small_cfg(tmp_path, f"w{workers}.csv", trials=7, workers=workers, **grid)
+        runner(cfg)
+        out[workers] = (tmp_path / f"w{workers}.csv").read_bytes()
+    assert maps == {1: 2, 2: 2}  # two cells mapped inline, then two over the pool
+    assert len(pools) == 1
+    assert out[1] == out[2]
+
+
+def test_one_pool_per_driver_run(tmp_path, monkeypatch, pools):
+    """A run opens its pool once, at most, and reaps it on return or on raise."""
+    cfg = small_cfg(
+        tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
+        trials=4, workers=2,
+    )
+    res = run_optimal_threshold_scan(cfg)
+    assert [r["trials_used"] for r in res.rows] == [4, 4, 4, 4]
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+    run_optimal_threshold_scan(dataclasses.replace(cfg, workers=1))
+    assert len(pools) == 1
+
+    def failing_write(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(drivers, "write_csv", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_optimal_threshold_scan(cfg)
+    assert len(pools) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_driver_rows_match_written_file(tmp_path):
