@@ -108,19 +108,18 @@ def variance_statistic(plan, v_z: float) -> float:
     The expected spectral norm of the error matrix obeys
     E[norm] <= sqrt(2 v log 2n).
     """
-    totals = plan.element_totals()
-    n = plan.n
-    if plan.target in ("S_toeplitz", "H_toeplitz"):
-        counts = np.zeros(n)
-        for (a, _b), m in totals.items():
-            counts[a] += m
-        return toeplitz_variance_from_counts(
-            counts, v_z, is_hamiltonian=plan.target == "H_toeplitz"
-        )
-    counts = np.zeros((n, n))
-    for (a, b), m in totals.items():
-        counts[a, b] += m
-    return nontoeplitz_variance_from_counts(counts, v_z)
+    elements, counts = plan.grid()
+    totals = counts.sum(axis=(1, 2))
+    a, b = elements[:, 0], elements[:, 1]
+    if plan.target == "H_nontoeplitz":
+        per_element = np.zeros((plan.n, plan.n))
+        per_element[a, b] = totals
+        return nontoeplitz_variance_from_counts(per_element, v_z)
+    per_lag = np.zeros(plan.n)
+    per_lag[a] = totals
+    return toeplitz_variance_from_counts(
+        per_lag, v_z, is_hamiltonian=plan.target == "H_toeplitz"
+    )
 
 
 def optimal_variance(m_budget: float, n: int, v_z: float, construction: str,

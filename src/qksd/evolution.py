@@ -1,12 +1,10 @@
-"""Spectra, exact and Trotterized propagators, particle sectors, and the reference state.
+"""Spectra, particle sectors, and the reference state.
 
-Everything here assumes perfectly simulated dynamics: propagators come from
-the eigendecomposition of the Hamiltonian's block on the reference state's
+Everything here assumes perfectly simulated dynamics: propagation uses the
+eigendecomposition of the Hamiltonian's block on the reference state's
 particle-number sector, so e^{-iHt} is exact to floating precision there.
 The Hubbard Hamiltonian conserves (N_up, N_down), so that block is all the
-dynamics of the reference ever sees.  The first-order Trotter product exists
-to quantify what changes when the propagator only approximately commutes
-with H.
+dynamics of the reference ever sees.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .hamiltonian import PauliSum, build_hubbard_1d, pauli_sum_block, pauli_to_dense
+from .hamiltonian import build_hubbard_1d, pauli_sum_block
 
 
 @dataclass(frozen=True)
@@ -33,17 +31,6 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary time-evolution matrix with provenance metadata."""
-
-    matrix: np.ndarray
-    time: float
-    kind: str  # "exact" or "trotter"
-    steps: int = 0  # Trotter repetitions; 0 for exact
-    n_fragments: int = 0  # non-identity terms in the Trotter product
-
-
 def diagonalize(h_dense: np.ndarray) -> Spectrum:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
@@ -54,41 +41,6 @@ def diagonalize(h_dense: np.ndarray) -> Spectrum:
         h_dense = h_dense.real
     vals, vecs = np.linalg.eigh(h_dense)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
-
-
-def exact_propagator(spec: Spectrum, t: float) -> Propagator:
-    """U(t) = V diag(e^{-iE t}) V^dag."""
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
-    return Propagator(matrix=u, time=t, kind="exact")
-
-
-def _term_exponential(coeff: float, dense_string: np.ndarray, t: float) -> np.ndarray:
-    # exp(-i c t P) = cos(ct) I - i sin(ct) P for any Pauli string P (P^2 = I).
-    angle = coeff * t
-    dim = dense_string.shape[0]
-    return np.cos(angle) * np.eye(dim, dtype=complex) - 1j * np.sin(angle) * dense_string
-
-
-def trotter_propagator(h: PauliSum, t: float, steps: int) -> Propagator:
-    """First-order product of per-Pauli-term exponentials, repeated `steps` times.
-
-    The identity term commutes with everything and is applied as an exact
-    global phase.  Error versus the exact propagator falls off as 1/steps.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    terms = h.non_identity_terms
-    dim = 2**h.n_qubits
-    dt = t / steps
-    one_step = np.eye(dim, dtype=complex)
-    for coeff, string in terms:
-        one_step = _term_exponential(coeff, pauli_to_dense(string), dt) @ one_step
-    u = np.linalg.matrix_power(one_step, steps)
-    u = np.exp(-1j * h.identity_coefficient * t) * u
-    return Propagator(
-        matrix=u, time=t, kind="trotter", steps=steps, n_fragments=len(terms)
-    )
 
 
 # ---------------------------------------------------------------------------

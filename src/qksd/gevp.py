@@ -208,8 +208,10 @@ def top_k_energies(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndar
     """Ground energy keeping the top k overlap directions, k = 1..n.
 
     (vals, vecs) = eigh(S).  Entry k - 1 equals top_k_thresholding(h, s, k)
-    then solve_gevp, bit for bit; it is nan where S has fewer than k positive
-    eigenvalues.
+    then solve_gevp, bit for bit, when S's largest eigenvalue is of order 1,
+    as for every sampled S~ (diagonal e^{-lambda}); it is nan where S has
+    fewer than k positive eigenvalues.  Kept eigenvalues below about 1e-150
+    can overflow the reduced pair to inf, here as in solve_gevp.
     """
     energies = np.full(len(vals), math.nan)
     order = np.argsort(vals)[::-1]
@@ -224,7 +226,8 @@ def epsilon_energy(
     """(ground energy, n_eps) keeping the overlap directions above epsilon.
 
     (vals, vecs) = eigh(S).  Equals basis_thresholding(h, s, epsilon) then
-    solve_gevp, bit for bit; (nan, 0) when no eigenvalue exceeds epsilon.
+    solve_gevp, bit for bit, under top_k_energies' precondition (S's largest
+    eigenvalue of order 1); (nan, 0) when no eigenvalue exceeds epsilon.
     """
     keep = np.flatnonzero(vals > epsilon)[::-1]
     if keep.size == 0:

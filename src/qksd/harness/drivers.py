@@ -371,10 +371,11 @@ def _perturbation_chunk(args, rng):
     )
     lam_min = float(np.min(ex.b_diagonal))
     bound = fixed["bound"]
+    dh_norms = _spec_norms(h_stack - cell.h_exact)
+    ds_norms = _spec_norms(s_stack - cell.s_exact)
     rows = []
     for i, (h, s) in enumerate(zip(h_stack, s_stack)):
-        dh = float(np.linalg.norm(h - cell.h_exact, 2))
-        ds = float(np.linalg.norm(s - cell.s_exact, 2))
+        dh, ds = float(dh_norms[i]), float(ds_norms[i])
         eta = math.hypot(dh, ds)
         row = {**fixed, "trial": start + i, "dh_norm": dh, "ds_norm": ds, "eta": eta}
         try:

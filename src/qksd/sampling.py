@@ -8,6 +8,14 @@ configurations, and unitary fragments according to the minimax-optimal rules
 for Toeplitz and elementwise (non-Toeplitz) constructions, then draws the
 noisy pair (H~, S~).
 
+Every plan lays its shots on one grid, (element, configuration, fragment),
+built by `ShotPlan.grid`.  Elements are S's lags 1..n-1 (its diagonal is known
+and never sampled), the Toeplitz H's lags 0..n-1, or the elementwise H's
+upper triangle a <= b; an entry off its target's grid is refused.  One
+sampler draws every plan's grid.  A plan is flagged zero-shot when any
+required coordinate has no shots; every coordinate is required except the
+imaginary part of a diagonal element (a == b), which is zero.
+
 Two noise modes: "binomial" draws the actual binomial counts (ground truth);
 "gaussian" replaces each estimate with a normal of matched mean and variance,
 which is what the norm-bound theory models and is fully vectorizable.
@@ -40,6 +48,7 @@ MODES = ("binomial", "gaussian")  # noise models
 TARGETS = ("S_toeplitz", "H_toeplitz", "H_nontoeplitz")
 _TARGET_CODE = {t: i for i, t in enumerate(TARGETS)}
 _CFG_CODE = {"real": 0, "imag": 1}
+_UNIT = np.ones(1)  # the weight of a target with a single fragment
 
 
 class ShotEntry(NamedTuple):
@@ -54,6 +63,24 @@ class ShotEntry(NamedTuple):
     config: str
     fragment: int
     shots: int
+
+
+def _grid_elements(target: str, n: int) -> list[tuple[int, int]]:
+    """The (a, b) elements a target samples, in canonical order."""
+    if target == "H_nontoeplitz":
+        return [(a, b) for a in range(n) for b in range(a, n)]
+    first = 1 if target == "S_toeplitz" else 0  # S's diagonal is known
+    return [(k, 0) for k in range(first, n)]
+
+
+def _grid_configs(target: str, n: int) -> list[tuple[int, int, str]]:
+    """(a, b, configuration) rows a plan fills: imag only off the diagonal."""
+    return [
+        (a, b, cfg)
+        for a, b in _grid_elements(target, n)
+        for cfg in ("real", "imag")
+        if cfg == "real" or a != b
+    ]
 
 
 @dataclass(frozen=True)
@@ -71,12 +98,27 @@ class ShotPlan:
             raise ValueError(f"entries sum to {total}, budget is {self.budget}")
         if any(e.shots < 0 for e in self.entries):
             raise ValueError("negative shot count")
-
-    def element_totals(self) -> dict[tuple[int, int], int]:
-        totals: dict[tuple[int, int], int] = {}
+        elements = set(_grid_elements(self.target, self.n))
         for e in self.entries:
-            totals[(e.a, e.b)] = totals.get((e.a, e.b), 0) + e.shots
-        return totals
+            if (e.a, e.b) not in elements or e.config not in _CFG_CODE or e.fragment < 0:
+                raise ValueError(f"{e} is off the {self.target} grid at n = {self.n}")
+
+    def grid(self, n_frag: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled grid as (elements, counts).
+
+        elements is a (P, 2) array of (a, b) rows in canonical order;
+        counts[p, c, j] holds the shots of element p, configuration c (0 real,
+        1 imag) and fragment j < n_frag (default: the fragments the entries
+        name).
+        """
+        elements = _grid_elements(self.target, self.n)
+        row = {el: p for p, el in enumerate(elements)}
+        if n_frag is None:
+            n_frag = 1 + max((e.fragment for e in self.entries), default=0)
+        counts = np.zeros((len(elements), 2, n_frag), dtype=np.int64)
+        for e in self.entries:
+            counts[row[(e.a, e.b)], _CFG_CODE[e.config], e.fragment] += e.shots
+        return np.array(elements, dtype=np.int64).reshape(-1, 2), counts
 
 
 @dataclass(frozen=True)
@@ -162,17 +204,14 @@ def allocate_toeplitz(
     Each off-diagonal real and imag configuration: M / (2(n-1) + sqrt(2) delta)
     with delta = 1 for H, 0 for S.  Totals are preserved exactly by
     largest-remainder rounding; H configurations are further split over
-    fragments proportionally to their weights.
+    fragments proportionally to their weights, and S has one unit-weight
+    fragment.
     """
     m_budget = int(m_budget)
     if n < 1:
         raise ValueError("n must be >= 1")
-    configs: list[tuple[int, int, str]] = []
-    if is_h:
-        configs.append((0, 0, "real"))
-    for k in range(1, n):
-        configs.append((k, 0, "real"))
-        configs.append((k, 0, "imag"))
+    target = "H_toeplitz" if is_h else "S_toeplitz"
+    configs = _grid_configs(target, n)
     if not configs:
         raise InfeasibleBudgetError("S with n = 1 has no sampled configurations")
     if m_budget < 2 * n:
@@ -190,20 +229,10 @@ def allocate_toeplitz(
         ]
     )
     counts = _largest_remainder(ideals, m_budget)
-    if is_h:
-        if betas is None:
-            betas = np.array([1.0])
-        entries = _split_fragments(configs, counts, betas)
-    else:
-        entries = [
-            ShotEntry(a, b, cfg, 0, int(c)) for (a, b, cfg), c in zip(configs, counts)
-        ]
-    return ShotPlan(
-        target="H_toeplitz" if is_h else "S_toeplitz",
-        n=n,
-        budget=m_budget,
-        entries=tuple(entries),
-    )
+    if betas is None or not is_h:
+        betas = _UNIT
+    entries = _split_fragments(configs, counts, betas)
+    return ShotPlan(target=target, n=n, budget=m_budget, entries=tuple(entries))
 
 
 def allocate_nontoeplitz(
@@ -221,16 +250,11 @@ def allocate_nontoeplitz(
         raise InfeasibleBudgetError(
             f"budget {m_budget} below one shot per configuration (need >= {n * n})"
         )
-    configs: list[tuple[int, int, str]] = []
-    for k in range(n):
-        for ell in range(k, n):
-            configs.append((k, ell, "real"))
-            if ell > k:
-                configs.append((k, ell, "imag"))
+    configs = _grid_configs("H_nontoeplitz", n)
     ideals = np.full(len(configs), m_budget / n**2)
     counts = _largest_remainder(ideals, m_budget)
     if betas is None:
-        betas = np.array([1.0])
+        betas = _UNIT
     entries = _split_fragments(configs, counts, betas)
     return ShotPlan(
         target="H_nontoeplitz", n=n, budget=m_budget, entries=tuple(entries)
@@ -304,22 +328,6 @@ def hadamard_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _toeplitz_counts(plan: ShotPlan, n_frag: int) -> np.ndarray:
-    """Counts as an (n, 2, n_frag) array indexed [element, config, fragment]."""
-    counts = np.zeros((plan.n, 2, n_frag), dtype=np.int64)
-    for e in plan.entries:
-        counts[e.a, _CFG_CODE[e.config], e.fragment] += e.shots
-    return counts
-
-
-def _nontoeplitz_counts(plan: ShotPlan, n_frag: int) -> np.ndarray:
-    """Counts as an (n, n, 2, n_frag) array over the upper triangle."""
-    counts = np.zeros((plan.n, plan.n, 2, n_frag), dtype=np.int64)
-    for e in plan.entries:
-        counts[e.a, e.b, _CFG_CODE[e.config], e.fragment] += e.shots
-    return counts
-
-
 def _gaussian_block(
     seed: int,
     trials: np.ndarray,
@@ -374,30 +382,47 @@ def _binomial_block(
     return out
 
 
-def _estimate_blocks(
-    seed: int,
-    trials_1d: np.ndarray,
-    target_code: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    frag: np.ndarray,
-    cfg: np.ndarray,
-    means: np.ndarray,
-    counts: np.ndarray,
-    mode: str,
-) -> np.ndarray:
-    """Estimates of shape (T, *grid) for both noise modes.
+def _sample_grid(
+    plan: ShotPlan,
+    truth: np.ndarray,
+    betas: np.ndarray,
+    noise: NoiseSpec,
+    trials: int,
+    first_trial: int,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Beta-weighted estimates of every element on the plan's grid.
 
-    a/b/frag/cfg key the gaussian draws per coordinate; binomial draws are
-    keyed per trial and take coordinates in the grid's C order.
+    `truth` holds the true (decayed) fragment overlaps, (J, n) by lag for a
+    Toeplitz plan or (J, n, n) for the elementwise one.  Returns the grid's
+    (P, 2) elements, the (T, P) estimates sum_j beta_j (Re + i Im), and the
+    zero-shot flag: True when a required coordinate drew no shots.  Every
+    coordinate is required except the imaginary part of a diagonal element
+    (a == b), whose true value is zero.
     """
-    extra = (1,) * means.ndim
-    if mode == "gaussian":
-        trials = trials_1d.reshape((-1,) + extra)
-        return _gaussian_block(
-            seed, trials, target_code, a, b, frag, cfg, means, counts
+    elements, counts = plan.grid(len(betas))
+    a, b = elements[:, 0], elements[:, 1]
+    required = np.ones(counts.shape, dtype=bool)
+    required[a == b, 1, :] = False
+    zero_shot = bool(np.any(counts[required] == 0))
+    values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
+    means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
+    trials_1d = np.arange(first_trial, first_trial + trials, dtype=np.int64)
+    code = _TARGET_CODE[plan.target]
+    if noise.mode == "gaussian":
+        est = _gaussian_block(
+            noise.rng_seed,
+            trials_1d.reshape(-1, 1, 1, 1),
+            code,
+            a.reshape(-1, 1, 1),
+            b.reshape(-1, 1, 1),
+            np.arange(len(betas)).reshape(1, 1, -1),
+            np.arange(2).reshape(1, 2, 1),
+            means,
+            counts,
         )
-    return _binomial_block(seed, trials_1d, target_code, means, counts)
+    else:
+        est = _binomial_block(noise.rng_seed, trials_1d, code, means, counts)
+    return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas, zero_shot
 
 
 def expected_pair(
@@ -433,33 +458,14 @@ def sample_overlap_ensemble(
     Per-trial results depend only on (rng_seed, trial index, coordinate), so
     any chunking of the trial range reproduces identical matrices.
     """
-    n = targets.n
-    if plan_s.target != "S_toeplitz" or plan_s.n != n:
+    if plan_s.target != "S_toeplitz" or plan_s.n != targets.n:
         raise ValueError("S plan does not match the targets")
-    seed = noise.rng_seed
-    decay = math.exp(-noise.hardware_lambda)
-    trials_1d = np.arange(first_trial, first_trial + trials, dtype=np.int64)
-
-    s_true = decay * targets.s_seq
-    s_counts = _toeplitz_counts(plan_s, 1)[:, :, 0]  # (n, 2)
-    zero_shot = bool(np.any(s_counts[1:, :] == 0))
-    ks = np.arange(n).reshape(n, 1)
-    cfgs = np.arange(2).reshape(1, 2)
-    s_means = np.stack([s_true.real, s_true.imag], axis=1)  # (n, 2)
-    est = _estimate_blocks(
-        seed,
-        trials_1d,
-        _TARGET_CODE["S_toeplitz"],
-        ks,
-        np.zeros_like(ks),
-        np.zeros_like(ks),
-        cfgs,
-        s_means,
-        s_counts,
-        noise.mode,
+    s_true = math.exp(-noise.hardware_lambda) * targets.s_seq
+    elements, est, zero_shot = _sample_grid(
+        plan_s, s_true[None, :], _UNIT, noise, trials, first_trial
     )
-    s_seq_est = est[:, :, 0] + 1j * est[:, :, 1]
-    s_seq_est[:, 0] = s_true[0]  # normalization is known, not sampled
+    s_seq_est = np.tile(s_true, (trials, 1))  # the known diagonal stays exact
+    s_seq_est[:, elements[:, 0]] = est
     return toeplitz_matrix(s_seq_est), zero_shot
 
 
@@ -475,76 +481,20 @@ def sample_hamiltonian_ensemble(
     expected_h = "H_toeplitz" if targets.construction == "toeplitz" else "H_nontoeplitz"
     if plan_h.target != expected_h or plan_h.n != n:
         raise ValueError("H plan does not match the construction")
-    n_frag = len(targets.betas)
-    seed = noise.rng_seed
     decay = math.exp(-noise.hardware_lambda)
-    trials_1d = np.arange(first_trial, first_trial + trials, dtype=np.int64)
-    zero_shot = False
-
     s_true = decay * targets.s_seq
-    betas = targets.betas
+    elements, vals, zero_shot = _sample_grid(
+        plan_h, decay * targets.frag, targets.betas, noise, trials, first_trial
+    )
     if targets.construction == "toeplitz":
-        f_true = decay * targets.frag  # (J, n)
-        counts = _toeplitz_counts(plan_h, n_frag)  # (n, 2, J)
-        required = np.ones((n, 2, n_frag), dtype=bool)
-        required[0, 1, :] = False  # diagonal imag is structurally zero
-        if np.any(counts[required] == 0):
-            zero_shot = True
-        means = np.stack([f_true.real.T, f_true.imag.T], axis=1)  # (n, 2, J)
-        a = np.arange(n).reshape(n, 1, 1)
-        cfg = np.arange(2).reshape(1, 2, 1)
-        frag = np.arange(n_frag).reshape(1, 1, n_frag)
-        est = _estimate_blocks(
-            seed,
-            trials_1d,
-            _TARGET_CODE["H_toeplitz"],
-            a,
-            np.zeros_like(a),
-            frag,
-            cfg,
-            means,
-            counts,
-            noise.mode,
-        )
-        vals = est[:, :, 0, :] + 1j * est[:, :, 1, :]  # (T, n, J)
-        h_seq = vals @ betas + targets.id_coeff * s_true  # (T, n)
-        return toeplitz_matrix(h_seq), zero_shot
-    else:
-        f_true = decay * targets.frag  # (J, n, n)
-        counts_full = _nontoeplitz_counts(plan_h, n_frag)  # (n, n, 2, J)
-        iu = np.triu_indices(n)
-        counts = counts_full[iu[0], iu[1]]  # (P, 2, J)
-        diag_mask = iu[0] == iu[1]
-        required = np.ones(counts.shape, dtype=bool)
-        required[diag_mask, 1, :] = False
-        if np.any(counts[required] == 0):
-            zero_shot = True
-        tri_true = f_true[:, iu[0], iu[1]]  # (J, P)
-        means = np.stack([tri_true.real.T, tri_true.imag.T], axis=1)  # (P, 2, J)
-        a = iu[0].reshape(-1, 1, 1)
-        b = iu[1].reshape(-1, 1, 1)
-        cfg = np.arange(2).reshape(1, 2, 1)
-        frag = np.arange(n_frag).reshape(1, 1, n_frag)
-        est = _estimate_blocks(
-            seed,
-            trials_1d,
-            _TARGET_CODE["H_nontoeplitz"],
-            a,
-            b,
-            frag,
-            cfg,
-            means,
-            counts,
-            noise.mode,
-        )
-        vals = est[:, :, 0, :] + 1j * est[:, :, 1, :]  # (T, P)
-        vals = vals @ betas
-        s_true_mat = toeplitz_matrix(s_true)
-        vals = vals + targets.id_coeff * s_true_mat[iu[0], iu[1]]
-        h_stack = np.zeros((trials, n, n), dtype=complex)
-        h_stack[:, iu[0], iu[1]] = vals
-        h_stack[:, iu[1], iu[0]] = vals.conj()
-        return h_stack, zero_shot
+        # the Toeplitz H grid is every lag 0..n-1 in order
+        return toeplitz_matrix(vals + targets.id_coeff * s_true), zero_shot
+    a, b = elements[:, 0], elements[:, 1]
+    vals = vals + targets.id_coeff * toeplitz_matrix(s_true)[a, b]
+    h_stack = np.zeros((trials, n, n), dtype=complex)
+    h_stack[:, a, b] = vals
+    h_stack[:, b, a] = vals.conj()
+    return h_stack, zero_shot
 
 
 def sample_ensemble(

@@ -1,0 +1,62 @@
+"""Dense full-space propagators, kept as test oracles.
+
+No driver propagates this way: the package evolves the reference exactly in
+its particle-number sector.  These build the full 2^{2L}-dimensional
+unitaries, so the tests can check sector results and Trotter products against
+them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from qksd.evolution import Spectrum
+from qksd.hamiltonian import PauliSum, pauli_to_dense
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """Unitary time-evolution matrix with provenance metadata."""
+
+    matrix: np.ndarray
+    time: float
+    kind: str  # "exact" or "trotter"
+    steps: int = 0  # Trotter repetitions; 0 for exact
+    n_fragments: int = 0  # non-identity terms in the Trotter product
+
+
+def exact_propagator(spec: Spectrum, t: float) -> Propagator:
+    """U(t) = V diag(e^{-iE t}) V^dag."""
+    phases = np.exp(-1j * spec.eigenvalues * t)
+    u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
+    return Propagator(matrix=u, time=t, kind="exact")
+
+
+def _term_exponential(coeff: float, dense_string: np.ndarray, t: float) -> np.ndarray:
+    # exp(-i c t P) = cos(ct) I - i sin(ct) P for any Pauli string P (P^2 = I).
+    angle = coeff * t
+    dim = dense_string.shape[0]
+    return np.cos(angle) * np.eye(dim, dtype=complex) - 1j * np.sin(angle) * dense_string
+
+
+def trotter_propagator(h: PauliSum, t: float, steps: int) -> Propagator:
+    """First-order product of per-Pauli-term exponentials, repeated `steps` times.
+
+    The identity term commutes with everything and is applied as an exact
+    global phase.  Error versus the exact propagator falls off as 1/steps.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    terms = h.non_identity_terms
+    dim = 2**h.n_qubits
+    dt = t / steps
+    one_step = np.eye(dim, dtype=complex)
+    for coeff, string in terms:
+        one_step = _term_exponential(coeff, pauli_to_dense(string), dt) @ one_step
+    u = np.linalg.matrix_power(one_step, steps)
+    u = np.exp(-1j * h.identity_coefficient * t) * u
+    return Propagator(
+        matrix=u, time=t, kind="trotter", steps=steps, n_fragments=len(terms)
+    )

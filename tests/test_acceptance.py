@@ -20,13 +20,7 @@ from qksd.bounds import (
     toeplitz_variance_from_counts,
     variance_statistic,
 )
-from qksd.evolution import (
-    diagonalize,
-    exact_propagator,
-    hartree_fock_state,
-    sector_ground_energy,
-    trotter_propagator,
-)
+from qksd.evolution import diagonalize, hartree_fock_state, sector_ground_energy
 from qksd.gevp import (
     basis_thresholding,
     chi_between_thresholds,
@@ -67,6 +61,8 @@ from qksd.harness import (
     targets_for,
 )
 from qksd.harness.drivers import _plan_for
+
+from oracles import exact_propagator, trotter_propagator
 
 SEED = 20260819
 

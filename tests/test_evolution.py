@@ -1,4 +1,4 @@
-"""Propagators, particle-number sectors, and the reference state."""
+"""Propagator oracles, particle-number sectors, and the reference state."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,13 @@ from qksd import evolution
 from qksd.errors import ResourceLimitError
 from qksd.evolution import (
     diagonalize,
-    exact_propagator,
     hartree_fock_state,
     sector_ground_energy,
     sector_indices,
-    trotter_propagator,
 )
 from qksd.hamiltonian import build_hubbard_1d, pauli_to_dense
+
+from oracles import exact_propagator, trotter_propagator
 
 
 @pytest.fixture(scope="module")

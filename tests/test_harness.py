@@ -489,7 +489,13 @@ DRIVER_FOR_CONFIG = {
     "optimal_threshold": run_optimal_threshold_scan,
     "perturbation_bound": run_perturbation_vs_bound,
 }
-BINOMIAL_BOTH = {"mode": "binomial", "constructions": ("toeplitz", "nontoeplitz")}
+# Overrides applied on top of a shipped config, by variant name.
+VARIANTS = {
+    None: {},
+    "binomial": {"mode": "binomial", "constructions": ("toeplitz", "nontoeplitz")},
+    "binomial_decay": {"mode": "binomial", "hardware_lambda": 0.3},
+    "gaussian_decay": {"mode": "gaussian", "hardware_lambda": 0.3},
+}
 # sha256 of each CSV at trials = 8, header included; artifact version 0.3.0.
 # A change that moves any of these must bump ARTIFACT_VERSION and re-pin them.
 DRIVER_DIGESTS = {
@@ -505,6 +511,10 @@ DRIVER_DIGESTS = {
         "d243b27e79d5feef51358115de3d3a224aa06a3114a6d9c1a05603d67cdd2275",
     ("perturbation_bound", "binomial"):
         "7fa821dacaf98b034dcecffef7bffc344270b84dfd4f773ec50436e18580cd03",
+    ("error_norms", "binomial_decay"):
+        "aa83112ba99f4a063bef7d98ed5b6ffe413fbe49622cd1e784927a733b33f209",
+    ("error_norms", "gaussian_decay"):
+        "236a91d621bab11712d394358151c3fc144a10ec74a4fedbd77d1b37638ee527",
 }
 
 
@@ -514,9 +524,7 @@ DRIVER_DIGESTS = {
 def test_driver_digests(tmp_path, name, variant):
     """Every shipped config reproduces its pinned CSV bytes."""
     out = tmp_path / f"{name}.csv"
-    overrides = {"trials": 8, "out": str(out)}
-    if variant == "binomial":
-        overrides.update(BINOMIAL_BOTH)
+    overrides = {"trials": 8, "out": str(out), **VARIANTS[variant]}
     cfg = load_config(str(CONFIG_DIR / f"{name}.conf"), overrides)
     DRIVER_FOR_CONFIG[name](cfg)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -5,7 +5,6 @@ import pytest
 
 from qksd.evolution import (
     diagonalize,
-    exact_propagator,
     hartree_fock_state,
     sector_ground_energy,
     sector_indices,
@@ -25,6 +24,8 @@ from qksd.krylov import (
     toeplitz_matrix,
 )
 from qksd.sampling import expected_pair
+
+from oracles import exact_propagator
 
 
 @pytest.fixture(scope="module")

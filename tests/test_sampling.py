@@ -16,6 +16,7 @@ from qksd import rngstream
 from qksd.errors import InfeasibleBudgetError
 from qksd.krylov import KrylovConfig, MeasurementTargets
 from qksd.sampling import (
+    MODES,
     TARGETS,
     NoiseSpec,
     ShotEntry,
@@ -59,7 +60,9 @@ def test_overlap_plan_n3():
         (2, "real"): 250,
         (2, "imag"): 250,
     }
-    assert plan.element_totals().get((0, 0), 0) == 0
+    elements, counts = plan.grid()
+    assert elements.tolist() == [[1, 0], [2, 0]]  # S's diagonal is not sampled
+    assert counts[:, :, 0].tolist() == [[250, 250], [250, 250]]
 
 
 def test_hamiltonian_plan_n3():
@@ -165,6 +168,20 @@ def test_plan_validation():
         ShotPlan("S_toeplitz", 3, 10, (ShotEntry(1, 0, "real", 0, 4),))
     with pytest.raises(ValueError):
         ShotPlan("X", 3, 4, (ShotEntry(1, 0, "real", 0, 4),))
+
+
+def test_plan_rejects_off_grid_entry():
+    off_grid = [
+        ("S_toeplitz", ShotEntry(0, 0, "real", 0, 4)),  # S's diagonal is known
+        ("S_toeplitz", ShotEntry(3, 0, "real", 0, 4)),  # lag beyond n - 1
+        ("H_toeplitz", ShotEntry(1, 1, "real", 0, 4)),  # Toeplitz keys are (a, 0)
+        ("H_nontoeplitz", ShotEntry(1, 0, "real", 0, 4)),  # below the diagonal
+        ("H_nontoeplitz", ShotEntry(0, 1, "phase", 0, 4)),  # unknown configuration
+        ("H_toeplitz", ShotEntry(1, 0, "imag", -1, 4)),  # negative fragment
+    ]
+    for target, entry in off_grid:
+        with pytest.raises(ValueError, match="off the"):
+            ShotPlan(target, 3, 4, (entry,))
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +378,32 @@ def test_ensemble_chunks_reproduce_full_run():
 
 
 # ---------------------------------------------------------------------------
-# Binomial draw order, chunk invariance and range guard
+# Draw order in both modes, chunk invariance and the binomial range guard
 # ---------------------------------------------------------------------------
 
 
-def _scalar_binomial_reference(seed, trial, target, means, counts):
-    """One scalar draw at a time, in C order of the grid, from the trial stream."""
-    gen = rngstream.generator(rngstream.stream_key(seed, trial, TARGETS.index(target)))
+def _scalar_reference(mode, seed, trial, target, positions, means, counts):
+    """One scalar draw at a time over the (position, config, fragment) grid.
+
+    Binomial draws come in C order of the grid from the trial's stream;
+    gaussian draws are keyed per coordinate (seed, trial, target, a, b,
+    fragment, config).  Zero-count coordinates draw nothing and stay 0.
+    """
+    code = TARGETS.index(target)
+    gen = rngstream.generator(rngstream.stream_key(seed, trial, code))
     est = np.zeros(means.shape)
-    for idx in np.ndindex(means.shape):
-        m = int(counts[idx])
+    for p, c, j in np.ndindex(means.shape):
+        m = int(counts[p, c, j])
         if m == 0:
             continue
-        p = 0.5 * (1.0 + min(1.0, max(-1.0, float(means[idx]))))
-        est[idx] = 2.0 * gen.binomial(m, p) / m - 1.0
+        mean = float(means[p, c, j])
+        if mode == "binomial":
+            prob = 0.5 * (1.0 + min(1.0, max(-1.0, mean)))
+            est[p, c, j] = 2.0 * gen.binomial(m, prob) / m - 1.0
+        else:
+            key = rngstream.stream_key(seed, trial, code, *positions[p], j, c)
+            z = float(rngstream.normals(np.uint64(key)))
+            est[p, c, j] = mean + math.sqrt(max(1.0 - mean * mean, 0.0) / m) * z
     return est
 
 
@@ -403,6 +432,7 @@ def _random_overlaps(rng, shape):
 
 
 def test_binomial_toeplitz_h_matches_scalar_draw_order():
+    """Both noise modes; the test keeps its first name."""
     rng = np.random.default_rng(17)
     n, betas = 5, np.array([0.5, 0.3, 0.2])
     targets = synthetic_targets(
@@ -413,24 +443,31 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
         (k, 0, cfg) for k in range(1, n) for cfg in ("real", "imag")
     ]
     plan = _hand_plan("H_toeplitz", n, configs, 3, zero=(2, 0, "imag", 1))
-    noise = NoiseSpec(mode="binomial", rng_seed=29)
-    stack, zero_shot = sample_hamiltonian_ensemble(targets, plan, noise, 3, first_trial=4)
-    assert zero_shot
-    counts = _grid_counts(plan, [(k, 0) for k in range(n)], 3)
+    positions = [(k, 0) for k in range(n)]
+    counts = _grid_counts(plan, positions, 3)
     assert counts[2, 1, 1] == 0 and counts[3, 1, 2] > 0  # zero mid-grid
     f = targets.frag
     means = np.stack([f.real.T, f.imag.T], axis=1)  # (n, 2, J)
-    for t in range(3):
-        est = _scalar_binomial_reference(29, 4 + t, "H_toeplitz", means, counts)
-        h_seq = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas + 0.25 * targets.s_seq
-        expected = np.array(
-            [[h_seq[l - k] if l >= k else h_seq[k - l].conj() for l in range(n)]
-             for k in range(n)]
+    for mode in MODES:
+        noise = NoiseSpec(mode=mode, rng_seed=29)
+        stack, zero_shot = sample_hamiltonian_ensemble(
+            targets, plan, noise, 3, first_trial=4
         )
-        np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+        assert zero_shot
+        for t in range(3):
+            est = _scalar_reference(
+                mode, 29, 4 + t, "H_toeplitz", positions, means, counts
+            )
+            h_seq = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas + 0.25 * targets.s_seq
+            expected = np.array(
+                [[h_seq[l - k] if l >= k else h_seq[k - l].conj() for l in range(n)]
+                 for k in range(n)]
+            )
+            np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
 
 
 def test_binomial_elementwise_h_matches_scalar_draw_order():
+    """Both noise modes; the test keeps its first name."""
     rng = np.random.default_rng(18)
     n, betas = 3, np.array([0.6, 0.4])
     frag = _random_overlaps(rng, (2, n, n))
@@ -443,43 +480,55 @@ def test_binomial_elementwise_h_matches_scalar_draw_order():
         (a, b, cfg) for a, b in positions for cfg in ("real", "imag") if cfg == "real" or a < b
     ]
     plan = _hand_plan("H_nontoeplitz", n, configs, 2, zero=(0, 2, "real", 0))
-    noise = NoiseSpec(mode="binomial", rng_seed=31)
-    stack, zero_shot = sample_hamiltonian_ensemble(targets, plan, noise, 2, first_trial=9)
-    assert zero_shot
     counts = _grid_counts(plan, positions, 2)
     tri = np.array([[frag[j, a, b] for j in range(2)] for a, b in positions])  # (P, J)
     means = np.stack([tri.real, tri.imag], axis=1)  # (P, 2, J)
     s_mat = expected_pair(targets)[1]
-    for t in range(2):
-        est = _scalar_binomial_reference(31, 9 + t, "H_nontoeplitz", means, counts)
-        vals = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas
-        expected = np.zeros((n, n), dtype=complex)
-        for (a, b), v in zip(positions, vals):
-            expected[a, b] = v + 0.1 * s_mat[a, b]
-            expected[b, a] = expected[a, b].conj()
-        np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+    for mode in MODES:
+        noise = NoiseSpec(mode=mode, rng_seed=31)
+        stack, zero_shot = sample_hamiltonian_ensemble(
+            targets, plan, noise, 2, first_trial=9
+        )
+        assert zero_shot
+        for t in range(2):
+            est = _scalar_reference(
+                mode, 31, 9 + t, "H_nontoeplitz", positions, means, counts
+            )
+            vals = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas
+            expected = np.zeros((n, n), dtype=complex)
+            for (a, b), v in zip(positions, vals):
+                expected[a, b] = v + 0.1 * s_mat[a, b]
+                expected[b, a] = expected[a, b].conj()
+            np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
 
 
 def test_binomial_overlap_matches_scalar_draw_order():
+    """Both noise modes; the test keeps its first name."""
     n = 5
     s_seq = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.4j, 0.05j, -0.6])
     targets = synthetic_targets(n=n, betas=[1.0], s_seq=s_seq, frag=np.zeros((1, n)))
     configs = [(k, 0, cfg) for k in range(1, n) for cfg in ("real", "imag")]
     plan = _hand_plan("S_toeplitz", n, configs, 1, zero=(2, 0, "imag", 0))
-    noise = NoiseSpec(mode="binomial", rng_seed=37)
-    stack, zero_shot = sample_overlap_ensemble(targets, plan, noise, 2, first_trial=3)
-    assert zero_shot
-    counts = _grid_counts(plan, [(k, 0) for k in range(n)], 1)[:, :, 0]
-    means = np.stack([s_seq.real, s_seq.imag], axis=1)  # (n, 2)
-    for t in range(2):
-        est = _scalar_binomial_reference(37, 3 + t, "S_toeplitz", means, counts)
-        seq = est[:, 0] + 1j * est[:, 1]
-        seq[0] = 1.0
-        expected = np.array(
-            [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
-             for k in range(n)]
+    positions = [(k, 0) for k in range(n)]
+    counts = _grid_counts(plan, positions, 1)
+    means = np.stack([s_seq.real, s_seq.imag], axis=1)[:, :, None]  # (n, 2, 1)
+    for mode in MODES:
+        noise = NoiseSpec(mode=mode, rng_seed=37)
+        stack, zero_shot = sample_overlap_ensemble(
+            targets, plan, noise, 2, first_trial=3
         )
-        np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+        assert zero_shot
+        for t in range(2):
+            est = _scalar_reference(
+                mode, 37, 3 + t, "S_toeplitz", positions, means, counts
+            )
+            seq = est[:, 0, 0] + 1j * est[:, 1, 0]
+            seq[0] = 1.0
+            expected = np.array(
+                [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
+                 for k in range(n)]
+            )
+            np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -491,6 +540,7 @@ def test_binomial_overlap_matches_scalar_draw_order():
     seed=st.integers(0, 2**31),
 )
 def test_binomial_chunks_reproduce_full_run(construction, trials, split, first, seed):
+    """Both noise modes; the test keeps its first name."""
     split = min(split, trials - 1)
     n, betas = 3, np.array([0.7, 0.3])
     frag_shape = (2, n) if construction == "toeplitz" else (2, n, n)
@@ -504,14 +554,15 @@ def test_binomial_chunks_reproduce_full_run(construction, trials, split, first, 
     else:
         plan_h = allocate_nontoeplitz(900, n, betas=betas)
     plan_s = allocate_toeplitz(900, n, is_h=False)
-    noise = NoiseSpec(mode="binomial", rng_seed=seed)
-    h_all, s_all, _ = sample_ensemble(targets, plan_h, plan_s, noise, trials, first)
-    h_a, s_a, _ = sample_ensemble(targets, plan_h, plan_s, noise, split, first)
-    h_b, s_b, _ = sample_ensemble(
-        targets, plan_h, plan_s, noise, trials - split, first + split
-    )
-    assert np.array_equal(h_all, np.concatenate([h_a, h_b]))
-    assert np.array_equal(s_all, np.concatenate([s_a, s_b]))
+    for mode in MODES:
+        noise = NoiseSpec(mode=mode, rng_seed=seed)
+        h_all, s_all, _ = sample_ensemble(targets, plan_h, plan_s, noise, trials, first)
+        h_a, s_a, _ = sample_ensemble(targets, plan_h, plan_s, noise, split, first)
+        h_b, s_b, _ = sample_ensemble(
+            targets, plan_h, plan_s, noise, trials - split, first + split
+        )
+        assert np.array_equal(h_all, np.concatenate([h_a, h_b]))
+        assert np.array_equal(s_all, np.concatenate([s_a, s_b]))
 
 
 def _guard_targets(frag):
