@@ -108,9 +108,8 @@ def variance_statistic(plan, v_z: float) -> float:
     The expected spectral norm of the error matrix obeys
     E[norm] <= sqrt(2 v log 2n).
     """
-    elements, counts = plan.grid()
-    totals = counts.sum(axis=(1, 2))
-    a, b = elements[:, 0], elements[:, 1]
+    totals = plan.counts.sum(axis=(1, 2))
+    a, b = plan.elements.T
     if plan.target == "H_nontoeplitz":
         per_element = np.zeros((plan.n, plan.n))
         per_element[a, b] = totals

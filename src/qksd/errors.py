@@ -16,7 +16,7 @@ class ConfigError(QksdError):
 
 
 class InfeasibleBudgetError(QksdError):
-    """Shot budget too small to give every required configuration a shot."""
+    """Shot budget too small for one shot per required configuration and fragment."""
 
 
 class NumericalError(QksdError):

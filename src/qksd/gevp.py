@@ -142,6 +142,8 @@ def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
 
     Eigenvalues ascend; eigenvectors are B-orthonormal columns.  d0 is
     |x0^dag (A + iB) x0| for the unit-Euclidean-norm lowest eigenvector.
+    Raises IllPosedError when B^{-1/2} A B^{-1/2} overflows, which an
+    eigenvalue of B below about 1e-150 can cause.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -154,7 +156,12 @@ def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
             "threshold before solving"
         )
     inv_sqrt = (b_vecs * (b_vals**-0.5)) @ b_vecs.conj().T
-    sym = _hermitize(inv_sqrt @ a @ inv_sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = _hermitize(inv_sqrt @ a @ inv_sqrt)
+    if not np.isfinite(sym).all():
+        raise IllPosedError(
+            f"B^-1/2 A B^-1/2 is not finite (min eigenvalue of B {b_vals[0]:.3e})"
+        )
     energies, y = np.linalg.eigh(sym)
     vectors = inv_sqrt @ y
     x0 = vectors[:, 0]
@@ -195,12 +202,16 @@ def _reduced_ground_energy(
 
     The reduced B is diag(vals[keep]), so B^{-1/2} is the diagonal d and the
     symmetrized pair is (d A) d: the same floating-point operations as
-    solve_gevp's products with its diagonal inv_sqrt, without eigh(B).
+    solve_gevp's products with its diagonal inv_sqrt, without eigh(B).  nan
+    where solve_gevp raises IllPosedError: the symmetrized pair overflows.
     """
     v_kept = vecs[:, keep]
     a = _hermitize(v_kept.conj().T @ h @ v_kept)
     d = vals[keep] ** -0.5
-    sym = _hermitize((d[:, None] * a) * d[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = _hermitize((d[:, None] * a) * d[None, :])
+    if not np.isfinite(sym).all():
+        return math.nan
     return float(np.linalg.eigh(sym)[0][0])
 
 
@@ -210,8 +221,8 @@ def top_k_energies(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndar
     (vals, vecs) = eigh(S).  Entry k - 1 equals top_k_thresholding(h, s, k)
     then solve_gevp, bit for bit, when S's largest eigenvalue is of order 1,
     as for every sampled S~ (diagonal e^{-lambda}); it is nan where S has
-    fewer than k positive eigenvalues.  Kept eigenvalues below about 1e-150
-    can overflow the reduced pair to inf, here as in solve_gevp.
+    fewer than k positive eigenvalues, and where a kept eigenvalue below
+    about 1e-150 overflows the reduced pair (solve_gevp: IllPosedError).
     """
     energies = np.full(len(vals), math.nan)
     order = np.argsort(vals)[::-1]
@@ -227,7 +238,8 @@ def epsilon_energy(
 
     (vals, vecs) = eigh(S).  Equals basis_thresholding(h, s, epsilon) then
     solve_gevp, bit for bit, under top_k_energies' precondition (S's largest
-    eigenvalue of order 1); (nan, 0) when no eigenvalue exceeds epsilon.
+    eigenvalue of order 1); (nan, 0) when no eigenvalue exceeds epsilon, and
+    (nan, n_eps) where solve_gevp raises IllPosedError.
     """
     keep = np.flatnonzero(vals > epsilon)[::-1]
     if keep.size == 0:
@@ -245,8 +257,6 @@ class ChiResult:
     chi: float
     n_eps_exact: int
     n_eps_perturbed: int
-    exact: ThresholdResult
-    perturbed: ThresholdResult
 
     @property
     def dim_mismatch(self) -> bool:
@@ -265,13 +275,7 @@ def chi_between_thresholds(ex: ThresholdResult, pe: ThresholdResult) -> ChiResul
     da = w.conj().T @ pe.A @ w - ex.A
     db = w.conj().T @ pe.B @ w - ex.B
     chi = math.hypot(spectral_norm(da), spectral_norm(db))
-    return ChiResult(
-        chi=chi,
-        n_eps_exact=ex.n_eps,
-        n_eps_perturbed=pe.n_eps,
-        exact=ex,
-        perturbed=pe,
-    )
+    return ChiResult(chi=chi, n_eps_exact=ex.n_eps, n_eps_perturbed=pe.n_eps)
 
 
 # ---------------------------------------------------------------------------

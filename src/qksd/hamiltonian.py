@@ -61,21 +61,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return set(self.axes) <= {"I"}
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return sum(1 for a in self.axes if a != "I")
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls("I" * n_qubits)
-
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, axis: str) -> "PauliString":
-        axes = ["I"] * n_qubits
-        axes[qubit] = axis
-        return cls("".join(axes))
-
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the strings commute.
 
@@ -162,9 +147,6 @@ class PauliSum:
         """1-norm of the non-identity coefficients (the identity only shifts the spectrum)."""
         return sum(abs(c) for c, s in self.terms if not s.is_identity)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 @dataclass(frozen=True)
 class UnitaryGroup:
@@ -180,7 +162,6 @@ class UnitaryPartition:
 
     groups: tuple[UnitaryGroup, ...]
     n_qubits: int
-    alpha_norm: float
 
     @property
     def beta_norm(self) -> float:
@@ -226,8 +207,7 @@ def sorted_insertion_partition(h: PauliSum) -> UnitaryPartition:
                 beta=beta, members=tuple((c / beta, s) for c, s in group)
             )
         )
-    alpha = sum(abs(c) for c, _ in candidates)
-    return UnitaryPartition(groups=tuple(built), n_qubits=h.n_qubits, alpha_norm=alpha)
+    return UnitaryPartition(groups=tuple(built), n_qubits=h.n_qubits)
 
 
 DENSE_QUBIT_CAP = 14

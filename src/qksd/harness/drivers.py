@@ -292,7 +292,7 @@ def _pair_cells(
 def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
     """Sampled H~ stack of trials rng = (start, count), and eigh of the S~ stack."""
     start, count = rng
-    h_stack, s_stack, _ = sample_ensemble(
+    h_stack, s_stack = sample_ensemble(
         cell.targets, cell.plan_h, cell.plan_s, noise, count, start
     )
     vals, vecs = np.linalg.eigh(s_stack)
@@ -317,16 +317,16 @@ def _norms_chunk(args, rng: tuple[int, int]):
     targets, plan, noise, kind, expected = args
     start, count = rng
     if kind == "S":
-        stack, _ = sample_overlap_ensemble(targets, plan, noise, count, start)
+        stack = sample_overlap_ensemble(targets, plan, noise, count, start)
     else:
-        stack, _ = sample_hamiltonian_ensemble(targets, plan, noise, count, start)
+        stack = sample_hamiltonian_ensemble(targets, plan, noise, count, start)
     return _spec_norms(stack - expected)
 
 
 def _spectrum_chunk(args, rng: tuple[int, int]):
     targets, plan_s, noise, s_exact = args
     start, count = rng
-    stack, _ = sample_overlap_ensemble(targets, plan_s, noise, count, start)
+    stack = sample_overlap_ensemble(targets, plan_s, noise, count, start)
     vals = np.linalg.eigvalsh(stack)[:, ::-1]  # descending per trial
     return vals, _spec_norms(stack - s_exact)
 
@@ -366,7 +366,7 @@ def _perturbation_chunk(args, rng):
     """
     cell, noise, ex, sol_ex, limits, fixed = args
     start, count = rng
-    h_stack, s_stack, _ = sample_ensemble(
+    h_stack, s_stack = sample_ensemble(
         cell.targets, cell.plan_h, cell.plan_s, noise, count, start
     )
     lam_min = float(np.min(ex.b_diagonal))

@@ -8,13 +8,13 @@ configurations, and unitary fragments according to the minimax-optimal rules
 for Toeplitz and elementwise (non-Toeplitz) constructions, then draws the
 noisy pair (H~, S~).
 
-Every plan lays its shots on one grid, (element, configuration, fragment),
-built by `ShotPlan.grid`.  Elements are S's lags 1..n-1 (its diagonal is known
-and never sampled), the Toeplitz H's lags 0..n-1, or the elementwise H's
-upper triangle a <= b; an entry off its target's grid is refused.  One
-sampler draws every plan's grid.  A plan is flagged zero-shot when any
-required coordinate has no shots; every coordinate is required except the
-imaginary part of a diagonal element (a == b), which is zero.
+A plan is its grid of shot counts over (element, configuration, fragment).
+Elements are S's lags 1..n-1 (its diagonal is known and never sampled), the
+Toeplitz H's lags 0..n-1, or the elementwise H's upper triangle a <= b.
+Every coordinate is required except the imaginary part of a diagonal element
+(a == b), which is zero and takes no shots.  A plan that leaves a required
+coordinate at zero shots is refused with InfeasibleBudgetError, so every
+sampled term is an unbiased estimate.  One sampler draws every plan's grid.
 
 Two noise modes: "binomial" draws the actual binomial counts (ground truth);
 "gaussian" replaces each estimate with a normal of matched mean and variance,
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,78 +47,73 @@ from .krylov import MeasurementTargets, toeplitz_matrix
 MODES = ("binomial", "gaussian")  # noise models
 TARGETS = ("S_toeplitz", "H_toeplitz", "H_nontoeplitz")
 _TARGET_CODE = {t: i for i, t in enumerate(TARGETS)}
-_CFG_CODE = {"real": 0, "imag": 1}
 _UNIT = np.ones(1)  # the weight of a target with a single fragment
 
 
-class ShotEntry(NamedTuple):
-    """Shots assigned to one (element, configuration, fragment) coordinate.
+def _grid(target: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(elements, filled): a target's grid rows and the configurations they take.
 
-    Toeplitz targets key elements by sequence index (a, 0); the non-Toeplitz
-    target keys by upper-triangle matrix position (a, b), a <= b.
+    elements is the (P, 2) array of (a, b) elements in canonical order:
+    Toeplitz targets key by sequence index (a, 0), the non-Toeplitz target by
+    upper-triangle position (a, b), a <= b.  filled[p, c] marks configuration
+    c (0 real, 1 imag) of element p as required: imag only off the diagonal.
+    """
+    if target == "H_nontoeplitz":
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    else:
+        first = 1 if target == "S_toeplitz" else 0  # S's diagonal is known
+        pairs = [(k, 0) for k in range(first, n)]
+    elements = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    filled = np.ones((len(elements), 2), dtype=bool)
+    filled[elements[:, 0] == elements[:, 1], 1] = False
+    return elements, filled
+
+
+@dataclass(frozen=True, eq=False)  # counts is an array: compare it with np.array_equal
+class ShotPlan:
+    """Shots per (element, configuration, fragment) of one target.
+
+    counts[p, c, j] holds the shots of grid element p (`elements` row),
+    configuration c (0 real, 1 imag) and fragment j; it is stored read-only.
     """
 
-    a: int
-    b: int
-    config: str
-    fragment: int
-    shots: int
-
-
-def _grid_elements(target: str, n: int) -> list[tuple[int, int]]:
-    """The (a, b) elements a target samples, in canonical order."""
-    if target == "H_nontoeplitz":
-        return [(a, b) for a in range(n) for b in range(a, n)]
-    first = 1 if target == "S_toeplitz" else 0  # S's diagonal is known
-    return [(k, 0) for k in range(first, n)]
-
-
-def _grid_configs(target: str, n: int) -> list[tuple[int, int, str]]:
-    """(a, b, configuration) rows a plan fills: imag only off the diagonal."""
-    return [
-        (a, b, cfg)
-        for a, b in _grid_elements(target, n)
-        for cfg in ("real", "imag")
-        if cfg == "real" or a != b
-    ]
-
-
-@dataclass(frozen=True)
-class ShotPlan:
     target: str
     n: int
-    budget: int
-    entries: tuple[ShotEntry, ...]
+    counts: np.ndarray
 
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        total = sum(e.shots for e in self.entries)
-        if total != self.budget:
-            raise ValueError(f"entries sum to {total}, budget is {self.budget}")
-        if any(e.shots < 0 for e in self.entries):
+        counts = np.array(self.counts, dtype=np.int64)
+        elements, filled = _grid(self.target, self.n)
+        if counts.ndim != 3 or counts.shape[:2] != filled.shape or not counts.shape[2]:
+            raise ValueError(
+                f"counts of shape {counts.shape} are off the {self.target} grid "
+                f"at n = {self.n}, which is ({len(elements)}, 2, J)"
+            )
+        if np.any(counts < 0):
             raise ValueError("negative shot count")
-        elements = set(_grid_elements(self.target, self.n))
-        for e in self.entries:
-            if (e.a, e.b) not in elements or e.config not in _CFG_CODE or e.fragment < 0:
-                raise ValueError(f"{e} is off the {self.target} grid at n = {self.n}")
+        if np.any(counts[~filled]):
+            raise ValueError("shots on the imaginary part of a diagonal element (zero)")
+        starved = np.argwhere(filled[:, :, None] & (counts == 0))
+        if len(starved):
+            p, c, j = starved[0]
+            a, b = elements[p]
+            raise InfeasibleBudgetError(
+                f"budget {counts.sum()} leaves {self.target} element ({a}, {b}) "
+                f"{('real', 'imag')[c]} fragment {j} without shots"
+            )
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
-    def grid(self, n_frag: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-        """The sampled grid as (elements, counts).
+    @property
+    def elements(self) -> np.ndarray:
+        """(P, 2) array of the grid's (a, b) elements in canonical order."""
+        return _grid(self.target, self.n)[0]
 
-        elements is a (P, 2) array of (a, b) rows in canonical order;
-        counts[p, c, j] holds the shots of element p, configuration c (0 real,
-        1 imag) and fragment j < n_frag (default: the fragments the entries
-        name).
-        """
-        elements = _grid_elements(self.target, self.n)
-        row = {el: p for p, el in enumerate(elements)}
-        if n_frag is None:
-            n_frag = 1 + max((e.fragment for e in self.entries), default=0)
-        counts = np.zeros((len(elements), 2, n_frag), dtype=np.int64)
-        for e in self.entries:
-            counts[row[(e.a, e.b)], _CFG_CODE[e.config], e.fragment] += e.shots
-        return np.array(elements, dtype=np.int64).reshape(-1, 2), counts
+    @property
+    def budget(self) -> int:
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,6 @@ class SampledPair:
     H: np.ndarray
     S: np.ndarray
     construction: str
-    zero_shot: bool  # a structurally required configuration drew no shots
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +174,17 @@ def _largest_remainder(ideals: np.ndarray, total: int) -> np.ndarray:
 
 
 def _split_fragments(
-    configs: Sequence[tuple[int, int, str]], counts: np.ndarray, betas: np.ndarray
-) -> list[ShotEntry]:
+    target: str, n: int, totals: np.ndarray, betas: np.ndarray
+) -> ShotPlan:
+    """The plan splitting each configuration's total over fragments by weight."""
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or len(betas) == 0 or np.any(betas <= 0):
         raise ValueError("fragment weights must be a nonempty positive vector")
     weights = betas / betas.sum()
-    entries = []
-    for (a, b, cfg), count in zip(configs, counts):
-        frag_counts = _largest_remainder(count * weights, int(count))
-        entries.extend(
-            ShotEntry(a, b, cfg, j, int(c)) for j, c in enumerate(frag_counts)
-        )
-    return entries
+    filled = _grid(target, n)[1]
+    counts = np.zeros(filled.shape + weights.shape, dtype=np.int64)
+    counts[filled] = [_largest_remainder(t * weights, int(t)) for t in totals]
+    return ShotPlan(target, n, counts)
 
 
 def allocate_toeplitz(
@@ -211,8 +203,8 @@ def allocate_toeplitz(
     if n < 1:
         raise ValueError("n must be >= 1")
     target = "H_toeplitz" if is_h else "S_toeplitz"
-    configs = _grid_configs(target, n)
-    if not configs:
+    elements, filled = _grid(target, n)
+    if not filled.any():
         raise InfeasibleBudgetError("S with n = 1 has no sampled configurations")
     if m_budget < 2 * n:
         raise InfeasibleBudgetError(
@@ -220,19 +212,16 @@ def allocate_toeplitz(
         )
     sq2 = math.sqrt(2.0)
     delta = 1.0 if is_h else 0.0
-    ideals = np.array(
-        [
-            m_budget / (sq2 * (n - 1) + 1.0)
-            if a == 0
-            else m_budget / (2.0 * (n - 1) + sq2 * delta)
-            for a, _b, _cfg in configs
-        ]
+    lags = np.broadcast_to(elements[:, :1], filled.shape)[filled]  # C order
+    ideals = np.where(
+        lags == 0,
+        m_budget / (sq2 * (n - 1) + 1.0),
+        m_budget / (2.0 * (n - 1) + sq2 * delta),
     )
-    counts = _largest_remainder(ideals, m_budget)
+    totals = _largest_remainder(ideals, m_budget)
     if betas is None or not is_h:
         betas = _UNIT
-    entries = _split_fragments(configs, counts, betas)
-    return ShotPlan(target=target, n=n, budget=m_budget, entries=tuple(entries))
+    return _split_fragments(target, n, totals, betas)
 
 
 def allocate_nontoeplitz(
@@ -250,15 +239,11 @@ def allocate_nontoeplitz(
         raise InfeasibleBudgetError(
             f"budget {m_budget} below one shot per configuration (need >= {n * n})"
         )
-    configs = _grid_configs("H_nontoeplitz", n)
-    ideals = np.full(len(configs), m_budget / n**2)
-    counts = _largest_remainder(ideals, m_budget)
+    ideals = np.full(n * n, m_budget / n**2)  # one per filled configuration
+    totals = _largest_remainder(ideals, m_budget)
     if betas is None:
         betas = _UNIT
-    entries = _split_fragments(configs, counts, betas)
-    return ShotPlan(
-        target="H_nontoeplitz", n=n, budget=m_budget, entries=tuple(entries)
-    )
+    return _split_fragments("H_nontoeplitz", n, totals, betas)
 
 
 def split_budget(
@@ -389,21 +374,20 @@ def _sample_grid(
     noise: NoiseSpec,
     trials: int,
     first_trial: int,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Beta-weighted estimates of every element on the plan's grid.
 
     `truth` holds the true (decayed) fragment overlaps, (J, n) by lag for a
     Toeplitz plan or (J, n, n) for the elementwise one.  Returns the grid's
-    (P, 2) elements, the (T, P) estimates sum_j beta_j (Re + i Im), and the
-    zero-shot flag: True when a required coordinate drew no shots.  Every
-    coordinate is required except the imaginary part of a diagonal element
-    (a == b), whose true value is zero.
+    (P, 2) elements and the (T, P) estimates sum_j beta_j (Re + i Im).
     """
-    elements, counts = plan.grid(len(betas))
+    counts = plan.counts
+    if counts.shape[2] != len(betas):
+        raise ValueError(
+            f"plan has {counts.shape[2]} fragments, the targets have {len(betas)}"
+        )
+    elements = plan.elements
     a, b = elements[:, 0], elements[:, 1]
-    required = np.ones(counts.shape, dtype=bool)
-    required[a == b, 1, :] = False
-    zero_shot = bool(np.any(counts[required] == 0))
     values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
     means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
     trials_1d = np.arange(first_trial, first_trial + trials, dtype=np.int64)
@@ -422,7 +406,7 @@ def _sample_grid(
         )
     else:
         est = _binomial_block(noise.rng_seed, trials_1d, code, means, counts)
-    return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas, zero_shot
+    return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas
 
 
 def expected_pair(
@@ -452,7 +436,7 @@ def sample_overlap_ensemble(
     noise: NoiseSpec,
     trials: int,
     first_trial: int = 0,
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Sample `trials` overlap matrices S~ as a (T, n, n) stack.
 
     Per-trial results depend only on (rng_seed, trial index, coordinate), so
@@ -461,12 +445,12 @@ def sample_overlap_ensemble(
     if plan_s.target != "S_toeplitz" or plan_s.n != targets.n:
         raise ValueError("S plan does not match the targets")
     s_true = math.exp(-noise.hardware_lambda) * targets.s_seq
-    elements, est, zero_shot = _sample_grid(
+    elements, est = _sample_grid(
         plan_s, s_true[None, :], _UNIT, noise, trials, first_trial
     )
     s_seq_est = np.tile(s_true, (trials, 1))  # the known diagonal stays exact
     s_seq_est[:, elements[:, 0]] = est
-    return toeplitz_matrix(s_seq_est), zero_shot
+    return toeplitz_matrix(s_seq_est)
 
 
 def sample_hamiltonian_ensemble(
@@ -475,7 +459,7 @@ def sample_hamiltonian_ensemble(
     noise: NoiseSpec,
     trials: int,
     first_trial: int = 0,
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Sample `trials` projected-Hamiltonian matrices H~ as a (T, n, n) stack."""
     n = targets.n
     expected_h = "H_toeplitz" if targets.construction == "toeplitz" else "H_nontoeplitz"
@@ -483,18 +467,18 @@ def sample_hamiltonian_ensemble(
         raise ValueError("H plan does not match the construction")
     decay = math.exp(-noise.hardware_lambda)
     s_true = decay * targets.s_seq
-    elements, vals, zero_shot = _sample_grid(
+    elements, vals = _sample_grid(
         plan_h, decay * targets.frag, targets.betas, noise, trials, first_trial
     )
     if targets.construction == "toeplitz":
         # the Toeplitz H grid is every lag 0..n-1 in order
-        return toeplitz_matrix(vals + targets.id_coeff * s_true), zero_shot
+        return toeplitz_matrix(vals + targets.id_coeff * s_true)
     a, b = elements[:, 0], elements[:, 1]
     vals = vals + targets.id_coeff * toeplitz_matrix(s_true)[a, b]
     h_stack = np.zeros((trials, n, n), dtype=complex)
     h_stack[:, a, b] = vals
     h_stack[:, b, a] = vals.conj()
-    return h_stack, zero_shot
+    return h_stack
 
 
 def sample_ensemble(
@@ -504,13 +488,12 @@ def sample_ensemble(
     noise: NoiseSpec,
     trials: int,
     first_trial: int = 0,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample `trials` independent pairs (H~, S~) as (T, n, n) stacks."""
-    h_stack, zs_h = sample_hamiltonian_ensemble(
-        targets, plan_h, noise, trials, first_trial
+    return (
+        sample_hamiltonian_ensemble(targets, plan_h, noise, trials, first_trial),
+        sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial),
     )
-    s_stack, zs_s = sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial)
-    return h_stack, s_stack, zs_h or zs_s
 
 
 def sample_pair(
@@ -521,12 +504,10 @@ def sample_pair(
     trial: int = 0,
 ) -> SampledPair:
     """Sample a single noisy pair; identical to the matching ensemble slice."""
-    h_stack, s_stack, zero_shot = sample_ensemble(
+    h_stack, s_stack = sample_ensemble(
         targets, plan_h, plan_s, noise, trials=1, first_trial=trial
     )
-    return SampledPair(
-        H=h_stack[0], S=s_stack[0], construction=targets.construction, zero_shot=zero_shot
-    )
+    return SampledPair(H=h_stack[0], S=s_stack[0], construction=targets.construction)
 
 
 # ---------------------------------------------------------------------------

@@ -397,9 +397,10 @@ def test_08_allocation_minimax_optimality():
         )
         for label, plan in plans:
             v_opt = variance_statistic(plan, 1.0)
-            totals = {}
-            for e in plan.entries:
-                totals[(e.a, e.b)] = totals.get((e.a, e.b), 0) + e.shots
+            totals = {
+                (int(a), int(b)): int(shots)
+                for (a, b), shots in zip(plan.elements, plan.counts.sum(axis=(1, 2)))
+            }
             keys = sorted(totals)
             for rep in range(200):
                 i, j = rng.choice(len(keys), size=2, replace=False)

@@ -1,6 +1,7 @@
 """Thresholded GEVP solving checked against scipy and hand-sized cases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,7 +163,10 @@ def per_trial_energies(h, s, epsilon):
         thr = basis_thresholding(h, s, epsilon)
     except EmptyBasisError:
         return top_k, (math.nan, 0)
-    return top_k, (solve_gevp(thr.A, thr.B).ground_energy, thr.n_eps)
+    try:
+        return top_k, (solve_gevp(thr.A, thr.B).ground_energy, thr.n_eps)
+    except IllPosedError:
+        return top_k, (math.nan, thr.n_eps)
 
 
 def random_stack(spectrum, trials, seed):
@@ -200,7 +204,7 @@ def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, ep
     """One batched eigh(S) shared by every k and the eps rule gives the oracle's bits.
 
     Energies are finite wherever every kept overlap eigenvalue is >= 1e-150;
-    below that, B^{-1/2} A B^{-1/2} can overflow in both paths.
+    below that, B^{-1/2} A B^{-1/2} can overflow, and both paths give nan.
     """
     h_stack, s_stack = random_stack(spectrum, trials, seed)
     vals, vecs = np.linalg.eigh(s_stack)
@@ -232,6 +236,28 @@ def test_shared_decomposition_tiny_overlap_spectrum():
         e_shared, n_shared = epsilon_energy(h, w, v, 0.0)
         assert n_shared == n_rule
         assert e_shared == pytest.approx(e_rule, rel=1e-12, abs=0)
+
+
+def test_overflowing_reduced_pair_is_ill_posed():
+    """A kept overlap eigenvalue too small to invert: IllPosedError or nan, no warning.
+
+    At 5e-320, B^{-1/2} A B^{-1/2} overflows; both paths agree on refusing it.
+    """
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = 0.5 * (g + g.conj().T)
+    vals = np.array([5e-320, 1.0])
+    s = np.diag(vals).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thr = top_k_thresholding(h, s, 2)
+        assert thr.b_diagonal.tolist() == [1.0, 5e-320]
+        with pytest.raises(IllPosedError, match="not finite"):
+            solve_gevp(thr.A, thr.B)
+        energies = top_k_energies(h, vals, np.eye(2))
+        assert math.isfinite(energies[0]) and math.isnan(energies[1])
+        energy, n_eps = epsilon_energy(h, vals, np.eye(2), 0.0)
+        assert math.isnan(energy) and n_eps == 2
 
 
 def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):

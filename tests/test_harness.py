@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import math
 import multiprocessing
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -261,6 +262,37 @@ def test_error_norm_driver_skips_partial(tmp_path):
     skipped = [r for r in res.rows if r["row_kind"] == "skipped"]
     assert len(skipped) == 1
     assert "25" in skipped[0]["note"]
+
+
+def test_error_norm_driver_skips_starved_cell(tmp_path):
+    """A plan that rounds a fragment to zero shots is skipped, not sampled biased.
+
+    At L = 2, n = 9, M = 1000 the elementwise H's 81 configurations get about
+    12 shots each, too few to split over its 6 fragments.  The other rows are
+    pinned by the sha256 they had when the starved cell was still sampled,
+    with that cell's rows dropped.
+    """
+    cfg = small_cfg(
+        tmp_path, "starved.csv", n_list=(9,), m_list=(1000, 10**6),
+        constructions=("toeplitz", "nontoeplitz"), trials=8, seed=11,
+    )
+    res = run_error_norm_ensemble(cfg)
+    starved = [
+        r for r in res.rows
+        if (r["kind"], r["construction"], r["m_budget"]) == ("H", "nontoeplitz", 1000)
+    ]
+    assert [r["row_kind"] for r in starved] == ["skipped"]
+    assert re.fullmatch(
+        r"budget 1000 leaves H_nontoeplitz element \(\d, \d\) (real|imag) "
+        r"fragment \d without shots",
+        starved[0]["note"],
+    )
+    lines = Path(cfg.out).read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.startswith(b"skipped,"))
+    assert len(lines) - len(kept.splitlines()) == 1
+    assert hashlib.sha256(kept).hexdigest() == (
+        "8b4fac59b1ab5467051af0a43406bbcf309bc5740e2a14ad70bd9defedb0b3db"
+    )
 
 
 def test_singular_spectrum_driver(tmp_path):

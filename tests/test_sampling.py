@@ -19,7 +19,6 @@ from qksd.sampling import (
     MODES,
     TARGETS,
     NoiseSpec,
-    ShotEntry,
     ShotPlan,
     allocate_nontoeplitz,
     allocate_toeplitz,
@@ -53,30 +52,23 @@ def synthetic_targets(n, betas, s_seq, frag, construction="toeplitz", id_coeff=0
 def test_overlap_plan_n3():
     plan = allocate_toeplitz(1000, 3, is_h=False)
     assert plan.target == "S_toeplitz"
-    counts = {(e.a, e.config): e.shots for e in plan.entries}
-    assert counts == {
-        (1, "real"): 250,
-        (1, "imag"): 250,
-        (2, "real"): 250,
-        (2, "imag"): 250,
-    }
-    elements, counts = plan.grid()
-    assert elements.tolist() == [[1, 0], [2, 0]]  # S's diagonal is not sampled
-    assert counts[:, :, 0].tolist() == [[250, 250], [250, 250]]
+    assert plan.elements.tolist() == [[1, 0], [2, 0]]  # S's diagonal is not sampled
+    assert plan.counts.shape == (2, 2, 1)
+    assert plan.counts[:, :, 0].tolist() == [[250, 250], [250, 250]]
 
 
 def test_hamiltonian_plan_n3():
     plan = allocate_toeplitz(10_000, 3, is_h=True)
-    counts = {(e.a, e.config): e.shots for e in plan.entries}
-    assert counts[(0, "real")] == 2612
-    for key in ((1, "real"), (1, "imag"), (2, "real"), (2, "imag")):
-        assert counts[key] == 1847
-    assert sum(counts.values()) == 10_000
+    counts = plan.counts[:, :, 0]  # (lag, configuration)
+    assert counts[0].tolist() == [2612, 0]  # the diagonal has no imag part
+    assert counts[1:].tolist() == [[1847, 1847], [1847, 1847]]
+    assert counts.sum() == plan.budget == 10_000
 
 
 def test_hamiltonian_plan_n1_all_diagonal():
     plan = allocate_toeplitz(100, 1, is_h=True)
-    assert plan.entries == (ShotEntry(0, 0, "real", 0, 100),)
+    assert plan.elements.tolist() == [[0, 0]]
+    assert plan.counts.tolist() == [[[100], [0]]]
 
 
 def test_overlap_plan_n1_infeasible():
@@ -92,18 +84,14 @@ def test_toeplitz_budget_floor():
 
 def test_elementwise_plan_uniform():
     plan = allocate_nontoeplitz(400, 2)
-    assert all(e.shots == 100 for e in plan.entries)
-    assert {(e.a, e.b, e.config) for e in plan.entries} == {
-        (0, 0, "real"),
-        (0, 1, "real"),
-        (0, 1, "imag"),
-        (1, 1, "real"),
-    }
+    assert plan.elements.tolist() == [[0, 0], [0, 1], [1, 1]]
+    # real and imag of (0, 1), real only on the diagonal
+    assert plan.counts[:, :, 0].tolist() == [[100, 0], [100, 100], [100, 0]]
 
 
 def test_elementwise_plan_n1():
     plan = allocate_nontoeplitz(7, 1)
-    assert plan.entries == (ShotEntry(0, 0, "real", 0, 7),)
+    assert plan.counts.tolist() == [[[7], [0]]]
 
 
 def test_elementwise_budget_floor():
@@ -113,14 +101,11 @@ def test_elementwise_budget_floor():
 
 def test_fragment_split_proportional():
     plan = allocate_toeplitz(10_000, 3, is_h=True, betas=np.array([1.0, 3.0]))
-    by_frag = {}
-    for e in plan.entries:
-        by_frag.setdefault((e.a, e.config), {})[e.fragment] = e.shots
-    assert by_frag[(0, "real")] == {0: 653, 1: 1959}
-    for key, shots in by_frag.items():
-        total = sum(shots.values())
+    assert plan.counts[0, 0].tolist() == [653, 1959]
+    for lag, cfg in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1)):
+        shots = plan.counts[lag, cfg]
         assert abs(shots[1] - 3 * shots[0]) <= 3  # rounding only
-        assert total in (2612, 1847)
+        assert shots.sum() in (2612, 1847)
 
 
 @given(
@@ -132,19 +117,27 @@ def test_fragment_split_proportional():
 def test_allocation_totals_exact(n, m, j):
     betas = np.linspace(1.0, 2.0, j)
     plan_h = allocate_toeplitz(m, n, is_h=True, betas=betas)
-    assert sum(e.shots for e in plan_h.entries) == m
+    assert plan_h.counts.sum() == m
     if n * n <= m:
-        plan_e = allocate_nontoeplitz(m, n, betas=betas)
-        assert sum(e.shots for e in plan_e.entries) == m
+        # near M = n^2 a row's few shots can leave a light fragment at zero
+        per_row, lightest = m // (n * n), betas[0] / betas.sum()
+        try:
+            plan_e = allocate_nontoeplitz(m, n, betas=betas)
+        except InfeasibleBudgetError as exc:
+            assert "without shots" in str(exc)
+            assert per_row * lightest < 1
+        else:
+            assert plan_e.counts.sum() == m
     if n > 1:
         plan_s = allocate_toeplitz(m, n, is_h=False)
-        assert sum(e.shots for e in plan_s.entries) == m
+        assert plan_s.counts.sum() == m
 
 
 def test_allocation_deterministic():
     a = allocate_toeplitz(12_345, 7, is_h=True, betas=np.array([0.3, 0.5, 0.2]))
     b = allocate_toeplitz(12_345, 7, is_h=True, betas=np.array([0.3, 0.5, 0.2]))
-    assert a == b
+    assert (a.target, a.n) == (b.target, b.n)
+    assert np.array_equal(a.counts, b.counts)
 
 
 def test_split_budget_equal_norms():
@@ -164,24 +157,83 @@ def test_split_budget_elementwise_ratio():
 
 
 def test_plan_validation():
+    plan = ShotPlan("S_toeplitz", 3, np.full((2, 2, 1), 4))
+    assert plan.budget == 16
     with pytest.raises(ValueError):
-        ShotPlan("S_toeplitz", 3, 10, (ShotEntry(1, 0, "real", 0, 4),))
+        plan.counts[0, 0, 0] = 5  # stored read-only
     with pytest.raises(ValueError):
-        ShotPlan("X", 3, 4, (ShotEntry(1, 0, "real", 0, 4),))
+        ShotPlan("X", 3, np.full((2, 2, 1), 4))
 
 
 def test_plan_rejects_off_grid_entry():
+    """The counts array must fit its target's grid, shot for shot."""
     off_grid = [
-        ("S_toeplitz", ShotEntry(0, 0, "real", 0, 4)),  # S's diagonal is known
-        ("S_toeplitz", ShotEntry(3, 0, "real", 0, 4)),  # lag beyond n - 1
-        ("H_toeplitz", ShotEntry(1, 1, "real", 0, 4)),  # Toeplitz keys are (a, 0)
-        ("H_nontoeplitz", ShotEntry(1, 0, "real", 0, 4)),  # below the diagonal
-        ("H_nontoeplitz", ShotEntry(0, 1, "phase", 0, 4)),  # unknown configuration
-        ("H_toeplitz", ShotEntry(1, 0, "imag", -1, 4)),  # negative fragment
+        ("S_toeplitz", (3, 2, 1)),  # S's diagonal is known: lags 1..n-1 only
+        ("H_toeplitz", (2, 2, 1)),  # H's lags are 0..n-1
+        ("H_nontoeplitz", (9, 2, 1)),  # upper triangle only: 6 elements at n = 3
+        ("H_nontoeplitz", (6, 3, 1)),  # real and imag only
+        ("H_toeplitz", (3, 2, 0)),  # no fragment
+        ("H_toeplitz", (3, 2)),  # no fragment axis
     ]
-    for target, entry in off_grid:
+    for target, shape in off_grid:
         with pytest.raises(ValueError, match="off the"):
-            ShotPlan(target, 3, 4, (entry,))
+            ShotPlan(target, 3, np.ones(shape, dtype=np.int64))
+    counts = np.full((3, 2, 2), 4)
+    counts[0, 1] = 0  # the diagonal (lag 0) has no imag part
+    ShotPlan("H_toeplitz", 3, counts)
+    negative = counts.copy()
+    negative[1, 0, 1] = -1
+    with pytest.raises(ValueError, match="negative"):
+        ShotPlan("H_toeplitz", 3, negative)
+    diagonal_imag = counts.copy()
+    diagonal_imag[0, 1, 1] = 1
+    with pytest.raises(ValueError, match="imaginary"):
+        ShotPlan("H_toeplitz", 3, diagonal_imag)
+    starved = counts.copy()
+    starved[2, 0, 1] = 0
+    with pytest.raises(
+        InfeasibleBudgetError,
+        match=r"^budget 36 leaves H_toeplitz element \(2, 0\) real fragment 1 without",
+    ):
+        ShotPlan("H_toeplitz", 3, starved)
+    elementwise = np.full((6, 2, 1), 3)
+    elementwise[[0, 3, 5], 1] = 0  # diagonal (0, 0), (1, 1), (2, 2)
+    ShotPlan("H_nontoeplitz", 3, elementwise)
+    elementwise[4, 1] = 0
+    with pytest.raises(InfeasibleBudgetError, match=r"\(1, 2\) imag fragment 0"):
+        ShotPlan("H_nontoeplitz", 3, elementwise)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=15),
+    betas=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6),
+    m_frac=st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_allocators_cover_every_required_coordinate(n, betas, m_frac):
+    """Each allocator refuses the budget or covers every required coordinate.
+
+    A covered plan sums to M, gives >= 1 shot to every required coordinate
+    and none to a diagonal element's imaginary part.
+    """
+    betas = np.array(betas)
+    m = int(round(n * n + m_frac * (100_000 - n * n)))
+    allocators = (
+        lambda: allocate_toeplitz(m, n, is_h=True, betas=betas),
+        lambda: allocate_toeplitz(m, n, is_h=False),
+        lambda: allocate_nontoeplitz(m, n, betas=betas),
+    )
+    for allocate in allocators:
+        try:
+            plan = allocate()
+        except InfeasibleBudgetError:
+            continue
+        counts = plan.counts
+        diagonal = plan.elements[:, 0] == plan.elements[:, 1]
+        assert counts.sum() == m
+        assert np.all(counts[~diagonal] >= 1)
+        assert np.all(counts[diagonal, 0] >= 1)
+        assert np.all(counts[diagonal, 1] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +288,9 @@ def test_binomial_part_variance():
 
 
 def hand_plan_toeplitz_h(n, m_diag, m_off):
-    entries = [ShotEntry(0, 0, "real", 0, m_diag)]
-    for k in range(1, n):
-        entries.append(ShotEntry(k, 0, "real", 0, m_off))
-        entries.append(ShotEntry(k, 0, "imag", 0, m_off))
-    budget = m_diag + 2 * (n - 1) * m_off
-    return ShotPlan("H_toeplitz", n, budget, tuple(entries))
+    counts = np.full((n, 2, 1), m_off)
+    counts[0] = [[m_diag], [0]]  # the diagonal has no imag part
+    return ShotPlan("H_toeplitz", n, counts)
 
 
 @pytest.mark.parametrize("mode,trials", [("gaussian", 10_000), ("binomial", 4000)])
@@ -262,8 +311,7 @@ def test_offdiagonal_variance_matches_model(mode, trials):
     plan = hand_plan_toeplitz_h(3, m_diag=500, m_off=m_cfg)
     noise = NoiseSpec(mode=mode, rng_seed=321)
     h_exp, _ = expected_pair(targets)
-    h_stack, zero_shot = sample_hamiltonian_ensemble(targets, plan, noise, trials)
-    assert not zero_shot
+    h_stack = sample_hamiltonian_ensemble(targets, plan, noise, trials)
     delta = h_stack[:, 0, 1] - h_exp[0, 1]
     var = np.mean(np.abs(delta) ** 2)
     assert var == pytest.approx(4 * beta**2 / (2 * m_cfg), rel=0.05)
@@ -279,41 +327,45 @@ def test_diagonal_variance_within_model():
     )
     plan = hand_plan_toeplitz_h(3, m_diag=400, m_off=300)
     noise = NoiseSpec(mode="gaussian", rng_seed=99)
-    h_stack, _ = sample_hamiltonian_ensemble(targets, plan, noise, 10_000)
+    h_stack = sample_hamiltonian_ensemble(targets, plan, noise, 10_000)
     var = np.var(h_stack[:, 1, 1].real)
     assert var == pytest.approx(beta**2 / 400, rel=0.06)
     assert var <= 2 * beta**2 / 400
 
 
 def test_zero_shot_flag_from_hand_plan():
-    targets = synthetic_targets(
-        n=3, betas=[1.0], s_seq=[1.0, 0.1, 0.2], frag=[[0.3, 0.1, 0.05]]
-    )
-    entries = (
-        ShotEntry(1, 0, "real", 0, 5),
-        ShotEntry(1, 0, "imag", 0, 5),
-    )
-    plan_s = ShotPlan("S_toeplitz", 3, 10, entries)  # lag 2 never sampled
-    plan_h = hand_plan_toeplitz_h(3, 4, 4)
-    noise = NoiseSpec(mode="gaussian", rng_seed=0)
-    pair = sample_pair(targets, plan_h, plan_s, noise)
-    assert pair.zero_shot
+    """A hand plan that never samples lag 2 is refused, not sampled biased."""
+    counts = np.array([[[5], [5]], [[0], [0]]])
+    with pytest.raises(
+        InfeasibleBudgetError,
+        match=r"budget 10 leaves S_toeplitz element \(2, 0\) real fragment 0",
+    ):
+        ShotPlan("S_toeplitz", 3, counts)
 
 
 def test_unsampled_overlap_element_is_zero():
+    """An overlap element without shots is refused; the known diagonal stays exact."""
     targets = synthetic_targets(
         n=3, betas=[1.0], s_seq=[1.0, 0.1, 0.2], frag=[[0.3, 0.1, 0.05]]
     )
-    plan_s = ShotPlan(
-        "S_toeplitz",
-        3,
-        10,
-        (ShotEntry(1, 0, "real", 0, 5), ShotEntry(1, 0, "imag", 0, 5)),
-    )
+    counts = np.array([[[5], [5]], [[5], [0]]])  # lag 2 imag never sampled
+    with pytest.raises(InfeasibleBudgetError, match=r"\(2, 0\) imag fragment 0"):
+        ShotPlan("S_toeplitz", 3, counts)
+    counts[1, 1] = 5
+    plan_s = ShotPlan("S_toeplitz", 3, counts)
     plan_h = hand_plan_toeplitz_h(3, 4, 4)
     noise = NoiseSpec(mode="gaussian", rng_seed=0)
     pair = sample_pair(targets, plan_h, plan_s, noise)
-    assert pair.S[0, 2] == 0.0  # zero shots, no information
+    assert np.all(np.diag(pair.S) == 1.0)  # S's diagonal takes no shots
+
+
+def test_sampler_rejects_fragment_count_mismatch():
+    targets = synthetic_targets(
+        n=3, betas=[0.5, 0.5], s_seq=[1.0, 0.1, 0.2], frag=np.full((2, 3), 0.1)
+    )
+    plan = hand_plan_toeplitz_h(3, 4, 4)  # one fragment
+    with pytest.raises(ValueError, match="plan has 1 fragments, the targets have 2"):
+        sample_hamiltonian_ensemble(targets, plan, NoiseSpec(), 2)
 
 
 def test_sample_structure_toeplitz():
@@ -339,7 +391,6 @@ def test_sample_structure_toeplitz():
             for k in range(1, 5):
                 assert len(set(np.diag(m, k).tolist())) == 1
         assert np.all(np.diag(pair.S) == 1.0)
-        assert not pair.zero_shot
 
 
 def test_sample_structure_elementwise():
@@ -369,8 +420,8 @@ def test_ensemble_chunks_reproduce_full_run():
     plan_h = allocate_toeplitz(600, 3, is_h=True)
     plan_s = allocate_toeplitz(600, 3, is_h=False)
     noise = NoiseSpec(mode="gaussian", rng_seed=12)
-    h_all, s_all, _ = sample_ensemble(targets, plan_h, plan_s, noise, trials=8)
-    h_tail, s_tail, _ = sample_ensemble(
+    h_all, s_all = sample_ensemble(targets, plan_h, plan_s, noise, trials=8)
+    h_tail, s_tail = sample_ensemble(
         targets, plan_h, plan_s, noise, trials=3, first_trial=5
     )
     assert np.array_equal(h_all[5:], h_tail)
@@ -407,24 +458,18 @@ def _scalar_reference(mode, seed, trial, target, positions, means, counts):
     return est
 
 
-def _grid_counts(plan, positions, n_frag):
-    """Counts on the (position, config, fragment) grid; positions are (a, b)."""
-    row = {pos: i for i, pos in enumerate(positions)}
+def _hand_plan(target, n, positions, n_frag):
+    """Mixed shot counts over the (position, config, fragment) grid.
+
+    Every required coordinate gets shots; a diagonal imag part gets none.
+    """
     counts = np.zeros((len(positions), 2, n_frag), dtype=np.int64)
-    for e in plan.entries:
-        counts[row[(e.a, e.b)], ("real", "imag").index(e.config), e.fragment] += e.shots
-    return counts
-
-
-def _hand_plan(target, n, configs, n_frag, zero):
-    """Mixed shot counts over (a, b, config) x fragment, one zero at `zero`."""
-    entries = []
-    for i, (a, b, cfg) in enumerate(configs):
-        for j in range(n_frag):
-            shots = 0 if (a, b, cfg, j) == zero else 7 + 11 * i + 5 * j
-            entries.append(ShotEntry(a, b, cfg, j, shots))
-    budget = sum(e.shots for e in entries)
-    return ShotPlan(target, n, budget, tuple(entries))
+    i = 0
+    for p, (a, b) in enumerate(positions):
+        for c in (0, 1) if a != b else (0,):
+            counts[p, c] = 7 + 11 * i + 5 * np.arange(n_frag)
+            i += 1
+    return ShotPlan(target, n, counts)
 
 
 def _random_overlaps(rng, shape):
@@ -439,21 +484,15 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
         n=n, betas=betas, s_seq=[1.0, 0.2, 0.1, 0.05, 0.02],
         frag=_random_overlaps(rng, (3, n)), id_coeff=0.25,
     )
-    configs = [(0, 0, "real")] + [
-        (k, 0, cfg) for k in range(1, n) for cfg in ("real", "imag")
-    ]
-    plan = _hand_plan("H_toeplitz", n, configs, 3, zero=(2, 0, "imag", 1))
     positions = [(k, 0) for k in range(n)]
-    counts = _grid_counts(plan, positions, 3)
-    assert counts[2, 1, 1] == 0 and counts[3, 1, 2] > 0  # zero mid-grid
+    plan = _hand_plan("H_toeplitz", n, positions, 3)
+    counts = plan.counts
+    assert not counts[0, 1].any() and counts[1:].all()  # zero mid-grid
     f = targets.frag
     means = np.stack([f.real.T, f.imag.T], axis=1)  # (n, 2, J)
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=29)
-        stack, zero_shot = sample_hamiltonian_ensemble(
-            targets, plan, noise, 3, first_trial=4
-        )
-        assert zero_shot
+        stack = sample_hamiltonian_ensemble(targets, plan, noise, 3, first_trial=4)
         for t in range(3):
             est = _scalar_reference(
                 mode, 29, 4 + t, "H_toeplitz", positions, means, counts
@@ -476,20 +515,15 @@ def test_binomial_elementwise_h_matches_scalar_draw_order():
         construction="nontoeplitz", id_coeff=0.1,
     )
     positions = [(a, b) for a in range(n) for b in range(a, n)]
-    configs = [
-        (a, b, cfg) for a, b in positions for cfg in ("real", "imag") if cfg == "real" or a < b
-    ]
-    plan = _hand_plan("H_nontoeplitz", n, configs, 2, zero=(0, 2, "real", 0))
-    counts = _grid_counts(plan, positions, 2)
+    plan = _hand_plan("H_nontoeplitz", n, positions, 2)
+    counts = plan.counts
+    assert not counts[3, 1].any() and counts[4].all()  # (1, 1) imag: zero mid-grid
     tri = np.array([[frag[j, a, b] for j in range(2)] for a, b in positions])  # (P, J)
     means = np.stack([tri.real, tri.imag], axis=1)  # (P, 2, J)
     s_mat = expected_pair(targets)[1]
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=31)
-        stack, zero_shot = sample_hamiltonian_ensemble(
-            targets, plan, noise, 2, first_trial=9
-        )
-        assert zero_shot
+        stack = sample_hamiltonian_ensemble(targets, plan, noise, 2, first_trial=9)
         for t in range(2):
             est = _scalar_reference(
                 mode, 31, 9 + t, "H_nontoeplitz", positions, means, counts
@@ -507,23 +541,18 @@ def test_binomial_overlap_matches_scalar_draw_order():
     n = 5
     s_seq = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.4j, 0.05j, -0.6])
     targets = synthetic_targets(n=n, betas=[1.0], s_seq=s_seq, frag=np.zeros((1, n)))
-    configs = [(k, 0, cfg) for k in range(1, n) for cfg in ("real", "imag")]
-    plan = _hand_plan("S_toeplitz", n, configs, 1, zero=(2, 0, "imag", 0))
-    positions = [(k, 0) for k in range(n)]
-    counts = _grid_counts(plan, positions, 1)
-    means = np.stack([s_seq.real, s_seq.imag], axis=1)[:, :, None]  # (n, 2, 1)
+    positions = [(k, 0) for k in range(1, n)]  # S's diagonal is known
+    plan = _hand_plan("S_toeplitz", n, positions, 1)
+    counts = plan.counts
+    means = np.stack([s_seq.real, s_seq.imag], axis=1)[1:, :, None]  # (n - 1, 2, 1)
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=37)
-        stack, zero_shot = sample_overlap_ensemble(
-            targets, plan, noise, 2, first_trial=3
-        )
-        assert zero_shot
+        stack = sample_overlap_ensemble(targets, plan, noise, 2, first_trial=3)
         for t in range(2):
             est = _scalar_reference(
                 mode, 37, 3 + t, "S_toeplitz", positions, means, counts
             )
-            seq = est[:, 0, 0] + 1j * est[:, 1, 0]
-            seq[0] = 1.0
+            seq = np.concatenate([[1.0], est[:, 0, 0] + 1j * est[:, 1, 0]])
             expected = np.array(
                 [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
                  for k in range(n)]
@@ -556,9 +585,9 @@ def test_binomial_chunks_reproduce_full_run(construction, trials, split, first, 
     plan_s = allocate_toeplitz(900, n, is_h=False)
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=seed)
-        h_all, s_all, _ = sample_ensemble(targets, plan_h, plan_s, noise, trials, first)
-        h_a, s_a, _ = sample_ensemble(targets, plan_h, plan_s, noise, split, first)
-        h_b, s_b, _ = sample_ensemble(
+        h_all, s_all = sample_ensemble(targets, plan_h, plan_s, noise, trials, first)
+        h_a, s_a = sample_ensemble(targets, plan_h, plan_s, noise, split, first)
+        h_b, s_b = sample_ensemble(
             targets, plan_h, plan_s, noise, trials - split, first + split
         )
         assert np.array_equal(h_all, np.concatenate([h_a, h_b]))
@@ -570,8 +599,7 @@ def _guard_targets(frag):
 
 
 def _guard_plan():
-    configs = [(0, 0, "real")] + [(k, 0, cfg) for k in (1, 2) for cfg in ("real", "imag")]
-    return _hand_plan("H_toeplitz", 3, configs, 2, zero=(2, 0, "real", 1))
+    return _hand_plan("H_toeplitz", 3, [(0, 0), (1, 0), (2, 0)], 2)
 
 
 def test_binomial_ensemble_rejects_sampled_out_of_range_mean():
@@ -587,12 +615,13 @@ def test_binomial_ensemble_rejects_sampled_out_of_range_mean():
 def test_binomial_ensemble_ignores_out_of_range_mean_without_shots():
     noise = NoiseSpec(mode="binomial", rng_seed=0)
     frag = np.full((2, 3), 0.2 + 0.1j)
-    frag[1, 2] = 1.01 + 0.1j  # (element 2, real, fragment 1) has zero shots
     frag[0, 0] = 0.2 + 1.01j  # diagonal imag is never sampled
-    stack, zero_shot = sample_hamiltonian_ensemble(
-        _guard_targets(frag), _guard_plan(), noise, 2
-    )
-    assert zero_shot and np.all(np.isfinite(stack))
+    stack = sample_hamiltonian_ensemble(_guard_targets(frag), _guard_plan(), noise, 2)
+    assert np.all(np.isfinite(stack))
+    counts = _guard_plan().counts.copy()
+    counts[2, 0, 1] = 0  # no other coordinate may go without shots
+    with pytest.raises(InfeasibleBudgetError):
+        ShotPlan("H_toeplitz", 3, counts)
 
 
 def test_seed_changes_samples():
@@ -614,7 +643,7 @@ def test_gaussian_binomial_same_mean_and_spread():
     trials = 3000
     second = {}
     for mode in ("gaussian", "binomial"):
-        stack, _ = sample_hamiltonian_ensemble(
+        stack = sample_hamiltonian_ensemble(
             targets, plan, NoiseSpec(mode=mode, rng_seed=55), trials
         )
         d = stack[:, 0, 1]  # zero-mean element
@@ -661,7 +690,7 @@ def test_sampling_centers_on_decayed_pair():
     plan_h = allocate_toeplitz(400_000, 3, is_h=True)
     plan_s = allocate_toeplitz(400_000, 3, is_h=False)
     noise = NoiseSpec(mode="gaussian", hardware_lambda=0.7, rng_seed=9)
-    h_stack, s_stack, _ = sample_ensemble(targets, plan_h, plan_s, noise, trials=400)
+    h_stack, s_stack = sample_ensemble(targets, plan_h, plan_s, noise, trials=400)
     h_exp, s_exp = expected_pair(targets, hardware_lambda=0.7)
     assert np.abs(h_stack.mean(axis=0) - h_exp).max() < 5e-3
     assert np.abs(s_stack.mean(axis=0) - s_exp).max() < 5e-3
