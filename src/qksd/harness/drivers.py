@@ -23,9 +23,10 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .. import bounds
-from ..errors import ConfigError, EmptyBasisError, InfeasibleBudgetError
+from ..errors import ConfigError, InfeasibleBudgetError
 from ..evolution import Spectrum, diagonalize, hartree_fock_state, sector_indices
 from ..gevp import (
+    _project,
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
@@ -290,13 +291,13 @@ def _pair_cells(
 
 
 def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
-    """Sampled H~ stack of trials rng = (start, count), and eigh of the S~ stack."""
+    """Sampled H~ and S~ stacks of trials rng = (start, count), and eigh of S~."""
     start, count = rng
     h_stack, s_stack = sample_ensemble(
         cell.targets, cell.plan_h, cell.plan_s, noise, count, start
     )
     vals, vecs = np.linalg.eigh(s_stack)
-    return h_stack, vals, vecs
+    return h_stack, s_stack, vals, vecs
 
 
 def _epsilon_rule(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray, eps: float):
@@ -332,15 +333,23 @@ def _spectrum_chunk(args, rng: tuple[int, int]):
 
 
 def _sweep_chunk(args, rng):
+    """Top-k energies per trial, and the eps rule's, which is the entry k = n_eps.
+
+    eigh's eigenvalues ascend, so the rule's retained directions are the top
+    n_eps ones, in the same order.
+    """
     cell, noise = args
-    h_stack, vals, vecs = _sampled_eigh(cell, noise, rng)
+    h_stack, _, vals, vecs = _sampled_eigh(cell, noise, rng)
     sweep = np.array([top_k_energies(*trial) for trial in zip(h_stack, vals, vecs)])
-    return (sweep, *_epsilon_rule(h_stack, vals, vecs, cell.eps))
+    dims = np.count_nonzero(vals > cell.eps, axis=1)
+    energies = np.where(dims > 0, sweep[np.arange(len(dims)), dims - 1], math.nan)
+    return sweep, energies, dims
 
 
 def _scan_chunk(args, rng):
     cell, noise = args
-    return _epsilon_rule(*_sampled_eigh(cell, noise, rng), cell.eps)
+    h_stack, _, vals, vecs = _sampled_eigh(cell, noise, rng)
+    return _epsilon_rule(h_stack, vals, vecs, cell.eps)
 
 
 def _flag(ok: bool) -> str:
@@ -365,24 +374,22 @@ def _perturbation_chunk(args, rng):
     the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).
     """
     cell, noise, ex, sol_ex, limits, fixed = args
-    start, count = rng
-    h_stack, s_stack = sample_ensemble(
-        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
-    )
+    start = rng[0]
+    h_stack, s_stack, vals, vecs = _sampled_eigh(cell, noise, rng)
     lam_min = float(np.min(ex.b_diagonal))
     bound = fixed["bound"]
     dh_norms = _spec_norms(h_stack - cell.h_exact)
     ds_norms = _spec_norms(s_stack - cell.s_exact)
     rows = []
-    for i, (h, s) in enumerate(zip(h_stack, s_stack)):
+    for i, (h, w, v) in enumerate(zip(h_stack, vals, vecs)):
         dh, ds = float(dh_norms[i]), float(ds_norms[i])
         eta = math.hypot(dh, ds)
         row = {**fixed, "trial": start + i, "dh_norm": dh, "ds_norm": ds, "eta": eta}
-        try:
-            pe = basis_thresholding(h, s, cell.eps)
-        except EmptyBasisError:
+        keep = np.flatnonzero(w > cell.eps)[::-1]  # as basis_thresholding keeps
+        if keep.size == 0:
             rows.append(check_finite({**row, **_EMPTY_BASIS}))
             continue
+        pe = _project(h, w, v, keep, cell.eps)
         chi_res = chi_between_thresholds(ex, pe)
         sol = solve_gevp(pe.A, pe.B)
         check = eigenangle_check(sol_ex, sol, chi_res.chi, lam_min)

@@ -3,11 +3,14 @@
 Keys come from a splitmix64 absorption chain over integer coordinates, so a
 result never depends on which worker drew it or in what order.  Gaussian draws
 are keyed per coordinate (seed, trial, target, element, fragment,
-configuration) and map one counter-hashed 64-bit word through the inverse
-normal CDF, which keeps ensemble generation fully vectorized.  Binomial draws
-need a stateful algorithm: an ensemble seeds one PCG64 generator per (seed,
-trial, target) and draws that trial's sampled coordinates in canonical order,
-while the scalar `hadamard_estimate` seeds one per full coordinate key.
+configuration) and map the key's hashed 64-bit word through the inverse normal
+CDF, which keeps ensemble generation fully vectorized.  `stream_keys` absorbs
+each field at the broadcast shape of the fields before it, so fields that vary
+over few axes are hashed over few elements; the hash is elementwise, so every
+key equals its scalar `stream_key`.  Binomial draws need a stateful
+algorithm: an ensemble seeds one PCG64 generator per (seed, trial, target)
+and draws that trial's sampled coordinates in canonical order, while the
+scalar `hadamard_estimate` seeds one per full coordinate key.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def stream_key(*fields: int) -> int:
 
 
 def _mix_array(h: np.ndarray) -> np.ndarray:
-    h = h.copy()
+    """splitmix64 finalizer, elementwise; mixes a temporary array in place."""
     h ^= h >> np.uint64(30)
     h *= np.uint64(0xBF58476D1CE4E5B9)
     h ^= h >> np.uint64(27)
@@ -53,29 +56,31 @@ def _mix_array(h: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(*fields) -> np.ndarray:
-    """Vectorized stream_key over broadcastable integer arrays."""
-    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
-    h = np.full(shape, _U64_INIT, dtype=np.uint64)
+    """stream_key over broadcastable integer arrays, elementwise.
+
+    Starting from the scalar init, each field is absorbed at the broadcast
+    shape of itself and the fields before it, so a field costs one hash per
+    element of that shape, not of the full key grid.
+    """
+    h = _U64_INIT
     with np.errstate(over="ignore"):
         for f in fields:
             col = np.asarray(f, dtype=np.int64).astype(np.uint64)
             h = _mix_array(h + _U64_GOLDEN + col)
-    return h
+    return np.asarray(h)
 
 
-def uniforms(keys: np.ndarray, counter: int = 0) -> np.ndarray:
-    """Open-interval (0,1) uniforms, one per key, at the given draw counter."""
+def uniforms(keys: np.ndarray) -> np.ndarray:
+    """Open-interval (0,1) uniforms, one hashed from each key."""
     with np.errstate(over="ignore"):
-        h = _mix_array(
-            np.asarray(keys, dtype=np.uint64)
-            + np.uint64((counter + 1) * _GOLDEN & _MASK)
-        )
-    return (h >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+        h = _mix_array(np.asarray(keys, dtype=np.uint64) + _U64_GOLDEN)
+    h >>= np.uint64(11)
+    return h * 2.0**-53 + 2.0**-54
 
 
-def normals(keys: np.ndarray, counter: int = 0) -> np.ndarray:
-    """Standard normal draws via inverse CDF of the counter-hashed uniform."""
-    return ndtri(uniforms(keys, counter))
+def normals(keys: np.ndarray) -> np.ndarray:
+    """Standard normal draws via inverse CDF of each key's uniform."""
+    return ndtri(uniforms(keys))
 
 
 def generator(key: int) -> np.random.Generator:

@@ -19,14 +19,18 @@ sampled term is an unbiased estimate.  One sampler draws every plan's grid.
 Two noise modes: "binomial" draws the actual binomial counts (ground truth);
 "gaussian" replaces each estimate with a normal of matched mean and variance,
 which is what the norm-bound theory models and is fully vectorizable.
-Gaussian estimates are intentionally not clamped to [-1, 1].
+Gaussian estimates are intentionally not clamped to [-1, 1].  The estimator
+rule lives in `_binomial_estimates` (range check, p and the binomial draw) and
+`_gaussian_estimates` (mean + sigma z); the ensembles and the scalar
+`hadamard_estimate` both call them.
 
 Random streams: gaussian draws are keyed per coordinate (seed, trial, target,
-element, fragment, configuration).  Binomial ensemble draws come from one
-generator per (seed, trial, target), which draws the trial's sampled
-coordinates in the C order of the (element, configuration, fragment) grid.
-`hadamard_estimate` keys its binomial draw per coordinate, so it is not a
-slice of an ensemble.
+element, fragment, configuration), so a gaussian `hadamard_estimate` given an
+ensemble coordinate returns that ensemble's draw.  Binomial ensemble draws
+come from one generator per (seed, trial, target), which draws the trial's
+sampled coordinates in the C order of the (element, configuration, fragment)
+grid.  `hadamard_estimate` keys its binomial draw per coordinate, so in that
+mode it is not a slice of an ensemble.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
@@ -264,17 +268,24 @@ def split_budget(
 # ---------------------------------------------------------------------------
 
 
-def _binomial_part(key: int, mean: float, m: int) -> float:
-    if abs(mean) > 1.0 + 1e-9:
-        raise ValueError(f"binomial mode needs |part| <= 1, got {mean}")
-    p = 0.5 * (1.0 + min(1.0, max(-1.0, mean)))
-    draw = rngstream.generator(key).binomial(m, p)
-    return 2.0 * draw / m - 1.0
+def _binomial_estimates(mean, m, generators) -> np.ndarray:
+    """2 Bin(m, p)/m - 1 with p = (1 + mean)/2, one row of draws per generator.
+
+    The range check and p are computed once for every generator.
+    """
+    mean = np.asarray(mean, dtype=float)
+    out_of_range = np.abs(mean) > 1.0 + 1e-9
+    if np.any(out_of_range):
+        bad = float(mean[out_of_range][0])
+        raise ValueError(f"binomial mode needs |part| <= 1, got {bad}")
+    p = 0.5 * (1.0 + np.clip(mean, -1.0, 1.0))
+    rows = [2.0 * gen.binomial(m, p) / m - 1.0 for gen in generators]
+    return np.reshape(rows, (-1,) + mean.shape)
 
 
-def _gaussian_part(key: int, mean: float, m: int) -> float:
-    sigma = math.sqrt(max(1.0 - mean * mean, 0.0) / m)
-    return mean + sigma * float(rngstream.normals(np.uint64(key)))
+def _gaussian_estimates(mean, m, z) -> np.ndarray:
+    """mean + sigma z with the binomial estimator's sigma^2 = (1 - mean^2)/m."""
+    return mean + np.sqrt(np.clip(1.0 - mean * mean, 0.0, None) / m) * z
 
 
 def hadamard_estimate(
@@ -299,9 +310,10 @@ def hadamard_estimate(
             continue
         key = rngstream.stream_key(*stream, cfg)
         if noise.mode == "binomial":
-            parts[cfg] = _binomial_part(key, mean, m)
+            est = _binomial_estimates(mean, m, [rngstream.generator(key)])[0]
         else:
-            parts[cfg] = _gaussian_part(key, mean, m)
+            est = _gaussian_estimates(mean, m, rngstream.normals(np.uint64(key)))
+        parts[cfg] = float(est)
         sampled[cfg] = True
     return EstimateResult(
         value=complex(parts[0], parts[1]), re_sampled=sampled[0], im_sampled=sampled[1]
@@ -311,60 +323,6 @@ def hadamard_estimate(
 # ---------------------------------------------------------------------------
 # Pair sampling
 # ---------------------------------------------------------------------------
-
-
-def _gaussian_block(
-    seed: int,
-    trials: np.ndarray,
-    target_code: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    frag: np.ndarray,
-    cfg: np.ndarray,
-    means: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Vectorized gaussian estimates over (trial, configuration) grids.
-
-    Returns means + sigma * z where sampled, 0 where the count is zero.
-    Shapes: trials is (T, 1, ..., 1); a/b/frag/cfg/means/counts broadcast over
-    the per-trial configuration grid.
-    """
-    keys = rngstream.stream_keys(seed, trials, target_code, a, b, frag, cfg)
-    z = rngstream.normals(keys)
-    safe = np.where(counts > 0, counts, 1)
-    sigma = np.sqrt(np.clip(1.0 - means**2, 0.0, None) / safe)
-    return np.where(counts > 0, means + sigma * z, 0.0)
-
-
-def _binomial_block(
-    seed: int,
-    trials_1d: np.ndarray,
-    target_code: int,
-    means: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Binomial estimates of shape (T, *grid), one generator per trial.
-
-    The generator keyed (seed, trial, target) draws every sampled coordinate
-    of the broadcast (means, counts) grid in one vector call, in the grid's C
-    order; zero-count coordinates consume no draw and stay 0.  The key depends
-    only on the absolute trial index, so any chunking of the trials agrees.
-    """
-    means, counts = np.broadcast_arrays(means, counts)
-    sampled = counts > 0
-    m = counts[sampled]
-    mean = means[sampled]
-    out_of_range = np.abs(mean) > 1.0 + 1e-9
-    if np.any(out_of_range):
-        bad = float(mean[out_of_range][0])
-        raise ValueError(f"binomial mode needs |part| <= 1, got {bad}")
-    p = 0.5 * (1.0 + np.clip(mean, -1.0, 1.0))
-    out = np.zeros((len(trials_1d),) + means.shape)
-    for i, trial in enumerate(trials_1d):
-        gen = rngstream.generator(rngstream.stream_key(seed, int(trial), target_code))
-        out[i][sampled] = 2.0 * gen.binomial(m, p) / m - 1.0
-    return out
 
 
 def _sample_grid(
@@ -380,6 +338,12 @@ def _sample_grid(
     `truth` holds the true (decayed) fragment overlaps, (J, n) by lag for a
     Toeplitz plan or (J, n, n) for the elementwise one.  Returns the grid's
     (P, 2) elements and the (T, P) estimates sum_j beta_j (Re + i Im).
+
+    Gaussian draws are keyed per coordinate.  Binomial draws come from one
+    generator per trial, keyed (seed, trial, target), which draws every
+    sampled coordinate in the grid's C order; zero-count coordinates consume
+    no draw and stay 0.  Both keys depend only on the absolute trial index,
+    so any chunking of the trials agrees.
     """
     counts = plan.counts
     if counts.shape[2] != len(betas):
@@ -390,22 +354,28 @@ def _sample_grid(
     a, b = elements[:, 0], elements[:, 1]
     values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
     means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
+    sampled = counts > 0
     trials_1d = np.arange(first_trial, first_trial + trials, dtype=np.int64)
-    code = _TARGET_CODE[plan.target]
+    seed, code = noise.rng_seed, _TARGET_CODE[plan.target]
     if noise.mode == "gaussian":
-        est = _gaussian_block(
-            noise.rng_seed,
-            trials_1d.reshape(-1, 1, 1, 1),
-            code,
-            a.reshape(-1, 1, 1),
-            b.reshape(-1, 1, 1),
-            np.arange(len(betas)).reshape(1, 1, -1),
-            np.arange(2).reshape(1, 2, 1),
-            means,
-            counts,
+        z = rngstream.normals(  # the grid's keys live only until hashed to normals
+            rngstream.stream_keys(
+                seed,
+                trials_1d.reshape(-1, 1, 1, 1),
+                code,
+                a.reshape(-1, 1, 1),
+                b.reshape(-1, 1, 1),
+                np.arange(len(betas)),
+                np.arange(2).reshape(2, 1),
+            )
         )
+        est = _gaussian_estimates(means, np.where(sampled, counts, 1), z)
+        est[:, ~sampled] = 0.0  # the imaginary part of a diagonal element
     else:
-        est = _binomial_block(noise.rng_seed, trials_1d, code, means, counts)
+        keys = (rngstream.stream_key(seed, int(t), code) for t in trials_1d)
+        gens = map(rngstream.generator, keys)
+        est = np.zeros((trials,) + counts.shape)
+        est[:, sampled] = _binomial_estimates(means[sampled], counts[sampled], gens)
     return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas
 
 

@@ -218,6 +218,10 @@ def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, ep
         assert np.isnan(top_k[positives:]).all()
         if rule[1] == 0:
             assert not (w > epsilon).any() and math.isnan(rule[0])
+        else:  # the rule keeps the top n_eps directions, as the sweep's k = n_eps
+            sweep_k = top_k_energies(h, w, v)[rule[1] - 1]
+            e_rule = epsilon_energy(h, w, v, epsilon)[0]
+            assert np.array_equal(e_rule, sweep_k, equal_nan=True)
 
 
 def test_shared_decomposition_tiny_overlap_spectrum():

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qksd.errors import ConfigError, EmptyBasisError, InfeasibleBudgetError
+from qksd.errors import ConfigError, InfeasibleBudgetError
 from qksd.harness import (
     ExperimentConfig,
     load_config,
@@ -463,21 +463,13 @@ def test_perturbation_empty_sampled_basis(tmp_path, monkeypatch):
     }
     assert len(trial_keys) == 1
 
-    exact_pairs = []
-    real_pair, real_thr = drivers.expected_pair, drivers.basis_thresholding
+    real_eigh = drivers._sampled_eigh
 
-    def recorded_pair(*args):
-        pair = real_pair(*args)
-        exact_pairs.append(pair[0])
-        return pair
+    def no_overlap_above_eps(*args):
+        h_stack, s_stack, vals, vecs = real_eigh(*args)
+        return h_stack, s_stack, np.zeros_like(vals), vecs
 
-    def empty_when_sampled(h, s, eps):
-        if not any(h is exact for exact in exact_pairs):
-            raise EmptyBasisError("no sampled direction above eps")
-        return real_thr(h, s, eps)
-
-    monkeypatch.setattr(drivers, "expected_pair", recorded_pair)
-    monkeypatch.setattr(drivers, "basis_thresholding", empty_when_sampled)
+    monkeypatch.setattr(drivers, "_sampled_eigh", no_overlap_above_eps)
     res = run_perturbation_vs_bound(dataclasses.replace(cfg, out=str(tmp_path / "e.csv")))
     trials = [r for r in res.rows if r["row_kind"] == "trial"]
     assert len(trials) == 2

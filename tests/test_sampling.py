@@ -282,6 +282,46 @@ def test_binomial_part_variance():
     assert np.var(vals) == pytest.approx(0.01, rel=0.05)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_hadamard_estimate_pinned_to_rule(mode):
+    """Each sampled part is the estimator rule at its coordinate key, bit for bit."""
+    noise = NoiseSpec(mode=mode, rng_seed=41)
+    stream = (41, 6, 1, 2, 1, 3)
+    value = 0.35 - 0.8j
+    cases = [(37, 250), (0, 90), (120, 0)]  # a zero-shot part in each config
+    for m_r, m_i in cases:
+        est = hadamard_estimate(value, m_r, m_i, noise, stream)
+        parts = []
+        for c, (mean, m) in enumerate(((value.real, m_r), (value.imag, m_i))):
+            key = rngstream.stream_key(*stream, c)
+            if m == 0:
+                parts.append(0.0)
+            elif mode == "binomial":
+                p = 0.5 * (1.0 + mean)
+                parts.append(2.0 * rngstream.generator(key).binomial(m, p) / m - 1.0)
+            else:
+                sigma = math.sqrt((1.0 - mean * mean) / m)
+                parts.append(mean + sigma * float(rngstream.normals(np.uint64(key))))
+        assert est.value == complex(*parts)
+        assert (est.re_sampled, est.im_sampled) == (m_r > 0, m_i > 0)
+
+
+def test_gaussian_hadamard_estimate_is_ensemble_slice():
+    """Without decay, a gaussian S~ element is hadamard_estimate at its coordinate."""
+    n, seed = 5, 43
+    s_seq = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.4j, 0.05j, -0.6])
+    targets = synthetic_targets(n=n, betas=[1.0], s_seq=s_seq, frag=np.zeros((1, n)))
+    plan = allocate_toeplitz(3000, n, is_h=False)
+    noise = NoiseSpec(mode="gaussian", rng_seed=seed)
+    stack = sample_overlap_ensemble(targets, plan, noise, 4, first_trial=2)
+    for t in range(4):
+        for k in range(1, n):
+            m_r, m_i = plan.counts[k - 1, :, 0]
+            stream = (seed, 2 + t, 0, k, 0, 0)
+            est = hadamard_estimate(s_seq[k], m_r, m_i, noise, stream)
+            assert est.value == stack[t, 0, k]
+
+
 # ---------------------------------------------------------------------------
 # Ensemble sampling against synthetic targets
 # ---------------------------------------------------------------------------
