@@ -3,11 +3,14 @@
 Each driver maps an ExperimentConfig to one CSV.  Threshold-sweep,
 optimal-threshold and perturbation-bound walk the same (construction, n, M)
 cells (`_pair_cells`); within a cell, the run's `_Fanout` splits the trials
-into contiguous chunks and maps them over one process pool per driver run,
-opened at the first fan-out and shut down before the driver returns.  Since
-every trial's random stream is keyed by its absolute trial index, the chunking
-is invisible in the output and any worker count reproduces byte-identical
-files.
+into contiguous chunks, one per worker, and maps them over one process pool
+per driver run, opened at the first fan-out and shut down before the driver
+returns.  Each worker samples, norms and solves its chunk in contiguous trial
+blocks sized from a fixed byte budget (`_BLOCK_BYTES`) and the cell's
+per-trial footprint, so a cell's peak memory depends on its block, not on
+`trials`.  Since every trial's random stream is keyed by its absolute trial
+index and every result is per trial, neither chunks nor blocks show in the
+output, and any worker count reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ from .records import (
 _WEYL_SLACK = 1e-12
 _BOUND_SLACK = 1e-9
 _E0_TOL = 1e-12  # |E0| below this fraction of sum_j beta_j counts as zero
+# Nominal bytes (`_trial_bytes`) of one trial block; the draw grid's
+# temporaries make a block's real peak a few times this.
+_BLOCK_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +195,18 @@ def _usable_cpus() -> Optional[int]:
 class _Fanout:
     """Trial fan-out of one driver run, used as a context manager.
 
-    The chunk layout is fixed by the config.  A process pool is opened at the
-    first map with more than one chunk, reused by every later one, and shut
-    down, its children joined, when the `with` block exits, raising or not.
+    The chunk layout, one contiguous trial range per worker, is fixed by the
+    config; each worker runs its range block by block.  A process pool is
+    opened at the first map with more than one chunk, reused by every later
+    one, and shut down, its children joined, when the `with` block exits,
+    raising or not.
     """
 
     def __init__(self, cfg: ExperimentConfig):
+        if cfg.mode == "gaussian":
+            # gaussian draws need scipy (rngstream.normals): load it with the
+            # run's setup, before a pool forks, so workers inherit it
+            import scipy.special  # noqa: F401
         self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
         self.ranges = _chunk_ranges(cfg.trials, self.workers)
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -212,9 +224,35 @@ class _Fanout:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def __call__(self, chunk: Callable, *args) -> list:
-        """chunk(args, (start, count)) per trial chunk of the run, in trial order."""
-        return _map_chunks(partial(chunk, args), self.ranges, self)
+    def __call__(self, chunk: Callable, trial_bytes: int, *args) -> list:
+        """chunk(args, (start, count)) per trial block of the run, in trial order.
+
+        A block holds about as many trials of `trial_bytes` each as fit in
+        `_BLOCK_BYTES`, and never a single trial unless its whole chunk is
+        one: the Toeplitz H~ stack's matrices are strided views when a block
+        holds two or more trials and contiguous when it holds one, and numpy's
+        matmul rounds the two layouts differently in the reduced solves.
+        """
+        block = max(2, _BLOCK_BYTES // trial_bytes)
+        parts = _map_chunks(partial(_in_blocks, chunk, args, block), self.ranges, self)
+        return list(chain.from_iterable(parts))
+
+
+def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
+    """Nominal bytes one trial of a chunk holds: a float per draw of each plan's
+    grid and a complex (n, n) matrix per stack."""
+    return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
+
+
+def _in_blocks(chunk: Callable, args, block: int, rng: tuple[int, int]) -> list:
+    """chunk(args, r) per block r of rng = (start, count), in trial order.
+
+    The count // block blocks are contiguous and near-equal, so each holds at
+    least `block` trials (or the whole range) and fewer than 2 * block.
+    """
+    start, count = rng
+    blocks = _chunk_ranges(count, count // block)
+    return [chunk(args, (start + s, c)) for s, c in blocks]
 
 
 def _map_chunks(
@@ -256,6 +294,11 @@ class _PairCell:
     plan_h: ShotPlan
     plan_s: ShotPlan
     eps: float  # threshold e_S / sqrt(M_S)
+
+    @property
+    def trial_bytes(self) -> int:
+        """Per-trial footprint of a chunk holding H~, S~ and S~'s eigenvectors."""
+        return _trial_bytes(self.targets.n, 3, self.plan_h, self.plan_s)
 
 
 def _pair_cells(
@@ -482,7 +525,11 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
                     sampled_any = True
                     bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
                     norms = np.concatenate(
-                        trials(_norms_chunk, targets, plan, noise, kind, expected)
+                        trials(
+                            _norms_chunk,
+                            _trial_bytes(n, 2, plan),  # the stack and its deviation
+                            targets, plan, noise, kind, expected,
+                        )
                     )
                     for trial, norm in enumerate(norms):
                         rows.append(
@@ -547,7 +594,10 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
             plan_s = allocate_toeplitz(m, n, is_h=False)
             # vals: (T, n) descending per trial
             vals, ds_norms = _columns(
-                trials(_spectrum_chunk, targets, plan_s, noise, s_exact)
+                trials(
+                    _spectrum_chunk, _trial_bytes(n, 2, plan_s),
+                    targets, plan_s, noise, s_exact,
+                )
             )
             eps = bounds.optimal_epsilon(n, m)
             dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
@@ -589,7 +639,9 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
                 ideal[construction] = _rel_errors(
                     top_k_energies(cell.h_exact, *np.linalg.eigh(cell.s_exact)), e0
                 )
-            sweep, eps_energy, eps_dims = _columns(trials(_sweep_chunk, cell, noise))
+            sweep, eps_energy, eps_dims = _columns(
+                trials(_sweep_chunk, cell.trial_bytes, cell, noise)
+            )
             for k in range(1, n + 1):
                 rel = _rel_errors(sweep[:, k - 1], e0)
                 ideal_k = ideal[construction][k - 1]
@@ -631,7 +683,9 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
             if cell is None:
                 rows.append({**base, "trials_used": 0})
                 continue
-            energies, dims = _columns(trials(_scan_chunk, cell, noise))
+            energies, dims = _columns(
+                trials(_scan_chunk, cell.trial_bytes, cell, noise)
+            )
             rel = _rel_errors(energies, e0)
             used = np.isfinite(rel)
             rows.append(
@@ -694,7 +748,10 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
             limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
             trial_rows = list(
                 chain.from_iterable(
-                    trials(_perturbation_chunk, cell, noise, ex, sol_ex, limits, fixed)
+                    trials(
+                        _perturbation_chunk, cell.trial_bytes,
+                        cell, noise, ex, sol_ex, limits, fixed,
+                    )
                 )
             )
             rows.extend(trial_rows)

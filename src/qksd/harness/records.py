@@ -92,7 +92,8 @@ def write_csv(
     cfg: ExperimentConfig,
 ) -> DriverResult:
     """Write rows (dicts keyed by column name) with the traceability header."""
-    rows = tuple(dict(r) for r in rows)
+    rows = tuple(rows)
+    known = set(columns)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(
             f"# config={config_hash(cfg)} seed={cfg.seed} "
@@ -101,7 +102,7 @@ def write_csv(
         writer = csv.writer(f)
         writer.writerow(columns)
         for row in rows:
-            extra = set(row) - set(columns)
+            extra = row.keys() - known
             if extra:
                 raise ValueError(f"row has unknown fields {sorted(extra)}")
             writer.writerow([format_value(row.get(c)) for c in columns])

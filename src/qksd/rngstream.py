@@ -16,7 +16,6 @@ scalar `hadamard_estimate` seeds one per full coordinate key.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -80,6 +79,8 @@ def uniforms(keys: np.ndarray) -> np.ndarray:
 
 def normals(keys: np.ndarray) -> np.ndarray:
     """Standard normal draws via inverse CDF of each key's uniform."""
+    from scipy.special import ndtri  # imported here: binomial runs never need scipy
+
     return ndtri(uniforms(keys))
 
 

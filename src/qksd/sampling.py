@@ -158,23 +158,22 @@ class SampledPair:
 # ---------------------------------------------------------------------------
 
 
-def _largest_remainder(ideals: np.ndarray, total: int) -> np.ndarray:
-    """Round nonnegative ideals to integers preserving their sum exactly.
+def _largest_remainder(ideals: np.ndarray, totals) -> np.ndarray:
+    """Round nonnegative (..., K) ideals to integers, each row summing to its total.
 
-    Remainder shots go to the largest fractional parts; ties break by
-    position, i.e. canonical element order.
+    `totals` broadcasts against the rows.  A row's remainder shots go to its
+    largest fractional parts; ties break by position, i.e. canonical element
+    order.  A remainder of K or more wraps round the row again.
     """
     ideals = np.asarray(ideals, dtype=float)
     floors = np.floor(ideals).astype(np.int64)
-    rem = int(total - floors.sum())
-    if rem < 0:
+    rem = np.asarray(totals, dtype=np.int64) - floors.sum(axis=-1)
+    if np.any(rem < 0):
         raise ValueError("ideals exceed the total")
-    if rem:
-        fracs = ideals - floors
-        order = sorted(range(len(ideals)), key=lambda i: (-fracs[i], i))
-        for i in range(rem):
-            floors[order[i % len(order)]] += 1
-    return floors
+    order = np.argsort(-(ideals - floors), axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)  # each position's place in the queue
+    laps, extra = np.divmod(rem[..., None], ideals.shape[-1])
+    return floors + laps + (rank < extra)
 
 
 def _split_fragments(
@@ -187,7 +186,7 @@ def _split_fragments(
     weights = betas / betas.sum()
     filled = _grid(target, n)[1]
     counts = np.zeros(filled.shape + weights.shape, dtype=np.int64)
-    counts[filled] = [_largest_remainder(t * weights, int(t)) for t in totals]
+    counts[filled] = _largest_remainder(totals[:, None] * weights, totals)
     return ShotPlan(target, n, counts)
 
 

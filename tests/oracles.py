@@ -1,9 +1,12 @@
-"""Dense full-space propagators, kept as test oracles.
+"""Reference implementations kept as test oracles.
 
-No driver propagates this way: the package evolves the reference exactly in
-its particle-number sector.  These build the full 2^{2L}-dimensional
-unitaries, so the tests can check sector results and Trotter products against
-them.
+Dense full-space propagators: no driver propagates this way, since the
+package evolves the reference exactly in its particle-number sector.  These
+build the full 2^{2L}-dimensional unitaries, so the tests can check sector
+results and Trotter products against them.
+
+Scalar largest-remainder rounding: the loop the row-wise
+`sampling._largest_remainder` replaced, one row at a time.
 """
 
 from __future__ import annotations
@@ -60,3 +63,22 @@ def trotter_propagator(h: PauliSum, t: float, steps: int) -> Propagator:
     return Propagator(
         matrix=u, time=t, kind="trotter", steps=steps, n_fragments=len(terms)
     )
+
+
+def largest_remainder(ideals: np.ndarray, total: int) -> np.ndarray:
+    """Round nonnegative ideals to integers preserving their sum exactly.
+
+    Remainder shots go to the largest fractional parts; ties break by
+    position, i.e. canonical element order.
+    """
+    ideals = np.asarray(ideals, dtype=float)
+    floors = np.floor(ideals).astype(np.int64)
+    rem = int(total - floors.sum())
+    if rem < 0:
+        raise ValueError("ideals exceed the total")
+    if rem:
+        fracs = ideals - floors
+        order = sorted(range(len(ideals)), key=lambda i: (-fracs[i], i))
+        for i in range(rem):
+            floors[order[i % len(order)]] += 1
+    return floors

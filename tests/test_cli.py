@@ -161,6 +161,26 @@ def test_console_script_declaration(conf, tmp_path):
     assert out.exists()
 
 
+def test_binomial_run_never_imports_scipy(conf, tmp_path):
+    """Only gaussian draws need scipy's ndtri, so a binomial run leaves it unloaded."""
+    script = (
+        "import sys; from qksd.cli import main; "
+        "rc = main(sys.argv[1:]); "
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'; "
+        "sys.exit(rc)"
+    )
+    for driver in ("error-norms", "perturbation-bound"):
+        out = tmp_path / f"{driver}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, driver, "--config", str(conf),
+             "--mode", "binomial", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+
+
 @pytest.mark.skipif(
     shutil.which("qksd") is None,
     reason="the `qksd` console script is not on PATH (package not installed)",

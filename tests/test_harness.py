@@ -12,6 +12,7 @@ import math
 import multiprocessing
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -188,6 +189,19 @@ def test_chunk_ranges():
     for start, count in ranges:
         assert start == lo
         lo += count
+
+
+def test_in_blocks():
+    """A chunk runs as contiguous, near-equal blocks of `block` to 2 * block - 1
+    trials, in trial order; a range shorter than a block is one block."""
+    def chunk(args, rng):
+        return (args, rng)
+
+    assert drivers._in_blocks(chunk, "a", 2, (5, 7)) == [
+        ("a", (5, 3)), ("a", (8, 2)), ("a", (10, 2))
+    ]
+    assert drivers._in_blocks(chunk, "a", 2, (4, 3)) == [("a", (4, 3))]
+    assert drivers._in_blocks(chunk, "a", 8, (0, 1)) == [("a", (0, 1))]
 
 
 def test_worker_count(monkeypatch):
@@ -508,6 +522,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 DRIVER_FOR_CONFIG = {
     "error_norms": run_error_norm_ensemble,
+    "long_order": run_error_norm_ensemble,
     "singular_spectrum": run_singular_spectrum,
     "threshold_sweep": run_threshold_sweep,
     "optimal_threshold": run_optimal_threshold_scan,
@@ -539,7 +554,18 @@ DRIVER_DIGESTS = {
         "aa83112ba99f4a063bef7d98ed5b6ffe413fbe49622cd1e784927a733b33f209",
     ("error_norms", "gaussian_decay"):
         "236a91d621bab11712d394358151c3fc144a10ec74a4fedbd77d1b37638ee527",
+    ("long_order", None):
+        "71628901f8ed3d32c670f0aef350d1c8a7167b8a8515be123b9ee8e68563517a",
 }
+
+
+def config_digest(tmp_path, name, variant, **overrides):
+    """sha256 of a shipped config's CSV at trials = 8, under a variant."""
+    out = tmp_path / f"{name}.csv"
+    overrides = {"trials": 8, "out": str(out), **VARIANTS[variant], **overrides}
+    cfg = load_config(str(CONFIG_DIR / f"{name}.conf"), overrides)
+    DRIVER_FOR_CONFIG[name](cfg)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -547,12 +573,48 @@ DRIVER_DIGESTS = {
 )
 def test_driver_digests(tmp_path, name, variant):
     """Every shipped config reproduces its pinned CSV bytes."""
-    out = tmp_path / f"{name}.csv"
-    overrides = {"trials": 8, "out": str(out), **VARIANTS[variant]}
-    cfg = load_config(str(CONFIG_DIR / f"{name}.conf"), overrides)
-    DRIVER_FOR_CONFIG[name](cfg)
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert config_digest(tmp_path, name, variant) == DRIVER_DIGESTS[(name, variant)]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize(
+    "name, variant", list(DRIVER_DIGESTS), ids=lambda v: v or "shipped"
+)
+def test_driver_digests_smallest_blocks(
+    tmp_path, monkeypatch, pools, name, variant, workers
+):
+    """Trial blocks do not show in the bytes: with the smallest blocks (two or
+    three trials), every pinned config reproduces its digest inline and over
+    a pool, and a single-worker run of many blocks opens no pool."""
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
+    digest = config_digest(tmp_path, name, variant, workers=workers)
     assert digest == DRIVER_DIGESTS[(name, variant)]
+    assert len(pools) == workers - 1
+
+
+def test_cell_peak_memory_flat_in_trials(tmp_path, monkeypatch):
+    """An error-norms H-elementwise cell peaks at its trial block, not at `trials`.
+
+    At n = 25 a trial is about 51 kB nominal, so a 1 MiB budget makes blocks
+    of 20 to 22 trials: 64 trials run in 3 blocks and 512 in 25.  Unblocked,
+    the 512-trial peak is about 8x the 64-trial one; blocked, only the rows
+    and the per-trial norms grow, which the 25% margin covers.
+    """
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)
+    cfg = small_cfg(
+        tmp_path, "peak.csv", n_list=(25,), m_list=(10**8,),
+        constructions=("nontoeplitz",),
+    )
+    run_error_norm_ensemble(cfg)  # warm up: lazy imports and caches
+    peaks = {}
+    for trials in (64, 512):
+        tracemalloc.start()
+        try:
+            run_error_norm_ensemble(dataclasses.replace(cfg, trials=trials))
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[512] < 1.25 * peaks[64], peaks
 
 
 def test_bench_contract(tmp_path, monkeypatch):

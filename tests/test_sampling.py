@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import largest_remainder
 
 from qksd import rngstream
 from qksd.errors import InfeasibleBudgetError
@@ -31,6 +32,7 @@ from qksd.sampling import (
     sample_pair,
     split_budget,
 )
+from qksd.sampling import _largest_remainder
 
 
 def synthetic_targets(n, betas, s_seq, frag, construction="toeplitz", id_coeff=0.0):
@@ -131,6 +133,38 @@ def test_allocation_totals_exact(n, m, j):
     if n > 1:
         plan_s = allocate_toeplitz(m, n, is_h=False)
         assert plan_s.counts.sum() == m
+
+
+# ideals with exact ties (quarters), integer ideals and arbitrary fractions
+_IDEAL = st.one_of(
+    st.integers(0, 40).map(float),
+    st.integers(0, 160).map(lambda q: q / 4),
+    st.floats(0.0, 40.0),
+)
+
+
+@given(
+    rows=st.integers(1, 5).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.lists(_IDEAL, min_size=k, max_size=k), st.integers(0, 3 * k)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_largest_remainder_matches_scalar_oracle(rows):
+    """Row-wise rounding gives the scalar loop's counts row by row, ties and
+    remainders of K or more (wrapping round the row) included."""
+    ideals = np.array([r[0] for r in rows])
+    totals = np.array([int(np.floor(r[0]).sum()) + r[1] for r in rows])
+    expected = [largest_remainder(i, t) for i, t in zip(ideals, totals)]
+    assert np.array_equal(_largest_remainder(ideals, totals), expected)
+    assert np.array_equal(_largest_remainder(ideals[0], totals[0]), expected[0])
+    short = totals.copy()
+    short[-1] = np.floor(ideals[-1]).sum() - 1
+    with pytest.raises(ValueError, match="exceed the total"):
+        _largest_remainder(ideals, short)
 
 
 def test_allocation_deterministic():
