@@ -203,10 +203,6 @@ class _Fanout:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        if cfg.mode == "gaussian":
-            # gaussian draws need scipy (rngstream.normals): load it with the
-            # run's setup, before a pool forks, so workers inherit it
-            import scipy.special  # noqa: F401
         self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
         self.ranges = _chunk_ranges(cfg.trials, self.workers)
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -228,12 +224,9 @@ class _Fanout:
         """chunk(args, (start, count)) per trial block of the run, in trial order.
 
         A block holds about as many trials of `trial_bytes` each as fit in
-        `_BLOCK_BYTES`, and never a single trial unless its whole chunk is
-        one: the Toeplitz H~ stack's matrices are strided views when a block
-        holds two or more trials and contiguous when it holds one, and numpy's
-        matmul rounds the two layouts differently in the reduced solves.
+        `_BLOCK_BYTES`, and at least one.
         """
-        block = max(2, _BLOCK_BYTES // trial_bytes)
+        block = max(1, _BLOCK_BYTES // trial_bytes)
         parts = _map_chunks(partial(_in_blocks, chunk, args, block), self.ranges, self)
         return list(chain.from_iterable(parts))
 
@@ -269,8 +262,8 @@ def _columns(parts: list) -> Iterator[np.ndarray]:
 
 
 def _spec_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (T, n, n) stack."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """Spectral norm of each matrix in a Hermitian (T, n, n) stack."""
+    return np.abs(np.linalg.eigvalsh(stack)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ from .config import ExperimentConfig
 # 0.2.0: exact values computed in the reference state's particle sector.
 # 0.3.0: binomial draws come from one stream per (seed, trial, matrix) instead
 # of one per coordinate, so binomial-mode rows change; gaussian rows do not.
-ARTIFACT_VERSION = "0.3.0"
+# 0.4.0: every draw, in both modes, comes from one PCG64 per (seed, trial,
+# matrix) seated straight from its key; spectral norms come from eigvalsh; and
+# sampled Toeplitz stacks are C-contiguous.  Every sampled row changes.
+ARTIFACT_VERSION = "0.4.0"
 
 ERROR_NORM_COLUMNS = (
     "row_kind", "construction", "kind", "n", "m_budget", "trial",

@@ -108,11 +108,12 @@ def toeplitz_matrix(seq: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix with entry (k,l) = seq[l-k], conjugated below.
 
     Works over the last axis: a (..., n) stack of sequences gives a
-    (..., n, n) stack of matrices.
+    C-contiguous (..., n, n) stack of matrices, so each matrix has the same
+    layout however many the stack holds.
     """
     n = seq.shape[-1]
     idx = np.subtract.outer(np.arange(n), np.arange(n))  # idx[k,l] = k - l
-    base = seq[..., np.abs(idx)]
+    base = np.take(seq, np.abs(idx), axis=-1)
     return np.where(idx <= 0, base, base.conj())
 
 

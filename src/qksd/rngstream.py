@@ -1,25 +1,26 @@
 """Deterministic, schedule-independent random streams.
 
 Keys come from a splitmix64 absorption chain over integer coordinates, so a
-result never depends on which worker drew it or in what order.  Gaussian draws
-are keyed per coordinate (seed, trial, target, element, fragment,
-configuration) and map the key's hashed 64-bit word through the inverse normal
-CDF, which keeps ensemble generation fully vectorized.  `stream_keys` absorbs
-each field at the broadcast shape of the fields before it, so fields that vary
-over few axes are hashed over few elements; the hash is elementwise, so every
-key equals its scalar `stream_key`.  Binomial draws need a stateful
-algorithm: an ensemble seeds one PCG64 generator per (seed, trial, target)
-and draws that trial's sampled coordinates in canonical order, while the
-scalar `hadamard_estimate` seeds one per full coordinate key.
+result never depends on which worker drew it or in what order.  Every
+ensemble draw, in both noise modes, comes from one stream per (seed, trial,
+target): `stream_keys` hashes a block of trials' keys (elementwise, so each
+equals its scalar `stream_key`), and each key seats a PCG64 directly, with two
+splitmix words of state and a fixed increment, no SeedSequence.  This is the
+counter-keyed, per-trial layout of Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3" (SC'11), on O'Neill's PCG64 (2014).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
+from numpy.random import PCG64, Generator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INIT = 0x243F6A8885A308D3
+_INC = (_GOLDEN << 64 | _INIT) | 1  # every stream's PCG64 increment (odd)
 
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_INIT = np.uint64(_INIT)
@@ -69,26 +70,37 @@ def stream_keys(*fields) -> np.ndarray:
     return np.asarray(h)
 
 
-def uniforms(keys: np.ndarray) -> np.ndarray:
-    """Open-interval (0,1) uniforms, one hashed from each key."""
+def _states(keys) -> list[int]:
+    """Each key's 128-bit PCG64 state: two splitmix words, hi from the key."""
     with np.errstate(over="ignore"):
-        h = _mix_array(np.asarray(keys, dtype=np.uint64) + _U64_GOLDEN)
-    h >>= np.uint64(11)
-    return h * 2.0**-53 + 2.0**-54
+        hi = _mix_array(np.ravel(keys).astype(np.uint64) + _U64_GOLDEN)
+        lo = _mix_array(hi + _U64_GOLDEN)
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
-def normals(keys: np.ndarray) -> np.ndarray:
-    """Standard normal draws via inverse CDF of each key's uniform."""
-    from scipy.special import ndtri  # imported here: binomial runs never need scipy
+def streams(keys) -> Iterator[Generator]:
+    """A generator at the start of each key's stream in turn: one PCG64, re-seated
+    with the key's state and the fixed increment.
 
-    return ndtri(uniforms(keys))
-
-
-def generator(key: int) -> np.random.Generator:
-    """Stateful generator for draws that need one (binomial mode).
-
-    Ensembles pass the key of (seed, trial, target) and draw a whole trial's
-    counts for that matrix from it; the scalar estimator passes a full
-    coordinate key.
+    Every item is the same object, so draw from it before taking the next.
     """
-    return np.random.Generator(np.random.PCG64(key))
+    gen = Generator(PCG64(0))
+    seat = dict(bit_generator="PCG64", state={"inc": _INC}, has_uint32=0, uinteger=0)
+    for state in _states(keys):
+        seat["state"]["state"] = state
+        gen.bit_generator.state = seat
+        yield gen
+
+
+def generator(key: int) -> Generator:
+    """A new generator at the start of key's stream."""
+    return next(streams([key]))
+
+
+def normals(keys, size: int) -> np.ndarray:
+    """(len(keys), size) standard normals, row i from the stream of keys[i]."""
+    keys = np.ravel(keys)
+    out = np.empty((len(keys), size))
+    for row, gen in zip(out, streams(keys)):
+        gen.standard_normal(out=row)
+    return out

@@ -24,13 +24,12 @@ rule lives in `_binomial_estimates` (range check, p and the binomial draw) and
 `_gaussian_estimates` (mean + sigma z); the ensembles and the scalar
 `hadamard_estimate` both call them.
 
-Random streams: gaussian draws are keyed per coordinate (seed, trial, target,
-element, fragment, configuration), so a gaussian `hadamard_estimate` given an
-ensemble coordinate returns that ensemble's draw.  Binomial ensemble draws
-come from one generator per (seed, trial, target), which draws the trial's
-sampled coordinates in the C order of the (element, configuration, fragment)
-grid.  `hadamard_estimate` keys its binomial draw per coordinate, so in that
-mode it is not a slice of an ensemble.
+Random streams: every ensemble draw, in both modes, comes from one generator
+per (seed, trial, target), which draws the trial's sampled coordinates in the
+C order of the (element, configuration, fragment) grid: standard normals in
+gaussian mode, binomial counts in binomial mode.  `hadamard_estimate` seeds a
+generator per coordinate key in both modes, so it is not a slice of an
+ensemble.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
@@ -307,11 +306,11 @@ def hadamard_estimate(
     ):
         if m <= 0:
             continue
-        key = rngstream.stream_key(*stream, cfg)
+        gen = rngstream.generator(rngstream.stream_key(*stream, cfg))
         if noise.mode == "binomial":
-            est = _binomial_estimates(mean, m, [rngstream.generator(key)])[0]
+            est = _binomial_estimates(mean, m, [gen])[0]
         else:
-            est = _gaussian_estimates(mean, m, rngstream.normals(np.uint64(key)))
+            est = _gaussian_estimates(mean, m, gen.standard_normal())
         parts[cfg] = float(est)
         sampled[cfg] = True
     return EstimateResult(
@@ -338,11 +337,10 @@ def _sample_grid(
     Toeplitz plan or (J, n, n) for the elementwise one.  Returns the grid's
     (P, 2) elements and the (T, P) estimates sum_j beta_j (Re + i Im).
 
-    Gaussian draws are keyed per coordinate.  Binomial draws come from one
-    generator per trial, keyed (seed, trial, target), which draws every
-    sampled coordinate in the grid's C order; zero-count coordinates consume
-    no draw and stay 0.  Both keys depend only on the absolute trial index,
-    so any chunking of the trials agrees.
+    Each trial draws from one stream, keyed (seed, trial, target): a standard
+    normal or a binomial count per sampled coordinate, in the grid's C order.
+    Zero-count coordinates consume no draw and stay 0.  The key depends only
+    on the absolute trial index, so any chunking of the trials agrees.
     """
     counts = plan.counts
     if counts.shape[2] != len(betas):
@@ -354,27 +352,17 @@ def _sample_grid(
     values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
     means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
     sampled = counts > 0
-    trials_1d = np.arange(first_trial, first_trial + trials, dtype=np.int64)
-    seed, code = noise.rng_seed, _TARGET_CODE[plan.target]
+    mean, m = means[sampled], counts[sampled]  # one trial's draws, in C order
+    keys = rngstream.stream_keys(
+        noise.rng_seed,
+        np.arange(first_trial, first_trial + trials),
+        _TARGET_CODE[plan.target],
+    )
+    est = np.zeros((trials,) + counts.shape)
     if noise.mode == "gaussian":
-        z = rngstream.normals(  # the grid's keys live only until hashed to normals
-            rngstream.stream_keys(
-                seed,
-                trials_1d.reshape(-1, 1, 1, 1),
-                code,
-                a.reshape(-1, 1, 1),
-                b.reshape(-1, 1, 1),
-                np.arange(len(betas)),
-                np.arange(2).reshape(2, 1),
-            )
-        )
-        est = _gaussian_estimates(means, np.where(sampled, counts, 1), z)
-        est[:, ~sampled] = 0.0  # the imaginary part of a diagonal element
+        est[:, sampled] = _gaussian_estimates(mean, m, rngstream.normals(keys, m.size))
     else:
-        keys = (rngstream.stream_key(seed, int(t), code) for t in trials_1d)
-        gens = map(rngstream.generator, keys)
-        est = np.zeros((trials,) + counts.shape)
-        est[:, sampled] = _binomial_estimates(means[sampled], counts[sampled], gens)
+        est[:, sampled] = _binomial_estimates(mean, m, rngstream.streams(keys))
     return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas
 
 

@@ -161,19 +161,21 @@ def test_console_script_declaration(conf, tmp_path):
     assert out.exists()
 
 
-def test_binomial_run_never_imports_scipy(conf, tmp_path):
-    """Only gaussian draws need scipy's ndtri, so a binomial run leaves it unloaded."""
+@pytest.mark.parametrize("mode", ("binomial", "gaussian"))
+def test_run_never_imports_scipy(conf, tmp_path, mode):
+    """The runtime is numpy only: a driver run in either mode loads no scipy module."""
     script = (
         "import sys; from qksd.cli import main; "
         "rc = main(sys.argv[1:]); "
-        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded; "
         "sys.exit(rc)"
     )
     for driver in ("error-norms", "perturbation-bound"):
         out = tmp_path / f"{driver}.csv"
         proc = subprocess.run(
             [sys.executable, "-c", script, driver, "--config", str(conf),
-             "--mode", "binomial", "--out", str(out)],
+             "--mode", mode, "--out", str(out)],
             capture_output=True,
             text=True,
         )

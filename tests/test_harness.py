@@ -204,6 +204,19 @@ def test_in_blocks():
     assert drivers._in_blocks(chunk, "a", 8, (0, 1)) == [("a", (0, 1))]
 
 
+def test_spec_norms_match_largest_singular_value():
+    """On a Hermitian stack, the largest |eigenvalue| is the spectral norm."""
+    rng = np.random.default_rng(5)
+    for n in (2, 9, 25):
+        a = rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n))
+        stack = a + a.conj().transpose(0, 2, 1)
+        np.testing.assert_allclose(
+            drivers._spec_norms(stack),
+            np.linalg.svd(stack, compute_uv=False)[:, 0],
+            rtol=1e-12,
+        )
+
+
 def test_worker_count(monkeypatch):
     assert _worker_count(1, 1000, 8) == 1
     assert _worker_count(64, 1000, 2) == 2  # never more processes than CPUs
@@ -283,8 +296,7 @@ def test_error_norm_driver_skips_starved_cell(tmp_path):
 
     At L = 2, n = 9, M = 1000 the elementwise H's 81 configurations get about
     12 shots each, too few to split over its 6 fragments.  The other rows are
-    pinned by the sha256 they had when the starved cell was still sampled,
-    with that cell's rows dropped.
+    pinned by their sha256, with the skipped row dropped.
     """
     cfg = small_cfg(
         tmp_path, "starved.csv", n_list=(9,), m_list=(1000, 10**6),
@@ -305,7 +317,7 @@ def test_error_norm_driver_skips_starved_cell(tmp_path):
     kept = b"".join(line for line in lines if not line.startswith(b"skipped,"))
     assert len(lines) - len(kept.splitlines()) == 1
     assert hashlib.sha256(kept).hexdigest() == (
-        "8b4fac59b1ab5467051af0a43406bbcf309bc5740e2a14ad70bd9defedb0b3db"
+        "1297aa14006cc119251742472b33b0b87907f60415bb9be7730eaacd146942e2"
     )
 
 
@@ -387,11 +399,14 @@ def pools(monkeypatch):
     return opened
 
 
-POOLED_DRIVERS = {  # each grid has two cells, so one pool serves two maps
+POOLED_DRIVERS = {  # each grid has two cells or more, so one pool serves every map
     "threshold_sweep": (run_threshold_sweep, {"m_list": (50_000, 100_000)}),
     "optimal_threshold": (run_optimal_threshold_scan, {"n_list": (3, 5)}),
     "perturbation_bound": (run_perturbation_vs_bound, {"m_list": (100_000, 200_000)}),
     "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}),
+    # a shipped config at three trials: two workers take ranges of two trials
+    # and one, so a one-trial Toeplitz block meets the reduced solves
+    "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf"),
 }
 
 
@@ -408,10 +423,17 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, nam
     monkeypatch.setattr(drivers, "_map_chunks", counted_map)
     out = {}
     for workers in (1, 2):
-        cfg = small_cfg(tmp_path, f"w{workers}.csv", trials=7, workers=workers, **grid)
+        path = tmp_path / f"w{workers}.csv"
+        if isinstance(grid, str):
+            cfg = load_config(
+                str(CONFIG_DIR / grid), {"trials": 3, "workers": workers, "out": str(path)}
+            )
+        else:
+            cfg = small_cfg(tmp_path, path.name, trials=7, workers=workers, **grid)
         runner(cfg)
-        out[workers] = (tmp_path / f"w{workers}.csv").read_bytes()
-    assert maps == {1: 2, 2: 2}  # two cells mapped inline, then two over the pool
+        out[workers] = path.read_bytes()
+    cells = maps[1]  # every cell mapped inline, then every cell over the pool
+    assert cells >= 2 and maps == {1: cells, 2: cells}
     assert len(pools) == 1
     assert out[1] == out[2]
 
@@ -535,27 +557,27 @@ VARIANTS = {
     "binomial_decay": {"mode": "binomial", "hardware_lambda": 0.3},
     "gaussian_decay": {"mode": "gaussian", "hardware_lambda": 0.3},
 }
-# sha256 of each CSV at trials = 8, header included; artifact version 0.3.0.
+# sha256 of each CSV at trials = 8, header included; artifact version 0.4.0.
 # A change that moves any of these must bump ARTIFACT_VERSION and re-pin them.
 DRIVER_DIGESTS = {
     ("error_norms", None):
-        "0bbfc9caf5b931c12695928e0999d54b427e86a4eb9eb77910c7bb60dc3456e7",
+        "497aa6795b9d46466d38dce25e4d45e543821650d586b5584fe375b01cb6cbf6",
     ("singular_spectrum", None):
-        "fe78c08bf80d024d455b05f0fae6c163ddecea3eac012f8100c8a263ee065767",
+        "65b80ac92f5de6708efcb981ce192e35b9af51956259272ad9101aba4338237f",
     ("threshold_sweep", None):
-        "56a0461cb19bfa1b06086cf670d6154587882fd010f3195b2240b0bb015b5cb6",
+        "938e6345de84366d692d46624d45ee38286683ea2bcee9c8f5fcf699a467f397",
     ("optimal_threshold", None):
-        "77a2e52481db7ff97a7e7c26b9cc023c045e5102ffd0258aa58775b024cf57f7",
+        "92165d7f37a539b39c4d90a29dd47b6848e67536379d41b67e4f8cfcb5646a1b",
     ("perturbation_bound", None):
-        "d243b27e79d5feef51358115de3d3a224aa06a3114a6d9c1a05603d67cdd2275",
+        "4e8aec9b971228b5160000ed665a101c02312312503381934348535911bf6b90",
     ("perturbation_bound", "binomial"):
-        "7fa821dacaf98b034dcecffef7bffc344270b84dfd4f773ec50436e18580cd03",
+        "1c7e9f272d5638e8b341aa8a6b7bee61b916be1bb7e42964758ae20174c7d8f3",
     ("error_norms", "binomial_decay"):
-        "aa83112ba99f4a063bef7d98ed5b6ffe413fbe49622cd1e784927a733b33f209",
+        "00b51975a65b2c42c9a63bb4c7aab1bac46db730c6a3c3e676716f66f8b7aca2",
     ("error_norms", "gaussian_decay"):
-        "236a91d621bab11712d394358151c3fc144a10ec74a4fedbd77d1b37638ee527",
+        "8f8cdee3802b3f8786016f202afbc3219339b71c0aaeab53237a940555dfd23f",
     ("long_order", None):
-        "71628901f8ed3d32c670f0aef350d1c8a7167b8a8515be123b9ee8e68563517a",
+        "824b2d33650111f97c8894d6152e9b49269f4c0dddef3c751fd0ced3cf52213f",
 }
 
 
@@ -583,9 +605,9 @@ def test_driver_digests(tmp_path, name, variant):
 def test_driver_digests_smallest_blocks(
     tmp_path, monkeypatch, pools, name, variant, workers
 ):
-    """Trial blocks do not show in the bytes: with the smallest blocks (two or
-    three trials), every pinned config reproduces its digest inline and over
-    a pool, and a single-worker run of many blocks opens no pool."""
+    """Trial blocks do not show in the bytes: with the smallest blocks (one
+    trial each), every pinned config reproduces its digest inline and over a
+    pool, and a single-worker run of many blocks opens no pool."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
     digest = config_digest(tmp_path, name, variant, workers=workers)
     assert digest == DRIVER_DIGESTS[(name, variant)]

@@ -327,33 +327,17 @@ def test_hadamard_estimate_pinned_to_rule(mode):
         est = hadamard_estimate(value, m_r, m_i, noise, stream)
         parts = []
         for c, (mean, m) in enumerate(((value.real, m_r), (value.imag, m_i))):
-            key = rngstream.stream_key(*stream, c)
+            gen = rngstream.generator(rngstream.stream_key(*stream, c))
             if m == 0:
                 parts.append(0.0)
             elif mode == "binomial":
                 p = 0.5 * (1.0 + mean)
-                parts.append(2.0 * rngstream.generator(key).binomial(m, p) / m - 1.0)
+                parts.append(2.0 * gen.binomial(m, p) / m - 1.0)
             else:
                 sigma = math.sqrt((1.0 - mean * mean) / m)
-                parts.append(mean + sigma * float(rngstream.normals(np.uint64(key))))
+                parts.append(mean + sigma * gen.standard_normal())
         assert est.value == complex(*parts)
         assert (est.re_sampled, est.im_sampled) == (m_r > 0, m_i > 0)
-
-
-def test_gaussian_hadamard_estimate_is_ensemble_slice():
-    """Without decay, a gaussian S~ element is hadamard_estimate at its coordinate."""
-    n, seed = 5, 43
-    s_seq = np.array([1.0, 0.3 - 0.2j, -0.1 + 0.4j, 0.05j, -0.6])
-    targets = synthetic_targets(n=n, betas=[1.0], s_seq=s_seq, frag=np.zeros((1, n)))
-    plan = allocate_toeplitz(3000, n, is_h=False)
-    noise = NoiseSpec(mode="gaussian", rng_seed=seed)
-    stack = sample_overlap_ensemble(targets, plan, noise, 4, first_trial=2)
-    for t in range(4):
-        for k in range(1, n):
-            m_r, m_i = plan.counts[k - 1, :, 0]
-            stream = (seed, 2 + t, 0, k, 0, 0)
-            est = hadamard_estimate(s_seq[k], m_r, m_i, noise, stream)
-            assert est.value == stack[t, 0, k]
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +491,12 @@ def test_ensemble_chunks_reproduce_full_run():
 # ---------------------------------------------------------------------------
 
 
-def _scalar_reference(mode, seed, trial, target, positions, means, counts):
+def _scalar_reference(mode, seed, trial, target, means, counts):
     """One scalar draw at a time over the (position, config, fragment) grid.
 
-    Binomial draws come in C order of the grid from the trial's stream;
-    gaussian draws are keyed per coordinate (seed, trial, target, a, b,
-    fragment, config).  Zero-count coordinates draw nothing and stay 0.
+    In both modes the trial's stream (seed, trial, target) draws the sampled
+    coordinates in the grid's C order; zero-count coordinates draw nothing and
+    stay 0.
     """
     code = TARGETS.index(target)
     gen = rngstream.generator(rngstream.stream_key(seed, trial, code))
@@ -526,8 +510,7 @@ def _scalar_reference(mode, seed, trial, target, positions, means, counts):
             prob = 0.5 * (1.0 + min(1.0, max(-1.0, mean)))
             est[p, c, j] = 2.0 * gen.binomial(m, prob) / m - 1.0
         else:
-            key = rngstream.stream_key(seed, trial, code, *positions[p], j, c)
-            z = float(rngstream.normals(np.uint64(key)))
+            z = gen.standard_normal()
             est[p, c, j] = mean + math.sqrt(max(1.0 - mean * mean, 0.0) / m) * z
     return est
 
@@ -568,9 +551,7 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
         noise = NoiseSpec(mode=mode, rng_seed=29)
         stack = sample_hamiltonian_ensemble(targets, plan, noise, 3, first_trial=4)
         for t in range(3):
-            est = _scalar_reference(
-                mode, 29, 4 + t, "H_toeplitz", positions, means, counts
-            )
+            est = _scalar_reference(mode, 29, 4 + t, "H_toeplitz", means, counts)
             h_seq = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas + 0.25 * targets.s_seq
             expected = np.array(
                 [[h_seq[l - k] if l >= k else h_seq[k - l].conj() for l in range(n)]
@@ -599,9 +580,7 @@ def test_binomial_elementwise_h_matches_scalar_draw_order():
         noise = NoiseSpec(mode=mode, rng_seed=31)
         stack = sample_hamiltonian_ensemble(targets, plan, noise, 2, first_trial=9)
         for t in range(2):
-            est = _scalar_reference(
-                mode, 31, 9 + t, "H_nontoeplitz", positions, means, counts
-            )
+            est = _scalar_reference(mode, 31, 9 + t, "H_nontoeplitz", means, counts)
             vals = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas
             expected = np.zeros((n, n), dtype=complex)
             for (a, b), v in zip(positions, vals):
@@ -623,9 +602,7 @@ def test_binomial_overlap_matches_scalar_draw_order():
         noise = NoiseSpec(mode=mode, rng_seed=37)
         stack = sample_overlap_ensemble(targets, plan, noise, 2, first_trial=3)
         for t in range(2):
-            est = _scalar_reference(
-                mode, 37, 3 + t, "S_toeplitz", positions, means, counts
-            )
+            est = _scalar_reference(mode, 37, 3 + t, "S_toeplitz", means, counts)
             seq = np.concatenate([[1.0], est[:, 0, 0] + 1j * est[:, 1, 0]])
             expected = np.array(
                 [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
