@@ -1,11 +1,13 @@
-"""Pauli-operator algebra, the 1D Fermi-Hubbard Hamiltonian, and unitary partitioning.
+"""Pauli strings and sums, the 1D Fermi-Hubbard Hamiltonian, and unitary partitioning.
 
-The Hamiltonian is built as a real-coefficient sum of Pauli strings through the
-Jordan-Wigner transform with interleaved spin ordering (site i spin-up on qubit
-2i, spin-down on qubit 2i+1).  Sorted insertion then partitions the non-identity
-terms into groups of pairwise anticommuting strings; each group, rescaled to
-unit 2-norm, is a Hermitian unitary fragment U_j, giving H = id_coeff*I + sum_j
-beta_j U_j with beta_j the group 2-norm.  The 1-norm of the beta weights is the
+The Hamiltonian is a real-coefficient sum of Pauli strings, written in the
+closed form of its Jordan-Wigner image with interleaved spin ordering (site i
+spin-up on qubit 2i, spin-down on qubit 2i+1): an XZX and a YZY string per
+same-spin hop, and I, Z_{2i}, Z_{2i+1} and Z_{2i}Z_{2i+1} per site.  Sorted
+insertion then partitions the non-identity terms into groups of pairwise
+anticommuting strings; each group, rescaled to unit 2-norm, is a Hermitian
+unitary fragment U_j, giving H = id_coeff*I + sum_j beta_j U_j with beta_j the
+group 2-norm.  The 1-norm of the beta weights is the
 variance prefactor used throughout the sampling model.
 
 Operators act on states of a particle-number sector through apply_pauli_sum:
@@ -17,23 +19,13 @@ matrices (pauli_to_dense, fragment_dense) serve as test references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from .errors import ResourceLimitError
 
 MERGE_TOL = 1e-15
-
-# Single-qubit products P_a * P_b -> (phase, P_c) for the non-trivial cases.
-_PRODUCT = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
 
 _DENSE_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -81,26 +73,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.axes
-
-
-def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product a*b as (phase, string) with phase in {1, i, -1, -i}."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit count mismatch")
-    phase = 1 + 0j
-    out = []
-    for pa, pb in zip(a.axes, b.axes):
-        if pa == "I":
-            out.append(pb)
-        elif pb == "I":
-            out.append(pa)
-        elif pa == pb:
-            out.append("I")
-        else:
-            ph, pc = _PRODUCT[(pa, pb)]
-            phase *= ph
-            out.append(pc)
-    return phase, PauliString("".join(out))
 
 
 @dataclass(frozen=True)
@@ -314,47 +286,13 @@ def fragment_dense(
 
 
 # ---------------------------------------------------------------------------
-# Jordan-Wigner fermions
+# The Hubbard chain
 # ---------------------------------------------------------------------------
 
-LinearCombo = tuple[tuple[complex, PauliString], ...]
 
-
-def jw_lowering(mode: int, n_modes: int) -> LinearCombo:
-    """Jordan-Wigner annihilation operator a_mode = Z...Z (X + iY)/2."""
-    if not 0 <= mode < n_modes:
-        raise ValueError("mode out of range")
-    x_axes = ["Z"] * mode + ["X"] + ["I"] * (n_modes - mode - 1)
-    y_axes = ["Z"] * mode + ["Y"] + ["I"] * (n_modes - mode - 1)
-    return (
-        (0.5 + 0j, PauliString("".join(x_axes))),
-        (0.5j, PauliString("".join(y_axes))),
-    )
-
-
-def jw_raising(mode: int, n_modes: int) -> LinearCombo:
-    """Creation operator: Hermitian conjugate of jw_lowering."""
-    return tuple((coeff.conjugate(), string) for coeff, string in jw_lowering(mode, n_modes))
-
-
-def combo_product(a: LinearCombo, b: LinearCombo) -> LinearCombo:
-    """Product of two Pauli linear combinations, merged."""
-    acc: dict[str, complex] = {}
-    for ca, sa in a:
-        for cb, sb in b:
-            phase, s = multiply_strings(sa, sb)
-            acc[s.axes] = acc.get(s.axes, 0j) + ca * cb * phase
-    return tuple(
-        (c, PauliString(axes)) for axes, c in sorted(acc.items()) if abs(c) >= MERGE_TOL
-    )
-
-
-def _combo_sum(combos: Sequence[LinearCombo]) -> dict[str, complex]:
-    acc: dict[str, complex] = {}
-    for combo in combos:
-        for c, s in combo:
-            acc[s.axes] = acc.get(s.axes, 0j) + c
-    return acc
+def _placed(block: str, at: int, n_qubits: int) -> PauliString:
+    """`block` on qubits at, at+1, ..., identity elsewhere."""
+    return PauliString("I" * at + block + "I" * (n_qubits - at - len(block)))
 
 
 def build_hubbard_1d(L: int, t: float, u: float) -> PauliSum:
@@ -364,35 +302,21 @@ def build_hubbard_1d(L: int, t: float, u: float) -> PauliSum:
         + u sum_i n_{i,up} n_{i,down}
 
     mapped by Jordan-Wigner with interleaved ordering: site i spin-up is mode
-    2i, spin-down is mode 2i+1.  The identity offset u*L/4 is retained as an
-    explicit identity term.
+    2i, spin-down is mode 2i+1.  Same-spin neighbours are modes p and p+2, so
+    each hop is -t/2 (X_p Z_{p+1} X_{p+2} + Y_p Z_{p+1} Y_{p+2}), and each
+    site's n_up n_down = (I - Z_{2i} - Z_{2i+1} + Z_{2i} Z_{2i+1}) / 4.  The
+    identity offset u*L/4 is retained as an explicit identity term, summed
+    site by site.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    n_modes = 2 * L
-    combos: list[LinearCombo] = []
-    for i in range(L - 1):
-        for spin in (0, 1):
-            p, q = 2 * i + spin, 2 * (i + 1) + spin
-            hop = _combo_sum(
-                [
-                    combo_product(jw_raising(p, n_modes), jw_lowering(q, n_modes)),
-                    combo_product(jw_raising(q, n_modes), jw_lowering(p, n_modes)),
-                ]
-            )
-            combos.append(
-                tuple((-t * c, PauliString(axes)) for axes, c in sorted(hop.items()))
-            )
+    n_qubits = 2 * L
+    terms = [
+        (-t / 2, _placed(block, p, n_qubits))
+        for p in range(n_qubits - 2)
+        for block in ("XZX", "YZY")
+    ]
     for i in range(L):
-        nn = combo_product(
-            combo_product(jw_raising(2 * i, n_modes), jw_lowering(2 * i, n_modes)),
-            combo_product(jw_raising(2 * i + 1, n_modes), jw_lowering(2 * i + 1, n_modes)),
-        )
-        combos.append(tuple((u * c, s) for c, s in nn))
-    acc = _combo_sum(combos)
-    real_terms = []
-    for axes, c in acc.items():
-        if abs(c.imag) > 1e-12:
-            raise ValueError(f"non-Hermitian accumulation at {axes}: {c}")
-        real_terms.append((c.real, PauliString(axes)))
-    return PauliSum.from_terms(real_terms, n_qubits=n_modes)
+        for sign, block in ((1, "II"), (-1, "ZI"), (-1, "IZ"), (1, "ZZ")):
+            terms.append((sign * u / 4, _placed(block, 2 * i, n_qubits)))
+    return PauliSum.from_terms(terms, n_qubits=n_qubits)

@@ -3,14 +3,15 @@
 Each driver maps an ExperimentConfig to one CSV.  Threshold-sweep,
 optimal-threshold and perturbation-bound walk the same (construction, n, M)
 cells (`_pair_cells`); within a cell, the run's `_Fanout` splits the trials
-into contiguous chunks, one per worker, and maps them over one process pool
-per driver run, opened at the first fan-out and shut down before the driver
-returns.  Each worker samples, norms and solves its chunk in contiguous trial
-blocks sized from a fixed byte budget (`_BLOCK_BYTES`) and the cell's
-per-trial footprint, so a cell's peak memory depends on its block, not on
-`trials`.  Since every trial's random stream is keyed by its absolute trial
-index and every result is per trial, neither chunks nor blocks show in the
-output, and any worker count reproduces byte-identical files.
+once into contiguous trial blocks, sized from a fixed byte budget
+(`_BLOCK_BYTES`) and the cell's per-trial footprint, with at least one block
+per worker.  One worker runs the blocks inline; more share them over one
+process pool per driver run, each taking one contiguous run of blocks; the
+pool is opened at the first fan-out and shut down before the driver returns.
+A cell's peak memory depends on its block, not on `trials`.  Since every
+trial's random stream is keyed by its absolute trial index and every result
+is per trial, blocks do not show in the output, and any worker count
+reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -195,16 +196,16 @@ def _usable_cpus() -> Optional[int]:
 class _Fanout:
     """Trial fan-out of one driver run, used as a context manager.
 
-    The chunk layout, one contiguous trial range per worker, is fixed by the
-    config; each worker runs its range block by block.  A process pool is
-    opened at the first map with more than one chunk, reused by every later
-    one, and shut down, its children joined, when the `with` block exits,
-    raising or not.
+    Each cell's trials are split once into contiguous blocks (`__call__`);
+    with more than one worker, each worker runs one contiguous run of them.  A
+    process pool is opened at the first map of a run with more than one
+    worker, reused by every later one, and shut down, its children joined,
+    when the `with` block exits, raising or not.
     """
 
     def __init__(self, cfg: ExperimentConfig):
+        self.trials = cfg.trials
         self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
-        self.ranges = _chunk_ranges(cfg.trials, self.workers)
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def __enter__(self) -> _Fanout:
@@ -223,12 +224,13 @@ class _Fanout:
     def __call__(self, chunk: Callable, trial_bytes: int, *args) -> list:
         """chunk(args, (start, count)) per trial block of the run, in trial order.
 
-        A block holds about as many trials of `trial_bytes` each as fit in
-        `_BLOCK_BYTES`, and at least one.
+        The blocks are contiguous and near-equal, at least one per worker; each
+        holds at least as many trials of `trial_bytes` each as fit in
+        `_BLOCK_BYTES` (or all of its worker's share), and fewer than twice that.
         """
-        block = max(1, _BLOCK_BYTES // trial_bytes)
-        parts = _map_chunks(partial(_in_blocks, chunk, args, block), self.ranges, self)
-        return list(chain.from_iterable(parts))
+        per_block = max(1, _BLOCK_BYTES // trial_bytes)
+        blocks = _chunk_ranges(self.trials, max(self.workers, self.trials // per_block))
+        return _map_chunks(partial(chunk, args), blocks, self)
 
 
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
@@ -237,23 +239,15 @@ def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 
-def _in_blocks(chunk: Callable, args, block: int, rng: tuple[int, int]) -> list:
-    """chunk(args, r) per block r of rng = (start, count), in trial order.
-
-    The count // block blocks are contiguous and near-equal, so each holds at
-    least `block` trials (or the whole range) and fewer than 2 * block.
-    """
-    start, count = rng
-    blocks = _chunk_ranges(count, count // block)
-    return [chunk(args, (start + s, c)) for s, c in blocks]
-
-
 def _map_chunks(
     fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
 ) -> list:
-    if len(ranges) <= 1:
+    """fn(r) per trial block r, in order: inline at one worker, else over the
+    pool with each worker given one contiguous run of blocks."""
+    if fanout.workers == 1:
         return [fn(r) for r in ranges]
-    return list(fanout.pool().map(fn, ranges))  # map preserves submission order
+    runs = math.ceil(len(ranges) / fanout.workers)
+    return list(fanout.pool().map(fn, ranges, chunksize=runs))  # in submission order
 
 
 def _columns(parts: list) -> Iterator[np.ndarray]:
@@ -571,14 +565,20 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
 def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     """Exact overlap spectrum next to the sampled spectra, per budget.
 
+    The rows have no n column, so the config must list one Krylov order.
     Eigenvalues are reported descending (index 1 = largest).  weyl_fraction
     is the fraction of trials with |perturbed - exact| <= ||Delta_S|| for that
     index; the threshold column carries eps = e_S / sqrt(M_S).
     """
+    if len(cfg.n_list) > 1:
+        raise ConfigError(
+            f"singular-spectrum takes one Krylov order, got n = {list(cfg.n_list)}: "
+            "its rows have no n column"
+        )
     with _Fanout(cfg) as trials:
         system = build_system(cfg)
         noise = noise_from(cfg)
-        n = cfg.n_list[0]
+        (n,) = cfg.n_list
         targets = targets_for(system, n, "toeplitz")
         _, s_exact = expected_pair(targets, cfg.hardware_lambda)
         exact_vals = np.linalg.eigvalsh(s_exact)[::-1]
@@ -619,17 +619,16 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
     with _Fanout(cfg) as trials:
         system = build_system(cfg)
         noise = noise_from(cfg)
-        n = cfg.n_list[0]
         e0 = system.e0_sector
         rows: list[dict] = []
-        ideal: dict[str, np.ndarray] = {}  # noiseless sweep, once per construction
-        for base, cell in _pair_cells(cfg, system, (n,)):
+        ideal: dict[tuple[str, int], np.ndarray] = {}  # once per (construction, n)
+        for base, cell in _pair_cells(cfg, system, cfg.n_list):
             if cell is None:
                 rows.append({**base, "row_kind": "skipped"})
                 continue
-            construction = base["construction"]
-            if construction not in ideal:
-                ideal[construction] = _rel_errors(
+            construction, n = base["construction"], base["n"]
+            if (construction, n) not in ideal:
+                ideal[construction, n] = _rel_errors(
                     top_k_energies(cell.h_exact, *np.linalg.eigh(cell.s_exact)), e0
                 )
             sweep, eps_energy, eps_dims = _columns(
@@ -637,7 +636,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
             )
             for k in range(1, n + 1):
                 rel = _rel_errors(sweep[:, k - 1], e0)
-                ideal_k = ideal[construction][k - 1]
+                ideal_k = ideal[construction, n][k - 1]
                 rows.append(
                     {
                         **base,

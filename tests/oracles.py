@@ -5,6 +5,11 @@ package evolves the reference exactly in its particle-number sector.  These
 build the full 2^{2L}-dimensional unitaries, so the tests can check sector
 results and Trotter products against them.
 
+Kronecker-built fermions: Jordan-Wigner annihilators as dense products of
+Z, sigma^- and I, and the Hubbard chain assembled from them, with no Pauli
+string in between, so they check the closed-form Pauli terms of
+`hamiltonian.build_hubbard_1d`.
+
 Scalar largest-remainder rounding: the loop the row-wise
 `sampling._largest_remainder` replaced, one row at a time.
 """
@@ -63,6 +68,35 @@ def trotter_propagator(h: PauliSum, t: float, steps: int) -> Propagator:
     return Propagator(
         matrix=u, time=t, kind="trotter", steps=steps, n_fragments=len(terms)
     )
+
+
+_I2 = np.eye(2, dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+
+
+def jw_annihilation_dense(mode: int, n_modes: int) -> np.ndarray:
+    """a_p = Z^{otimes p} (x) sigma^- (x) I^{otimes rest}, qubit 0 leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for q in range(n_modes):
+        out = np.kron(out, _Z if q < mode else _LOWER if q == mode else _I2)
+    return out
+
+
+def hubbard_dense_oracle(L: int, t: float, u: float) -> np.ndarray:
+    """The open 1D Hubbard chain from dense annihilators, spin-up on even modes."""
+    n = 2 * L
+    a = [jw_annihilation_dense(p, n) for p in range(n)]
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(L - 1):
+        for s in (0, 1):
+            p, q = 2 * i + s, 2 * (i + 1) + s
+            h -= t * (a[p].conj().T @ a[q] + a[q].conj().T @ a[p])
+    for i in range(L):
+        n_up = a[2 * i].conj().T @ a[2 * i]
+        n_dn = a[2 * i + 1].conj().T @ a[2 * i + 1]
+        h += u * (n_up @ n_dn)
+    return h
 
 
 def largest_remainder(ideals: np.ndarray, total: int) -> np.ndarray:

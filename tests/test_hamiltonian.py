@@ -1,8 +1,9 @@
-"""Pauli algebra, Jordan-Wigner mapping, and unitary partitioning checks.
+"""Pauli strings, the closed-form Hubbard chain, and unitary partitioning checks.
 
-The fermionic oracle below builds annihilation operators directly as dense
-kron products, independent of the PauliString code paths, so agreement here
-validates the symbolic JW pipeline end to end.
+`build_hubbard_1d` writes the Jordan-Wigner image of the chain down term by
+term; `oracles.hubbard_dense_oracle` builds the same chain from Kronecker
+products of annihilators, independent of every PauliString code path, so
+agreement here validates the closed form end to end.
 """
 
 import numpy as np
@@ -16,15 +17,13 @@ from qksd.hamiltonian import (
     PauliSum,
     apply_pauli_sum,
     build_hubbard_1d,
-    combo_product,
     fragment_dense,
-    jw_lowering,
-    jw_raising,
-    multiply_strings,
     pauli_sum_block,
     pauli_to_dense,
     sorted_insertion_partition,
 )
+
+from oracles import hubbard_dense_oracle
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,40 +39,6 @@ def dense_oracle(axes: str) -> np.ndarray:
     return out
 
 
-def jw_annihilation_dense(mode: int, n_modes: int) -> np.ndarray:
-    # independent oracle: a_p = Z^{otimes p} (x) sigma^- (x) I^{otimes rest}
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-    out = np.array([[1.0 + 0j]])
-    for q in range(n_modes):
-        if q < mode:
-            out = np.kron(out, Z)
-        elif q == mode:
-            out = np.kron(out, lower)
-        else:
-            out = np.kron(out, I2)
-    return out
-
-
-def combo_dense(combo) -> np.ndarray:
-    return sum(c * dense_oracle(s.axes) for c, s in combo)
-
-
-def test_multiply_strings_hand_cases():
-    phase, s = multiply_strings(PauliString("X"), PauliString("Y"))
-    assert s.axes == "Z" and phase == 1j
-    phase, s = multiply_strings(PauliString("Y"), PauliString("X"))
-    assert s.axes == "Z" and phase == -1j
-    phase, s = multiply_strings(PauliString("XZ"), PauliString("XZ"))
-    assert s.axes == "II" and phase == 1
-
-
-@pytest.mark.parametrize("axes_a,axes_b", [("XX", "YY"), ("XY", "ZZ"), ("XI", "IZ"), ("YZX", "ZXY")])
-def test_multiply_matches_dense(axes_a, axes_b):
-    phase, s = multiply_strings(PauliString(axes_a), PauliString(axes_b))
-    want = dense_oracle(axes_a) @ dense_oracle(axes_b)
-    np.testing.assert_allclose(phase * dense_oracle(s.axes), want, atol=1e-14)
-
-
 def test_commutes_with_matches_dense():
     rng = np.random.default_rng(1)
     axes = "IXYZ"
@@ -87,54 +52,18 @@ def test_commutes_with_matches_dense():
         assert pa.anticommutes_with(pb) == (np.abs(da @ db + db @ da).max() < 1e-12)
 
 
-def test_jw_canonical_anticommutation():
-    """{a_p, a_q^+} = delta_pq, {a_p, a_q} = 0 on 6 modes, to 1e-12."""
-    n = 6
-    for p in range(n):
-        for q in range(n):
-            ap = combo_dense(jw_lowering(p, n))
-            aq_dag = combo_dense(jw_raising(q, n))
-            aq = combo_dense(jw_lowering(q, n))
-            acc1 = ap @ aq_dag + aq_dag @ ap
-            acc2 = ap @ aq + aq @ ap
-            want = np.eye(2**n) if p == q else 0.0
-            assert np.abs(acc1 - want).max() < 1e-12
-            assert np.abs(acc2).max() < 1e-12
-
-
-def test_jw_matches_independent_dense():
-    n = 5
-    for p in range(n):
-        np.testing.assert_allclose(
-            combo_dense(jw_lowering(p, n)), jw_annihilation_dense(p, n), atol=1e-14
-        )
-
-
-def test_combo_product_is_matrix_product():
-    n = 4
-    a = jw_raising(1, n)
-    b = jw_lowering(3, n)
-    np.testing.assert_allclose(
-        combo_dense(combo_product(a, b)), combo_dense(a) @ combo_dense(b), atol=1e-14
-    )
-
-
-def hubbard_dense_oracle(L: int, t: float, u: float) -> np.ndarray:
-    n = 2 * L
-    a = [jw_annihilation_dense(p, n) for p in range(n)]
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(L - 1):
-        for s in (0, 1):
-            p, q = 2 * i + s, 2 * (i + 1) + s
-            h -= t * (a[p].conj().T @ a[q] + a[q].conj().T @ a[p])
-    for i in range(L):
-        n_up = a[2 * i].conj().T @ a[2 * i]
-        n_dn = a[2 * i + 1].conj().T @ a[2 * i + 1]
-        h += u * (n_up @ n_dn)
-    return h
-
-
-@pytest.mark.parametrize("L,t,u", [(2, 0.2, 0.1), (3, 0.1, 0.8), (2, 1.0, 4.0)])
+@pytest.mark.parametrize(
+    "L,t,u",
+    [
+        (2, 0.2, 0.1),
+        (3, 0.1, 0.8),
+        (2, 1.0, 4.0),
+        (1, 0.3, 0.7),  # one site: no hops, only the on-site terms
+        (4, -0.4, 0.9),  # negative hopping
+        (3, 0.0, 1.3),  # no hopping
+        (3, 0.5, 0.0),  # no interaction
+    ],
+)
 def test_hubbard_matches_dense_oracle(L, t, u):
     spec = build_hubbard_1d(L, t, u)
     np.testing.assert_allclose(

@@ -191,19 +191,6 @@ def test_chunk_ranges():
         lo += count
 
 
-def test_in_blocks():
-    """A chunk runs as contiguous, near-equal blocks of `block` to 2 * block - 1
-    trials, in trial order; a range shorter than a block is one block."""
-    def chunk(args, rng):
-        return (args, rng)
-
-    assert drivers._in_blocks(chunk, "a", 2, (5, 7)) == [
-        ("a", (5, 3)), ("a", (8, 2)), ("a", (10, 2))
-    ]
-    assert drivers._in_blocks(chunk, "a", 2, (4, 3)) == [("a", (4, 3))]
-    assert drivers._in_blocks(chunk, "a", 8, (0, 1)) == [("a", (0, 1))]
-
-
 def test_spec_norms_match_largest_singular_value():
     """On a Hermitian stack, the largest |eigenvalue| is the spectral norm."""
     rng = np.random.default_rng(5)
@@ -343,6 +330,34 @@ def test_threshold_sweep_driver(tmp_path):
     assert len(eps_rows) == 1
     assert eps_rows[0]["mean_n_eps"] >= 1.0
     assert eps_rows[0]["epsilon"] > 0
+
+
+def test_threshold_sweep_driver_walks_every_order(tmp_path):
+    """Every Krylov order of the config gets its cells, sweeping k = 1..n with
+    its own noiseless sweep, as a run of that order alone would write them."""
+    grid = dict(
+        trials=4, m_list=(100_000, 200_000), constructions=("toeplitz", "nontoeplitz")
+    )
+    res = run_threshold_sweep(small_cfg(tmp_path, "both.csv", n_list=(3, 5), **grid))
+    for n in (3, 5):
+        alone = run_threshold_sweep(small_cfg(tmp_path, f"n{n}.csv", n_list=(n,), **grid))
+        assert [r for r in res.rows if r["n"] == n] == list(alone.rows)
+        sweep = [r["k"] for r in alone.rows if r["row_kind"] == "sweep"]
+        assert sweep == list(range(1, n + 1)) * 4  # per (construction, M)
+    assert len(res.rows) == 2 * 2 * (3 + 1) + 2 * 2 * (5 + 1)
+
+
+def test_singular_spectrum_refuses_several_orders(tmp_path, monkeypatch):
+    """Its rows carry no n, so a second Krylov order is a config error, raised
+    before the system is built."""
+    def no_build(cfg):
+        raise AssertionError("system built")
+
+    monkeypatch.setattr(drivers, "build_system", no_build)
+    cfg = small_cfg(tmp_path, "spec.csv", n_list=(3, 5))
+    with pytest.raises(ConfigError, match="one Krylov order"):
+        run_singular_spectrum(cfg)
+    assert not (tmp_path / "spec.csv").exists()
 
 
 def test_optimal_threshold_scan_driver(tmp_path):
@@ -556,6 +571,7 @@ VARIANTS = {
     "binomial": {"mode": "binomial", "constructions": ("toeplitz", "nontoeplitz")},
     "binomial_decay": {"mode": "binomial", "hardware_lambda": 0.3},
     "gaussian_decay": {"mode": "gaussian", "hardware_lambda": 0.3},
+    "three_trials": {"trials": 3},
 }
 # sha256 of each CSV at trials = 8, header included; artifact version 0.4.0.
 # A change that moves any of these must bump ARTIFACT_VERSION and re-pin them.
@@ -582,7 +598,8 @@ DRIVER_DIGESTS = {
 
 
 def config_digest(tmp_path, name, variant, **overrides):
-    """sha256 of a shipped config's CSV at trials = 8, under a variant."""
+    """sha256 of a shipped config's CSV at trials = 8 (unless the variant sets
+    them), under a variant."""
     out = tmp_path / f"{name}.csv"
     overrides = {"trials": 8, "out": str(out), **VARIANTS[variant], **overrides}
     cfg = load_config(str(CONFIG_DIR / f"{name}.conf"), overrides)
@@ -600,17 +617,23 @@ def test_driver_digests(tmp_path, name, variant):
 
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize(
-    "name, variant", list(DRIVER_DIGESTS), ids=lambda v: v or "shipped"
+    "name, variant",
+    # at three trials, one-trial Toeplitz blocks meet reduced solves that a
+    # three-trial block would round differently if its stack were strided
+    [*DRIVER_DIGESTS, ("optimal_threshold", "three_trials")],
+    ids=lambda v: v or "shipped",
 )
 def test_driver_digests_smallest_blocks(
     tmp_path, monkeypatch, pools, name, variant, workers
 ):
     """Trial blocks do not show in the bytes: with the smallest blocks (one
-    trial each), every pinned config reproduces its digest inline and over a
-    pool, and a single-worker run of many blocks opens no pool."""
+    trial each), every config reproduces its bytes at the default budget
+    (pinned where DRIVER_DIGESTS has them) inline and over a pool, and a
+    single-worker run of many blocks opens no pool."""
+    want = DRIVER_DIGESTS.get((name, variant)) or config_digest(tmp_path, name, variant)
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
     digest = config_digest(tmp_path, name, variant, workers=workers)
-    assert digest == DRIVER_DIGESTS[(name, variant)]
+    assert digest == want
     assert len(pools) == workers - 1
 
 
