@@ -234,8 +234,9 @@ class _Fanout:
 
 
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
-    """Nominal bytes one trial of a chunk holds: a float per draw of each plan's
-    grid and a complex (n, n) matrix per stack."""
+    """Nominal bytes one trial of a chunk holds: a float per (element, config,
+    fragment) of each plan's grid and a complex (n, n) matrix per stack.  This
+    overstates a gaussian plan's draws J-fold, which keeps its blocks small."""
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 

@@ -23,7 +23,10 @@ from .config import ExperimentConfig
 # 0.4.0: every draw, in both modes, comes from one PCG64 per (seed, trial,
 # matrix) seated straight from its key; spectral norms come from eigvalsh; and
 # sampled Toeplitz stacks are C-contiguous.  Every sampled row changes.
-ARTIFACT_VERSION = "0.4.0"
+# 0.5.0: a gaussian H draws one normal per (element, configuration) for its
+# beta-weighted fragment sum instead of one per fragment, so gaussian H rows
+# move; binomial rows and S-only rows do not.
+ARTIFACT_VERSION = "0.5.0"
 
 ERROR_NORM_COLUMNS = (
     "row_kind", "construction", "kind", "n", "m_budget", "trial",

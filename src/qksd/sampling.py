@@ -18,18 +18,19 @@ sampled term is an unbiased estimate.  One sampler draws every plan's grid.
 
 Two noise modes: "binomial" draws the actual binomial counts (ground truth);
 "gaussian" replaces each estimate with a normal of matched mean and variance,
-which is what the norm-bound theory models and is fully vectorizable.
-Gaussian estimates are intentionally not clamped to [-1, 1].  The estimator
-rule lives in `_binomial_estimates` (range check, p and the binomial draw) and
-`_gaussian_estimates` (mean + sigma z); the ensembles and the scalar
-`hadamard_estimate` both call them.
+which is what the norm-bound theory models and is fully vectorizable.  A sum
+of independent normals is one normal, so a gaussian part (the beta-weighted
+sum of its fragments' estimates) takes one draw.  Gaussian estimates are not
+clamped to [-1, 1].  The estimator rule lives in `_binomial_estimates` (range
+check, p and the per-fragment draw) and `_gaussian_estimates` (the fragment
+sum's mean + sigma z); the ensembles and `hadamard_estimate` both call them.
 
-Random streams: every ensemble draw, in both modes, comes from one generator
-per (seed, trial, target), which draws the trial's sampled coordinates in the
-C order of the (element, configuration, fragment) grid: standard normals in
-gaussian mode, binomial counts in binomial mode.  `hadamard_estimate` seeds a
-generator per coordinate key in both modes, so it is not a slice of an
-ensemble.
+Random streams: every ensemble draw comes from one generator per (seed, trial,
+target), which draws in the C order of the plan's grid: a standard normal per
+(element, configuration), or a binomial count per (element, configuration,
+fragment).  No key holds the budget, so a trial's budgets share their draws.
+`hadamard_estimate` seeds a generator per coordinate key, so it is not a slice
+of an ensemble.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
@@ -281,9 +282,11 @@ def _binomial_estimates(mean, m, generators) -> np.ndarray:
     return np.reshape(rows, (-1,) + mean.shape)
 
 
-def _gaussian_estimates(mean, m, z) -> np.ndarray:
-    """mean + sigma z with the binomial estimator's sigma^2 = (1 - mean^2)/m."""
-    return mean + np.sqrt(np.clip(1.0 - mean * mean, 0.0, None) / m) * z
+def _gaussian_estimates(mean, m, betas, z) -> np.ndarray:
+    """sum_j beta_j (mean_j + sigma_j z_j) over the last (fragment) axis, drawn as
+    one normal: sigma_j^2 = (1 - mean_j^2)/m_j is the binomial estimator's."""
+    var = np.clip(1.0 - mean * mean, 0.0, None) / m
+    return mean @ betas + np.sqrt(var @ (betas * betas)) * z
 
 
 def hadamard_estimate(
@@ -310,7 +313,7 @@ def hadamard_estimate(
         if noise.mode == "binomial":
             est = _binomial_estimates(mean, m, [gen])[0]
         else:
-            est = _gaussian_estimates(mean, m, gen.standard_normal())
+            est = _gaussian_estimates(np.array([mean]), m, _UNIT, gen.standard_normal())
         parts[cfg] = float(est)
         sampled[cfg] = True
     return EstimateResult(
@@ -337,10 +340,11 @@ def _sample_grid(
     Toeplitz plan or (J, n, n) for the elementwise one.  Returns the grid's
     (P, 2) elements and the (T, P) estimates sum_j beta_j (Re + i Im).
 
-    Each trial draws from one stream, keyed (seed, trial, target): a standard
-    normal or a binomial count per sampled coordinate, in the grid's C order.
-    Zero-count coordinates consume no draw and stay 0.  The key depends only
-    on the absolute trial index, so any chunking of the trials agrees.
+    Each trial draws from one stream, keyed (seed, trial, target), in the
+    grid's C order: a normal per filled (element, configuration) or a binomial
+    count per sampled fragment.  Unfilled configurations draw nothing and stay
+    0.  The key depends only on the absolute trial index, so any chunking of
+    the trials agrees.
     """
     counts = plan.counts
     if counts.shape[2] != len(betas):
@@ -351,18 +355,23 @@ def _sample_grid(
     a, b = elements[:, 0], elements[:, 1]
     values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
     means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
-    sampled = counts > 0
-    mean, m = means[sampled], counts[sampled]  # one trial's draws, in C order
     keys = rngstream.stream_keys(
         noise.rng_seed,
         np.arange(first_trial, first_trial + trials),
         _TARGET_CODE[plan.target],
     )
-    est = np.zeros((trials,) + counts.shape)
     if noise.mode == "gaussian":
-        est[:, sampled] = _gaussian_estimates(mean, m, rngstream.normals(keys, m.size))
-    else:
-        est[:, sampled] = _binomial_estimates(mean, m, rngstream.streams(keys))
+        cols = np.flatnonzero(counts[:, :, 0])  # filled (element, configuration)s
+        mean, m = (x.reshape(-1, len(betas))[cols] for x in (means, counts))
+        z = rngstream.normals(keys, cols.size)
+        est = np.zeros((trials, 2 * len(elements)))  # (Re, Im) pairs of a (T, P)
+        est[:, cols] = _gaussian_estimates(mean, m, betas, z)
+        return elements, est.view(complex)
+    sampled = counts > 0
+    est = np.zeros((trials,) + counts.shape)
+    est[:, sampled] = _binomial_estimates(
+        means[sampled], counts[sampled], rngstream.streams(keys)
+    )
     return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas
 
 

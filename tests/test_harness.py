@@ -304,7 +304,7 @@ def test_error_norm_driver_skips_starved_cell(tmp_path):
     kept = b"".join(line for line in lines if not line.startswith(b"skipped,"))
     assert len(lines) - len(kept.splitlines()) == 1
     assert hashlib.sha256(kept).hexdigest() == (
-        "1297aa14006cc119251742472b33b0b87907f60415bb9be7730eaacd146942e2"
+        "597bd6871419be918af5fe2b54093e29da8d225215f8b579ad06272291949871"
     )
 
 
@@ -573,27 +573,27 @@ VARIANTS = {
     "gaussian_decay": {"mode": "gaussian", "hardware_lambda": 0.3},
     "three_trials": {"trials": 3},
 }
-# sha256 of each CSV at trials = 8, header included; artifact version 0.4.0.
+# sha256 of each CSV at trials = 8, header included; artifact version 0.5.0.
 # A change that moves any of these must bump ARTIFACT_VERSION and re-pin them.
 DRIVER_DIGESTS = {
     ("error_norms", None):
-        "497aa6795b9d46466d38dce25e4d45e543821650d586b5584fe375b01cb6cbf6",
+        "ac32c2ab9176ed78da792896fe53272b8ff5d420111e81fec9770f3bbaa03893",
     ("singular_spectrum", None):
-        "65b80ac92f5de6708efcb981ce192e35b9af51956259272ad9101aba4338237f",
+        "f396687d006498c32d530759bb8f7b9b7e284d3fef4f3c90d50278cb22ade29f",
     ("threshold_sweep", None):
-        "938e6345de84366d692d46624d45ee38286683ea2bcee9c8f5fcf699a467f397",
+        "1fa5e23b44de16c4e00a61ff3baddedb35cb35e696510a28f04b1726594df88f",
     ("optimal_threshold", None):
-        "92165d7f37a539b39c4d90a29dd47b6848e67536379d41b67e4f8cfcb5646a1b",
+        "9338f53ee1745654d8f679cbc25036d2c62b6b4840ad20db010988d7b44dd4b5",
     ("perturbation_bound", None):
-        "4e8aec9b971228b5160000ed665a101c02312312503381934348535911bf6b90",
+        "424e49fdbb78c433f3a289a73962b0503e38d45582a0244d365f52df85a99d88",
     ("perturbation_bound", "binomial"):
-        "1c7e9f272d5638e8b341aa8a6b7bee61b916be1bb7e42964758ae20174c7d8f3",
+        "9c2d4348c12a6b1661ac113ebb02b0578401c6bb98eb5e501c58a4024a79d5d5",
     ("error_norms", "binomial_decay"):
-        "00b51975a65b2c42c9a63bb4c7aab1bac46db730c6a3c3e676716f66f8b7aca2",
+        "8b5aa41e35207157c407dacd22db1d4715f350ff7e51ffa2011c449e0c151658",
     ("error_norms", "gaussian_decay"):
-        "8f8cdee3802b3f8786016f202afbc3219339b71c0aaeab53237a940555dfd23f",
+        "1e4c6b8aad2fa868457b9d0973fd9211fcfa18d10cff951d248297a6b1323319",
     ("long_order", None):
-        "824b2d33650111f97c8894d6152e9b49269f4c0dddef3c751fd0ced3cf52213f",
+        "b9f120077b24a3e7b228cdd1f13bb4ad849ceae65df04f4e5ecde2f0db251dbc",
 }
 
 

@@ -491,28 +491,45 @@ def test_ensemble_chunks_reproduce_full_run():
 # ---------------------------------------------------------------------------
 
 
-def _scalar_reference(mode, seed, trial, target, means, counts):
-    """One scalar draw at a time over the (position, config, fragment) grid.
+def _binomial_reference(seed, trial, target, means, counts, betas):
+    """The (P,) binomial estimates of one trial, one count at a time.
 
-    In both modes the trial's stream (seed, trial, target) draws the sampled
-    coordinates in the grid's C order; zero-count coordinates draw nothing and
-    stay 0.
+    The trial's stream (seed, trial, target) draws one count per sampled
+    (element, configuration, fragment) in the grid's C order; zero-count
+    coordinates draw nothing and stay 0.  Fragments are summed with weights
+    betas.
     """
-    code = TARGETS.index(target)
-    gen = rngstream.generator(rngstream.stream_key(seed, trial, code))
+    gen = rngstream.generator(rngstream.stream_key(seed, trial, TARGETS.index(target)))
     est = np.zeros(means.shape)
     for p, c, j in np.ndindex(means.shape):
         m = int(counts[p, c, j])
         if m == 0:
             continue
-        mean = float(means[p, c, j])
-        if mode == "binomial":
-            prob = 0.5 * (1.0 + min(1.0, max(-1.0, mean)))
-            est[p, c, j] = 2.0 * gen.binomial(m, prob) / m - 1.0
-        else:
-            z = gen.standard_normal()
-            est[p, c, j] = mean + math.sqrt(max(1.0 - mean * mean, 0.0) / m) * z
-    return est
+        prob = 0.5 * (1.0 + min(1.0, max(-1.0, float(means[p, c, j]))))
+        est[p, c, j] = 2.0 * gen.binomial(m, prob) / m - 1.0
+    return (est[:, 0, :] + 1j * est[:, 1, :]) @ betas
+
+
+def _gaussian_reference(seed, trial, target, means, counts, betas):
+    """The (P,) gaussian estimates of one trial, one configuration at a time.
+
+    The trial's stream draws one standard normal per filled (element,
+    configuration) in the grid's C order; each filled part is
+    sum_j beta_j mu_j + sqrt(sum_j beta_j^2 (1 - mu_j^2)/m_j) z, and an
+    unfilled part (a diagonal's imag) stays 0.
+    """
+    filled = [(p, c) for p, c in np.ndindex(counts.shape[:2]) if counts[p, c].any()]
+    keys = rngstream.stream_keys(seed, trial, TARGETS.index(target))
+    z = rngstream.normals(keys, len(filled))[0]
+    est = np.zeros(counts.shape[:2])
+    for (p, c), z_pc in zip(filled, z):
+        mu, m = means[p, c], counts[p, c]
+        var = sum(bj * bj * (1.0 - x * x) / mj for bj, x, mj in zip(betas, mu, m))
+        est[p, c] = float(betas @ mu) + math.sqrt(var) * z_pc
+    return est[:, 0] + 1j * est[:, 1]
+
+
+REFERENCE = {"binomial": _binomial_reference, "gaussian": _gaussian_reference}
 
 
 def _hand_plan(target, n, positions, n_frag):
@@ -534,7 +551,9 @@ def _random_overlaps(rng, shape):
 
 
 def test_binomial_toeplitz_h_matches_scalar_draw_order():
-    """Both noise modes; the test keeps its first name."""
+    """Both noise modes; the test keeps its first name.  Gaussian mode draws one
+    normal per (lag, configuration) for the fragment sum, binomial one count per
+    fragment."""
     rng = np.random.default_rng(17)
     n, betas = 5, np.array([0.5, 0.3, 0.2])
     targets = synthetic_targets(
@@ -551,8 +570,8 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
         noise = NoiseSpec(mode=mode, rng_seed=29)
         stack = sample_hamiltonian_ensemble(targets, plan, noise, 3, first_trial=4)
         for t in range(3):
-            est = _scalar_reference(mode, 29, 4 + t, "H_toeplitz", means, counts)
-            h_seq = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas + 0.25 * targets.s_seq
+            h_seq = REFERENCE[mode](29, 4 + t, "H_toeplitz", means, counts, betas)
+            h_seq = h_seq + 0.25 * targets.s_seq
             expected = np.array(
                 [[h_seq[l - k] if l >= k else h_seq[k - l].conj() for l in range(n)]
                  for k in range(n)]
@@ -561,7 +580,7 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
 
 
 def test_binomial_elementwise_h_matches_scalar_draw_order():
-    """Both noise modes; the test keeps its first name."""
+    """Both noise modes, as in the Toeplitz test; the test keeps its first name."""
     rng = np.random.default_rng(18)
     n, betas = 3, np.array([0.6, 0.4])
     frag = _random_overlaps(rng, (2, n, n))
@@ -580,8 +599,7 @@ def test_binomial_elementwise_h_matches_scalar_draw_order():
         noise = NoiseSpec(mode=mode, rng_seed=31)
         stack = sample_hamiltonian_ensemble(targets, plan, noise, 2, first_trial=9)
         for t in range(2):
-            est = _scalar_reference(mode, 31, 9 + t, "H_nontoeplitz", means, counts)
-            vals = (est[:, 0, :] + 1j * est[:, 1, :]) @ betas
+            vals = REFERENCE[mode](31, 9 + t, "H_nontoeplitz", means, counts, betas)
             expected = np.zeros((n, n), dtype=complex)
             for (a, b), v in zip(positions, vals):
                 expected[a, b] = v + 0.1 * s_mat[a, b]
@@ -602,8 +620,8 @@ def test_binomial_overlap_matches_scalar_draw_order():
         noise = NoiseSpec(mode=mode, rng_seed=37)
         stack = sample_overlap_ensemble(targets, plan, noise, 2, first_trial=3)
         for t in range(2):
-            est = _scalar_reference(mode, 37, 3 + t, "S_toeplitz", means, counts)
-            seq = np.concatenate([[1.0], est[:, 0, 0] + 1j * est[:, 1, 0]])
+            est = REFERENCE[mode](37, 3 + t, "S_toeplitz", means, counts, np.ones(1))
+            seq = np.concatenate([[1.0], est])
             expected = np.array(
                 [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
                  for k in range(n)]
@@ -702,6 +720,67 @@ def test_gaussian_binomial_same_mean_and_spread():
         assert abs(np.mean(d)) < 4 * math.sqrt(second[mode] / trials)
     g, b = second["gaussian"], second["binomial"]
     assert abs(g - b) < 0.1 * max(g, b)
+
+
+# trials per mode, standard errors allowed, and one seed per mode, so that the
+# two ensembles share no stream
+MOMENT_TRIALS, MOMENT_K, MOMENT_SEEDS = 4000, 5.0, {"gaussian": 601, "binomial": 602}
+
+
+@pytest.mark.parametrize("construction", ["toeplitz", "nontoeplitz"])
+def test_collapsed_gaussian_matches_per_fragment_binomial(construction):
+    """At J = 3 unequal weights, the gaussian draw of each (element,
+    configuration) has the law of the beta-weighted sum of per-fragment
+    binomial estimates.  Per sampled part, the mean and the second moment about
+    sum_j beta_j mu_j agree between the two modes, and each agrees with the
+    closed forms: zero, and sum_j beta_j^2 (1 - mu_j^2)/m_j.  Some fragment
+    overlaps sit near +/-1, where the binomial law is most skewed.
+    """
+    n, betas = 3, np.array([0.55, 0.3, 0.15])
+    rng = np.random.default_rng(19)
+    if construction == "toeplitz":
+        frag = _random_overlaps(rng, (3, n))
+        frag[0, 0], frag[1, 1], frag[2, 2] = 0.98, -0.96 + 0.3j, 0.2 + 0.97j
+        plan = allocate_toeplitz(2400, n, is_h=True, betas=betas)
+        cells = [(0, k) for k in range(n)]  # lag k sits in row 0
+        mu = frag.T.copy()  # (P, J)
+    else:
+        frag = _random_overlaps(rng, (3, n, n))
+        frag[:, 1, 1], frag[:, 0, 2], frag[:, 0, 1] = 0.97, 0.98 - 0.1j, 0.1 - 0.97j
+        plan = allocate_nontoeplitz(2700, n, betas=betas)
+        cells = [(a, b) for a in range(n) for b in range(a, n)]
+        mu = np.array([frag[:, a, b] for a, b in cells])
+    diagonal = [a == b for a, b in cells]
+    mu[diagonal] = mu[diagonal].real  # a diagonal's imag is never sampled
+    targets = synthetic_targets(
+        n=n, betas=betas, s_seq=[1.0, 0.0, 0.0], frag=frag, construction=construction
+    )
+    moments = {}
+    for mode, seed in MOMENT_SEEDS.items():
+        stack = sample_hamiltonian_ensemble(
+            targets, plan, NoiseSpec(mode=mode, rng_seed=seed), MOMENT_TRIALS
+        )
+        for p, (a, b) in enumerate(cells):
+            d = stack[:, a, b] - betas @ mu[p]
+            for c, x in enumerate((d.real, d.imag)):
+                if not plan.counts[p, c].any():
+                    assert not x.any()  # a diagonal's imag takes no draw
+                    continue
+                sq = x * x
+                root_t = math.sqrt(MOMENT_TRIALS)
+                moments[mode, p, c] = (
+                    (x.mean(), x.std() / root_t), (sq.mean(), sq.std() / root_t)
+                )
+    assert len(moments) == 2 * int((plan.counts[:, :, 0] > 0).sum())
+    for (mode, p, c), ((mean, se_mean), (second, se_second)) in moments.items():
+        mu_pc = (mu[p].real, mu[p].imag)[c]
+        var = float(np.sum(betas**2 * (1.0 - mu_pc**2) / plan.counts[p, c]))
+        assert abs(mean) < MOMENT_K * se_mean, (mode, p, c)
+        assert abs(second - var) < MOMENT_K * se_second, (mode, p, c)
+        if mode == "gaussian":
+            (b_mean, b_se_mean), (b_second, b_se_second) = moments["binomial", p, c]
+            assert abs(mean - b_mean) < MOMENT_K * math.hypot(se_mean, b_se_mean)
+            assert abs(second - b_second) < MOMENT_K * math.hypot(se_second, b_se_second)
 
 
 # ---------------------------------------------------------------------------
