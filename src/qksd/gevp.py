@@ -5,9 +5,9 @@ decays fast, so noise in the small singular directions wrecks a direct solve.
 basis_thresholding projects both matrices onto the eigenvectors of S with
 eigenvalue above a cutoff, giving a reduced pair (A, B) with B diagonal and
 safely positive.  solve_gevp then symmetrizes with B^{-1/2}.  When only the
-ground energy is wanted, top_k_energies and epsilon_energy select and solve
-from a given eigh(S), so one decomposition serves every k and the threshold
-rule.
+ground energy is wanted, top_k_ground_energies solves a whole stack of trials
+from their batched eigh(S), each reduced to its own top k directions, so one
+decomposition per trial serves every k and the threshold rule.
 
 Perturbations are compared in the eigenangle coordinate arctan(E), where the
 conditioning is governed by d0 = |x0^dag (A + iB) x0|.  The deviation between
@@ -35,7 +35,7 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -195,56 +195,40 @@ def threshold_and_solve(
 # ---------------------------------------------------------------------------
 
 
-def _reduced_ground_energy(
-    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray
-) -> float:
-    """solve_gevp(...).ground_energy of the pair reduced to the directions `keep`.
+def top_k_ground_energies(
+    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """Ground energy of each trial's pair reduced to its top k[t] overlap directions.
 
-    The reduced B is diag(vals[keep]), so B^{-1/2} is the diagonal d and the
-    symmetrized pair is (d A) d: the same floating-point operations as
-    solve_gevp's products with its diagonal inv_sqrt, without eigh(B).  nan
-    where solve_gevp raises IllPosedError: the symmetrized pair overflows.
+    (vals, vecs) = eigh of the (T, n, n) overlap stack, so the top k
+    directions are the columns n - 1, ..., n - k, kept in that order as
+    basis_thresholding keeps them (top_k_thresholding too, except on exact
+    ties).  The reduced B is diag(w) of the kept eigenvalues, so B^{-1/2} is
+    the diagonal d and the symmetrized pair is (d A) d: the same
+    floating-point operations as solve_gevp's products with its diagonal
+    inv_sqrt, without eigh(B).  The trials sharing a k are solved as one
+    stack, and a trial gets the same bits in a stack of any size.  Entry t
+    equals top_k_thresholding(h[t], s[t], k[t]) then solve_gevp, bit for bit,
+    when S's largest eigenvalue is of order 1, as for every sampled S~
+    (diagonal e^{-lambda}).  It is nan where k[t] = 0 and where the
+    symmetrized pair is not finite: a kept eigenvalue <= 0 makes d inf or
+    nan, and one below about 1e-150 overflows the pair (solve_gevp raises
+    IllPosedError).
     """
-    v_kept = vecs[:, keep]
-    a = _hermitize(v_kept.conj().T @ h @ v_kept)
-    d = vals[keep] ** -0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = _hermitize((d[:, None] * a) * d[None, :])
-    if not np.isfinite(sym).all():
-        return math.nan
-    return float(np.linalg.eigh(sym)[0][0])
-
-
-def top_k_energies(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Ground energy keeping the top k overlap directions, k = 1..n.
-
-    (vals, vecs) = eigh(S).  Entry k - 1 equals top_k_thresholding(h, s, k)
-    then solve_gevp, bit for bit, when S's largest eigenvalue is of order 1,
-    as for every sampled S~ (diagonal e^{-lambda}); it is nan where S has
-    fewer than k positive eigenvalues, and where a kept eigenvalue below
-    about 1e-150 overflows the reduced pair (solve_gevp: IllPosedError).
-    """
-    energies = np.full(len(vals), math.nan)
-    order = np.argsort(vals)[::-1]
-    for k in range(1, int(np.count_nonzero(vals > 0)) + 1):
-        energies[k - 1] = _reduced_ground_energy(h, vals, vecs, order[:k])
+    energies = np.full(len(k), math.nan)
+    n = vals.shape[1]
+    for dim in set(k.tolist()) - {0}:
+        rows = np.flatnonzero(k == dim)
+        keep = np.arange(n - 1, n - 1 - dim, -1)
+        vh = vecs[rows[:, None], :, keep].conj()  # (g, k, n): V^dag per trial
+        with np.errstate(all="ignore"):
+            a = _hermitize(vh @ h[rows] @ vh.conj().swapaxes(1, 2))
+            d = vals[rows[:, None], keep] ** -0.5
+            sym = _hermitize((d[:, :, None] * a) * d[:, None, :])
+        ok = np.isfinite(sym).all(axis=(1, 2))
+        if ok.any():
+            energies[rows[ok]] = np.linalg.eigh(sym[ok])[0][:, 0]
     return energies
-
-
-def epsilon_energy(
-    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, epsilon: float
-) -> tuple[float, int]:
-    """(ground energy, n_eps) keeping the overlap directions above epsilon.
-
-    (vals, vecs) = eigh(S).  Equals basis_thresholding(h, s, epsilon) then
-    solve_gevp, bit for bit, under top_k_energies' precondition (S's largest
-    eigenvalue of order 1); (nan, 0) when no eigenvalue exceeds epsilon, and
-    (nan, n_eps) where solve_gevp raises IllPosedError.
-    """
-    keep = np.flatnonzero(vals > epsilon)[::-1]
-    if keep.size == 0:
-        return math.nan, 0
-    return _reduced_ground_energy(h, vals, vecs, keep), int(keep.size)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ A cell's peak memory depends on its block, not on `trials`.  Since every
 trial's random stream is keyed by its absolute trial index and every result
 is per trial, blocks do not show in the output, and any worker count
 reproduces byte-identical files.
+
+Threshold-sweep and optimal-threshold solve a block's reduced pairs as stacks,
+one batched solve per retained dimension (`gevp.top_k_ground_energies`);
+perturbation-bound solves trial by trial (`_perturbation_chunk` says why).
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ from ..gevp import (
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
-    epsilon_energy,
     solve_gevp,
-    top_k_energies,
+    top_k_ground_energies,
 )
 from ..hamiltonian import (
     UnitaryPartition,
@@ -285,8 +288,9 @@ class _PairCell:
 
     @property
     def trial_bytes(self) -> int:
-        """Per-trial footprint of a chunk holding H~, S~ and S~'s eigenvectors."""
-        return _trial_bytes(self.targets.n, 3, self.plan_h, self.plan_s)
+        """Per-trial footprint of a chunk holding H~, S~ and S~'s eigenvectors,
+        plus the four stacks a batched reduced solve holds at k = n."""
+        return _trial_bytes(self.targets.n, 7, self.plan_h, self.plan_s)
 
 
 def _pair_cells(
@@ -332,12 +336,13 @@ def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
 
 
 def _epsilon_rule(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray, eps: float):
-    """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives."""
-    energies = np.full(len(h_stack), math.nan)
-    dims = np.zeros(len(h_stack), dtype=np.int64)
-    for i, trial in enumerate(zip(h_stack, vals, vecs)):
-        energies[i], dims[i] = epsilon_energy(*trial, eps)
-    return energies, dims
+    """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives.
+
+    eigh's eigenvalues ascend, so the rule keeps each trial's top n_eps
+    directions, in the order basis_thresholding keeps them.
+    """
+    dims = np.count_nonzero(vals > eps, axis=1)
+    return top_k_ground_energies(h_stack, vals, vecs, dims), dims
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +368,21 @@ def _spectrum_chunk(args, rng: tuple[int, int]):
     return vals, _spec_norms(stack - s_exact)
 
 
-def _sweep_chunk(args, rng):
-    """Top-k energies per trial, and the eps rule's, which is the entry k = n_eps.
+def _top_k_sweep(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(T, n) ground energies keeping each trial's top k directions, k = 1..n."""
+    trials, n = vals.shape
+    ks = range(1, n + 1)
+    return np.stack(
+        [top_k_ground_energies(h_stack, vals, vecs, np.full(trials, k)) for k in ks],
+        axis=1,
+    )
 
-    eigh's eigenvalues ascend, so the rule's retained directions are the top
-    n_eps ones, in the same order.
-    """
+
+def _sweep_chunk(args, rng):
+    """Top-k energies per trial, and the eps rule's, which is the entry k = n_eps."""
     cell, noise = args
     h_stack, _, vals, vecs = _sampled_eigh(cell, noise, rng)
-    sweep = np.array([top_k_energies(*trial) for trial in zip(h_stack, vals, vecs)])
+    sweep = _top_k_sweep(h_stack, vals, vecs)
     dims = np.count_nonzero(vals > cell.eps, axis=1)
     energies = np.where(dims > 0, sweep[np.arange(len(dims)), dims - 1], math.nan)
     return sweep, energies, dims
@@ -403,6 +414,12 @@ def _perturbation_chunk(args, rng):
 
     `fixed` holds the columns shared by every trial row of the cell; `limits`
     the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).
+
+    Unlike the sweep and scan chunks, this one solves trial by trial:
+    chi_between_thresholds differences each trial's projected pair in the
+    exact basis, and eigenangle_check takes the perturbed GevpSolution.
+    Stacking them needs a batched chi and a check on the perturbed ground
+    energy alone, which is a change of its own.
     """
     cell, noise, ex, sol_ex, limits, fixed = args
     start = rng[0]
@@ -629,9 +646,8 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
                 continue
             construction, n = base["construction"], base["n"]
             if (construction, n) not in ideal:
-                ideal[construction, n] = _rel_errors(
-                    top_k_energies(cell.h_exact, *np.linalg.eigh(cell.s_exact)), e0
-                )
+                exact = (cell.h_exact[None], *np.linalg.eigh(cell.s_exact[None]))
+                ideal[construction, n] = _rel_errors(_top_k_sweep(*exact)[0], e0)
             sweep, eps_energy, eps_dims = _columns(
                 trials(_sweep_chunk, cell.trial_bytes, cell, noise)
             )

@@ -39,7 +39,7 @@ noise is applied, so the sampled matrices estimate the decayed pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,12 +78,15 @@ class ShotPlan:
     """Shots per (element, configuration, fragment) of one target.
 
     counts[p, c, j] holds the shots of grid element p (`elements` row),
-    configuration c (0 real, 1 imag) and fragment j; it is stored read-only.
+    configuration c (0 real, 1 imag) and fragment j.  `elements` is the (P, 2)
+    array of the grid's (a, b) elements in canonical order; both are stored
+    read-only.
     """
 
     target: str
     n: int
     counts: np.ndarray
+    elements: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.target not in TARGETS:
@@ -108,12 +111,9 @@ class ShotPlan:
                 f"{('real', 'imag')[c]} fragment {j} without shots"
             )
         counts.flags.writeable = False
+        elements.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def elements(self) -> np.ndarray:
-        """(P, 2) array of the grid's (a, b) elements in canonical order."""
-        return _grid(self.target, self.n)[0]
+        object.__setattr__(self, "elements", elements)
 
     @property
     def budget(self) -> int:

@@ -14,11 +14,10 @@ from qksd.gevp import (
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
-    epsilon_energy,
     solve_gevp,
     spectral_norm,
     threshold_and_solve,
-    top_k_energies,
+    top_k_ground_energies,
     top_k_thresholding,
 )
 
@@ -183,6 +182,21 @@ def random_stack(spectrum, trials, seed):
     return np.array(h_stack), np.array(s_stack)
 
 
+def shared_energies(h_stack, vals, vecs, epsilon):
+    """From one batched eigh(S): the (T, n) top-k energies, k = 1..n, as the
+    sweep driver solves them, and the eps rule's (energies, n_eps) per trial."""
+    trials, n = vals.shape
+    sweep = np.stack(
+        [
+            top_k_ground_energies(h_stack, vals, vecs, np.full(trials, k))
+            for k in range(1, n + 1)
+        ],
+        axis=1,
+    )
+    dims = np.count_nonzero(vals > epsilon, axis=1)
+    return sweep, top_k_ground_energies(h_stack, vals, vecs, dims), dims
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     # every sampled S~ a driver solves has diagonal e^{-lambda}, so its largest
@@ -208,10 +222,15 @@ def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, ep
     """
     h_stack, s_stack = random_stack(spectrum, trials, seed)
     vals, vecs = np.linalg.eigh(s_stack)
-    for h, s, w, v in zip(h_stack, s_stack, vals, vecs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep, rule_energies, dims = shared_energies(h_stack, vals, vecs, epsilon)
+    for h, s, w, shared, e_rule, n_rule in zip(
+        h_stack, s_stack, vals, sweep, rule_energies, dims
+    ):
         top_k, rule = per_trial_energies(h, s, epsilon)
-        assert np.array_equal(top_k_energies(h, w, v), top_k, equal_nan=True)
-        assert np.array_equal(epsilon_energy(h, w, v, epsilon), rule, equal_nan=True)
+        assert np.array_equal(shared, top_k, equal_nan=True)
+        assert np.array_equal((e_rule, n_rule), rule, equal_nan=True)
         positives = int(np.count_nonzero(w > 0))
         representable = int(np.count_nonzero(w >= 1e-150))
         assert np.isfinite(top_k[:representable]).all()
@@ -219,9 +238,7 @@ def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, ep
         if rule[1] == 0:
             assert not (w > epsilon).any() and math.isnan(rule[0])
         else:  # the rule keeps the top n_eps directions, as the sweep's k = n_eps
-            sweep_k = top_k_energies(h, w, v)[rule[1] - 1]
-            e_rule = epsilon_energy(h, w, v, epsilon)[0]
-            assert np.array_equal(e_rule, sweep_k, equal_nan=True)
+            assert np.array_equal(e_rule, shared[n_rule - 1], equal_nan=True)
 
 
 def test_shared_decomposition_tiny_overlap_spectrum():
@@ -232,12 +249,13 @@ def test_shared_decomposition_tiny_overlap_spectrum():
     """
     h_stack, s_stack = random_stack([0.0, 3.06e-217], trials=3, seed=2)
     vals, vecs = np.linalg.eigh(s_stack)
-    for h, s, w, v in zip(h_stack, s_stack, vals, vecs):
+    sweep, rule_energies, dims = shared_energies(h_stack, vals, vecs, 0.0)
+    for h, s, shared, e_shared, n_shared in zip(
+        h_stack, s_stack, sweep, rule_energies, dims
+    ):
         top_k, (e_rule, n_rule) = per_trial_energies(h, s, 0.0)
-        shared = top_k_energies(h, w, v)
         assert np.array_equal(np.isnan(shared), np.isnan(top_k))
         np.testing.assert_allclose(shared, top_k, rtol=1e-12, atol=0)
-        e_shared, n_shared = epsilon_energy(h, w, v, 0.0)
         assert n_shared == n_rule
         assert e_shared == pytest.approx(e_rule, rel=1e-12, abs=0)
 
@@ -258,10 +276,58 @@ def test_overflowing_reduced_pair_is_ill_posed():
         assert thr.b_diagonal.tolist() == [1.0, 5e-320]
         with pytest.raises(IllPosedError, match="not finite"):
             solve_gevp(thr.A, thr.B)
-        energies = top_k_energies(h, vals, np.eye(2))
-        assert math.isfinite(energies[0]) and math.isnan(energies[1])
-        energy, n_eps = epsilon_energy(h, vals, np.eye(2), 0.0)
+        energies, (energy,), (n_eps,) = shared_energies(
+            h[None], vals[None], np.eye(2)[None], 0.0
+        )
+        assert math.isfinite(energies[0, 0]) and math.isnan(energies[0, 1])
         assert math.isnan(energy) and n_eps == 2
+
+
+def test_mixed_stack_solves_each_trial_alone():
+    """Trials of one stack with different retained dimensions get the bits
+    each gets when solved alone, so no neighbour in the batch shows.
+
+    Forced k = (4, 4, 0, 2, 4) puts a finite trial in one group with a k
+    above the positive count and an overflowing kept eigenvalue (5e-320); the
+    eps rule gives n_eps = (2, 1, 0, 3, 2) at eps = 0.4 and (4, 2, 4, 4, 4)
+    at eps = 0, where the last trial overflows.
+    """
+    spectra = [
+        [1.0, 0.5, 0.1, 0.01],
+        [1.0, 0.3, 0.0, -0.2],
+        [0.3, 0.02, 0.01, 1e-3],
+        [1.0, 0.6, 0.45, 0.05],
+    ]
+    h_stack, vals, vecs = [], [], []
+    for seed, spectrum in enumerate(spectra):
+        h, s = random_stack(spectrum, trials=1, seed=seed)
+        w, v = np.linalg.eigh(s)
+        h_stack.append(h[0])
+        vals.append(w[0])
+        vecs.append(v[0])
+    h_stack.append(h_stack[0])
+    vals.append(np.array([5e-320, 0.2, 0.5, 1.0]))
+    vecs.append(np.eye(4, dtype=complex))
+    h_stack, vals, vecs = map(np.array, (h_stack, vals, vecs))
+    cases = [
+        (np.array([4, 4, 0, 2, 4]), [False, True, True, False, True]),
+        (np.count_nonzero(vals > 0.4, axis=1), [False, False, True, False, False]),
+        (np.count_nonzero(vals > 0.0, axis=1), [False, False, False, False, True]),
+    ]
+    assert cases[1][0].tolist() == [2, 1, 0, 3, 2]
+    assert cases[2][0].tolist() == [4, 2, 4, 4, 4]
+    for k, nan in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = top_k_ground_energies(h_stack, vals, vecs, k)
+            alone = [
+                top_k_ground_energies(
+                    h_stack[t : t + 1], vals[t : t + 1], vecs[t : t + 1], k[t : t + 1]
+                )[0]
+                for t in range(len(k))
+            ]
+        assert np.array_equal(batch, alone, equal_nan=True), k
+        assert np.isnan(batch).tolist() == nan, k
 
 
 def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):

@@ -620,7 +620,11 @@ def test_driver_digests(tmp_path, name, variant):
     "name, variant",
     # at three trials, one-trial Toeplitz blocks meet reduced solves that a
     # three-trial block would round differently if its stack were strided
-    [*DRIVER_DIGESTS, ("optimal_threshold", "three_trials")],
+    [
+        *DRIVER_DIGESTS,
+        ("optimal_threshold", "three_trials"),
+        ("threshold_sweep", "three_trials"),
+    ],
     ids=lambda v: v or "shipped",
 )
 def test_driver_digests_smallest_blocks(

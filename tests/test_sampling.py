@@ -195,6 +195,9 @@ def test_plan_validation():
     assert plan.budget == 16
     with pytest.raises(ValueError):
         plan.counts[0, 0, 0] = 5  # stored read-only
+    assert plan.elements is plan.elements  # built once, not per access
+    with pytest.raises(ValueError):
+        plan.elements[0, 0] = 2  # stored read-only
     with pytest.raises(ValueError):
         ShotPlan("X", 3, np.full((2, 2, 1), 4))
 
