@@ -11,23 +11,17 @@ else is imported from its module (`qksd.sampling`, `qksd.gevp`, ...).
 """
 
 from .bounds import optimal_epsilon
-from .gevp import threshold_and_solve
-from .sampling import (
-    NoiseSpec,
-    allocate_toeplitz,
-    hadamard_estimate,
-    sample_pair,
-    split_budget,
-)
+from .gevp import basis_thresholding, solve_gevp
+from .sampling import NoiseSpec, allocate_toeplitz, sample_ensemble, split_budget
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NoiseSpec",
     "allocate_toeplitz",
-    "hadamard_estimate",
+    "basis_thresholding",
     "optimal_epsilon",
-    "sample_pair",
+    "sample_ensemble",
+    "solve_gevp",
     "split_budget",
-    "threshold_and_solve",
 ]

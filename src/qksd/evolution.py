@@ -26,10 +26,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
 
 def diagonalize(h_dense: np.ndarray) -> Spectrum:
     """Hermitian eigendecomposition with ascending eigenvalues.

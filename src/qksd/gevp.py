@@ -183,13 +183,6 @@ def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
     )
 
 
-def threshold_and_solve(
-    h: np.ndarray, s: np.ndarray, epsilon: float
-) -> tuple[ThresholdResult, GevpSolution]:
-    thr = basis_thresholding(h, s, epsilon)
-    return thr, solve_gevp(thr.A, thr.B)
-
-
 # ---------------------------------------------------------------------------
 # Ground energies from a given overlap eigendecomposition
 # ---------------------------------------------------------------------------
@@ -273,8 +266,8 @@ class EigenangleCheck:
 
     The error-bound and gap assumptions are evaluated with exact-side
     quantities (lambda_min of the exact reduced B, exact gap).  `bound` is
-    None when the arcsine argument exceeds 1, in which case the trial does
-    not qualify.
+    None when the arcsine argument exceeds 1.  Which trials qualify is the
+    perturbation-bound driver's rule, which adds its own flags to these.
     """
 
     err_assumption: bool
@@ -282,21 +275,6 @@ class EigenangleCheck:
     bound: Optional[float]
     observed: float
     degenerate: bool
-
-    @property
-    def qualifies(self) -> bool:
-        return (
-            self.err_assumption
-            and self.gap_assumption
-            and self.bound is not None
-            and not self.degenerate
-        )
-
-    @property
-    def satisfied(self) -> Optional[bool]:
-        if not self.qualifies:
-            return None
-        return self.observed <= self.bound + 1e-9
 
 
 def eigenangle_check(

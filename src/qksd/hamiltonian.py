@@ -71,9 +71,6 @@ class PauliString:
     def anticommutes_with(self, other: "PauliString") -> bool:
         return not self.commutes_with(other)
 
-    def __str__(self) -> str:
-        return self.axes
-
 
 @dataclass(frozen=True)
 class PauliSum:
@@ -114,11 +111,6 @@ class PauliSum:
     def non_identity_terms(self) -> tuple[tuple[float, PauliString], ...]:
         return tuple((c, s) for c, s in self.terms if not s.is_identity)
 
-    @property
-    def coefficient_norm(self) -> float:
-        """1-norm of the non-identity coefficients (the identity only shifts the spectrum)."""
-        return sum(abs(c) for c, s in self.terms if not s.is_identity)
-
 
 @dataclass(frozen=True)
 class UnitaryGroup:
@@ -138,10 +130,6 @@ class UnitaryPartition:
     @property
     def beta_norm(self) -> float:
         return sum(g.beta for g in self.groups)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
     @property
     def betas(self) -> np.ndarray:

@@ -5,8 +5,8 @@ outcomes whose mean is Re or Im of <phi_0|V|phi_0>.  From m shots the
 estimator R = 2 Bin(m, p)/m - 1 has mean 2p - 1 and variance (1 - mean^2)/m.
 This module allocates a total shot budget over matrix elements, real/imag
 configurations, and unitary fragments according to the minimax-optimal rules
-for Toeplitz and elementwise (non-Toeplitz) constructions, then draws the
-noisy pair (H~, S~).
+for Toeplitz and elementwise (non-Toeplitz) constructions, then draws
+ensembles of noisy pairs (H~, S~).
 
 A plan is its grid of shot counts over (element, configuration, fragment).
 Elements are S's lags 1..n-1 (its diagonal is known and never sampled), the
@@ -23,14 +23,13 @@ of independent normals is one normal, so a gaussian part (the beta-weighted
 sum of its fragments' estimates) takes one draw.  Gaussian estimates are not
 clamped to [-1, 1].  The estimator rule lives in `_binomial_estimates` (range
 check, p and the per-fragment draw) and `_gaussian_estimates` (the fragment
-sum's mean + sigma z); the ensembles and `hadamard_estimate` both call them.
+sum's mean + sigma z); `_sample_grid` calls them for both ensembles.
 
-Random streams: every ensemble draw comes from one generator per (seed, trial,
-target), which draws in the C order of the plan's grid: a standard normal per
+Random streams: every draw comes from one generator per (seed, trial, target),
+which draws in the C order of the plan's grid: a standard normal per
 (element, configuration), or a binomial count per (element, configuration,
 fragment).  No key holds the budget, so a trial's budgets share their draws.
-`hadamard_estimate` seeds a generator per coordinate key, so it is not a slice
-of an ensemble.
+A single pair is the one-trial ensemble at its trial index.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -115,10 +114,6 @@ class ShotPlan:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "elements", elements)
 
-    @property
-    def budget(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -131,26 +126,6 @@ class NoiseSpec:
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if self.hardware_lambda < 0:
             raise ValueError("hardware_lambda must be >= 0")
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    """Complex estimate plus markers for configurations that actually sampled.
-
-    A part with zero shots is returned as 0 with its flag False (infinite
-    variance: no information was collected).
-    """
-
-    value: complex
-    re_sampled: bool
-    im_sampled: bool
-
-
-@dataclass(frozen=True)
-class SampledPair:
-    H: np.ndarray
-    S: np.ndarray
-    construction: str
 
 
 # ---------------------------------------------------------------------------
@@ -287,38 +262,6 @@ def _gaussian_estimates(mean, m, betas, z) -> np.ndarray:
     one normal: sigma_j^2 = (1 - mean_j^2)/m_j is the binomial estimator's."""
     var = np.clip(1.0 - mean * mean, 0.0, None) / m
     return mean @ betas + np.sqrt(var @ (betas * betas)) * z
-
-
-def hadamard_estimate(
-    true_value: complex,
-    m_r: int,
-    m_i: int,
-    noise: NoiseSpec,
-    stream: Sequence[int],
-) -> EstimateResult:
-    """Estimate one overlap from m_r real-configuration and m_i imag shots.
-
-    `stream` is the coordinate prefix (seed, trial, target code, a, b,
-    fragment); the configuration code is appended internally so real and imag
-    draws are independent.  Zero-shot parts return 0 and are flagged.
-    """
-    parts = [0.0, 0.0]
-    sampled = [False, False]
-    for cfg, (mean, m) in enumerate(
-        ((true_value.real, int(m_r)), (true_value.imag, int(m_i)))
-    ):
-        if m <= 0:
-            continue
-        gen = rngstream.generator(rngstream.stream_key(*stream, cfg))
-        if noise.mode == "binomial":
-            est = _binomial_estimates(mean, m, [gen])[0]
-        else:
-            est = _gaussian_estimates(np.array([mean]), m, _UNIT, gen.standard_normal())
-        parts[cfg] = float(est)
-        sampled[cfg] = True
-    return EstimateResult(
-        value=complex(parts[0], parts[1]), re_sampled=sampled[0], im_sampled=sampled[1]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +403,6 @@ def sample_ensemble(
         sample_hamiltonian_ensemble(targets, plan_h, noise, trials, first_trial),
         sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial),
     )
-
-
-def sample_pair(
-    targets: MeasurementTargets,
-    plan_h: ShotPlan,
-    plan_s: ShotPlan,
-    noise: NoiseSpec,
-    trial: int = 0,
-) -> SampledPair:
-    """Sample a single noisy pair; identical to the matching ensemble slice."""
-    h_stack, s_stack = sample_ensemble(
-        targets, plan_h, plan_s, noise, trials=1, first_trial=trial
-    )
-    return SampledPair(H=h_stack[0], S=s_stack[0], construction=targets.construction)
 
 
 # ---------------------------------------------------------------------------

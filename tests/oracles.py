@@ -12,16 +12,26 @@ string in between, so they check the closed-form Pauli terms of
 
 Scalar largest-remainder rounding: the loop the row-wise
 `sampling._largest_remainder` replaced, one row at a time.
+
+The matrix variance statistic v of a shot plan, by the diagonal-accumulation
+and row-sum forms, with its closed-form minimum at the optimal plans and the
+expected-norm bound sqrt(2 v log 2n) it controls.  No driver evaluates v: the
+drivers' closed-form bound e_Z / sqrt(M) is at least sqrt(2 v log 2n) at the
+optimal plans.  The tests check v against brute-force matrix series, the
+allocators against its minimum, and the sampled norms' growth in n against
+the bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qksd.evolution import Spectrum
 from qksd.hamiltonian import PauliSum, pauli_to_dense
+from qksd.krylov import CONSTRUCTIONS
 
 
 @dataclass(frozen=True)
@@ -116,3 +126,89 @@ def largest_remainder(ideals: np.ndarray, total: int) -> np.ndarray:
         for i in range(rem):
             floors[order[i % len(order)]] += 1
     return floors
+
+
+# ---------------------------------------------------------------------------
+# Matrix variance statistic
+# ---------------------------------------------------------------------------
+
+
+def toeplitz_variance_from_counts(
+    counts: np.ndarray, v_z: float, is_hamiltonian: bool
+) -> float:
+    """v = max_l v_l for a Toeplitz plan with per-element shot totals `counts`.
+
+    counts[k] is the total budget (all configurations and fragments) of
+    sequence element k; counts[0] is the diagonal, which S never samples.
+    Element variances: sigma_0^2 = 2 V^2 / m_0 (H only), sigma_k^2 = 4 V^2 / m_k.
+    The diagonal-accumulation sum counts sigma_k^2 once per index l with
+    k <= n - l and once more with k <= l - 1.
+    """
+    counts = np.asarray(counts, dtype=float)
+    n = len(counts)
+    sig2 = np.zeros(n)
+    if is_hamiltonian:
+        sig2[0] = np.inf if counts[0] <= 0 else 2.0 * v_z**2 / counts[0]
+    for k in range(1, n):
+        sig2[k] = np.inf if counts[k] <= 0 else 4.0 * v_z**2 / counts[k]
+    best = 0.0
+    for ell in range(1, n + 1):
+        v_l = sig2[0]
+        for k in range(1, n):
+            v_l += sig2[k] * ((k <= n - ell) + (k <= ell - 1))
+        best = max(best, v_l)
+    return float(best)
+
+
+def nontoeplitz_variance_from_counts(counts: np.ndarray, v_z: float) -> float:
+    """v = max_k of the row-sum form for elementwise sampling.
+
+    counts is an (n, n) array of per-element totals over the upper triangle
+    (k <= l); the lower triangle is ignored.  sigma_kk^2 = 2 V^2 / m_kk,
+    sigma_kl^2 = 4 V^2 / m_kl for k < l.
+    """
+    counts = np.asarray(counts, dtype=float)
+    n = counts.shape[0]
+    sig2 = np.zeros((n, n))
+    for k in range(n):
+        for ell in range(k, n):
+            m = counts[k, ell]
+            factor = 2.0 if k == ell else 4.0
+            val = np.inf if m <= 0 else factor * v_z**2 / m
+            sig2[k, ell] = sig2[ell, k] = val
+    return float(np.max(np.sum(sig2, axis=1)))
+
+
+def variance_statistic(plan, v_z: float) -> float:
+    """Matrix variance statistic of a ShotPlan (expected-norm control variable).
+
+    The expected spectral norm of the error matrix obeys
+    E[norm] <= sqrt(2 v log 2n).
+    """
+    totals = plan.counts.sum(axis=(1, 2))
+    a, b = plan.elements.T
+    if plan.target == "H_nontoeplitz":
+        per_element = np.zeros((plan.n, plan.n))
+        per_element[a, b] = totals
+        return nontoeplitz_variance_from_counts(per_element, v_z)
+    per_lag = np.zeros(plan.n)
+    per_lag[a] = totals
+    return toeplitz_variance_from_counts(
+        per_lag, v_z, is_hamiltonian=plan.target == "H_toeplitz"
+    )
+
+
+def optimal_variance(m_budget: float, n: int, v_z: float, construction: str,
+                     is_hamiltonian: bool = True) -> float:
+    """Closed-form minimax value of the variance statistic at budget M."""
+    if construction not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {construction!r}")
+    if construction == "toeplitz":
+        delta = 1.0 if is_hamiltonian else 0.0
+        return 2.0 * v_z**2 * (math.sqrt(2.0) * (n - 1) + delta) ** 2 / m_budget
+    return 2.0 * v_z**2 * n**3 / m_budget
+
+
+def expected_norm_from_variance(v: float, n: int) -> float:
+    """Matrix-series tail bound E[norm] <= sqrt(2 v log 2n)."""
+    return math.sqrt(2.0 * v * math.log(2 * n))

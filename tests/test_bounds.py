@@ -2,13 +2,21 @@
 
 The matrix variance statistic has an independent oracle here: assemble
 E[Delta^2] = sum_k sigma_k^2 A_k^2 from the explicit Hermitian basis matrices
-and take its spectral norm. The fast accumulation in bounds.py must agree.
+and take its spectral norm. The accumulation forms in oracles.py must agree.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from oracles import (
+    expected_norm_from_variance,
+    nontoeplitz_variance_from_counts,
+    optimal_variance,
+    toeplitz_variance_from_counts,
+    variance_statistic,
+)
 
 from qksd import bounds
 from qksd.sampling import allocate_nontoeplitz, allocate_toeplitz
@@ -68,7 +76,7 @@ def test_toeplitz_variance_matches_brute_force(is_h):
         counts = rng.integers(50, 500, size=n).astype(float)
         if not is_h:
             counts[0] = 0.0
-        got = bounds.toeplitz_variance_from_counts(counts, 1.4, is_hamiltonian=is_h)
+        got = toeplitz_variance_from_counts(counts, 1.4, is_hamiltonian=is_h)
         want = brute_force_toeplitz_variance(counts, 1.4, is_h)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -77,7 +85,7 @@ def test_nontoeplitz_variance_matches_brute_force():
     rng = np.random.default_rng(4)
     n = 5
     counts = np.triu(rng.integers(20, 300, size=(n, n)).astype(float))
-    got = bounds.nontoeplitz_variance_from_counts(counts, 0.9)
+    got = nontoeplitz_variance_from_counts(counts, 0.9)
     total = np.zeros((n, n), dtype=complex)
     v = 0.9
     for k in range(n):
@@ -108,15 +116,15 @@ def test_optimal_plan_achieves_closed_form_minimum(target, n, m, is_h, construct
         plan = allocate_nontoeplitz(m, n, betas=[1.0])
     else:
         plan = allocate_toeplitz(m, n, is_h, betas=[1.0] if is_h else None)
-    got = bounds.variance_statistic(plan, 1.0)
-    want = bounds.optimal_variance(m, n, 1.0, construction, is_hamiltonian=is_h)
+    got = variance_statistic(plan, 1.0)
+    want = optimal_variance(m, n, 1.0, construction, is_hamiltonian=is_h)
     # integer rounding keeps the plan within a whisker of the continuous optimum
     assert got >= want - 1e-15
     assert got == pytest.approx(want, rel=1e-3)
 
 
 def test_expected_norm_from_variance():
-    assert bounds.expected_norm_from_variance(0.04, 8) == pytest.approx(
+    assert expected_norm_from_variance(0.04, 8) == pytest.approx(
         math.sqrt(2 * 0.04 * math.log(16))
     )
 

@@ -32,7 +32,7 @@ def test_diagonalize_reconstructs(two_site):
 
 def test_exact_propagator_unitary_and_group_law(two_site):
     _spec, _h, sp = two_site
-    dim = sp.dim
+    dim = len(sp.eigenvalues)
     u1 = exact_propagator(sp, 0.7).matrix
     u2 = exact_propagator(sp, 1.1).matrix
     u12 = exact_propagator(sp, 1.8).matrix

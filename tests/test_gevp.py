@@ -16,7 +16,6 @@ from qksd.gevp import (
     eigenangle_check,
     solve_gevp,
     spectral_norm,
-    threshold_and_solve,
     top_k_ground_energies,
     top_k_thresholding,
 )
@@ -144,7 +143,8 @@ def test_degenerate_lowest_flag():
 def test_threshold_and_solve_pipeline():
     rng = np.random.default_rng(5)
     h, s = random_pair(7, rng)
-    thr, sol = threshold_and_solve(h, s, 1e-2)
+    thr = basis_thresholding(h, s, 1e-2)
+    sol = solve_gevp(thr.A, thr.B)
     assert sol.cond_s == pytest.approx(thr.b_diagonal[0] / thr.b_diagonal[-1])
     assert len(sol.eigenvalues) == thr.n_eps
 
@@ -407,21 +407,20 @@ def test_eigenangle_check_logic():
     assert chk.err_assumption  # sqrt(2)*2*0.05 = 0.1414 <= 0.5
     assert chk.gap_assumption  # gap pi/2 >= asin(0.2)
     assert chk.bound == pytest.approx(math.asin(2 * 0.05 / 0.8))
-    assert chk.qualifies
-    assert chk.satisfied is (chk.observed <= chk.bound + 1e-9)
+    assert not chk.degenerate
+    assert chk.observed == pytest.approx(math.atan(1.05) - math.atan(1.0))
 
     # chi too large: fails the error assumption and the arcsine domain
     chk2 = eigenangle_check(exact, pert, chi=1.0, lambda_min=0.5)
     assert not chk2.err_assumption
     assert chk2.bound is None
-    assert not chk2.qualifies and chk2.satisfied is None
 
 
 def test_eigenangle_check_single_dimension():
     sol = solve_gevp(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]))
     chk = eigenangle_check(sol, sol, chi=0.1, lambda_min=1.0)
     assert chk.gap_assumption
-    assert chk.qualifies
+    assert chk.err_assumption and chk.bound is not None and not chk.degenerate
 
 
 def test_decay_leaves_gevp_invariant():

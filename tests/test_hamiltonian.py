@@ -112,7 +112,7 @@ def test_partition_beta_norm_below_coefficient_norm():
     spec = build_hubbard_1d(3, 0.4, 0.9)
     part = sorted_insertion_partition(spec)
     # grouping can only tighten the 1-norm: sum_j sqrt(sum alpha^2) <= sum |alpha|
-    assert part.beta_norm <= spec.coefficient_norm + 1e-12
+    assert part.beta_norm <= sum(abs(c) for c, _s in spec.non_identity_terms) + 1e-12
     recovered = {}
     for group in part.groups:
         coeffs = np.array([c for c, _s in group.members])

@@ -165,7 +165,7 @@ def dense_path_targets(L, t, u, n_up, n_down, cfg, construction):
 
     s_seq = ref.conj() @ columns(np.arange(cfg.n))
     s_seq[0] = 1.0
-    frags = [fragment_dense(part, j) for j in range(part.n_groups)]
+    frags = [fragment_dense(part, j) for j in range(len(part.groups))]
     if construction == "toeplitz":
         psi = columns(np.arange(cfg.n))
         frag = np.array([(f @ ref).conj() @ psi for f in frags])

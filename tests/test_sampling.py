@@ -25,11 +25,9 @@ from qksd.sampling import (
     allocate_toeplitz,
     decay_exponent,
     expected_pair,
-    hadamard_estimate,
     sample_ensemble,
     sample_hamiltonian_ensemble,
     sample_overlap_ensemble,
-    sample_pair,
     split_budget,
 )
 from qksd.sampling import _largest_remainder
@@ -64,7 +62,7 @@ def test_hamiltonian_plan_n3():
     counts = plan.counts[:, :, 0]  # (lag, configuration)
     assert counts[0].tolist() == [2612, 0]  # the diagonal has no imag part
     assert counts[1:].tolist() == [[1847, 1847], [1847, 1847]]
-    assert counts.sum() == plan.budget == 10_000
+    assert plan.counts.sum() == 10_000
 
 
 def test_hamiltonian_plan_n1_all_diagonal():
@@ -192,7 +190,7 @@ def test_split_budget_elementwise_ratio():
 
 def test_plan_validation():
     plan = ShotPlan("S_toeplitz", 3, np.full((2, 2, 1), 4))
-    assert plan.budget == 16
+    assert plan.counts.sum() == 16
     with pytest.raises(ValueError):
         plan.counts[0, 0, 0] = 5  # stored read-only
     assert plan.elements is plan.elements  # built once, not per access
@@ -274,76 +272,6 @@ def test_allocators_cover_every_required_coordinate(n, betas, m_frac):
 
 
 # ---------------------------------------------------------------------------
-# Single-element estimator
-# ---------------------------------------------------------------------------
-
-
-def test_binomial_endpoint_exact():
-    noise = NoiseSpec(mode="binomial", rng_seed=11)
-    est = hadamard_estimate(1.0 + 0.0j, 100, 0, noise, (11, 0, 1, 0, 0, 0))
-    assert est.value == 1.0 + 0.0j
-    assert est.re_sampled and not est.im_sampled
-
-
-def test_binomial_rejects_out_of_range_mean():
-    noise = NoiseSpec(mode="binomial", rng_seed=0)
-    with pytest.raises(ValueError):
-        hadamard_estimate(complex(1.01, 0.0), 10, 10, noise, (0, 0, 1, 0, 0, 0))
-    # within clipping tolerance: fine
-    hadamard_estimate(complex(1.0 + 1e-10, 0.0), 10, 0, noise, (0, 0, 1, 0, 0, 0))
-
-
-def test_zero_shot_parts_flagged():
-    noise = NoiseSpec(mode="gaussian", rng_seed=5)
-    est = hadamard_estimate(0.3 + 0.4j, 0, 50, noise, (5, 0, 1, 2, 0, 0))
-    assert est.value.real == 0.0
-    assert not est.re_sampled and est.im_sampled
-
-
-def test_gaussian_part_variance():
-    noise = NoiseSpec(mode="gaussian", rng_seed=77)
-    vals = [
-        hadamard_estimate(0.0j, 100, 0, noise, (77, t, 1, 0, 0, 0)).value.real
-        for t in range(4000)
-    ]
-    assert np.var(vals) == pytest.approx(0.01, rel=0.05)
-    assert abs(np.mean(vals)) < 4 * 0.1 / math.sqrt(4000)
-
-
-def test_binomial_part_variance():
-    noise = NoiseSpec(mode="binomial", rng_seed=78)
-    vals = [
-        hadamard_estimate(0.0j, 100, 0, noise, (78, t, 1, 0, 0, 0)).value.real
-        for t in range(4000)
-    ]
-    assert np.var(vals) == pytest.approx(0.01, rel=0.05)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_hadamard_estimate_pinned_to_rule(mode):
-    """Each sampled part is the estimator rule at its coordinate key, bit for bit."""
-    noise = NoiseSpec(mode=mode, rng_seed=41)
-    stream = (41, 6, 1, 2, 1, 3)
-    value = 0.35 - 0.8j
-    cases = [(37, 250), (0, 90), (120, 0)]  # a zero-shot part in each config
-    for m_r, m_i in cases:
-        est = hadamard_estimate(value, m_r, m_i, noise, stream)
-        parts = []
-        for c, (mean, m) in enumerate(((value.real, m_r), (value.imag, m_i))):
-            gen = rngstream.generator(rngstream.stream_key(*stream, c))
-            if m == 0:
-                parts.append(0.0)
-            elif mode == "binomial":
-                p = 0.5 * (1.0 + mean)
-                parts.append(2.0 * gen.binomial(m, p) / m - 1.0)
-            else:
-                sigma = math.sqrt((1.0 - mean * mean) / m)
-                parts.append(mean + sigma * gen.standard_normal())
-        assert est.value == complex(*parts)
-        assert (est.re_sampled, est.im_sampled) == (m_r > 0, m_i > 0)
-
-
-# ---------------------------------------------------------------------------
 # Ensemble sampling against synthetic targets
 # ---------------------------------------------------------------------------
 
@@ -394,6 +322,15 @@ def test_diagonal_variance_within_model():
     assert var <= 2 * beta**2 / 400
 
 
+def test_binomial_endpoint_exact():
+    """A part of mean exactly 1 draws Bin(m, 1) = m: every estimate is exactly 1."""
+    targets = synthetic_targets(n=1, betas=[1.0], s_seq=[1.0], frag=[[1.0]])
+    plan = allocate_toeplitz(100, 1, is_h=True)  # the diagonal: real part only
+    noise = NoiseSpec(mode="binomial", rng_seed=11)
+    stack = sample_hamiltonian_ensemble(targets, plan, noise, 5)
+    assert np.all(stack == 1.0 + 0.0j)
+
+
 def test_zero_shot_flag_from_hand_plan():
     """A hand plan that never samples lag 2 is refused, not sampled biased."""
     counts = np.array([[[5], [5]], [[0], [0]]])
@@ -416,8 +353,8 @@ def test_unsampled_overlap_element_is_zero():
     plan_s = ShotPlan("S_toeplitz", 3, counts)
     plan_h = hand_plan_toeplitz_h(3, 4, 4)
     noise = NoiseSpec(mode="gaussian", rng_seed=0)
-    pair = sample_pair(targets, plan_h, plan_s, noise)
-    assert np.all(np.diag(pair.S) == 1.0)  # S's diagonal takes no shots
+    s_stack = sample_ensemble(targets, plan_h, plan_s, noise, 1)[1]
+    assert np.all(np.diag(s_stack[0]) == 1.0)  # S's diagonal takes no shots
 
 
 def test_sampler_rejects_fragment_count_mismatch():
@@ -445,13 +382,15 @@ def test_sample_structure_toeplitz():
     plan_h = allocate_toeplitz(20_000, 5, is_h=True, betas=targets.betas)
     plan_s = allocate_toeplitz(20_000, 5, is_h=False)
     for mode in ("gaussian", "binomial"):
-        pair = sample_pair(targets, plan_h, plan_s, NoiseSpec(mode=mode, rng_seed=3))
-        for m in (pair.H, pair.S):
+        noise = NoiseSpec(mode=mode, rng_seed=3)
+        h_stack, s_stack = sample_ensemble(targets, plan_h, plan_s, noise, 1)
+        h, s = h_stack[0], s_stack[0]
+        for m in (h, s):
             assert np.array_equal(m, m.conj().T)
             # constant diagonals: exact Toeplitz structure
             for k in range(1, 5):
                 assert len(set(np.diag(m, k).tolist())) == 1
-        assert np.all(np.diag(pair.S) == 1.0)
+        assert np.all(np.diag(s) == 1.0)
 
 
 def test_sample_structure_elementwise():
@@ -469,9 +408,9 @@ def test_sample_structure_elementwise():
     )
     plan_h = allocate_nontoeplitz(5000, n, betas=targets.betas)
     plan_s = allocate_toeplitz(5000, n, is_h=False)
-    pair = sample_pair(targets, plan_h, plan_s, NoiseSpec(mode="gaussian", rng_seed=4))
-    assert pair.construction == "nontoeplitz"
-    assert np.array_equal(pair.H, pair.H.conj().T)
+    noise = NoiseSpec(mode="gaussian", rng_seed=4)
+    h = sample_ensemble(targets, plan_h, plan_s, noise, 1)[0][0]
+    assert np.array_equal(h, h.conj().T)
 
 
 def test_ensemble_chunks_reproduce_full_run():
@@ -702,9 +641,11 @@ def test_seed_changes_samples():
     )
     plan_h = allocate_toeplitz(600, 3, is_h=True)
     plan_s = allocate_toeplitz(600, 3, is_h=False)
-    a = sample_pair(targets, plan_h, plan_s, NoiseSpec(mode="gaussian", rng_seed=1))
-    b = sample_pair(targets, plan_h, plan_s, NoiseSpec(mode="gaussian", rng_seed=2))
-    assert not np.array_equal(a.H, b.H)
+    a, b = (
+        sample_ensemble(targets, plan_h, plan_s, NoiseSpec(rng_seed=seed), 1)[0]
+        for seed in (1, 2)
+    )
+    assert not np.array_equal(a, b)
 
 
 def test_gaussian_binomial_same_mean_and_spread():
