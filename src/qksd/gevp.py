@@ -12,26 +12,21 @@ decomposition per trial serves every k and the threshold rule.
 Perturbations are compared in the eigenangle coordinate arctan(E), where the
 conditioning is governed by d0 = |x0^dag (A + iB) x0|.  The deviation between
 a perturbed and an exact reduced pair is measured by chi, computed after
-aligning the two retained subspaces with W = V_perturbed^dag V_exact.
+aligning the two retained subspaces with W = V_perturbed^dag V_exact;
+chi_between_thresholds takes the same stacks as top_k_ground_energies, and
+eigenangle_check evaluates the theorem's assumptions for a whole chi array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyBasisError, IllPosedError
 
 _DEGENERACY_RTOL = 1e-10
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -45,8 +40,6 @@ class ThresholdResult:
     A: np.ndarray
     B: np.ndarray
     V_kept: np.ndarray  # n x n_eps, columns orthonormal
-    retained_indices: tuple[int, ...]  # positions in the ascending eigh order
-    epsilon: float
 
     @property
     def n_eps(self) -> int:
@@ -60,35 +53,23 @@ class ThresholdResult:
 @dataclass(frozen=True)
 class GevpSolution:
     eigenvalues: np.ndarray  # ascending
-    eigenangles: np.ndarray  # arctan of eigenvalues
     eigenvectors: np.ndarray  # columns, B-orthonormal
     d0: float
-    cond_s: float
     degenerate_lowest: bool
 
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
-    @property
-    def ground_angle(self) -> float:
-        return float(self.eigenangles[0])
-
 
 def _project(
-    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray, epsilon: float
+    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray
 ) -> ThresholdResult:
     """Reduced pair on the overlap eigenvectors `keep`, in the order given."""
     v_kept = vecs[:, keep]
     a = _hermitize(v_kept.conj().T @ h @ v_kept)
     b = np.diag(vals[keep]).astype(complex)
-    return ThresholdResult(
-        A=a,
-        B=b,
-        V_kept=v_kept,
-        retained_indices=tuple(int(i) for i in keep),
-        epsilon=float(epsilon),
-    )
+    return ThresholdResult(A=a, B=b, V_kept=v_kept)
 
 
 def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> ThresholdResult:
@@ -110,7 +91,7 @@ def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> Threshol
             f"no overlap eigenvalue exceeds epsilon = {epsilon:g}"
         )
     keep = keep[::-1]  # eigh is ascending; retain descending
-    return _project(h, vals, vecs, keep, epsilon)
+    return _project(h, vals, vecs, keep)
 
 
 def top_k_thresholding(h: np.ndarray, s: np.ndarray, k: int) -> ThresholdResult:
@@ -134,7 +115,7 @@ def top_k_thresholding(h: np.ndarray, s: np.ndarray, k: int) -> ThresholdResult:
             f"only {positive.size} positive overlap directions, {k} requested"
         )
     keep = np.argsort(vals)[::-1][:k]
-    return _project(h, vals, vecs, keep, 0.0)
+    return _project(h, vals, vecs, keep)
 
 
 def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
@@ -168,24 +149,41 @@ def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
     x0 = x0 / np.linalg.norm(x0)
     z0 = x0.conj() @ a @ x0 + 1j * (x0.conj() @ b @ x0)
     d0 = float(abs(z0))
-    cond_s = float(b_vals[-1] / b_vals[0])
     degenerate = False
     if len(energies) >= 2:
         scale = max(1.0, abs(float(energies[0])))
         degenerate = float(energies[1] - energies[0]) <= _DEGENERACY_RTOL * scale
     return GevpSolution(
         eigenvalues=energies,
-        eigenangles=np.arctan(energies),
         eigenvectors=vectors,
         d0=d0,
-        cond_s=cond_s,
         degenerate_lowest=degenerate,
     )
 
 
 # ---------------------------------------------------------------------------
-# Ground energies from a given overlap eigendecomposition
+# Stacks of trials from a given overlap eigendecomposition
 # ---------------------------------------------------------------------------
+
+
+def _reduced_groups(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.ndarray):
+    """(rows, w, V^dag, A) per retained dimension of a (T, n, n) stack.
+
+    (vals, vecs) = eigh of the overlap stack, so trial t's top k[t]
+    directions are the columns n - 1, ..., n - k[t], kept in that order as
+    basis_thresholding keeps them (top_k_thresholding too, except on exact
+    ties).  The trials `rows` share one k > 0: w holds their (g, k) kept
+    eigenvalues, V^dag the (g, k, n) adjoints of the kept columns, and
+    A = herm(V^dag H V) their reduced H.  Trials with k = 0 are in no group.
+    """
+    n = vals.shape[1]
+    for dim in set(k.tolist()) - {0}:
+        rows = np.flatnonzero(k == dim)
+        keep = np.arange(n - 1, n - 1 - dim, -1)
+        vh = vecs[rows[:, None], :, keep].conj()
+        with np.errstate(all="ignore"):
+            a = _hermitize(vh @ h[rows] @ vh.conj().swapaxes(1, 2))
+        yield rows, vals[rows[:, None], keep], vh, a
 
 
 def top_k_ground_energies(
@@ -193,30 +191,21 @@ def top_k_ground_energies(
 ) -> np.ndarray:
     """Ground energy of each trial's pair reduced to its top k[t] overlap directions.
 
-    (vals, vecs) = eigh of the (T, n, n) overlap stack, so the top k
-    directions are the columns n - 1, ..., n - k, kept in that order as
-    basis_thresholding keeps them (top_k_thresholding too, except on exact
-    ties).  The reduced B is diag(w) of the kept eigenvalues, so B^{-1/2} is
-    the diagonal d and the symmetrized pair is (d A) d: the same
-    floating-point operations as solve_gevp's products with its diagonal
-    inv_sqrt, without eigh(B).  The trials sharing a k are solved as one
-    stack, and a trial gets the same bits in a stack of any size.  Entry t
-    equals top_k_thresholding(h[t], s[t], k[t]) then solve_gevp, bit for bit,
-    when S's largest eigenvalue is of order 1, as for every sampled S~
-    (diagonal e^{-lambda}).  It is nan where k[t] = 0 and where the
-    symmetrized pair is not finite: a kept eigenvalue <= 0 makes d inf or
-    nan, and one below about 1e-150 overflows the pair (solve_gevp raises
-    IllPosedError).
+    The reduced B is diag(w) of the kept eigenvalues, so B^{-1/2} is the
+    diagonal d and the symmetrized pair is (d A) d: the same floating-point
+    operations as solve_gevp's products with its diagonal inv_sqrt, without
+    eigh(B).  The trials sharing a k are solved as one stack, and a trial gets
+    the same bits in a stack of any size.  Entry t equals
+    top_k_thresholding(h[t], s[t], k[t]) then solve_gevp, bit for bit, when
+    S's largest eigenvalue is of order 1, as for every sampled S~ (diagonal
+    e^{-lambda}).  It is nan where k[t] = 0 and where the symmetrized pair is
+    not finite: a kept eigenvalue <= 0 makes d inf or nan, and one below about
+    1e-150 overflows the pair (solve_gevp raises IllPosedError).
     """
     energies = np.full(len(k), math.nan)
-    n = vals.shape[1]
-    for dim in set(k.tolist()) - {0}:
-        rows = np.flatnonzero(k == dim)
-        keep = np.arange(n - 1, n - 1 - dim, -1)
-        vh = vecs[rows[:, None], :, keep].conj()  # (g, k, n): V^dag per trial
+    for rows, w, _, a in _reduced_groups(h, vals, vecs, k):
         with np.errstate(all="ignore"):
-            a = _hermitize(vh @ h[rows] @ vh.conj().swapaxes(1, 2))
-            d = vals[rows[:, None], keep] ** -0.5
+            d = w**-0.5
             sym = _hermitize((d[:, :, None] * a) * d[:, None, :])
         ok = np.isfinite(sym).all(axis=(1, 2))
         if ok.any():
@@ -224,35 +213,25 @@ def top_k_ground_energies(
     return energies
 
 
-# ---------------------------------------------------------------------------
-# Perturbation magnitudes
-# ---------------------------------------------------------------------------
+def chi_between_thresholds(
+    ex: ThresholdResult, h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """chi of each trial's pair reduced to its top k[t] directions, against `ex`.
 
-
-@dataclass(frozen=True)
-class ChiResult:
-    chi: float
-    n_eps_exact: int
-    n_eps_perturbed: int
-
-    @property
-    def dim_mismatch(self) -> bool:
-        return self.n_eps_exact != self.n_eps_perturbed
-
-
-def chi_between_thresholds(ex: ThresholdResult, pe: ThresholdResult) -> ChiResult:
-    """chi for two already-thresholded pairs, differenced in the exact basis.
-
-    The perturbed reduced pair is conjugated by W = V_pert^dag V_exact before
-    differencing, which removes the arbitrary basis rotation between the two
-    eigendecompositions.  A retained-dimension mismatch is reported via the
-    result, not raised.
+    Trial t's reduced pair (A~, B~ = diag(w)) is conjugated by W = V~^dag V,
+    with V = ex.V_kept, before differencing in the exact basis, which removes
+    the arbitrary basis rotation between the two eigendecompositions:
+    chi = hypot(|W^dag A~ W - A|_2, |W^dag B~ W - B|_2).  k[t] may differ
+    from ex.n_eps.  nan where k[t] = 0.
     """
-    w = pe.V_kept.conj().T @ ex.V_kept
-    da = w.conj().T @ pe.A @ w - ex.A
-    db = w.conj().T @ pe.B @ w - ex.B
-    chi = math.hypot(spectral_norm(da), spectral_norm(db))
-    return ChiResult(chi=chi, n_eps_exact=ex.n_eps, n_eps_perturbed=pe.n_eps)
+    chi = np.full(len(k), math.nan)
+    for rows, w, vh, a in _reduced_groups(h, vals, vecs, k):
+        x = vh @ ex.V_kept  # W per trial, (g, k, n_eps)
+        xh = x.conj().swapaxes(1, 2)
+        da = np.linalg.norm(xh @ a @ x - ex.A, 2, axis=(1, 2))
+        db = np.linalg.norm((xh * w[:, None, :]) @ x - ex.B, 2, axis=(1, 2))
+        chi[rows] = [math.hypot(*pair) for pair in zip(da.tolist(), db.tolist())]
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -260,52 +239,26 @@ def chi_between_thresholds(ex: ThresholdResult, pe: ThresholdResult) -> ChiResul
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenangleCheck:
-    """One trial's eigenangle-perturbation accounting.
-
-    The error-bound and gap assumptions are evaluated with exact-side
-    quantities (lambda_min of the exact reduced B, exact gap).  `bound` is
-    None when the arcsine argument exceeds 1.  Which trials qualify is the
-    perturbation-bound driver's rule, which adds its own flags to these.
-    """
-
-    err_assumption: bool
-    gap_assumption: bool
-    bound: Optional[float]
-    observed: float
-    degenerate: bool
-
-
 def eigenangle_check(
-    exact_sol: GevpSolution,
-    pert_sol: GevpSolution,
-    chi: float,
-    lambda_min: float,
-) -> EigenangleCheck:
-    """Evaluate the perturbation theorem's assumptions and conclusion.
+    exact_sol: GevpSolution, chi: np.ndarray, lambda_min: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The perturbation theorem's two assumptions, per entry of a chi array.
 
-    Assumptions: sqrt(2) n chi <= lambda_min, and the exact eigenangle gap
-    |arctan E1 - arctan E0| >= arcsin(n chi / lambda_min).  Conclusion:
-    |arctan E0 - arctan E0~| <= arcsin(n chi / d0) with the exact pair's d0.
+    chi_small: sqrt(2) n chi <= lambda_min.  angle_gap: the exact eigenangle
+    gap |arctan E1 - arctan E0| >= arcsin(n chi / lambda_min); with n = 1
+    there is no second angle to collide with, and only the arcsine argument
+    must be at most 1.  n, E0, E1 and lambda_min (the smallest eigenvalue of
+    the reduced B) are the exact pair's.  Both flags are False where chi is
+    nan.  Under them the theorem bounds |arctan E0 - arctan E0~| by
+    arcsin(n chi / d0); which trials qualify is the perturbation-bound
+    driver's rule, which adds its own flags to these.
     """
     n_eps = len(exact_sol.eigenvalues)
-    observed = abs(exact_sol.ground_angle - pert_sol.ground_angle)
-    err_ok = math.sqrt(2.0) * n_eps * chi <= lambda_min
+    chi_small = math.sqrt(2.0) * n_eps * chi <= lambda_min
     gap_arg = n_eps * chi / lambda_min
     if n_eps < 2:
-        gap_ok = gap_arg <= 1.0  # no second angle to collide with
-    elif gap_arg > 1.0:
-        gap_ok = False
-    else:
-        gap = abs(exact_sol.eigenangles[1] - exact_sol.eigenangles[0])
-        gap_ok = gap >= math.asin(gap_arg)
-    bound_arg = n_eps * chi / exact_sol.d0
-    bound = math.asin(bound_arg) if bound_arg <= 1.0 else None
-    return EigenangleCheck(
-        err_assumption=bool(err_ok),
-        gap_assumption=bool(gap_ok),
-        bound=bound,
-        observed=float(observed),
-        degenerate=exact_sol.degenerate_lowest,
-    )
+        return chi_small, gap_arg <= 1.0
+    angles = np.arctan(exact_sol.eigenvalues)
+    gap = abs(angles[1] - angles[0])
+    with np.errstate(invalid="ignore"):  # arcsin of an argument above 1
+        return chi_small, (gap_arg <= 1.0) & (gap >= np.arcsin(gap_arg))

@@ -13,9 +13,9 @@ trial's random stream is keyed by its absolute trial index and every result
 is per trial, blocks do not show in the output, and any worker count
 reproduces byte-identical files.
 
-Threshold-sweep and optimal-threshold solve a block's reduced pairs as stacks,
-one batched solve per retained dimension (`gevp.top_k_ground_energies`);
-perturbation-bound solves trial by trial (`_perturbation_chunk` says why).
+The sampled-pair chunks solve a block's reduced pairs as stacks, one batched
+solve per retained dimension (`gevp.top_k_ground_energies`); perturbation-bound
+takes chi and the assumption flags from the same stacks.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .. import bounds
-from ..errors import ConfigError, InfeasibleBudgetError
+from ..errors import ConfigError, IllPosedError, InfeasibleBudgetError
 from ..evolution import Spectrum, diagonalize, hartree_fock_state, sector_indices
 from ..gevp import (
-    _project,
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
@@ -326,23 +325,19 @@ def _pair_cells(
 
 
 def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
-    """Sampled H~ and S~ stacks of trials rng = (start, count), and eigh of S~."""
+    """Sampled H~ and S~ stacks of trials rng = (start, count), eigh of S~, and
+    each trial's n_eps under the threshold rule (0 if nothing survives).
+
+    eigh's eigenvalues ascend, so the rule keeps each trial's top n_eps
+    directions, in the order basis_thresholding keeps them.
+    """
     start, count = rng
     h_stack, s_stack = sample_ensemble(
         cell.targets, cell.plan_h, cell.plan_s, noise, count, start
     )
     vals, vecs = np.linalg.eigh(s_stack)
-    return h_stack, s_stack, vals, vecs
-
-
-def _epsilon_rule(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray, eps: float):
-    """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives.
-
-    eigh's eigenvalues ascend, so the rule keeps each trial's top n_eps
-    directions, in the order basis_thresholding keeps them.
-    """
-    dims = np.count_nonzero(vals > eps, axis=1)
-    return top_k_ground_energies(h_stack, vals, vecs, dims), dims
+    dims = np.count_nonzero(vals > cell.eps, axis=1)
+    return h_stack, s_stack, vals, vecs, dims
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +376,17 @@ def _top_k_sweep(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.
 def _sweep_chunk(args, rng):
     """Top-k energies per trial, and the eps rule's, which is the entry k = n_eps."""
     cell, noise = args
-    h_stack, _, vals, vecs = _sampled_eigh(cell, noise, rng)
+    h_stack, _, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
     sweep = _top_k_sweep(h_stack, vals, vecs)
-    dims = np.count_nonzero(vals > cell.eps, axis=1)
     energies = np.where(dims > 0, sweep[np.arange(len(dims)), dims - 1], math.nan)
     return sweep, energies, dims
 
 
 def _scan_chunk(args, rng):
+    """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives."""
     cell, noise = args
-    h_stack, _, vals, vecs = _sampled_eigh(cell, noise, rng)
-    return _epsilon_rule(h_stack, vals, vecs, cell.eps)
+    h_stack, _, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
+    return top_k_ground_energies(h_stack, vals, vecs, dims), dims
 
 
 def _flag(ok: bool) -> str:
@@ -413,53 +408,56 @@ def _perturbation_chunk(args, rng):
     """Trial rows of one perturbation-bound cell, keyed by PERTURBATION_COLUMNS.
 
     `fixed` holds the columns shared by every trial row of the cell; `limits`
-    the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).
-
-    Unlike the sweep and scan chunks, this one solves trial by trial:
-    chi_between_thresholds differences each trial's projected pair in the
-    exact basis, and eigenangle_check takes the perturbed GevpSolution.
-    Stacking them needs a batched chi and a check on the perturbed ground
-    energy alone, which is a change of its own.
+    the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).  Energies, chi and the
+    assumption flags come from the block's stacks; only the rows are built
+    per trial.  A non-finite reduced pair raises IllPosedError, as solve_gevp
+    does.
     """
     cell, noise, ex, sol_ex, limits, fixed = args
     start = rng[0]
-    h_stack, s_stack, vals, vecs = _sampled_eigh(cell, noise, rng)
-    lam_min = float(np.min(ex.b_diagonal))
+    h_stack, s_stack, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
+    energies = top_k_ground_energies(h_stack, vals, vecs, dims)
+    ill = np.flatnonzero((dims > 0) & ~np.isfinite(energies))
+    if ill.size:
+        raise IllPosedError(
+            f"trial {start + ill[0]}: B^-1/2 A B^-1/2 is not finite "
+            f"(n_eps = {dims[ill[0]]})"
+        )
+    chis = chi_between_thresholds(ex, h_stack, vals, vecs, dims)
+    chi_small, angle_gap = eigenangle_check(sol_ex, chis, float(np.min(ex.b_diagonal)))
     bound = fixed["bound"]
     dh_norms = _spec_norms(h_stack - cell.h_exact)
     ds_norms = _spec_norms(s_stack - cell.s_exact)
+    n = vals.shape[1]
+    per_trial = zip(
+        dh_norms.tolist(), ds_norms.tolist(), dims.tolist(), chis.tolist(), energies.tolist()
+    )
     rows = []
-    for i, (h, w, v) in enumerate(zip(h_stack, vals, vecs)):
-        dh, ds = float(dh_norms[i]), float(ds_norms[i])
+    for i, (dh, ds, k, chi, e0) in enumerate(per_trial):
         eta = math.hypot(dh, ds)
         row = {**fixed, "trial": start + i, "dh_norm": dh, "ds_norm": ds, "eta": eta}
-        keep = np.flatnonzero(w > cell.eps)[::-1]  # as basis_thresholding keeps
-        if keep.size == 0:
+        if k == 0:
             rows.append(check_finite({**row, **_EMPTY_BASIS}))
             continue
-        pe = _project(h, w, v, keep, cell.eps)
-        chi_res = chi_between_thresholds(ex, pe)
-        sol = solve_gevp(pe.A, pe.B)
-        check = eigenangle_check(sol_ex, sol, chi_res.chi, lam_min)
         flags = {
-            "chi_small": _flag(check.err_assumption),
-            "angle_gap": _flag(check.gap_assumption),
+            "chi_small": _flag(chi_small[i]),
+            "angle_gap": _flag(angle_gap[i]),
             "norms_under": _flag(dh < limits[0] and ds < limits[1]),
-            "chi_le_eta": _flag(chi_res.chi <= eta),
-            "dims_matched": _flag(not chi_res.dim_mismatch),
+            "chi_le_eta": _flag(chi <= eta),
+            "dims_matched": _flag(k == ex.n_eps),
         }
-        observed = abs(sol.ground_energy - sol_ex.ground_energy)
+        observed = abs(e0 - sol_ex.ground_energy)
         qualifies = (
             all(v == "holds" for v in flags.values())
             and bound is not None
-            and not check.degenerate
+            and not sol_ex.degenerate_lowest
         )
         row.update(
             flags,
-            n_eps=pe.n_eps,
-            chi=chi_res.chi,
-            e0_sampled=sol.ground_energy,
-            cond_s=sol.cond_s,
+            n_eps=k,
+            chi=chi,
+            e0_sampled=e0,
+            cond_s=float(vals[i, n - 1] / vals[i, n - k]),
             observed=observed,
             qualifies=qualifies,
             satisfied=observed <= bound + _BOUND_SLACK if qualifies else None,

@@ -20,6 +20,11 @@ drivers' closed-form bound e_Z / sqrt(M) is at least sqrt(2 v log 2n) at the
 optimal plans.  The tests check v against brute-force matrix series, the
 allocators against its minimum, and the sampled norms' growth in n against
 the bound.
+
+Per-trial perturbation accounting: chi, the eigenangle assumption flags and
+cond(B) of one thresholded pair at a time, the references for the stacked
+`gevp.chi_between_thresholds`, `gevp.eigenangle_check` and the
+perturbation-bound driver.
 """
 
 from __future__ import annotations
@@ -212,3 +217,46 @@ def optimal_variance(m_budget: float, n: int, v_z: float, construction: str,
 def expected_norm_from_variance(v: float, n: int) -> float:
     """Matrix-series tail bound E[norm] <= sqrt(2 v log 2n)."""
     return math.sqrt(2.0 * v * math.log(2 * n))
+
+
+# ---------------------------------------------------------------------------
+# Per-trial perturbation accounting
+# ---------------------------------------------------------------------------
+# The chi, assumption flags and cond(B) that `gevp.chi_between_thresholds`,
+# `gevp.eigenangle_check` and the perturbation-bound driver compute for whole
+# stacks, one thresholded pair at a time, as the driver once computed them.
+
+
+def chi_reference(ex, pe) -> float:
+    """chi for two already-thresholded pairs, differenced in the exact basis.
+
+    The perturbed reduced pair is conjugated by W = V_pert^dag V_exact before
+    differencing, which removes the arbitrary basis rotation between the two
+    eigendecompositions.
+    """
+    w = pe.V_kept.conj().T @ ex.V_kept
+    da = w.conj().T @ pe.A @ w - ex.A
+    db = w.conj().T @ pe.B @ w - ex.B
+    return math.hypot(float(np.linalg.norm(da, 2)), float(np.linalg.norm(db, 2)))
+
+
+def eigenangle_flags_reference(exact_sol, chi: float, lambda_min: float) -> tuple[bool, bool]:
+    """(chi_small, angle_gap) of one trial: sqrt(2) n chi <= lambda_min, and
+    the exact gap |arctan E1 - arctan E0| >= arcsin(n chi / lambda_min)."""
+    n_eps = len(exact_sol.eigenvalues)
+    err_ok = math.sqrt(2.0) * n_eps * chi <= lambda_min
+    gap_arg = n_eps * chi / lambda_min
+    if n_eps < 2:
+        gap_ok = gap_arg <= 1.0  # no second angle to collide with
+    elif gap_arg > 1.0:
+        gap_ok = False
+    else:
+        angles = np.arctan(exact_sol.eigenvalues)
+        gap_ok = abs(angles[1] - angles[0]) >= math.asin(gap_arg)
+    return bool(err_ok), bool(gap_ok)
+
+
+def cond_reference(pe) -> float:
+    """cond(B) of a thresholded pair from eigh of its reduced B."""
+    b_vals = np.linalg.eigh(pe.B)[0]
+    return float(b_vals[-1] / b_vals[0])

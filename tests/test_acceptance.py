@@ -17,7 +17,6 @@ from qksd.bounds import optimal_epsilon
 from qksd.evolution import diagonalize, hartree_fock_state, sector_ground_energy
 from qksd.gevp import (
     basis_thresholding,
-    chi_between_thresholds,
     eigenangle_check,
     solve_gevp,
 )
@@ -56,6 +55,7 @@ from qksd.harness import (
 from qksd.harness.drivers import _plan_for
 
 from oracles import (
+    chi_reference,
     exact_propagator,
     expected_norm_from_variance,
     hubbard_dense_oracle,
@@ -283,12 +283,14 @@ def test_04_weyl_inequality(tmp_path):
 def test_05_eigenangle_perturbation_theorem():
     """Whenever the smallness and gap assumptions hold, the ground eigenangle
     moves by no more than asin(n_eps * chi / d0). Checked trial by trial
-    through the public sampling and thresholding API.
+    through the public sampling and thresholding API, with each trial's chi
+    from the per-trial oracle and its energy from solve_gevp.
 
-    The theorem applies to a trial when the error and gap assumptions hold,
-    the arcsine argument n_eps * chi / d0 is at most 1 (a bound exists) and
-    the exact ground eigenangle is not degenerate; it then concludes that the
-    observed angle shift is at most the bound, up to 1e-9 of rounding."""
+    The theorem applies to a trial when the error and gap assumptions hold
+    (eigenangle_check), the arcsine argument n_eps * chi / d0 is at most 1 (a
+    bound exists) and the exact ground eigenangle is not degenerate; it then
+    concludes that the observed angle shift |arctan E0 - arctan E0~| is at
+    most the bound, up to 1e-9 of rounding."""
     h, hd, part, spec, ref = two_site_system()
     beta_norm = part.beta_norm
     dt = default_time_step(part)
@@ -308,22 +310,25 @@ def test_05_eigenangle_perturbation_theorem():
         sol_ex = solve_gevp(ex.A, ex.B)
         lam_min = float(np.min(ex.b_diagonal))
         h_stack, s_stack = sample_ensemble(targets, plan_h, plan_s, noise, 300)
-        for trial, (h_pe, s_pe) in enumerate(zip(h_stack, s_stack)):
-            pe = basis_thresholding(h_pe, s_pe, eps)
-            chi_res = chi_between_thresholds(ex, pe)
-            sol_pe = solve_gevp(pe.A, pe.B)
-            check = eigenangle_check(sol_ex, sol_pe, chi_res.chi, lam_min)
+        pairs = [basis_thresholding(h_pe, s_pe, eps) for h_pe, s_pe in zip(h_stack, s_stack)]
+        chi = np.array([chi_reference(ex, pe) for pe in pairs])
+        chi_small, angle_gap = eigenangle_check(sol_ex, chi, lam_min)
+        for trial, pe in enumerate(pairs):
+            bound_arg = ex.n_eps * chi[trial] / sol_ex.d0
             qualifies = (
-                check.err_assumption
-                and check.gap_assumption
-                and check.bound is not None
-                and not check.degenerate
+                chi_small[trial]
+                and angle_gap[trial]
+                and bound_arg <= 1.0
+                and not sol_ex.degenerate_lowest
             )
             if qualifies:
                 checked += 1
-                assert check.observed <= check.bound + 1e-9, (
-                    f"n={n} trial={trial}: angle error {check.observed:.3e} "
-                    f"over bound {check.bound:.3e}"
+                bound = math.asin(bound_arg)
+                e0_pe = solve_gevp(pe.A, pe.B).ground_energy
+                observed = abs(math.atan(sol_ex.ground_energy) - math.atan(e0_pe))
+                assert observed <= bound + 1e-9, (
+                    f"n={n} trial={trial}: angle error {observed:.3e} "
+                    f"over bound {bound:.3e}"
                 )
     assert checked > 0, "no trial met the assumptions"
 

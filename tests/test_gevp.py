@@ -15,10 +15,11 @@ from qksd.gevp import (
     chi_between_thresholds,
     eigenangle_check,
     solve_gevp,
-    spectral_norm,
     top_k_ground_energies,
     top_k_thresholding,
 )
+
+from oracles import chi_reference, eigenangle_flags_reference
 
 
 def random_pair(n, rng, s_floor=1e-3):
@@ -101,7 +102,6 @@ def test_solve_gevp_matches_scipy():
         sol = solve_gevp(h, s)
         ref = scipy.linalg.eigh(h, s, eigvals_only=True)
         assert np.allclose(sol.eigenvalues, ref, atol=1e-10)
-        assert np.allclose(sol.eigenangles, np.arctan(sol.eigenvalues))
 
 
 def test_solve_gevp_vectors_b_orthonormal():
@@ -121,7 +121,6 @@ def test_solve_gevp_one_by_one_d0():
     sol = solve_gevp(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]))
     assert sol.ground_energy == pytest.approx(1.0)
     assert sol.d0 == pytest.approx(math.sqrt(2.0))
-    assert sol.ground_angle == pytest.approx(math.pi / 4)
     assert not sol.degenerate_lowest
 
 
@@ -145,7 +144,6 @@ def test_threshold_and_solve_pipeline():
     h, s = random_pair(7, rng)
     thr = basis_thresholding(h, s, 1e-2)
     sol = solve_gevp(thr.A, thr.B)
-    assert sol.cond_s == pytest.approx(thr.b_diagonal[0] / thr.b_diagonal[-1])
     assert len(sol.eigenvalues) == thr.n_eps
 
 
@@ -331,96 +329,131 @@ def test_mixed_stack_solves_each_trial_alone():
 
 
 def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):
-    """chi between the two pairs, each thresholded at the same epsilon."""
-    return chi_between_thresholds(
-        basis_thresholding(h_exact, s_exact, epsilon),
-        basis_thresholding(h_pert, s_pert, epsilon),
-    )
+    """chi between the two pairs, each thresholded at the same epsilon, from a
+    one-trial stack; and the perturbed pair's retained dimension."""
+    vals, vecs = np.linalg.eigh(s_pert[None])
+    dims = np.count_nonzero(vals > epsilon, axis=1)
+    ex = basis_thresholding(h_exact, s_exact, epsilon)
+    (chi,) = chi_between_thresholds(ex, h_pert[None], vals, vecs, dims)
+    return chi, int(dims[0])
 
 
 def test_chi_zero_for_identical_pairs():
     rng = np.random.default_rng(6)
     h, s = random_pair(5, rng)
-    res = chi_at(h, s, h, s, 1e-2)
-    assert res.chi == pytest.approx(0.0, abs=1e-12)
-    assert not res.dim_mismatch
+    chi, n_eps = chi_at(h, s, h, s, 1e-2)
+    assert chi == pytest.approx(0.0, abs=1e-12)
+    assert n_eps == basis_thresholding(h, s, 1e-2).n_eps
 
 
 def test_chi_dim_mismatch_reported():
+    """A perturbed pair keeping fewer directions still gets a finite chi, the
+    oracle's, differenced in the exact pair's basis."""
     h = np.eye(3, dtype=complex)
     s1 = np.diag([1.0, 0.6, 0.3]).astype(complex)
     s2 = np.diag([1.0, 0.6, 0.01]).astype(complex)
-    res = chi_at(h, s1, h, s2, 0.1)
-    assert res.n_eps_exact == 3 and res.n_eps_perturbed == 2
-    assert res.dim_mismatch
+    chi, n_eps = chi_at(h, s1, h, s2, 0.1)
+    assert basis_thresholding(h, s1, 0.1).n_eps == 3 and n_eps == 2
+    expected = chi_reference(basis_thresholding(h, s1, 0.1), basis_thresholding(h, s2, 0.1))
+    assert math.isfinite(chi) and chi == expected
 
 
 def test_chi_small_for_small_perturbations():
     rng = np.random.default_rng(7)
     h, s = random_pair(5, rng, s_floor=0.2)
     dh = 1e-6 * np.eye(5)
-    res = chi_at(h, s, h + dh, s, 1e-2)
-    assert res.chi < 1e-4
+    chi, _ = chi_at(h, s, h + dh, s, 1e-2)
+    assert chi < 1e-4
     ex = basis_thresholding(h, s, 1e-2)
     pe = basis_thresholding(h + dh, s, 1e-2)
-    again = chi_between_thresholds(ex, pe)
-    assert again.chi == pytest.approx(res.chi)
+    assert chi == chi_reference(ex, pe)
 
 
 def test_chi_invariant_to_basis_rotation():
     """Conjugating by W removes the eigenbasis phase ambiguity exactly."""
-    from qksd.gevp import ThresholdResult
-
     rng = np.random.default_rng(8)
     h, s = random_pair(6, rng, s_floor=0.2)
     ex = basis_thresholding(h, s, 1e-2)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=ex.n_eps))
-    d = np.diag(phases)
-    rotated = ThresholdResult(
-        A=d.conj().T @ ex.A @ d,
-        B=ex.B,  # diagonal, commutes with d
-        V_kept=ex.V_kept @ d,
-        retained_indices=ex.retained_indices,
-        epsilon=ex.epsilon,
-    )
+    vals, vecs = np.linalg.eigh(s[None])
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=6))
+    rotated = vecs * phases  # each overlap eigenvector times its own phase
+    keep = np.arange(5, 5 - ex.n_eps, -1)
+    v_rot = rotated[0][:, keep]
     # raw difference is large, aligned chi vanishes
-    assert spectral_norm(rotated.A - ex.A) > 0.1
-    assert chi_between_thresholds(ex, rotated).chi == pytest.approx(0.0, abs=1e-12)
-    assert spectral_norm(np.zeros((0, 0))) == 0.0  # empty difference, zero norm
+    assert np.linalg.norm(v_rot.conj().T @ h @ v_rot - ex.A, 2) > 0.1
+    dims = np.array([ex.n_eps])
+    (chi,) = chi_between_thresholds(ex, h[None], vals, rotated, dims)
+    assert chi == pytest.approx(0.0, abs=1e-12)
+
+
+def test_chi_stack_with_empty_basis_trial():
+    """A trial that keeps nothing is nan; its neighbours get the oracle's bits,
+    whatever dimension they keep."""
+    rng = np.random.default_rng(10)
+    n = 5
+
+    def pair(spectrum, q):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return 0.5 * (g + g.conj().T), (q * np.array(spectrum)) @ q.conj().T
+
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    h, s = pair([1.0, 0.6, 0.4, 0.2, 0.05], q)
+    ex = basis_thresholding(h, s, 0.1)
+    spectra = [
+        [1.0, 0.6, 0.4, 0.2, 0.05],
+        [0.05, 0.03, 0.02, 0.01, 0.0],  # nothing above 0.1
+        [1.0, 0.6, 0.4, 0.2, 0.05],
+        [1.0, 0.6, 0.4, 0.08, 0.05],  # one direction fewer than the exact pair
+    ]
+    h_stack, s_stack = [], []
+    for spectrum in spectra:
+        near = q + 1e-3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        dh, s_pe = pair(spectrum, np.linalg.qr(near)[0])
+        h_stack.append(h + 1e-3 * dh)
+        s_stack.append(s_pe)
+    h_stack, s_stack = np.array(h_stack), np.array(s_stack)
+    vals, vecs = np.linalg.eigh(s_stack)
+    dims = np.count_nonzero(vals > 0.1, axis=1)
+    assert ex.n_eps == 4 and dims.tolist() == [4, 0, 4, 3]
+    chi = chi_between_thresholds(ex, h_stack, vals, vecs, dims)
+    assert math.isnan(chi[1])
+    for t in (0, 2, 3):
+        pe = basis_thresholding(h_stack[t], s_stack[t], 0.1)
+        assert pe.n_eps == dims[t] and chi[t] == chi_reference(ex, pe)
+    sol_ex = solve_gevp(ex.A, ex.B)
+    lam_min = float(np.min(ex.b_diagonal))
+    chi_small, angle_gap = eigenangle_check(sol_ex, chi, lam_min)
+    assert not chi_small[1] and not angle_gap[1]
+    for t in (0, 2, 3):
+        assert (chi_small[t], angle_gap[t]) == eigenangle_flags_reference(
+            sol_ex, chi[t], lam_min
+        )
+
+
+def exact_solution(e0, e1):
+    return type(
+        "S", (), {"eigenvalues": np.array([e0, e1]), "degenerate_lowest": False}
+    )()
 
 
 def test_eigenangle_check_logic():
-    mk = lambda e0, e1, d0: type(
-        "S",
-        (),
-        {
-            "eigenvalues": np.array([e0, e1]),
-            "eigenangles": np.arctan(np.array([e0, e1])),
-            "ground_angle": math.atan(e0),
-            "d0": d0,
-            "degenerate_lowest": False,
-        },
-    )()
-    exact = mk(-1.0, 1.0, 0.8)
-    pert = mk(-1.05, 1.0, 0.8)
-    chk = eigenangle_check(exact, pert, chi=0.05, lambda_min=0.5)
-    assert chk.err_assumption  # sqrt(2)*2*0.05 = 0.1414 <= 0.5
-    assert chk.gap_assumption  # gap pi/2 >= asin(0.2)
-    assert chk.bound == pytest.approx(math.asin(2 * 0.05 / 0.8))
-    assert not chk.degenerate
-    assert chk.observed == pytest.approx(math.atan(1.05) - math.atan(1.0))
+    chi = np.array([0.05, 1.0, math.nan])
+    chi_small, angle_gap = eigenangle_check(exact_solution(-1.0, 1.0), chi, lambda_min=0.5)
+    # chi = 0.05: sqrt(2)*2*0.05 = 0.1414 <= 0.5, and gap pi/2 >= asin(0.2);
+    # chi = 1.0 fails the error assumption and the arcsine domain; nan fails both
+    assert chi_small.tolist() == [True, False, False]
+    assert angle_gap.tolist() == [True, False, False]
 
-    # chi too large: fails the error assumption and the arcsine domain
-    chk2 = eigenangle_check(exact, pert, chi=1.0, lambda_min=0.5)
-    assert not chk2.err_assumption
-    assert chk2.bound is None
+    # a narrow exact gap, atan(0.1) < asin(0.2): only the gap assumption fails
+    chi_small, angle_gap = eigenangle_check(exact_solution(0.0, 0.1), chi[:1], 0.5)
+    assert chi_small.tolist() == [True] and angle_gap.tolist() == [False]
 
 
 def test_eigenangle_check_single_dimension():
     sol = solve_gevp(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]))
-    chk = eigenangle_check(sol, sol, chi=0.1, lambda_min=1.0)
-    assert chk.gap_assumption
-    assert chk.err_assumption and chk.bound is not None and not chk.degenerate
+    chi_small, angle_gap = eigenangle_check(sol, np.array([0.1, 2.0]), lambda_min=1.0)
+    assert chi_small.tolist() == [True, False]  # sqrt(2) * 0.1 <= 1 < sqrt(2) * 2
+    assert angle_gap.tolist() == [True, False]  # no second angle: argument <= 1
 
 
 def test_decay_leaves_gevp_invariant():

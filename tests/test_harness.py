@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qksd.errors import ConfigError, InfeasibleBudgetError
+from qksd import cli
+from qksd.errors import ConfigError, IllPosedError, InfeasibleBudgetError
+from qksd.gevp import basis_thresholding, solve_gevp
 from qksd.harness import (
     ExperimentConfig,
     load_config,
@@ -33,6 +35,9 @@ from qksd.harness.config import config_from_mapping, parse_config_text
 from qksd.harness import drivers
 from qksd.harness.drivers import _chunk_ranges, _worker_count
 from qksd.harness.records import check_finite, config_hash, format_value, write_csv
+from qksd.sampling import sample_ensemble
+
+from oracles import chi_reference, cond_reference, eigenangle_flags_reference
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +500,31 @@ def test_perturbation_rows_are_checked_finite(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="^observed is not finite"):
             check_finite({**row, "observed": bad})
 
-    real = drivers.chi_between_thresholds
-
-    def nan_chi(ex, pe):
-        return dataclasses.replace(real(ex, pe), chi=math.nan)
+    def nan_chi(ex, h, vals, vecs, dims):
+        return np.full(len(dims), math.nan)
 
     monkeypatch.setattr(drivers, "chi_between_thresholds", nan_chi)
     with pytest.raises(ValueError, match="^chi is not finite"):
         run_perturbation_vs_bound(small_cfg(tmp_path, "nan.csv", trials=2))
+
+
+def test_perturbation_non_finite_energy_is_ill_posed(tmp_path, monkeypatch):
+    """A non-finite stacked energy at n_eps > 0 raises IllPosedError, exit 4."""
+    real = drivers.top_k_ground_energies
+
+    def overflowing(h, vals, vecs, dims):
+        energies = real(h, vals, vecs, dims)
+        energies[dims > 0] = math.nan  # as an overflowing B^-1/2 A B^-1/2 gives
+        return energies
+
+    monkeypatch.setattr(drivers, "top_k_ground_energies", overflowing)
+    with pytest.raises(IllPosedError, match="^trial 0: B.* is not finite"):
+        run_perturbation_vs_bound(small_cfg(tmp_path, "ill.csv", trials=2))
+    conf = tmp_path / "ill.conf"
+    conf.write_text("L = 2\nn = 3\nM = 1e4\ntrials = 2\nseed = 3\n")
+    out = tmp_path / "ill_cli.csv"
+    assert cli.main(["perturbation-bound", "--config", str(conf), "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_perturbation_empty_sampled_basis(tmp_path, monkeypatch):
@@ -517,8 +539,8 @@ def test_perturbation_empty_sampled_basis(tmp_path, monkeypatch):
     real_eigh = drivers._sampled_eigh
 
     def no_overlap_above_eps(*args):
-        h_stack, s_stack, vals, vecs = real_eigh(*args)
-        return h_stack, s_stack, np.zeros_like(vals), vecs
+        h_stack, s_stack, vals, vecs, dims = real_eigh(*args)
+        return h_stack, s_stack, np.zeros_like(vals), vecs, np.zeros_like(dims)
 
     monkeypatch.setattr(drivers, "_sampled_eigh", no_overlap_above_eps)
     res = run_perturbation_vs_bound(dataclasses.replace(cfg, out=str(tmp_path / "e.csv")))
@@ -535,6 +557,48 @@ def test_perturbation_empty_sampled_basis(tmp_path, monkeypatch):
     (summary,) = [r for r in res.rows if r["row_kind"] == "cell_summary"]
     assert summary["qualifying_trials"] == 0
     assert summary["satisfaction_rate"] is None
+
+
+@pytest.mark.parametrize("block", (1, 16))
+def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch, block):
+    """Each trial row's n_eps, chi, assumption flags, e0_sampled and cond_s are
+    the per-trial path's bits (basis_thresholding, solve_gevp, the oracle chi),
+    in one-trial blocks and in one 16-trial block.  Shipped perturbation_bound
+    at M = 1e6: trial 12 keeps a different dimension from the exact pair."""
+    cfg = load_config(
+        str(CONFIG_DIR / "perturbation_bound.conf"),
+        {"m_list": (10**6,), "trials": 16, "out": str(tmp_path / "p.csv")},
+    )
+    if block == 1:
+        monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
+    sizes = []
+    real_chunk = drivers._perturbation_chunk
+
+    def recording(args, rng):
+        sizes.append(rng[1])
+        return real_chunk(args, rng)
+
+    monkeypatch.setattr(drivers, "_perturbation_chunk", recording)
+    rows = [r for r in run_perturbation_vs_bound(cfg).rows if r["row_kind"] == "trial"]
+    assert sizes == [block] * (16 // block)
+
+    system = drivers.build_system(cfg)
+    ((_, cell),) = drivers._pair_cells(cfg, system, cfg.n_list)
+    ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+    sol_ex = solve_gevp(ex.A, ex.B)
+    lam_min = float(np.min(ex.b_diagonal))
+    h_stack, s_stack = sample_ensemble(
+        cell.targets, cell.plan_h, cell.plan_s, drivers.noise_from(cfg), 16
+    )
+    for row, h, s in zip(rows, h_stack, s_stack, strict=True):
+        pe = basis_thresholding(h, s, cell.eps)
+        chi = chi_reference(ex, pe)
+        assert (row["n_eps"], row["chi"], row["e0_sampled"], row["cond_s"]) == (
+            pe.n_eps, chi, solve_gevp(pe.A, pe.B).ground_energy, cond_reference(pe)
+        ), row["trial"]
+        flags = tuple(map(drivers._flag, eigenangle_flags_reference(sol_ex, chi, lam_min)))
+        assert (row["chi_small"], row["angle_gap"]) == flags, row["trial"]
+    assert [r["trial"] for r in rows if r["dims_matched"] == "violated"] == [12]
 
 
 @pytest.mark.parametrize(
