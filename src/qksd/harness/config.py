@@ -16,6 +16,10 @@ from ..errors import ConfigError
 from ..krylov import CONSTRUCTIONS
 from ..sampling import MODES, decay_exponent
 
+# Above this total budget the float64 budget split can round its per-part
+# floors past the total.
+MAX_BUDGET = 10**15
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -53,6 +57,10 @@ class ExperimentConfig:
         for m in self.m_list:
             if m < 2:
                 raise ConfigError(f"budget M = {m} must be >= 2")
+            if m > MAX_BUDGET:
+                raise ConfigError(f"budget M = {m} exceeds the largest supported, 1e15")
+        if not -(2**63) <= self.seed < 2**63:  # seeds are hashed as int64
+            raise ConfigError(f"seed = {self.seed} is outside the int64 range")
         if not self.constructions:
             raise ConfigError("construction list is empty")
         for c in self.constructions:
@@ -102,8 +110,16 @@ def _parse_float(key: str, token: str) -> float:
     return v
 
 
-def _split_list(token: str) -> list[str]:
-    return [p for p in (s.strip() for s in token.split(",")) if p]
+def _parse_str(key: str, token: str) -> str:
+    return token
+
+
+def _parse_str_list(key: str, token: str) -> tuple[str, ...]:
+    return tuple(p for p in (s.strip() for s in token.split(",")) if p)
+
+
+def _parse_int_list(key: str, token: str) -> tuple[int, ...]:
+    return tuple(_parse_int(key, s) for s in _parse_str_list(key, token))
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -124,53 +140,43 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-_KNOWN_KEYS = {
-    "L", "t", "u", "n_up", "n_down", "n", "dt", "M", "construction", "mode",
-    "hardware_lambda", "hardware_r", "hardware_depth", "epsilon_ideal",
-    "seed", "trials", "out", "workers",
+# Config key -> (ExperimentConfig field, parser).  hardware_r and
+# hardware_depth, which set hardware_lambda as a pair, are read on their own.
+_KEYS = {
+    "L": ("sites", _parse_int),
+    "t": ("t_hop", _parse_float),
+    "u": ("u_int", _parse_float),
+    "n_up": ("n_up", _parse_int),
+    "n_down": ("n_down", _parse_int),
+    "n": ("n_list", _parse_int_list),
+    "dt": ("dt", _parse_float),
+    "M": ("m_list", _parse_int_list),
+    "construction": ("constructions", _parse_str_list),
+    "mode": ("mode", _parse_str),
+    "hardware_lambda": ("hardware_lambda", _parse_float),
+    "epsilon_ideal": ("epsilon_ideal", _parse_float),
+    "seed": ("seed", _parse_int),
+    "trials": ("trials", _parse_int),
+    "out": ("out", _parse_str),
+    "workers": ("workers", _parse_int),
 }
+_HARDWARE_PAIR = ("hardware_r", "hardware_depth")
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_KEYS) - set(_HARDWARE_PAIR)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    kwargs: dict = {}
-    if "L" in raw:
-        kwargs["sites"] = _parse_int("L", raw["L"])
-    if "t" in raw:
-        kwargs["t_hop"] = _parse_float("t", raw["t"])
-    if "u" in raw:
-        kwargs["u_int"] = _parse_float("u", raw["u"])
-    for key, dest in (("n_up", "n_up"), ("n_down", "n_down")):
-        if key in raw:
-            kwargs[dest] = _parse_int(key, raw[key])
-    if "n" in raw:
-        kwargs["n_list"] = tuple(_parse_int("n", s) for s in _split_list(raw["n"]))
-    if "dt" in raw:
-        kwargs["dt"] = _parse_float("dt", raw["dt"])
-    if "M" in raw:
-        kwargs["m_list"] = tuple(_parse_int("M", s) for s in _split_list(raw["M"]))
-    if "construction" in raw:
-        kwargs["constructions"] = tuple(_split_list(raw["construction"]))
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    if "epsilon_ideal" in raw:
-        kwargs["epsilon_ideal"] = _parse_float("epsilon_ideal", raw["epsilon_ideal"])
-    for key, dest in (("seed", "seed"), ("trials", "trials"), ("workers", "workers")):
-        if key in raw:
-            kwargs[dest] = _parse_int(key, raw[key])
-    if "out" in raw:
-        kwargs["out"] = raw["out"]
+    kwargs = {
+        field: parse(key, raw[key]) for key, (field, parse) in _KEYS.items() if key in raw
+    }
 
     # decay: either a direct exponent or (fidelity, depth), not both
-    if "hardware_lambda" in raw and ("hardware_r" in raw or "hardware_depth" in raw):
-        raise ConfigError("give hardware_lambda or (hardware_r, hardware_depth), not both")
-    if "hardware_lambda" in raw:
-        kwargs["hardware_lambda"] = _parse_float("hardware_lambda", raw["hardware_lambda"])
-    elif "hardware_r" in raw or "hardware_depth" in raw:
-        if not ("hardware_r" in raw and "hardware_depth" in raw):
+    pair = [key for key in _HARDWARE_PAIR if key in raw]
+    if pair:
+        if "hardware_lambda" in raw:
+            raise ConfigError("give hardware_lambda or (hardware_r, hardware_depth), not both")
+        if len(pair) < 2:
             raise ConfigError("hardware_r and hardware_depth must be given together")
         r = _parse_float("hardware_r", raw["hardware_r"])
         depth = _parse_int("hardware_depth", raw["hardware_depth"])

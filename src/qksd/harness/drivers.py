@@ -13,9 +13,12 @@ trial's random stream is keyed by its absolute trial index and every result
 is per trial, blocks do not show in the output, and any worker count
 reproduces byte-identical files.
 
-The sampled-pair chunks solve a block's reduced pairs as stacks, one batched
-solve per retained dimension (`gevp.top_k_ground_energies`); perturbation-bound
-takes chi and the assumption flags from the same stacks.
+Every trial chunk takes (args, (start, count)) and returns a tuple of
+per-trial arrays; the fan-out joins them column by column, and only the
+drivers build rows.  The sampled-pair chunks solve a block's reduced pairs as
+stacks, one batched solve per retained dimension
+(`gevp.top_k_ground_energies`); perturbation-bound takes chi and the
+assumption flags from the same stacks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -223,8 +225,10 @@ class _Fanout:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def __call__(self, chunk: Callable, trial_bytes: int, *args) -> list:
-        """chunk(args, (start, count)) per trial block of the run, in trial order.
+    def __call__(self, chunk: Callable, trial_bytes: int, *args) -> list[np.ndarray]:
+        """The run's per-trial columns: chunk(args, (start, count)) per trial
+        block, in trial order, each a tuple of per-trial arrays, joined column
+        by column.
 
         The blocks are contiguous and near-equal, at least one per worker; each
         holds at least as many trials of `trial_bytes` each as fit in
@@ -232,7 +236,8 @@ class _Fanout:
         """
         per_block = max(1, _BLOCK_BYTES // trial_bytes)
         blocks = _chunk_ranges(self.trials, max(self.workers, self.trials // per_block))
-        return _map_chunks(partial(chunk, args), blocks, self)
+        parts = _map_chunks(partial(chunk, args), blocks, self)
+        return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
@@ -253,11 +258,6 @@ def _map_chunks(
     return list(fanout.pool().map(fn, ranges, chunksize=runs))  # in submission order
 
 
-def _columns(parts: list) -> Iterator[np.ndarray]:
-    """Join chunks that each return a tuple of per-trial arrays, column by column."""
-    return map(np.concatenate, zip(*parts))
-
-
 def _spec_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix in a Hermitian (T, n, n) stack."""
     return np.abs(np.linalg.eigvalsh(stack)).max(axis=1)
@@ -270,15 +270,11 @@ def _spec_norms(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PairCell:
-    """A feasible (construction, n, M) cell: what its trials sample and solve.
-
-    h_exact and s_exact are None when the cells were walked without the
-    exact pair.
-    """
+    """A feasible (construction, n, M) cell: what its trials sample and solve."""
 
     targets: MeasurementTargets
-    h_exact: Optional[np.ndarray]
-    s_exact: Optional[np.ndarray]
+    h_exact: np.ndarray
+    s_exact: np.ndarray
     m_h: int
     m_s: int
     plan_h: ShotPlan
@@ -293,22 +289,17 @@ class _PairCell:
 
 
 def _pair_cells(
-    cfg: ExperimentConfig,
-    system: SystemBundle,
-    n_list: Sequence[int],
-    exact: bool = True,
+    cfg: ExperimentConfig, system: SystemBundle, n_list: Sequence[int]
 ) -> Iterator[tuple[dict, Optional[_PairCell]]]:
     """(base row, cell) per (construction, n, M) in config order.
 
     The cell is None when the budget split or a shot plan is infeasible.
-    Targets and, if `exact`, the exact pair are built once per (construction, n).
+    Targets and the exact pair are built once per (construction, n).
     """
     for construction in cfg.constructions:
         for n in n_list:
             targets = targets_for(system, n, construction)
-            h_exact, s_exact = (
-                expected_pair(targets, cfg.hardware_lambda) if exact else (None, None)
-            )
+            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
             for m in cfg.m_list:
                 base = {"construction": construction, "n": n, "m_budget": m}
                 try:
@@ -352,7 +343,7 @@ def _norms_chunk(args, rng: tuple[int, int]):
         stack = sample_overlap_ensemble(targets, plan, noise, count, start)
     else:
         stack = sample_hamiltonian_ensemble(targets, plan, noise, count, start)
-    return _spec_norms(stack - expected)
+    return (_spec_norms(stack - expected),)
 
 
 def _spectrum_chunk(args, rng: tuple[int, int]):
@@ -374,12 +365,10 @@ def _top_k_sweep(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.
 
 
 def _sweep_chunk(args, rng):
-    """Top-k energies per trial, and the eps rule's, which is the entry k = n_eps."""
+    """(top-k energies for k = 1..n, n_eps) per trial."""
     cell, noise = args
     h_stack, _, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
-    sweep = _top_k_sweep(h_stack, vals, vecs)
-    energies = np.where(dims > 0, sweep[np.arange(len(dims)), dims - 1], math.nan)
-    return sweep, energies, dims
+    return _top_k_sweep(h_stack, vals, vecs), dims
 
 
 def _scan_chunk(args, rng):
@@ -389,81 +378,27 @@ def _scan_chunk(args, rng):
     return top_k_ground_energies(h_stack, vals, vecs, dims), dims
 
 
-def _flag(ok: bool) -> str:
-    return "holds" if ok else "violated"
-
-
-# Trial columns of a sampled S~ that keeps no direction above eps: nothing to solve.
-_EMPTY_BASIS = {
-    **dict.fromkeys(
-        ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"),
-        "unknown",
-    ),
-    **dict.fromkeys(("n_eps", "chi", "e0_sampled", "cond_s", "observed", "satisfied")),
-    "qualifies": False,
-}
-
-
 def _perturbation_chunk(args, rng):
-    """Trial rows of one perturbation-bound cell, keyed by PERTURBATION_COLUMNS.
+    """Per trial: dH and dS norms, n_eps, chi, e0_sampled, cond_s and the
+    chi_small and angle_gap flags, all from the block's stacks.
 
-    `fixed` holds the columns shared by every trial row of the cell; `limits`
-    the norm bounds (e_H / sqrt(M_H), e_S / sqrt(M_S)).  Energies, chi and the
-    assumption flags come from the block's stacks; only the rows are built
-    per trial.  A non-finite reduced pair raises IllPosedError, as solve_gevp
-    does.
+    chi, e0_sampled and cond_s are nan, and both flags False, where n_eps = 0.
     """
-    cell, noise, ex, sol_ex, limits, fixed = args
-    start = rng[0]
+    cell, noise, ex, sol_ex = args
     h_stack, s_stack, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
     energies = top_k_ground_energies(h_stack, vals, vecs, dims)
-    ill = np.flatnonzero((dims > 0) & ~np.isfinite(energies))
-    if ill.size:
-        raise IllPosedError(
-            f"trial {start + ill[0]}: B^-1/2 A B^-1/2 is not finite "
-            f"(n_eps = {dims[ill[0]]})"
-        )
     chis = chi_between_thresholds(ex, h_stack, vals, vecs, dims)
     chi_small, angle_gap = eigenangle_check(sol_ex, chis, float(np.min(ex.b_diagonal)))
-    bound = fixed["bound"]
-    dh_norms = _spec_norms(h_stack - cell.h_exact)
-    ds_norms = _spec_norms(s_stack - cell.s_exact)
     n = vals.shape[1]
-    per_trial = zip(
-        dh_norms.tolist(), ds_norms.tolist(), dims.tolist(), chis.tolist(), energies.tolist()
+    smallest_kept = vals[np.arange(len(dims)), n - np.maximum(dims, 1)]
+    cond_s = np.divide(
+        vals[:, n - 1], smallest_kept, out=np.full(len(dims), math.nan), where=dims > 0
     )
-    rows = []
-    for i, (dh, ds, k, chi, e0) in enumerate(per_trial):
-        eta = math.hypot(dh, ds)
-        row = {**fixed, "trial": start + i, "dh_norm": dh, "ds_norm": ds, "eta": eta}
-        if k == 0:
-            rows.append(check_finite({**row, **_EMPTY_BASIS}))
-            continue
-        flags = {
-            "chi_small": _flag(chi_small[i]),
-            "angle_gap": _flag(angle_gap[i]),
-            "norms_under": _flag(dh < limits[0] and ds < limits[1]),
-            "chi_le_eta": _flag(chi <= eta),
-            "dims_matched": _flag(k == ex.n_eps),
-        }
-        observed = abs(e0 - sol_ex.ground_energy)
-        qualifies = (
-            all(v == "holds" for v in flags.values())
-            and bound is not None
-            and not sol_ex.degenerate_lowest
-        )
-        row.update(
-            flags,
-            n_eps=k,
-            chi=chi,
-            e0_sampled=e0,
-            cond_s=float(vals[i, n - 1] / vals[i, n - k]),
-            observed=observed,
-            qualifies=qualifies,
-            satisfied=observed <= bound + _BOUND_SLACK if qualifies else None,
-        )
-        rows.append(check_finite(row))
-    return rows
+    return (
+        _spec_norms(h_stack - cell.h_exact),
+        _spec_norms(s_stack - cell.s_exact),
+        dims, chis, energies, cond_s, chi_small, angle_gap,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +427,21 @@ def _mean(values: np.ndarray) -> Optional[float]:
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+
+def _flag(ok: bool) -> str:
+    return "holds" if ok else "violated"
+
+
+# Trial columns of a sampled S~ that keeps no direction above eps: nothing to solve.
+_EMPTY_BASIS = {
+    **dict.fromkeys(
+        ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"),
+        "unknown",
+    ),
+    **dict.fromkeys(("n_eps", "chi", "e0_sampled", "cond_s", "observed", "satisfied")),
+    "qualifies": False,
+}
 
 
 def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
@@ -527,12 +477,10 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
                         continue
                     sampled_any = True
                     bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
-                    norms = np.concatenate(
-                        trials(
-                            _norms_chunk,
-                            _trial_bytes(n, 2, plan),  # the stack and its deviation
-                            targets, plan, noise, kind, expected,
-                        )
+                    (norms,) = trials(
+                        _norms_chunk,
+                        _trial_bytes(n, 2, plan),  # the stack and its deviation
+                        targets, plan, noise, kind, expected,
                     )
                     for trial, norm in enumerate(norms):
                         rows.append(
@@ -602,11 +550,8 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
         for m in cfg.m_list:
             plan_s = allocate_toeplitz(m, n, is_h=False)
             # vals: (T, n) descending per trial
-            vals, ds_norms = _columns(
-                trials(
-                    _spectrum_chunk, _trial_bytes(n, 2, plan_s),
-                    targets, plan_s, noise, s_exact,
-                )
+            vals, ds_norms = trials(
+                _spectrum_chunk, _trial_bytes(n, 2, plan_s), targets, plan_s, noise, s_exact
             )
             eps = bounds.optimal_epsilon(n, m)
             dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
@@ -646,9 +591,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
             if (construction, n) not in ideal:
                 exact = (cell.h_exact[None], *np.linalg.eigh(cell.s_exact[None]))
                 ideal[construction, n] = _rel_errors(_top_k_sweep(*exact)[0], e0)
-            sweep, eps_energy, eps_dims = _columns(
-                trials(_sweep_chunk, cell.trial_bytes, cell, noise)
-            )
+            sweep, eps_dims = trials(_sweep_chunk, cell.trial_bytes, cell, noise)
             for k in range(1, n + 1):
                 rel = _rel_errors(sweep[:, k - 1], e0)
                 ideal_k = ideal[construction, n][k - 1]
@@ -664,7 +607,8 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
                         "epsilon": cell.eps,
                     }
                 )
-            rel = _rel_errors(eps_energy, e0)
+            at_n_eps = sweep[np.arange(len(eps_dims)), eps_dims - 1]
+            rel = _rel_errors(np.where(eps_dims > 0, at_n_eps, math.nan), e0)
             rows.append(
                 {
                     **base,
@@ -686,13 +630,11 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
         noise = noise_from(cfg)
         e0 = system.e0_sector
         rows: list[dict] = []
-        for base, cell in _pair_cells(cfg, system, cfg.n_list, exact=False):
+        for base, cell in _pair_cells(cfg, system, cfg.n_list):
             if cell is None:
                 rows.append({**base, "trials_used": 0})
                 continue
-            energies, dims = _columns(
-                trials(_scan_chunk, cell.trial_bytes, cell, noise)
-            )
+            energies, dims = trials(_scan_chunk, cell.trial_bytes, cell, noise)
             rel = _rel_errors(energies, e0)
             used = np.isfinite(rel)
             rows.append(
@@ -753,17 +695,40 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
                 "bound": bound,
             }
             limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
-            trial_rows = list(
-                chain.from_iterable(
-                    trials(
-                        _perturbation_chunk, cell.trial_bytes,
-                        cell, noise, ex, sol_ex, limits, fixed,
+            columns = trials(_perturbation_chunk, cell.trial_bytes, cell, noise, ex, sol_ex)
+            qualifying = satisfied = 0
+            per_trial = zip(*(column.tolist() for column in columns))
+            for trial, (dh, ds, k, chi, e0, cond, small, gap) in enumerate(per_trial):
+                eta = math.hypot(dh, ds)
+                row = {**fixed, "trial": trial, "dh_norm": dh, "ds_norm": ds, "eta": eta}
+                if k == 0:
+                    rows.append(check_finite({**row, **_EMPTY_BASIS}))
+                    continue
+                if not math.isfinite(e0):  # as solve_gevp raises on an overflowing pair
+                    raise IllPosedError(
+                        f"trial {trial}: B^-1/2 A B^-1/2 is not finite (n_eps = {k})"
                     )
+                flags = {
+                    "chi_small": _flag(small),
+                    "angle_gap": _flag(gap),
+                    "norms_under": _flag(dh < limits[0] and ds < limits[1]),
+                    "chi_le_eta": _flag(chi <= eta),
+                    "dims_matched": _flag(k == ex.n_eps),
+                }
+                observed = abs(e0 - sol_ex.ground_energy)
+                qualifies = (
+                    all(v == "holds" for v in flags.values())
+                    and bound is not None
+                    and not sol_ex.degenerate_lowest
                 )
-            )
-            rows.extend(trial_rows)
-            qualifying = sum(row["qualifies"] for row in trial_rows)
-            satisfied = sum(bool(row["satisfied"]) for row in trial_rows)
+                ok = observed <= bound + _BOUND_SLACK if qualifies else None
+                row.update(
+                    flags, n_eps=k, chi=chi, e0_sampled=e0, cond_s=cond,
+                    observed=observed, qualifies=qualifies, satisfied=ok,
+                )
+                rows.append(check_finite(row))
+                qualifying += qualifies
+                satisfied += bool(ok)
             rows.append(
                 {
                     **split,

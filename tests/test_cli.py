@@ -63,6 +63,37 @@ def test_main_config_error(tmp_path, capsys):
     assert main(["error-norms", "--config", str(tmp_path / "nope.conf")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        # the float64 budget split rounds its floors past these totals
+        ("M = 1e6, 1e16", "largest supported"),
+        ("M = 1e18", "largest supported"),
+        # these overflowed the int64 casts
+        ("M = 1e19", "largest supported"),
+        ("seed = 1e19", "int64"),
+        ("seed = -9223372036854775809", "int64"),
+    ],
+)
+def test_main_refuses_oversized_budget_and_seed(tmp_path, capsys, line, reason):
+    p = tmp_path / "big.conf"
+    out = tmp_path / "never.csv"
+    p.write_text(f"L = 2\nn = 3\ntrials = 2\n{line}\nout = {out}\n")
+    assert main(["optimal-threshold", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err
+    assert not out.exists()
+
+
+def test_main_budget_and_seed_limits_are_inclusive(tmp_path, capsys):
+    p = tmp_path / "edge.conf"
+    p.write_text(f"L = 2\nn = 3\nM = 1e15\ntrials = 2\nout = {tmp_path / 'edge.csv'}\n")
+    top = str(2**63 - 1)
+    assert main(["optimal-threshold", "--config", str(p), "--seed", top]) == 0
+    assert main(["optimal-threshold", "--config", str(p), "--seed", str(2**63)]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
 def test_main_infeasible(conf, capsys):
     # trials/seed fine, but M too small for any plan
     rc = main(["error-norms", "--config", str(conf), "--trials", "2", "--out", "/dev/null"])

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from qksd import cli
-from qksd.errors import ConfigError, IllPosedError, InfeasibleBudgetError
-from qksd.gevp import basis_thresholding, solve_gevp
+from qksd.errors import ConfigError, EmptyBasisError, IllPosedError, InfeasibleBudgetError
+from qksd.gevp import basis_thresholding, solve_gevp, top_k_thresholding
 from qksd.harness import (
     ExperimentConfig,
     load_config,
@@ -103,6 +103,11 @@ def test_config_validation():
         ExperimentConfig(hardware_lambda=-0.1)
     with pytest.raises(ConfigError):
         ExperimentConfig(n_up=5, sites=2)
+    with pytest.raises(ConfigError, match="largest supported"):
+        ExperimentConfig(m_list=(10**6, 10**15 + 1))
+    with pytest.raises(ConfigError, match="int64"):
+        ExperimentConfig(seed=-(2**63) - 1)
+    assert ExperimentConfig(m_list=(10**15,), seed=-(2**63)).seed == -(2**63)
 
 
 def test_hardware_decay_keys():
@@ -599,6 +604,62 @@ def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch,
         flags = tuple(map(drivers._flag, eigenangle_flags_reference(sol_ex, chi, lam_min)))
         assert (row["chi_small"], row["angle_gap"]) == flags, row["trial"]
     assert [r["trial"] for r in rows if r["dims_matched"] == "violated"] == [12]
+
+
+def test_every_chunk_returns_per_trial_arrays(tmp_path):
+    """Each trial chunk returns a tuple of arrays with one leading row per
+    trial of its block, here the block (start = 5, count = 3)."""
+    cfg = small_cfg(tmp_path, "chunks.csv", trials=8, m_list=(100_000,))
+    system = drivers.build_system(cfg)
+    noise = drivers.noise_from(cfg)
+    ((_, cell),) = drivers._pair_cells(cfg, system, cfg.n_list)
+    ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+    chunks = {
+        drivers._norms_chunk: (cell.targets, cell.plan_h, noise, "H", cell.h_exact),
+        drivers._spectrum_chunk: (cell.targets, cell.plan_s, noise, cell.s_exact),
+        drivers._sweep_chunk: (cell, noise),
+        drivers._scan_chunk: (cell, noise),
+        drivers._perturbation_chunk: (cell, noise, ex, solve_gevp(ex.A, ex.B)),
+    }
+    for chunk, args in chunks.items():
+        columns = chunk(args, (5, 3))
+        assert isinstance(columns, tuple) and columns, chunk.__name__
+        for column in columns:
+            assert isinstance(column, np.ndarray), chunk.__name__
+            assert column.shape[0] == 3, chunk.__name__
+
+
+def _solves(reduce, h, s, cut) -> bool:
+    """Whether one trial's per-trial path reduces and solves its pair."""
+    try:
+        pair = reduce(h, s, cut)
+        solve_gevp(pair.A, pair.B)
+    except (EmptyBasisError, IllPosedError):
+        return False
+    return True
+
+
+def test_sweep_trials_used_counts_solvable_trials(tmp_path):
+    """trials_used on each threshold-sweep row is the number of trials the
+    per-trial path solves: top_k_thresholding (basis_thresholding for the
+    epsilon_rule row), then solve_gevp.  The shipped config loses trials at
+    larger k, so some rows use only part of them."""
+    cfg = load_config(
+        str(CONFIG_DIR / "threshold_sweep.conf"),
+        {"trials": 16, "out": str(tmp_path / "sweep.csv")},
+    )
+    rows = run_threshold_sweep(cfg).rows
+    system = drivers.build_system(cfg)
+    expected = []
+    for _, cell in drivers._pair_cells(cfg, system, cfg.n_list):
+        pairs = list(zip(*sample_ensemble(
+            cell.targets, cell.plan_h, cell.plan_s, drivers.noise_from(cfg), cfg.trials
+        )))
+        for k in range(1, cell.targets.n + 1):
+            expected.append(sum(_solves(top_k_thresholding, h, s, k) for h, s in pairs))
+        expected.append(sum(_solves(basis_thresholding, h, s, cell.eps) for h, s in pairs))
+    assert [r["trials_used"] for r in rows] == expected
+    assert any(0 < used < cfg.trials for used in expected)
 
 
 @pytest.mark.parametrize(
