@@ -174,15 +174,17 @@ def _reduced_groups(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.nda
     basis_thresholding keeps them (top_k_thresholding too, except on exact
     ties).  The trials `rows` share one k > 0: w holds their (g, k) kept
     eigenvalues, V^dag the (g, k, n) adjoints of the kept columns, and
-    A = herm(V^dag H V) their reduced H.  Trials with k = 0 are in no group.
+    A = herm(V^dag H V) their reduced H.  Trials with k = 0 are in no group;
+    a group of every trial takes h as it is, without gathering a copy.
     """
     n = vals.shape[1]
     for dim in set(k.tolist()) - {0}:
         rows = np.flatnonzero(k == dim)
         keep = np.arange(n - 1, n - 1 - dim, -1)
         vh = vecs[rows[:, None], :, keep].conj()
+        h_rows = h if len(rows) == len(k) else h[rows]
         with np.errstate(all="ignore"):
-            a = _hermitize(vh @ h[rows] @ vh.conj().swapaxes(1, 2))
+            a = _hermitize(vh @ h_rows @ vh.conj().swapaxes(1, 2))
         yield rows, vals[rows[:, None], keep], vh, a
 
 

@@ -2,16 +2,20 @@
 
 Each driver maps an ExperimentConfig to one CSV.  Threshold-sweep,
 optimal-threshold and perturbation-bound walk the same (construction, n, M)
-cells (`_pair_cells`); within a cell, the run's `_Fanout` splits the trials
-once into contiguous trial blocks, sized from a fixed byte budget
-(`_BLOCK_BYTES`) and the cell's per-trial footprint, with at least one block
-per worker.  One worker runs the blocks inline; more share them over one
-process pool per driver run, each taking one contiguous run of blocks; the
-pool is opened at the first fan-out and shut down before the driver returns.
-A cell's peak memory depends on its block, not on `trials`.  Since every
-trial's random stream is keyed by its absolute trial index and every result
-is per trial, blocks do not show in the output, and any worker count
-reproduces byte-identical files.
+cells (`_pair_cells`).  Every driver hands its cells, in order, to the run's
+`_Fanout` as a stream of jobs (`_Fanout.stream`), which splits each cell's
+trials once into contiguous trial blocks, sized from a fixed byte budget
+(`_BLOCK_BYTES`) and the cell's per-trial footprint; only the run's last cell
+is split into at least one block per worker.  One worker runs each cell
+inline when its turn comes.  More share the blocks over one process pool per
+driver run, as tasks that each go to whichever worker is free: at most
+2 x workers tasks are in flight, each one block (or one of 2 x workers runs of
+a larger cell's blocks), and later cells' tasks run while earlier ones are
+collected; the pool is opened at the first task and shut down before the
+driver returns.  A cell's peak memory depends on its block, not on `trials`.
+Since every trial's random stream is keyed by its absolute trial index and
+every result is per trial, blocks do not show in the output, and any worker
+count reproduces byte-identical files.
 
 Every trial chunk takes (args, (start, count)) and returns a tuple of
 per-trial arrays; the fan-out joins them column by column, and only the
@@ -26,9 +30,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -173,8 +179,8 @@ def _plan_for(
 # ---------------------------------------------------------------------------
 
 
-def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    parts = max(1, min(workers, trials))
+def _chunk_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
+    parts = max(1, min(parts, trials))
     base, rem = divmod(trials, parts)
     ranges = []
     start = 0
@@ -199,14 +205,10 @@ def _usable_cpus() -> Optional[int]:
 
 
 class _Fanout:
-    """Trial fan-out of one driver run, used as a context manager.
-
-    Each cell's trials are split once into contiguous blocks (`__call__`);
-    with more than one worker, each worker runs one contiguous run of them.  A
-    process pool is opened at the first map of a run with more than one
-    worker, reused by every later one, and shut down, its children joined,
-    when the `with` block exits, raising or not.
-    """
+    """Trial fan-out of one driver run, used as a context manager.  Its pool
+    is opened at the first task handed to it, and shut down when the `with`
+    block exits, raising or not: tasks it has not yet queued for its workers
+    are cancelled, and its children joined."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.trials = cfg.trials
@@ -218,7 +220,7 @@ class _Fanout:
 
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
     def pool(self) -> ProcessPoolExecutor:
@@ -226,19 +228,63 @@ class _Fanout:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def __call__(self, chunk: Callable, trial_bytes: int, *args) -> list[np.ndarray]:
-        """The run's per-trial columns: chunk(args, (start, count)) per trial
-        block, in trial order, each a tuple of per-trial arrays, joined column
-        by column.
-
-        The blocks are contiguous and near-equal, at least one per worker; each
-        holds at least as many trials of `trial_bytes` each as fit in
-        `_BLOCK_BYTES` (or all of its worker's share), and fewer than twice that.
-        """
+    def _blocks(self, trial_bytes: int, parts: int) -> list[tuple[int, int]]:
         per_block = max(1, _BLOCK_BYTES // trial_bytes)
-        blocks = _chunk_ranges(self.trials, max(self.workers, self.trials // per_block))
-        parts = _map_chunks(partial(chunk, args), blocks, self)
-        return [np.concatenate(column) for column in zip(*parts)]
+        return _chunk_ranges(self.trials, max(parts, self.trials // per_block))
+
+    def stream(self, jobs: Iterable[tuple]) -> Iterator[tuple]:
+        """(item, columns) per job (item, chunk, trial_bytes, args), in job order.
+
+        columns are chunk(args, (start, count)) over the cell's trial blocks,
+        each a tuple of per-trial arrays, joined column by column; None where
+        chunk is None (a skipped cell).  A block holds at least as many trials
+        of trial_bytes each as fit in _BLOCK_BYTES (or all of them) and fewer
+        than twice that, but the run's last job is split into at least one
+        block per worker.
+
+        The blocks go out as tasks (`_tasks`) in job order while fewer than a
+        window of them are in flight, and are collected in that order.  At one
+        worker the window is one task, run inline, and a job is read only once
+        the previous item has been taken.  Over a pool it is 2 x workers
+        tasks, each going to whichever worker is free, and a job is read with
+        the next one, to tell the run's last job; so an error in building a
+        job can raise before the earlier items are taken.
+        """
+        window = 2 * self.workers if self.workers > 1 else 1
+        queue: deque = deque()  # (item, parts, future, last) per task handed out
+        tasks = self._tasks(iter(jobs), window)
+        while True:
+            for item, parts, fn, blocks, last in islice(tasks, window - len(queue)):
+                queue.append((item, parts, fn and _map_chunks(fn, blocks, self), last))
+            if not queue:
+                return
+            item, parts, future, last = queue.popleft()
+            if future:
+                parts.extend(future.result())
+            if last:
+                yield item, parts and [np.concatenate(column) for column in zip(*parts)]
+
+    def _tasks(self, jobs: Iterator[tuple], window: int) -> Iterator[tuple]:
+        """(item, parts, fn, blocks, whether it is its job's last) per task,
+        in job order, and (item, None, None, None, True) per skipped job.
+
+        A task is one trial block, or, in a cell of more blocks than the
+        window, one of `window` contiguous runs of them: a pool task pickles
+        the cell's arguments, which can outweigh a block's work."""
+        ahead = self.workers > 1  # read the next job with each, over a pool
+        job = next(jobs, None)
+        while job is not None:
+            following = next(jobs, None) if ahead else None
+            item, chunk, trial_bytes, args = job
+            if chunk is None:
+                yield item, None, None, None, True
+            else:
+                fn, parts = partial(chunk, args), []
+                blocks = self._blocks(trial_bytes, self.workers if following is None else 1)
+                runs = _chunk_ranges(len(blocks), window)
+                for i, (start, count) in enumerate(runs, 1):
+                    yield item, parts, fn, blocks[start : start + count], i == len(runs)
+            job = following if ahead else next(jobs, None)
 
 
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
@@ -250,13 +296,18 @@ def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
 
 def _map_chunks(
     fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
-) -> list:
-    """fn(r) per trial block r, in order: inline at one worker, else over the
-    pool with each worker given one contiguous run of blocks."""
+) -> Future:
+    """Hand out the task [fn(r) per trial block r, in order]: run inline at
+    one worker, else submitted to the pool; either way, its future."""
     if fanout.workers == 1:
-        return [fn(r) for r in ranges]
-    runs = math.ceil(len(ranges) / fanout.workers)
-    return list(fanout.pool().map(fn, ranges, chunksize=runs))  # in submission order
+        ran = Future()
+        ran.set_result(_run_blocks(fn, ranges))
+        return ran
+    return fanout.pool().submit(_run_blocks, fn, ranges)
+
+
+def _run_blocks(fn: Callable, ranges: Sequence[tuple[int, int]]) -> list:
+    return [fn(r) for r in ranges]
 
 
 def _spec_norms(stack: np.ndarray) -> np.ndarray:
@@ -314,6 +365,16 @@ def _pair_cells(
                 yield base, _PairCell(
                     targets, h_exact, s_exact, m_h, m_s, plan_h, plan_s, eps
                 )
+
+
+def _pair_jobs(
+    cfg: ExperimentConfig, system: SystemBundle, chunk: Callable
+) -> Iterator[tuple]:
+    """Stream jobs of the pair cells: item (base, cell) and chunk over
+    (cell, noise), no chunk where the cell is None."""
+    noise = noise_from(cfg)
+    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+        yield (base, cell), cell and chunk, cell and cell.trial_bytes, (cell, noise)
 
 
 def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
@@ -475,13 +536,11 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, ERROR_NORM_COLUMNS, _error_norm_rows)
 
 
-def _error_norm_rows(
-    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
-) -> Iterator[dict]:
+def _error_norm_jobs(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[tuple]:
+    """Stream jobs of the (kind, n, M) cells: item (base row, bound), or
+    (skipped row, None) and no chunk where the shot plan is infeasible."""
     noise = noise_from(cfg)
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
-    slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
-    sampled_any = False
     for kind, construction in kinds:
         v_z = 1.0 if kind == "S" else system.beta_norm
         for n in cfg.n_list:
@@ -498,35 +557,45 @@ def _error_norm_rows(
                 try:
                     plan = _plan_for(kind, construction, m, n, targets.betas)
                 except InfeasibleBudgetError as exc:
-                    yield {**base, "row_kind": "skipped", "note": str(exc)}
+                    skipped = {**base, "row_kind": "skipped", "note": str(exc)}
+                    yield (skipped, None), None, 0, ()
                     continue
-                sampled_any = True
                 bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
-                (norms,) = trials(
-                    _norms_chunk,
-                    _trial_bytes(n, 2, plan),  # the stack and the sampler's temporaries
-                    targets, plan, noise, kind, expected,
-                )
-                for trial, norm in enumerate(norms):
-                    yield {
-                        **base,
-                        "row_kind": "trial",
-                        "trial": trial,
-                        "norm": float(norm),
-                        "bound": bound,
-                        "under_bound": bool(norm < bound),
-                    }
-                mean_norm = float(np.mean(norms))
-                yield {
-                    **base,
-                    "row_kind": "cell_summary",
-                    "bound": bound,
-                    "mean_norm": mean_norm,
-                    "frac_under": float(np.mean(norms < bound)),
-                }
-                slope_points.setdefault((kind, construction, m), []).append(
-                    (n, mean_norm)
-                )
+                args = (targets, plan, noise, kind, expected)
+                # a trial holds its stack and the sampler's temporaries
+                yield (base, bound), _norms_chunk, _trial_bytes(n, 2, plan), args
+
+
+def _error_norm_rows(
+    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
+) -> Iterator[dict]:
+    slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
+    sampled_any = False
+    for (base, bound), columns in trials.stream(_error_norm_jobs(cfg, system)):
+        if columns is None:
+            yield base  # the skipped row
+            continue
+        sampled_any = True
+        (norms,) = columns
+        for trial, norm in enumerate(norms):
+            yield {
+                **base,
+                "row_kind": "trial",
+                "trial": trial,
+                "norm": float(norm),
+                "bound": bound,
+                "under_bound": bool(norm < bound),
+            }
+        mean_norm = float(np.mean(norms))
+        yield {
+            **base,
+            "row_kind": "cell_summary",
+            "bound": bound,
+            "mean_norm": mean_norm,
+            "frac_under": float(np.mean(norms < bound)),
+        }
+        key = (base["kind"], base["construction"], base["m_budget"])
+        slope_points.setdefault(key, []).append((base["n"], mean_norm))
     for (kind, construction, m), points in slope_points.items():
         if len(points) < 2:
             continue
@@ -567,12 +636,12 @@ def _spectrum_rows(
     targets = targets_for(system, n, "toeplitz")
     _, s_exact = expected_pair(targets, cfg.hardware_lambda)
     exact_vals = np.linalg.eigvalsh(s_exact)[::-1]
-    for m in cfg.m_list:
-        plan_s = allocate_toeplitz(m, n, is_h=False)
-        # vals: (T, n) descending per trial
-        vals, ds_norms = trials(
-            _spectrum_chunk, _trial_bytes(n, 2, plan_s), targets, plan_s, noise, s_exact
-        )
+    plans = ((m, allocate_toeplitz(m, n, is_h=False)) for m in cfg.m_list)
+    jobs = (
+        (m, _spectrum_chunk, _trial_bytes(n, 2, plan), (targets, plan, noise, s_exact))
+        for m, plan in plans
+    )
+    for m, (vals, ds_norms) in trials.stream(jobs):  # vals: (T, n) descending
         eps = bounds.optimal_epsilon(n, m)
         dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
         for i in range(n):
@@ -600,10 +669,9 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
 def _sweep_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
-    noise = noise_from(cfg)
     e0 = system.e0_sector
     ideal: dict[tuple[str, int], np.ndarray] = {}  # once per (construction, n)
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+    for (base, cell), columns in trials.stream(_pair_jobs(cfg, system, _sweep_chunk)):
         if cell is None:
             yield {**base, "row_kind": "skipped"}
             continue
@@ -611,7 +679,7 @@ def _sweep_rows(
         if (construction, n) not in ideal:
             exact = (cell.h_exact[None], *np.linalg.eigh(cell.s_exact[None]))
             ideal[construction, n] = _rel_errors(_top_k_sweep(*exact)[0], e0)
-        sweep, eps_dims = trials(_sweep_chunk, cell.trial_bytes, cell, noise)
+        sweep, eps_dims = columns
         for k in range(1, n + 1):
             rel = _rel_errors(sweep[:, k - 1], e0)
             ideal_k = ideal[construction, n][k - 1]
@@ -646,13 +714,12 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
 def _scan_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
-    noise = noise_from(cfg)
     e0 = system.e0_sector
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+    for (base, cell), columns in trials.stream(_pair_jobs(cfg, system, _scan_chunk)):
         if cell is None:
             yield {**base, "trials_used": 0}
             continue
-        energies, dims = trials(_scan_chunk, cell.trial_bytes, cell, noise)
+        energies, dims = columns
         rel = _rel_errors(energies, e0)
         used = np.isfinite(rel)
         yield {
@@ -679,12 +746,26 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, PERTURBATION_COLUMNS, _perturbation_rows)
 
 
+def _perturbation_jobs(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[tuple]:
+    """Stream jobs of the pair cells, each carrying its exact pair thresholded
+    at eps and solved, (ex, sol_ex), in its item and its chunk's args."""
+    noise = noise_from(cfg)
+    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+        if cell is None:
+            yield (base, None, None, None), None, 0, ()
+            continue
+        ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+        sol_ex = solve_gevp(ex.A, ex.B)
+        args = (cell, noise, ex, sol_ex)
+        yield (base, cell, ex, sol_ex), _perturbation_chunk, cell.trial_bytes, args
+
+
 def _perturbation_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
-    noise = noise_from(cfg)
     e0_full: dict[tuple[str, int], float] = {}  # once per (construction, n)
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
+    jobs = _perturbation_jobs(cfg, system)
+    for (base, cell, ex, sol_ex), columns in trials.stream(jobs):
         if cell is None:
             yield {**base, "row_kind": "skipped"}
             continue
@@ -693,8 +774,6 @@ def _perturbation_rows(
             full = basis_thresholding(cell.h_exact, cell.s_exact, cfg.epsilon_ideal)
             e0_full[construction, n] = solve_gevp(full.A, full.B).ground_energy
         e_h, e_s = bounds.norm_bound_pair(n, system.beta_norm, construction)
-        ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
-        sol_ex = solve_gevp(ex.A, ex.B)
         bound = bounds.sampling_perturbation_bound(
             ex.n_eps, e_h, e_s, cell.m_h + cell.m_s, sol_ex.d0, sol_ex.ground_energy
         )
@@ -711,7 +790,6 @@ def _perturbation_rows(
             "bound": bound,
         }
         limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
-        columns = trials(_perturbation_chunk, cell.trial_bytes, cell, noise, ex, sol_ex)
         qualifying = satisfied = 0
         per_trial = zip(*(column.tolist() for column in columns))
         for trial, (dh, ds, k, chi, e0, cond, small, gap) in enumerate(per_trial):

@@ -430,6 +430,23 @@ def test_chi_stack_with_empty_basis_trial():
         )
 
 
+@pytest.mark.parametrize("k", ([3] * 6, [3, 3, 2, 3, 4, 3]), ids=("uniform_k", "mixed_k"))
+def test_whole_stack_group_matches_gathered_rows(k):
+    """A group holding every trial takes the stack as it is, not a gathered
+    copy, and gets the gathered form's bits: those of the same stack with one
+    more trial that keeps nothing (k = 0), so that no group holds every trial."""
+    h_stack, s_stack = random_stack([1.0, 0.6, 0.3, 0.1, 0.02], trials=6, seed=12)
+    vals, vecs = np.linalg.eigh(s_stack)
+    k = np.array(k)
+    ex = basis_thresholding(h_stack[0], s_stack[0], 0.2)
+    gathered = [np.concatenate([a, a[:1]]) for a in (h_stack, vals, vecs)]
+    for solve in (top_k_ground_energies, lambda *a: chi_between_thresholds(ex, *a)):
+        whole = solve(h_stack, vals, vecs, k)
+        rows = solve(*gathered, np.append(k, 0))
+        assert np.isfinite(whole).all() and np.isnan(rows[-1])
+        assert np.array_equal(whole, rows[:-1])
+
+
 def exact_solution(e0, e1):
     return type(
         "S", (), {"eigenvalues": np.array([e0, e1]), "degenerate_lowest": False}

@@ -448,25 +448,27 @@ def pools(monkeypatch):
     return opened
 
 
-POOLED_DRIVERS = {  # each grid has two cells or more, so one pool serves every map
+POOLED_DRIVERS = {  # each grid has two cells or more, so one pool serves every cell
     "threshold_sweep": (run_threshold_sweep, {"m_list": (50_000, 100_000)}),
     "optimal_threshold": (run_optimal_threshold_scan, {"n_list": (3, 5)}),
     "perturbation_bound": (run_perturbation_vs_bound, {"m_list": (100_000, 200_000)}),
     "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}),
-    # a shipped config at three trials: two workers take ranges of two trials
-    # and one, so a one-trial Toeplitz block meets the reduced solves
+    # a shipped config at three trials: 42 cells, the last split into blocks
+    # of two trials and one over two workers
     "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf"),
 }
 
 
 @pytest.mark.parametrize("name", list(POOLED_DRIVERS))
 def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, name):
+    """One block per cell, but the run's last cell takes one per worker; the
+    bytes do not depend on the worker count."""
     runner, grid = POOLED_DRIVERS[name]
-    maps = Counter()
+    blocks = {1: Counter(), 2: Counter()}  # per worker count, blocks per cell's chunk
     real_map = drivers._map_chunks
 
     def counted_map(fn, ranges, fanout):
-        maps[len(ranges)] += 1
+        blocks[fanout.workers][fn] += len(ranges)
         return real_map(fn, ranges, fanout)
 
     monkeypatch.setattr(drivers, "_map_chunks", counted_map)
@@ -481,8 +483,9 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, nam
             cfg = small_cfg(tmp_path, path.name, trials=7, workers=workers, **grid)
         runner(cfg)
         out[workers] = path.read_bytes()
-    cells = maps[1]  # every cell mapped inline, then every cell over the pool
-    assert cells >= 2 and maps == {1: cells, 2: cells}
+    cells = len(blocks[1])
+    assert cells >= 2 and list(blocks[1].values()) == [1] * cells
+    assert list(blocks[2].values()) == [1] * (cells - 1) + [2]
     assert len(pools) == 1
     assert out[1] == out[2]
 
@@ -501,14 +504,178 @@ def test_one_pool_per_driver_run(tmp_path, monkeypatch, pools):
     run_optimal_threshold_scan(dataclasses.replace(cfg, workers=1))
     assert len(pools) == 1
 
+    submitted = []
+    real_map = drivers._map_chunks
+
+    def counted_map(fn, ranges, fanout):
+        submitted.extend(ranges)
+        return real_map(fn, ranges, fanout)
+
     def failing_write(path, columns, rows, cfg):
-        next(iter(rows))  # the first cell has fanned out over the pool
+        next(iter(rows))  # the first cell's four blocks are in
+        assert len(submitted) == 4 + 3  # and a window, less one, of lookahead blocks
         raise OSError("disk full")
 
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)  # one-trial blocks: 16 in all
+    monkeypatch.setattr(drivers, "_map_chunks", counted_map)
     monkeypatch.setattr(drivers, "write_csv", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_optimal_threshold_scan(cfg)
     assert len(pools) == 2
+    assert multiprocessing.active_children() == []
+
+
+def _offset_trials(offset, rng):
+    """A trial chunk (top-level, so it pickles): its block's trial indices plus offset."""
+    start, count = rng
+    return (np.arange(start, start + count) + offset,)
+
+
+def _stream_jobs(offsets, reads=None, chunk=_offset_trials):
+    """One job per offset, each trial 1 MiB nominal; None marks a skipped cell."""
+    for i, offset in enumerate(offsets):
+        if reads is not None:
+            reads.append(("read", i))
+        yield i, None if offset is None else chunk, 1 << 20, offset
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_stream_keeps_job_order(pools, monkeypatch, workers):
+    """Items come back in job order with their cells' trials in order, and a
+    skipped job's item passes through with no columns, at one worker and two."""
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
+    offsets = [None, 0, 100, None, 200, 300, None]
+    cfg = ExperimentConfig(trials=5, workers=workers)
+    with drivers._Fanout(cfg) as fanout:
+        out = list(fanout.stream(_stream_jobs(offsets)))
+    assert [item for item, _ in out] == list(range(len(offsets)))
+    for (_, columns), offset in zip(out, offsets):
+        if offset is None:
+            assert columns is None
+        else:
+            (column,) = columns
+            assert column.tolist() == list(range(offset, offset + 5))
+    assert len(pools) == workers - 1
+    assert multiprocessing.active_children() == []
+
+
+class _TrackedFuture:
+    """A pool task's future that takes its blocks out of flight when collected."""
+
+    def __init__(self, future, blocks, flying):
+        self.future, self.blocks, self.flying = future, blocks, flying
+
+    def result(self):
+        self.flying[0] -= self.blocks
+        return self.future.result()
+
+
+def test_stream_window(pools, monkeypatch):
+    """Over two workers, later jobs' blocks are submitted while earlier ones
+    are collected, one block a task, and never more than 2 x workers blocks
+    are in flight."""
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)  # one-trial blocks
+    flying, peak, submitted = [0], [0], []
+    real_map = drivers._map_chunks
+
+    def tracked_map(fn, ranges, fanout):
+        submitted.append((fn.args[0], len(ranges), taken[:]))
+        flying[0] += len(ranges)
+        peak[0] = max(peak[0], flying[0])
+        return _TrackedFuture(real_map(fn, ranges, fanout), len(ranges), flying)
+
+    monkeypatch.setattr(drivers, "_map_chunks", tracked_map)
+    offsets = [0, 100, None, 200, 300, 400]
+    taken = []
+    with drivers._Fanout(ExperimentConfig(trials=3, workers=2)) as fanout:
+        for item, columns in fanout.stream(_stream_jobs(offsets)):
+            assert flying[0] <= 4
+            taken.append(item)
+    assert peak[0] == 4 and flying[0] == 0
+    assert [count for _, count, _ in submitted] == [1] * (5 * 3)
+    # the second job's blocks went out before the first job was taken
+    assert any(offset == 100 and not before for offset, _, before in submitted)
+    assert taken == list(range(len(offsets)))
+
+
+def test_stream_sends_a_large_cell_in_window_runs(pools, monkeypatch):
+    """A cell of more blocks than the window (2 x workers) goes to the pool as
+    that many tasks, each a contiguous run of its blocks, so its arguments
+    are pickled four times, not ten."""
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)  # one-trial blocks
+    runs = []
+    real_map = drivers._map_chunks
+
+    def recording_map(fn, ranges, fanout):
+        runs.append(list(ranges))
+        return real_map(fn, ranges, fanout)
+
+    monkeypatch.setattr(drivers, "_map_chunks", recording_map)
+    with drivers._Fanout(ExperimentConfig(trials=10, workers=2)) as fanout:
+        ((_, (column,)),) = fanout.stream(_stream_jobs([0]))
+    assert column.tolist() == list(range(10))
+    assert [[start for start, _ in run] for run in runs] == [
+        [0, 1, 2], [3, 4, 5], [6, 7], [8, 9]
+    ]
+
+
+def test_stream_one_worker_runs_no_job_ahead(monkeypatch):
+    """At one worker, no job is read, nor its chunk run, before the previous
+    item has been taken."""
+    events = []
+
+    def chunk(offset, rng):
+        events.append(("run", offset))
+        return _offset_trials(offset, rng)
+
+    jobs = _stream_jobs([0, None, 100, 200], events, chunk)
+    with drivers._Fanout(ExperimentConfig(trials=3, workers=1)) as fanout:
+        for item, _ in fanout.stream(jobs):
+            events.append(("taken", item))
+    assert events == [
+        ("read", 0), ("run", 0), ("taken", 0),
+        ("read", 1), ("taken", 1),
+        ("read", 2), ("run", 100), ("taken", 2),
+        ("read", 3), ("run", 200), ("taken", 3),
+    ]
+
+
+_SCAN_CHUNK = drivers._scan_chunk
+
+
+def _scan_chunk_failing_at_n5(args, rng):
+    """The scan chunk, raising in the cells of Krylov order 5 (top-level, so
+    pool workers find it)."""
+    if args[0].targets.n == 5:
+        raise RuntimeError("lookahead cell")
+    return _SCAN_CHUNK(args, rng)
+
+
+def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
+    """A chunk that raises in a cell submitted ahead raises when that cell's
+    turn comes: the earlier cells' rows have reached write_csv, and the run
+    leaves no file, no .tmp and no child process."""
+    written, submitted = [], []
+    real_map, real_write = drivers._map_chunks, drivers.write_csv
+
+    def recording_map(fn, ranges, fanout):
+        submitted.append((fn.args[0][0].targets.n, len(written)))
+        return real_map(fn, ranges, fanout)
+
+    def recording_write(path, columns, rows, cfg):
+        return real_write(path, columns, (written.append(r) or r for r in rows), cfg)
+
+    monkeypatch.setattr(drivers, "_scan_chunk", _scan_chunk_failing_at_n5)
+    monkeypatch.setattr(drivers, "_map_chunks", recording_map)
+    monkeypatch.setattr(drivers, "write_csv", recording_write)
+    cfg = small_cfg(
+        tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000), workers=2
+    )
+    with pytest.raises(RuntimeError, match="lookahead cell"):
+        run_optimal_threshold_scan(cfg)
+    assert (5, 0) in submitted  # an n = 5 cell went out before any row was written
+    assert [(r["n"], r["m_budget"]) for r in written] == [(3, 50_000), (3, 100_000)]
+    assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
 
 
