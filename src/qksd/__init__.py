@@ -12,7 +12,7 @@ else is imported from its module (`qksd.sampling`, `qksd.gevp`, ...).
 
 from .bounds import optimal_epsilon
 from .gevp import basis_thresholding, solve_gevp
-from .sampling import NoiseSpec, allocate_toeplitz, sample_ensemble, split_budget
+from .sampling import NoiseSpec, allocate_toeplitz, split_budget
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,6 @@ __all__ = [
     "allocate_toeplitz",
     "basis_thresholding",
     "optimal_epsilon",
-    "sample_ensemble",
     "solve_gevp",
     "split_budget",
 ]

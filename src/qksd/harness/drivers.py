@@ -1,29 +1,29 @@
 """Experiment drivers: system setup, trial ensembles, aggregation, CSV output.
 
-Each driver maps an ExperimentConfig to one CSV.  Threshold-sweep,
-optimal-threshold and perturbation-bound walk the same (construction, n, M)
-cells (`_pair_cells`).  Every driver hands its cells, in order, to the run's
-`_Fanout` as a stream of jobs (`_Fanout.stream`), which splits each cell's
-trials once into contiguous trial blocks, sized from a fixed byte budget
-(`_BLOCK_BYTES`) and the cell's per-trial footprint; only the run's last cell
-is split into at least one block per worker.  One worker runs each cell
-inline when its turn comes.  More share the blocks over one process pool per
-driver run, as tasks that each go to whichever worker is free: at most
-2 x workers tasks are in flight, each one block (or one of 2 x workers runs of
-a larger cell's blocks), and later cells' tasks run while earlier ones are
-collected; the pool is opened at the first task and shut down before the
-driver returns.  A cell's peak memory depends on its block, not on `trials`.
-Since every trial's random stream is keyed by its absolute trial index and
-every result is per trial, blocks do not show in the output, and any worker
-count reproduces byte-identical files.
+Each driver maps an ExperimentConfig to one CSV.  Every driver walks
+(construction, n) cells (`_cells`), each holding every budget M of the config
+and the sampling moments of its shot plans, and hands them, in order, to the
+run's `_Fanout` (`_Fanout.stream`).  The fan-out splits each cell's trials
+once into contiguous blocks, sized from a fixed byte budget (`_BLOCK_BYTES`)
+and the cell's per-trial footprint; only the run's last cell is split into at
+least one block per worker.  One worker runs each cell inline when its turn comes.
+More share the blocks over one process pool per run, at most 2 x workers
+tasks in flight, each one block (or one of 2 x workers runs of a larger
+cell's blocks), later cells' tasks running while earlier ones are collected.
+A cell's peak memory depends on its block, not on `trials`, and since every
+trial's random stream is keyed by its absolute trial index and every result
+is per trial, any block layout and worker count give byte-identical files.
 
-Every trial chunk takes (args, (start, count)) and returns a tuple of
-per-trial arrays; the fan-out joins them column by column, and only the
-drivers build rows.  Each driver's rows come from a generator, cell by cell,
-and `write_csv` writes them as they come, so no run holds its rows.  The
-sampled-pair chunks solve a block's reduced pairs as stacks, one batched
-solve per retained dimension (`gevp.top_k_ground_energies`);
-perturbation-bound takes chi and the assumption flags from the same stacks.
+A block takes its gaussian normals once per sampled matrix and reuses them
+for each budget, one budget's stacks at a time; binomial counts are drawn per
+budget (`sampling.Sampler`).  Its chunk returns each feasible budget's
+per-trial arrays in turn, which the fan-out joins column by column; only the
+drivers build rows, from a generator, and `write_csv` writes them as they
+come, so no run holds its rows.  Error-norms hands over each budget's trial
+rows as one block of columns.  The sampled-pair chunks solve a block's
+reduced pairs as stacks, one batched solve per retained dimension
+(`gevp.top_k_ground_energies`); perturbation-bound takes chi and the
+assumption flags from the same stacks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,13 +58,11 @@ from ..hamiltonian import (
 from ..krylov import KrylovConfig, MeasurementTargets, default_time_step, measurement_targets
 from ..sampling import (
     NoiseSpec,
+    Sampler,
     ShotPlan,
     allocate_nontoeplitz,
     allocate_toeplitz,
     expected_pair,
-    sample_ensemble,
-    sample_hamiltonian_ensemble,
-    sample_overlap_ensemble,
     split_budget,
 )
 from .config import ExperimentConfig
@@ -143,30 +141,18 @@ def build_system(cfg: ExperimentConfig) -> SystemBundle:
     )
 
 
-def targets_for(
-    system: SystemBundle, n: int, construction: str
-) -> MeasurementTargets:
-    cfg_k = KrylovConfig(n=n, dt=system.dt)
+def targets_for(system: SystemBundle, n: int, construction: str) -> MeasurementTargets:
     return measurement_targets(
-        system.spectrum,
-        system.partition,
-        system.id_coeff,
-        system.ref_state,
-        cfg_k,
-        construction,
-        system.basis,
+        system.spectrum, system.partition, system.id_coeff, system.ref_state,
+        KrylovConfig(n=n, dt=system.dt), construction, system.basis,
     )
 
 
 def noise_from(cfg: ExperimentConfig) -> NoiseSpec:
-    return NoiseSpec(
-        mode=cfg.mode, hardware_lambda=cfg.hardware_lambda, rng_seed=cfg.seed
-    )
+    return NoiseSpec(mode=cfg.mode, hardware_lambda=cfg.hardware_lambda, rng_seed=cfg.seed)
 
 
-def _plan_for(
-    kind: str, construction: str, m: int, n: int, betas: np.ndarray
-) -> ShotPlan:
+def _plan_for(kind: str, construction: str, m: int, n: int, betas: np.ndarray) -> ShotPlan:
     if kind == "S":
         return allocate_toeplitz(m, n, is_h=False)
     if construction == "toeplitz":
@@ -207,8 +193,9 @@ def _usable_cpus() -> Optional[int]:
 class _Fanout:
     """Trial fan-out of one driver run, used as a context manager.  Its pool
     is opened at the first task handed to it, and shut down when the `with`
-    block exits, raising or not: tasks it has not yet queued for its workers
-    are cancelled, and its children joined."""
+    block exits, raising or not: the tasks in flight (one window at most, all
+    of them running or queued for the workers already) finish, and its
+    children are joined."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.trials = cfg.trials
@@ -220,7 +207,7 @@ class _Fanout:
 
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+            self._pool.shutdown()
             self._pool = None
 
     def pool(self) -> ProcessPoolExecutor:
@@ -237,18 +224,17 @@ class _Fanout:
 
         columns are chunk(args, (start, count)) over the cell's trial blocks,
         each a tuple of per-trial arrays, joined column by column; None where
-        chunk is None (a skipped cell).  A block holds at least as many trials
-        of trial_bytes each as fit in _BLOCK_BYTES (or all of them) and fewer
-        than twice that, but the run's last job is split into at least one
-        block per worker.
+        chunk is None.  A block holds at least as many trials of trial_bytes
+        each as fit in _BLOCK_BYTES (or all of them) and fewer than twice that,
+        but the run's last job is split into at least one block per worker.
 
         The blocks go out as tasks (`_tasks`) in job order while fewer than a
         window of them are in flight, and are collected in that order.  At one
         worker the window is one task, run inline, and a job is read only once
         the previous item has been taken.  Over a pool it is 2 x workers
-        tasks, each going to whichever worker is free, and a job is read with
-        the next one, to tell the run's last job; so an error in building a
-        job can raise before the earlier items are taken.
+        tasks, and a job is read with the next one, to tell the run's last
+        job; so an error in building a job can raise before earlier items are
+        taken.
         """
         window = 2 * self.workers if self.workers > 1 else 1
         queue: deque = deque()  # (item, parts, future, last) per task handed out
@@ -316,105 +302,146 @@ def _spec_norms(stack: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sampled-pair cells
+# Cells and their trial chunks (top-level so they pickle)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PairCell:
-    """A feasible (construction, n, M) cell: what its trials sample and solve."""
+class _Budget(NamedTuple):
+    """One budget M of a cell: its shares and threshold, or why it is infeasible."""
 
-    targets: MeasurementTargets
+    m: int
+    m_h: int = 0
+    m_s: int = 0
+    eps: float = math.nan  # threshold e_S / sqrt(M_S)
+    note: str = ""  # the InfeasibleBudgetError's message
+
+
+class _Cell(NamedTuple):
+    """A (construction, n) cell: its exact pair, its budgets in config order,
+    and per sampled matrix a Sampler over the feasible ones, which holds the
+    moments its trials need in place of the targets' fragment overlaps.
+    kind is what its trials sample: "H", "S", or "HS", the pair, which splits
+    each budget between them."""
+
+    kind: str
+    construction: str
+    n: int
     h_exact: np.ndarray
     s_exact: np.ndarray
-    m_h: int
-    m_s: int
-    plan_h: ShotPlan
-    plan_s: ShotPlan
-    eps: float  # threshold e_S / sqrt(M_S)
-
-    @property
-    def trial_bytes(self) -> int:
-        """Per-trial footprint of a chunk holding H~, S~ and S~'s eigenvectors,
-        plus the four stacks a batched reduced solve holds at k = n."""
-        return _trial_bytes(self.targets.n, 7, self.plan_h, self.plan_s)
+    budgets: tuple[_Budget, ...]
+    feasible: tuple[_Budget, ...]
+    samplers: dict[str, Sampler]
+    trial_bytes: int
 
 
-def _pair_cells(
-    cfg: ExperimentConfig, system: SystemBundle, n_list: Sequence[int]
-) -> Iterator[tuple[dict, Optional[_PairCell]]]:
-    """(base row, cell) per (construction, n, M) in config order.
-
-    The cell is None when the budget split or a shot plan is infeasible.
-    Targets and the exact pair are built once per (construction, n).
-    """
-    for construction in cfg.constructions:
-        for n in n_list:
-            targets = targets_for(system, n, construction)
-            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
-            for m in cfg.m_list:
-                base = {"construction": construction, "n": n, "m_budget": m}
-                try:
-                    m_h, m_s = split_budget(m, n, construction, system.beta_norm)
-                    plan_h = _plan_for("H", construction, m_h, n, targets.betas)
-                    plan_s = _plan_for("S", construction, m_s, n, targets.betas)
-                except InfeasibleBudgetError:
-                    yield base, None
-                    continue
-                eps = bounds.optimal_epsilon(n, m_s)
-                yield base, _PairCell(
-                    targets, h_exact, s_exact, m_h, m_s, plan_h, plan_s, eps
-                )
-
-
-def _pair_jobs(
-    cfg: ExperimentConfig, system: SystemBundle, chunk: Callable
-) -> Iterator[tuple]:
-    """Stream jobs of the pair cells: item (base, cell) and chunk over
-    (cell, noise), no chunk where the cell is None."""
+def _cells(
+    cfg: ExperimentConfig, system: SystemBundle, kinds: Sequence[tuple[str, str]] = ()
+) -> Iterator[_Cell]:
+    """One cell per (kind, construction) and n, in config order, by default a
+    pair cell ("HS") per construction.  A plan's grid does not depend on its
+    budget, so the cell's trial footprint is any feasible budget's; a pair
+    trial also holds S~'s eigenvectors and a batched solve's four stacks."""
     noise = noise_from(cfg)
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
-        yield (base, cell), cell and chunk, cell and cell.trial_bytes, (cell, noise)
+    for kind, construction in kinds or [("HS", c) for c in cfg.constructions]:
+        for n in cfg.n_list:
+            targets = targets_for(system, n, construction)
+            budgets, plans = [], []  # plans by matrix per feasible budget
+            for m in cfg.m_list:
+                try:
+                    shares = (m, m)
+                    if kind == "HS":
+                        shares = split_budget(m, n, construction, system.beta_norm)
+                    plans.append({
+                        z: _plan_for(z, construction, share, n, targets.betas)
+                        for z, share in zip("HS", shares)
+                        if z in kind
+                    })
+                except InfeasibleBudgetError as exc:
+                    budgets.append(_Budget(m, note=str(exc)))
+                    continue
+                eps = bounds.optimal_epsilon(n, shares[1])
+                budgets.append(_Budget(m, *shares, eps=eps))
+            samplers = {
+                z: Sampler(targets, [by_matrix[z] for by_matrix in plans], noise)
+                for z in kind
+                if plans
+            }
+            first = plans[0].values() if plans else ()
+            trial_bytes = _trial_bytes(n, 7 if kind == "HS" else 2, *first)
+            feasible = tuple(budget for budget in budgets if not budget.note)
+            yield _Cell(
+                kind, construction, n, *expected_pair(targets, cfg.hardware_lambda),
+                tuple(budgets), feasible, samplers, trial_bytes,
+            )
 
 
-def _sampled_eigh(cell: _PairCell, noise: NoiseSpec, rng: tuple[int, int]):
-    """Sampled H~ and S~ stacks of trials rng = (start, count), eigh of S~, and
-    each trial's n_eps under the threshold rule (0 if nothing survives).
+def _sampled(
+    trials: _Fanout, cells: Iterable[_Cell], chunk: Callable, extra=lambda cell: ()
+) -> Iterator[tuple]:
+    """(args, budget, columns) per budget of each cell, in config order:
+    args = (cell, *extra(cell)) are the cell's chunk arguments, and columns
+    the budget's share of the chunk's (`_PerBudget`), None if infeasible."""
+    jobs = ((cell, *extra(cell)) for cell in cells)
+    for args, columns in trials.stream(
+        (a, chunk if a[0].samplers else None, a[0].trial_bytes, a) for a in jobs
+    ):
+        cell, shares = args[0], iter(())
+        if columns:
+            width = len(columns) // len(cell.feasible)
+            shares = (columns[i : i + width] for i in range(0, len(columns), width))
+        for budget in cell.budgets:
+            yield args, budget, None if budget.note else next(shares)
+
+
+class _PerBudget(NamedTuple):
+    """A trial chunk (args, (start, count)) -> columns: it draws the block
+    once per sampled matrix, then returns columns_of(args, stacks, i) for each
+    feasible budget i in turn, one after another, where stacks maps "H" and
+    "S" to the block's stacks at budget i, held for that call alone."""
+
+    columns_of: Callable
+
+    def __call__(self, args, rng: tuple[int, int]) -> tuple:
+        start, count = rng
+        samplers = args[0].samplers
+        draws = {z: sampler.draw(count, start) for z, sampler in samplers.items()}
+        return tuple(
+            column
+            for i in range(len(args[0].feasible))
+            for column in self.columns_of(
+                args, {z: sampler.stack(draws[z], i) for z, sampler in samplers.items()}, i
+            )
+        )
+
+
+def _sampled_eigh(stacks: dict, eps: float):
+    """A block's sampled H~ and S~ stacks, taken out of `stacks` so that the
+    caller alone holds them, eigh of S~, and each trial's n_eps under the
+    threshold rule (0 if nothing survives).
 
     eigh's eigenvalues ascend, so the rule keeps each trial's top n_eps
     directions, in the order basis_thresholding keeps them.
     """
-    start, count = rng
-    h_stack, s_stack = sample_ensemble(
-        cell.targets, cell.plan_h, cell.plan_s, noise, count, start
-    )
+    h_stack, s_stack = stacks.pop("H"), stacks.pop("S")
     vals, vecs = np.linalg.eigh(s_stack)
-    dims = np.count_nonzero(vals > cell.eps, axis=1)
+    dims = np.count_nonzero(vals > eps, axis=1)
     return h_stack, s_stack, vals, vecs, dims
 
 
-# ---------------------------------------------------------------------------
-# Chunk workers (top-level so they pickle)
-# ---------------------------------------------------------------------------
-
-
-def _norms_chunk(args, rng: tuple[int, int]):
-    targets, plan, noise, kind, expected = args
-    start, count = rng
-    if kind == "S":
-        stack = sample_overlap_ensemble(targets, plan, noise, count, start)
-    else:
-        stack = sample_hamiltonian_ensemble(targets, plan, noise, count, start)
-    stack -= expected
+def _norm_columns(args, stacks, i):
+    """The spectral norm of each trial's sampled-minus-expected matrix."""
+    (cell,) = args
+    (stack,) = stacks.values()
+    stack -= cell.s_exact if cell.kind == "S" else cell.h_exact
     return (_spec_norms(stack),)
 
 
-def _spectrum_chunk(args, rng: tuple[int, int]):
-    targets, plan_s, noise, s_exact = args
-    start, count = rng
-    stack = sample_overlap_ensemble(targets, plan_s, noise, count, start)
-    vals = np.linalg.eigvalsh(stack)[:, ::-1]  # descending per trial
-    stack -= s_exact
+def _spectrum_columns(args, stacks, i):
+    """Each trial's S~ eigenvalues, descending, and ||S~ - S||."""
+    (cell,) = args
+    stack = stacks["S"]
+    vals = np.linalg.eigvalsh(stack)[:, ::-1]
+    stack -= cell.s_exact
     return vals, _spec_norms(stack)
 
 
@@ -428,28 +455,30 @@ def _top_k_sweep(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.
     )
 
 
-def _sweep_chunk(args, rng):
+def _sweep_columns(args, stacks, i):
     """(top-k energies for k = 1..n, n_eps) per trial."""
-    cell, noise = args
-    h_stack, _, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
+    h_stack, s_stack, vals, vecs, dims = _sampled_eigh(stacks, args[0].feasible[i].eps)
+    del s_stack  # S~ is not needed past its eigendecomposition
     return _top_k_sweep(h_stack, vals, vecs), dims
 
 
-def _scan_chunk(args, rng):
+def _scan_columns(args, stacks, i):
     """(energy, n_eps) per trial under the threshold rule; (nan, 0) if nothing survives."""
-    cell, noise = args
-    h_stack, _, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
+    h_stack, s_stack, vals, vecs, dims = _sampled_eigh(stacks, args[0].feasible[i].eps)
+    del s_stack  # S~ is not needed past its eigendecomposition
     return top_k_ground_energies(h_stack, vals, vecs, dims), dims
 
 
-def _perturbation_chunk(args, rng):
+def _perturbation_columns(args, stacks, i):
     """Per trial: dH and dS norms, n_eps, chi, e0_sampled, cond_s and the
     chi_small and angle_gap flags, all from the block's stacks.
 
     chi, e0_sampled and cond_s are nan, and both flags False, where n_eps = 0.
     """
-    cell, noise, ex, sol_ex = args
-    h_stack, s_stack, vals, vecs, dims = _sampled_eigh(cell, noise, rng)
+    cell, exact = args[:2]
+    budget = cell.feasible[i]
+    ex, sol_ex = exact[budget.m]
+    h_stack, s_stack, vals, vecs, dims = _sampled_eigh(stacks, budget.eps)
     energies = top_k_ground_energies(h_stack, vals, vecs, dims)
     chis = chi_between_thresholds(ex, h_stack, vals, vecs, dims)
     chi_small, angle_gap = eigenangle_check(sol_ex, chis, float(np.min(ex.b_diagonal)))
@@ -467,6 +496,14 @@ def _perturbation_chunk(args, rng):
     )
 
 
+# The trial chunks the drivers hand to the fan-out.
+_norms_chunk = _PerBudget(_norm_columns)
+_spectrum_chunk = _PerBudget(_spectrum_columns)
+_sweep_chunk = _PerBudget(_sweep_columns)
+_scan_chunk = _PerBudget(_scan_columns)
+_perturbation_chunk = _PerBudget(_perturbation_columns)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation helpers
 # ---------------------------------------------------------------------------
@@ -478,16 +515,12 @@ def _rel_errors(energies: np.ndarray, e0: float) -> np.ndarray:
 
 def _rms(values: np.ndarray) -> Optional[float]:
     finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return None
-    return float(np.sqrt(np.mean(finite**2)))
+    return float(np.sqrt(np.mean(finite**2))) if finite.size else None
 
 
 def _mean(values: np.ndarray) -> Optional[float]:
     finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return None
-    return float(np.mean(finite))
+    return float(np.mean(finite)) if finite.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -530,72 +563,42 @@ def _run(
 def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
     """Sampled error-matrix norms against the expected-norm bound.
 
-    Emits per-trial rows, one summary per (kind, n, M) cell, and one fitted
+    Emits per-trial rows, one summary per (kind, n, M), and one fitted
     log-log slope row per (kind, M) across the n grid.
     """
     return _run(cfg, ERROR_NORM_COLUMNS, _error_norm_rows)
 
 
-def _error_norm_jobs(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[tuple]:
-    """Stream jobs of the (kind, n, M) cells: item (base row, bound), or
-    (skipped row, None) and no chunk where the shot plan is infeasible."""
-    noise = noise_from(cfg)
-    kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
-    for kind, construction in kinds:
-        v_z = 1.0 if kind == "S" else system.beta_norm
-        for n in cfg.n_list:
-            targets = targets_for(system, n, construction)
-            h_exact, s_exact = expected_pair(targets, cfg.hardware_lambda)
-            expected = s_exact if kind == "S" else h_exact
-            for m in cfg.m_list:
-                base = {
-                    "construction": construction,
-                    "kind": kind,
-                    "n": n,
-                    "m_budget": m,
-                }
-                try:
-                    plan = _plan_for(kind, construction, m, n, targets.betas)
-                except InfeasibleBudgetError as exc:
-                    skipped = {**base, "row_kind": "skipped", "note": str(exc)}
-                    yield (skipped, None), None, 0, ()
-                    continue
-                bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
-                args = (targets, plan, noise, kind, expected)
-                # a trial holds its stack and the sampler's temporaries
-                yield (base, bound), _norms_chunk, _trial_bytes(n, 2, plan), args
-
-
 def _error_norm_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
+    """Per budget of each cell, its trial rows as one column block and its
+    summary, or a skipped row; then the slopes."""
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
-    sampled_any = False
-    for (base, bound), columns in trials.stream(_error_norm_jobs(cfg, system)):
-        if columns is None:
-            yield base  # the skipped row
+    kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
+    for (cell,), budget, share in _sampled(trials, _cells(cfg, system, kinds), _norms_chunk):
+        kind, construction, n, m = cell.kind, cell.construction, cell.n, budget.m
+        base = {"construction": construction, "kind": kind, "n": n, "m_budget": m}
+        if share is None:
+            yield {**base, "row_kind": "skipped", "note": budget.note}
             continue
-        sampled_any = True
-        (norms,) = columns
-        for trial, norm in enumerate(norms):
-            yield {
-                **base,
-                "row_kind": "trial",
-                "trial": trial,
-                "norm": float(norm),
-                "bound": bound,
-                "under_bound": bool(norm < bound),
-            }
+        (norms,) = share
+        v_z = 1.0 if kind == "S" else system.beta_norm
+        bound = bounds.error_norm_bound(n, v_z, construction) / math.sqrt(m)
+        under = norms < bound
+        block = {"trial": np.arange(len(norms)), "norm": norms, "under_bound": under}
+        yield {**base, "row_kind": "trial", "bound": bound, **block}  # one row a trial
         mean_norm = float(np.mean(norms))
         yield {
             **base,
             "row_kind": "cell_summary",
             "bound": bound,
             "mean_norm": mean_norm,
-            "frac_under": float(np.mean(norms < bound)),
+            "frac_under": float(np.mean(under)),
         }
-        key = (base["kind"], base["construction"], base["m_budget"])
-        slope_points.setdefault(key, []).append((base["n"], mean_norm))
+        slope_points.setdefault((kind, construction, m), []).append((n, mean_norm))
+    if not slope_points:
+        raise InfeasibleBudgetError("every (kind, n, M) cell was infeasible")
     for (kind, construction, m), points in slope_points.items():
         if len(points) < 2:
             continue
@@ -608,8 +611,6 @@ def _error_norm_rows(
             "m_budget": m,
             "slope": float(np.polyfit(ns, means, 1)[0]),
         }
-    if not sampled_any:
-        raise InfeasibleBudgetError("every (kind, n, M) cell was infeasible")
 
 
 def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
@@ -631,27 +632,22 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
 def _spectrum_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
-    noise = noise_from(cfg)
-    (n,) = cfg.n_list
-    targets = targets_for(system, n, "toeplitz")
-    _, s_exact = expected_pair(targets, cfg.hardware_lambda)
-    exact_vals = np.linalg.eigvalsh(s_exact)[::-1]
-    plans = ((m, allocate_toeplitz(m, n, is_h=False)) for m in cfg.m_list)
-    jobs = (
-        (m, _spectrum_chunk, _trial_bytes(n, 2, plan), (targets, plan, noise, s_exact))
-        for m, plan in plans
-    )
-    for m, (vals, ds_norms) in trials.stream(jobs):  # vals: (T, n) descending
-        eps = bounds.optimal_epsilon(n, m)
+    """n rows per budget; an infeasible budget raises when its turn comes."""
+    cells = _cells(cfg, system, [("S", "toeplitz")])
+    for (cell,), budget, share in _sampled(trials, cells, _spectrum_chunk):
+        if share is None:
+            raise InfeasibleBudgetError(budget.note)
+        exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
+        vals, ds_norms = share  # vals: (T, n) descending
         dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
-        for i in range(n):
+        for i in range(cell.n):
             yield {
-                "m_budget": m,
+                "m_budget": budget.m,
                 "index": i + 1,
                 "exact_value": float(exact_vals[i]),
                 "mean_value": float(np.mean(vals[:, i])),
                 "std_value": float(np.std(vals[:, i])),
-                "epsilon": eps,
+                "epsilon": budget.eps,
                 "weyl_fraction": float(np.mean(dev_ok[:, i])),
             }
 
@@ -670,19 +666,21 @@ def _sweep_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     e0 = system.e0_sector
-    ideal: dict[tuple[str, int], np.ndarray] = {}  # once per (construction, n)
-    for (base, cell), columns in trials.stream(_pair_jobs(cfg, system, _sweep_chunk)):
-        if cell is None:
+
+    def ideal_of(cell: _Cell) -> tuple[np.ndarray]:  # exact top-k errors, k = 1..n
+        exact = (cell.h_exact[None], *np.linalg.eigh(cell.s_exact[None]))
+        return (_rel_errors(_top_k_sweep(*exact)[0], e0),)
+
+    for (cell, ideal), budget, share in _sampled(
+        trials, _cells(cfg, system), _sweep_chunk, ideal_of
+    ):
+        base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
+        if share is None:
             yield {**base, "row_kind": "skipped"}
             continue
-        construction, n = base["construction"], base["n"]
-        if (construction, n) not in ideal:
-            exact = (cell.h_exact[None], *np.linalg.eigh(cell.s_exact[None]))
-            ideal[construction, n] = _rel_errors(_top_k_sweep(*exact)[0], e0)
-        sweep, eps_dims = columns
-        for k in range(1, n + 1):
+        sweep, eps_dims = share
+        for k in range(1, cell.n + 1):
             rel = _rel_errors(sweep[:, k - 1], e0)
-            ideal_k = ideal[construction, n][k - 1]
             yield {
                 **base,
                 "row_kind": "sweep",
@@ -690,8 +688,8 @@ def _sweep_rows(
                 "trials_used": int(np.sum(np.isfinite(rel))),
                 "rms_rel_error": _rms(rel),
                 "mean_rel_error": _mean(rel),
-                "ideal_rel_error": None if np.isnan(ideal_k) else float(ideal_k),
-                "epsilon": cell.eps,
+                "ideal_rel_error": None if np.isnan(ideal[k - 1]) else float(ideal[k - 1]),
+                "epsilon": budget.eps,
             }
         at_n_eps = sweep[np.arange(len(eps_dims)), eps_dims - 1]
         rel = _rel_errors(np.where(eps_dims > 0, at_n_eps, math.nan), e0)
@@ -702,7 +700,7 @@ def _sweep_rows(
             "rms_rel_error": _rms(rel),
             "mean_rel_error": _mean(rel),
             "mean_n_eps": float(np.mean(eps_dims)),
-            "epsilon": cell.eps,
+            "epsilon": budget.eps,
         }
 
 
@@ -715,18 +713,19 @@ def _scan_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     e0 = system.e0_sector
-    for (base, cell), columns in trials.stream(_pair_jobs(cfg, system, _scan_chunk)):
-        if cell is None:
+    for (cell,), budget, share in _sampled(trials, _cells(cfg, system), _scan_chunk):
+        base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
+        if share is None:
             yield {**base, "trials_used": 0}
             continue
-        energies, dims = columns
+        energies, dims = share
         rel = _rel_errors(energies, e0)
         used = np.isfinite(rel)
         yield {
             **base,
-            "m_h": cell.m_h,
-            "m_s": cell.m_s,
-            "epsilon": cell.eps,
+            "m_h": budget.m_h,
+            "m_s": budget.m_s,
+            "epsilon": budget.eps,
             "trials_used": int(np.sum(used)),
             "rms_rel_error": _rms(rel),
             "mean_rel_error": _mean(rel),
@@ -746,52 +745,50 @@ def run_perturbation_vs_bound(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, PERTURBATION_COLUMNS, _perturbation_rows)
 
 
-def _perturbation_jobs(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[tuple]:
-    """Stream jobs of the pair cells, each carrying its exact pair thresholded
-    at eps and solved, (ex, sol_ex), in its item and its chunk's args."""
-    noise = noise_from(cfg)
-    for base, cell in _pair_cells(cfg, system, cfg.n_list):
-        if cell is None:
-            yield (base, None, None, None), None, 0, ()
-            continue
-        ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
-        sol_ex = solve_gevp(ex.A, ex.B)
-        args = (cell, noise, ex, sol_ex)
-        yield (base, cell, ex, sol_ex), _perturbation_chunk, cell.trial_bytes, args
+def _exact_solutions(cell: _Cell, epsilon_ideal: float) -> tuple:
+    """The exact pair thresholded at each feasible budget's eps and solved,
+    (ex, sol_ex) by budget M, which the chunk takes too, and the exact pair's
+    ground energy at epsilon_ideal (e0_full), where a budget is feasible."""
+    if not cell.feasible:
+        return {}, None
+    exact = {}
+    for budget in cell.feasible:
+        ex = basis_thresholding(cell.h_exact, cell.s_exact, budget.eps)
+        exact[budget.m] = ex, solve_gevp(ex.A, ex.B)
+    full = basis_thresholding(cell.h_exact, cell.s_exact, epsilon_ideal)
+    return exact, solve_gevp(full.A, full.B).ground_energy
 
 
 def _perturbation_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
-    e0_full: dict[tuple[str, int], float] = {}  # once per (construction, n)
-    jobs = _perturbation_jobs(cfg, system)
-    for (base, cell, ex, sol_ex), columns in trials.stream(jobs):
-        if cell is None:
+    prepare = partial(_exact_solutions, epsilon_ideal=cfg.epsilon_ideal)
+    budgets = _sampled(trials, _cells(cfg, system), _perturbation_chunk, prepare)
+    for (cell, exact, e0_full), budget, share in budgets:
+        base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
+        if share is None:
             yield {**base, "row_kind": "skipped"}
             continue
-        construction, n = base["construction"], base["n"]
-        if (construction, n) not in e0_full:
-            full = basis_thresholding(cell.h_exact, cell.s_exact, cfg.epsilon_ideal)
-            e0_full[construction, n] = solve_gevp(full.A, full.B).ground_energy
-        e_h, e_s = bounds.norm_bound_pair(n, system.beta_norm, construction)
+        ex, sol_ex = exact[budget.m]
+        e_h, e_s = bounds.norm_bound_pair(cell.n, system.beta_norm, cell.construction)
         bound = bounds.sampling_perturbation_bound(
-            ex.n_eps, e_h, e_s, cell.m_h + cell.m_s, sol_ex.d0, sol_ex.ground_energy
+            ex.n_eps, e_h, e_s, budget.m_h + budget.m_s, sol_ex.d0, sol_ex.ground_energy
         )
-        split = {**base, "m_h": cell.m_h, "m_s": cell.m_s}
+        split = {**base, "m_h": budget.m_h, "m_s": budget.m_s}
         fixed = {
             **split,
             "row_kind": "trial",
             "seed": cfg.seed,
             "e0_sector": system.e0_sector,
-            "e0_full": e0_full[construction, n],
+            "e0_full": e0_full,
             "e0_reduced": sol_ex.ground_energy,
             "d0": sol_ex.d0,
-            "d0_inv_upper": bounds.crawford_inverse_upper(cell.eps, sol_ex.ground_energy),
+            "d0_inv_upper": bounds.crawford_inverse_upper(budget.eps, sol_ex.ground_energy),
             "bound": bound,
         }
-        limits = (e_h / math.sqrt(cell.m_h), e_s / math.sqrt(cell.m_s))
+        limits = (e_h / math.sqrt(budget.m_h), e_s / math.sqrt(budget.m_s))
         qualifying = satisfied = 0
-        per_trial = zip(*(column.tolist() for column in columns))
+        per_trial = zip(*(column.tolist() for column in share))
         for trial, (dh, ds, k, chi, e0, cond, small, gap) in enumerate(per_trial):
             eta = math.hypot(dh, ds)
             row = {**fixed, "trial": trial, "dh_norm": dh, "ds_norm": ds, "eta": eta}

@@ -6,9 +6,9 @@ version so a result file is traceable to the exact run that produced it.
 Floats are written with repr (shortest round-trip form); missing or
 not-applicable values are written as the literal string `na`.
 
-Rows are written as they arrive, to `<out>.tmp`, which replaces `out` only
-once the last row is written; a run that raises leaves no `.tmp` and any
-earlier `out` as it was.
+Rows are written as they arrive, one block of rows at a time (`write_csv`),
+to `<out>.tmp`, which replaces `out` only once the last row is written; a run
+that raises leaves no `.tmp` and any earlier `out` as it was.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .config import ExperimentConfig
 
@@ -77,6 +80,8 @@ def format_value(v) -> str:
     return str(v)
 
 
+_RUN = 4096  # elements of a column block formatted at a time
+
 _HASH_EXEMPT = {"out", "workers"}  # execution details, not experiment identity
 
 
@@ -96,17 +101,43 @@ class DriverResult:
     row_count: int
 
 
+def _strings(value, rows: int) -> Iterator[str]:
+    """A block column's cells: format_value of each element of an array, made
+    a run at a time, or of any other value, repeated."""
+    if type(value) is not np.ndarray:
+        return repeat(format_value(value), rows)
+    fmt = repr if value.dtype.kind == "f" else format_value  # repr is a float's format
+    runs = (value[i : i + _RUN].tolist() for i in range(0, rows, _RUN))
+    return chain.from_iterable(map(fmt, run) for run in runs)
+
+
+def _lines(block: Mapping, columns: Sequence[str]) -> tuple[int, Iterable]:
+    """How many rows a block holds, and its rows of cells."""
+    if np.ndarray not in set(map(type, block.values())):  # a dict of scalars
+        return 1, [[format_value(block.get(c)) for c in columns]]
+    lengths = {len(v) for v in block.values() if type(v) is np.ndarray}
+    if len(lengths) > 1:
+        raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
+    (rows,) = lengths
+    return rows, zip(*(_strings(block.get(c), rows) for c in columns))
+
+
 def write_csv(
     path: str,
     columns: Sequence[str],
-    rows: Iterable[Mapping],
+    blocks: Iterable[Mapping],
     cfg: ExperimentConfig,
 ) -> int:
-    """Write rows (dicts keyed by column name) with the traceability header,
-    each as it arrives; return how many were written.
+    """Write blocks of rows with the traceability header, each as it arrives;
+    return how many rows were written.
+
+    A block maps column names to values: a numpy array is a column of one
+    value per row, every array of a block of the same length, and any other
+    value repeats on each of its rows; a block with no array (a dict of
+    scalars) is one row.  Each column is formatted once, as it is written.
 
     The file is `path` + ".tmp" until the last row is written, then renamed
-    onto `path`.  If a row or the iterable raises, the `.tmp` is removed and
+    onto `path`.  If a block or the iterable raises, the `.tmp` is removed and
     `path` is left as it was.  A `path` that exists but is no regular file (a
     device such as /dev/null, or a pipe) cannot be renamed onto, so it is
     written in place.
@@ -123,12 +154,13 @@ def write_csv(
             )
             writer = csv.writer(f)
             writer.writerow(columns)
-            for row in rows:
-                extra = row.keys() - known
+            for block in blocks:
+                extra = block.keys() - known
                 if extra:
                     raise ValueError(f"row has unknown fields {sorted(extra)}")
-                writer.writerow([format_value(row.get(c)) for c in columns])
-                count += 1
+                rows, lines = _lines(block, columns)
+                writer.writerows(lines)
+                count += rows
         if staged:
             os.replace(tmp, path)
     except BaseException:

@@ -21,15 +21,23 @@ Two noise modes: "binomial" draws the actual binomial counts (ground truth);
 which is what the norm-bound theory models and is fully vectorizable.  A sum
 of independent normals is one normal, so a gaussian part (the beta-weighted
 sum of its fragments' estimates) takes one draw.  Gaussian estimates are not
-clamped to [-1, 1].  The estimator rule lives in `_binomial_estimates` (range
-check, p and the per-fragment draw) and `_gaussian_estimates` (the fragment
-sum's mean + sigma z); `_sample_grid` calls them for both ensembles.
+clamped to [-1, 1].
+
+A `Sampler` samples one target at each budget of a (construction, n) cell,
+one plan per budget.  It computes the moments no trial changes once: the
+mean of each gaussian part, which no budget changes, and its spread at each
+budget.  A block of trials draws its gaussian normals once and reuses them
+for every budget; binomial counts are drawn per budget.  The one-plan
+ensembles (`sample_overlap_ensemble`, `sample_hamiltonian_ensemble`) are a
+one-budget Sampler.
 
 Random streams: every draw comes from one generator per (seed, trial, target),
 which draws in the C order of the plan's grid: a standard normal per
 (element, configuration), or a binomial count per (element, configuration,
-fragment).  No key holds the budget, so a trial's budgets share their draws.
-A single pair is the one-trial ensemble at its trial index.
+fragment).  No key holds the budget, so a trial's budgets share their draws:
+in gaussian mode the same normals, in binomial mode the same stream, drawn
+from its start at each budget.  A single pair is the one-trial ensemble at its
+trial index, and any split of the trials into blocks draws the same values.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
@@ -238,84 +246,116 @@ def split_budget(
 
 
 # ---------------------------------------------------------------------------
-# Element estimators
+# Ensemble sampling
 # ---------------------------------------------------------------------------
 
 
-def _binomial_estimates(mean, m, generators) -> np.ndarray:
-    """2 Bin(m, p)/m - 1 with p = (1 + mean)/2, one row of draws per generator.
+class Sampler:
+    """One target's estimators at each of a cell's budgets (its plans, in order).
 
-    The range check and p are computed once for every generator.
+    What no trial changes is computed here, once: the grid's true (decayed)
+    fragment means and, in gaussian mode, each filled (element,
+    configuration)'s mean mu = sum_j beta_j mu_j, the same at every budget,
+    and its spread sigma_i = sqrt(sum_j beta_j^2 (1 - mu_j^2)/m_ij) at budget
+    i, the binomial estimator's; in binomial mode p = (1 + mu_j)/2 per sampled
+    coordinate, after the range check.
+
+    A block of trials takes its draws once (`draw`): a standard normal per
+    filled (element, configuration) in gaussian mode, which every budget
+    reuses as mu + sigma_i z, or its streams' keys in binomial mode, whose
+    counts are drawn per budget from the start of each trial's stream.
+    `stack` builds one budget's (T, n, n) stack from them.
     """
-    mean = np.asarray(mean, dtype=float)
-    out_of_range = np.abs(mean) > 1.0 + 1e-9
-    if np.any(out_of_range):
-        bad = float(mean[out_of_range][0])
-        raise ValueError(f"binomial mode needs |part| <= 1, got {bad}")
-    p = 0.5 * (1.0 + np.clip(mean, -1.0, 1.0))
-    rows = [2.0 * gen.binomial(m, p) / m - 1.0 for gen in generators]
-    return np.reshape(rows, (-1,) + mean.shape)
 
+    def __init__(self, targets: MeasurementTargets, plans, noise: NoiseSpec):
+        plan = plans[0]
+        self.n, self.target, self.elements = targets.n, plan.target, plan.elements
+        if any(p.target != plan.target or p.n != plan.n for p in plans):
+            raise ValueError("a cell's plans are of different targets")
+        decay = math.exp(-noise.hardware_lambda)
+        self.s_true = decay * targets.s_seq
+        a, b = self.elements[:, 0], self.elements[:, 1]
+        if plan.target == "S_toeplitz":
+            truth, self.betas = self.s_true[None, :], _UNIT
+        else:
+            toeplitz = plan.target == "H_toeplitz"
+            truth, self.betas = decay * targets.frag, targets.betas
+            # the identity term, added to every estimate
+            s_part = self.s_true if toeplitz else toeplitz_matrix(self.s_true)[a, b]
+            self.shift = targets.id_coeff * s_part
+        fragments = len(self.betas)
+        if plan.counts.shape[2] != fragments:
+            raise ValueError(
+                f"plan has {plan.counts.shape[2]} fragments, "
+                f"the targets have {fragments}"
+            )
+        values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
+        means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
+        self.seed, self.gaussian = noise.rng_seed, noise.mode == "gaussian"
+        if self.gaussian:
+            # the filled (element, configuration)s
+            self.cols = np.flatnonzero(plan.counts[:, :, 0])
+            mean = means.reshape(-1, fragments)[self.cols]
+            spread = np.clip(1.0 - mean * mean, 0.0, None)
+            weights = self.betas * self.betas
+            self.mu = mean @ self.betas
+            self.sigmas = [
+                np.sqrt((spread / p.counts.reshape(-1, fragments)[self.cols]) @ weights)
+                for p in plans
+            ]
+            return
+        self.sampled = plan.counts > 0  # the same coordinates at every budget
+        mean = means[self.sampled]
+        out_of_range = np.abs(mean) > 1.0 + 1e-9
+        if np.any(out_of_range):
+            bad = float(mean[out_of_range][0])
+            raise ValueError(f"binomial mode needs |part| <= 1, got {bad}")
+        self.p = 0.5 * (1.0 + np.clip(mean, -1.0, 1.0))
+        self.shots = [p.counts[self.sampled] for p in plans]
 
-def _gaussian_estimates(mean, m, betas, z) -> np.ndarray:
-    """sum_j beta_j (mean_j + sigma_j z_j) over the last (fragment) axis, drawn as
-    one normal: sigma_j^2 = (1 - mean_j^2)/m_j is the binomial estimator's."""
-    var = np.clip(1.0 - mean * mean, 0.0, None) / m
-    return mean @ betas + np.sqrt(var @ (betas * betas)) * z
+    def draw(self, trials: int, first_trial: int) -> np.ndarray:
+        """The draws of the `trials` trials from first_trial on: a (T, C)
+        normal per filled (element, configuration), or in binomial mode each
+        trial's stream key."""
+        indices = np.arange(first_trial, first_trial + trials)
+        keys = rngstream.stream_keys(self.seed, indices, _TARGET_CODE[self.target])
+        return rngstream.normals(keys, self.cols.size) if self.gaussian else keys
 
+    def estimates(self, draws: np.ndarray, i: int) -> np.ndarray:
+        """(T, P) estimates sum_j beta_j (Re + i Im) of the grid at budget i;
+        unfilled configurations stay 0."""
+        trials = len(draws)
+        if self.gaussian:
+            # (Re, Im) pairs of a (T, P); mu + sigma z with one temporary
+            est = np.zeros((trials, 2 * len(self.elements)))
+            part = self.sigmas[i] * draws
+            part += self.mu
+            est[:, self.cols] = part
+            return est.view(complex)
+        m = self.shots[i]
+        est = np.zeros((trials,) + self.sampled.shape)
+        for row, gen in zip(est, rngstream.streams(draws)):  # drawn into place
+            row[self.sampled] = 2.0 * gen.binomial(m, self.p) / m - 1.0
+        return (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ self.betas
 
-# ---------------------------------------------------------------------------
-# Pair sampling
-# ---------------------------------------------------------------------------
-
-
-def _sample_grid(
-    plan: ShotPlan,
-    truth: np.ndarray,
-    betas: np.ndarray,
-    noise: NoiseSpec,
-    trials: int,
-    first_trial: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Beta-weighted estimates of every element on the plan's grid.
-
-    `truth` holds the true (decayed) fragment overlaps, (J, n) by lag for a
-    Toeplitz plan or (J, n, n) for the elementwise one.  Returns the grid's
-    (P, 2) elements and the (T, P) estimates sum_j beta_j (Re + i Im).
-
-    Each trial draws from one stream, keyed (seed, trial, target), in the
-    grid's C order: a normal per filled (element, configuration) or a binomial
-    count per sampled fragment.  Unfilled configurations draw nothing and stay
-    0.  The key depends only on the absolute trial index, so any chunking of
-    the trials agrees.
-    """
-    counts = plan.counts
-    if counts.shape[2] != len(betas):
-        raise ValueError(
-            f"plan has {counts.shape[2]} fragments, the targets have {len(betas)}"
-        )
-    elements = plan.elements
-    a, b = elements[:, 0], elements[:, 1]
-    values = (truth[:, a, b] if truth.ndim == 3 else truth[:, a]).T  # (P, J)
-    means = np.stack([values.real, values.imag], axis=1)  # (P, 2, J)
-    keys = rngstream.stream_keys(
-        noise.rng_seed,
-        np.arange(first_trial, first_trial + trials),
-        _TARGET_CODE[plan.target],
-    )
-    if noise.mode == "gaussian":
-        cols = np.flatnonzero(counts[:, :, 0])  # filled (element, configuration)s
-        mean, m = (x.reshape(-1, len(betas))[cols] for x in (means, counts))
-        z = rngstream.normals(keys, cols.size)
-        est = np.zeros((trials, 2 * len(elements)))  # (Re, Im) pairs of a (T, P)
-        est[:, cols] = _gaussian_estimates(mean, m, betas, z)
-        return elements, est.view(complex)
-    sampled = counts > 0
-    est = np.zeros((trials,) + counts.shape)
-    est[:, sampled] = _binomial_estimates(
-        means[sampled], counts[sampled], rngstream.streams(keys)
-    )
-    return elements, (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ betas
+    def stack(self, draws: np.ndarray, i: int) -> np.ndarray:
+        """The block's (T, n, n) stack of sampled matrices at budget i."""
+        vals = self.estimates(draws, i)
+        trials = len(vals)
+        a, b = self.elements[:, 0], self.elements[:, 1]
+        if self.target == "S_toeplitz":
+            # the known diagonal stays exact
+            s_seq_est = np.tile(self.s_true, (trials, 1))
+            s_seq_est[:, a] = vals
+            del vals  # free before the stack is built, as the block's draws are held
+            return toeplitz_matrix(s_seq_est)
+        vals += self.shift  # vals is this call's own array: add in place
+        if self.target == "H_toeplitz":  # the grid is every lag 0..n-1 in order
+            return toeplitz_matrix(vals)
+        h_stack = np.zeros((trials, self.n, self.n), dtype=complex)
+        h_stack[:, a, b] = vals
+        h_stack[:, b, a] = np.conjugate(vals, out=vals)
+        return h_stack
 
 
 def expected_pair(
@@ -353,13 +393,8 @@ def sample_overlap_ensemble(
     """
     if plan_s.target != "S_toeplitz" or plan_s.n != targets.n:
         raise ValueError("S plan does not match the targets")
-    s_true = math.exp(-noise.hardware_lambda) * targets.s_seq
-    elements, est = _sample_grid(
-        plan_s, s_true[None, :], _UNIT, noise, trials, first_trial
-    )
-    s_seq_est = np.tile(s_true, (trials, 1))  # the known diagonal stays exact
-    s_seq_est[:, elements[:, 0]] = est
-    return toeplitz_matrix(s_seq_est)
+    sampler = Sampler(targets, [plan_s], noise)
+    return sampler.stack(sampler.draw(trials, first_trial), 0)
 
 
 def sample_hamiltonian_ensemble(
@@ -370,39 +405,11 @@ def sample_hamiltonian_ensemble(
     first_trial: int = 0,
 ) -> np.ndarray:
     """Sample `trials` projected-Hamiltonian matrices H~ as a (T, n, n) stack."""
-    n = targets.n
     expected_h = "H_toeplitz" if targets.construction == "toeplitz" else "H_nontoeplitz"
-    if plan_h.target != expected_h or plan_h.n != n:
+    if plan_h.target != expected_h or plan_h.n != targets.n:
         raise ValueError("H plan does not match the construction")
-    decay = math.exp(-noise.hardware_lambda)
-    s_true = decay * targets.s_seq
-    elements, vals = _sample_grid(
-        plan_h, decay * targets.frag, targets.betas, noise, trials, first_trial
-    )
-    if targets.construction == "toeplitz":
-        # the Toeplitz H grid is every lag 0..n-1 in order
-        return toeplitz_matrix(vals + targets.id_coeff * s_true)
-    a, b = elements[:, 0], elements[:, 1]
-    vals = vals + targets.id_coeff * toeplitz_matrix(s_true)[a, b]
-    h_stack = np.zeros((trials, n, n), dtype=complex)
-    h_stack[:, a, b] = vals
-    h_stack[:, b, a] = vals.conj()
-    return h_stack
-
-
-def sample_ensemble(
-    targets: MeasurementTargets,
-    plan_h: ShotPlan,
-    plan_s: ShotPlan,
-    noise: NoiseSpec,
-    trials: int,
-    first_trial: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample `trials` independent pairs (H~, S~) as (T, n, n) stacks."""
-    return (
-        sample_hamiltonian_ensemble(targets, plan_h, noise, trials, first_trial),
-        sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial),
-    )
+    sampler = Sampler(targets, [plan_h], noise)
+    return sampler.stack(sampler.draw(trials, first_trial), 0)
 
 
 # ---------------------------------------------------------------------------

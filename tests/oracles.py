@@ -25,6 +25,10 @@ Per-trial perturbation accounting: chi, the eigenangle assumption flags and
 cond(B) of one thresholded pair at a time, the references for the stacked
 `gevp.chi_between_thresholds`, `gevp.eigenangle_check` and the
 perturbation-bound driver.
+
+One-plan pair sampling: the (H~, S~) stacks of one budget's plans from the
+one-plan ensembles, which the drivers' cells, sharing a block's draws over
+their budgets, reproduce at each budget.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 from qksd.evolution import Spectrum
 from qksd.hamiltonian import PauliSum, pauli_to_dense
 from qksd.krylov import CONSTRUCTIONS
+from qksd.sampling import sample_hamiltonian_ensemble, sample_overlap_ensemble
 
 
 @dataclass(frozen=True)
@@ -260,3 +265,11 @@ def cond_reference(pe) -> float:
     """cond(B) of a thresholded pair from eigh of its reduced B."""
     b_vals = np.linalg.eigh(pe.B)[0]
     return float(b_vals[-1] / b_vals[0])
+
+
+def sample_pair(targets, plan_h, plan_s, noise, trials, first_trial=0):
+    """Sample `trials` independent pairs (H~, S~) as (T, n, n) stacks."""
+    return (
+        sample_hamiltonian_ensemble(targets, plan_h, noise, trials, first_trial),
+        sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial),
+    )

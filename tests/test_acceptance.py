@@ -39,7 +39,6 @@ from qksd.sampling import (
     allocate_nontoeplitz,
     allocate_toeplitz,
     expected_pair,
-    sample_ensemble,
     sample_overlap_ensemble,
     split_budget,
 )
@@ -62,6 +61,7 @@ from oracles import (
     hubbard_dense_oracle,
     jw_annihilation_dense,
     nontoeplitz_variance_from_counts,
+    sample_pair,
     toeplitz_variance_from_counts,
     trotter_propagator,
     variance_statistic,
@@ -311,7 +311,7 @@ def test_05_eigenangle_perturbation_theorem():
         ex = basis_thresholding(h_ex, s_ex, eps)
         sol_ex = solve_gevp(ex.A, ex.B)
         lam_min = float(np.min(ex.b_diagonal))
-        h_stack, s_stack = sample_ensemble(targets, plan_h, plan_s, noise, 300)
+        h_stack, s_stack = sample_pair(targets, plan_h, plan_s, noise, 300)
         pairs = [basis_thresholding(h_pe, s_pe, eps) for h_pe, s_pe in zip(h_stack, s_stack)]
         chi = np.array([chi_reference(ex, pe) for pe in pairs])
         chi_small, angle_gap = eigenangle_check(sol_ex, chi, lam_min)

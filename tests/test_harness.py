@@ -38,10 +38,9 @@ from qksd.harness.config import config_from_mapping, parse_config_text
 from qksd.harness import drivers
 from qksd.harness.drivers import _chunk_ranges, _worker_count
 from qksd.harness.records import check_finite, config_hash, format_value, write_csv
-from qksd.sampling import sample_ensemble
 
 from csvrows import read_rows
-from oracles import chi_reference, cond_reference, eigenangle_flags_reference
+from oracles import chi_reference, cond_reference, eigenangle_flags_reference, sample_pair
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +196,53 @@ def test_write_csv_rejects_unknown_field(tmp_path):
         write_csv(str(path), ("a",), [{"a": 1}, {"a": 1, "b": 2}], cfg)
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == b"earlier\r\n"
+
+
+def test_write_csv_blocks_format_as_format_value(tmp_path, monkeypatch):
+    """A block's float, int and bool arrays are columns of one value a row,
+    each element formatted as format_value formats it, here two elements at a
+    time; its other values repeat on every row, and a dict of scalars is one
+    row."""
+    monkeypatch.setattr("qksd.harness.records._RUN", 2)
+    floats = np.array([0.1, 1 / 3, -2.5e-300, 1e22, -0.0])
+    ints = np.array([0, -7, 2**40, 3, 12])
+    flags = np.array([True, False, True, True, False])
+    path = tmp_path / "blocks.csv"
+    block = {"f": floats, "i": ints, "b": flags, "s": 0.25, "t": True}
+    count = write_csv(
+        str(path), ("f", "i", "b", "s", "t", "z"), [block, {"f": 1.5}], ExperimentConfig()
+    )
+    assert count == 6
+    rows = zip(floats.tolist(), ints.tolist(), flags.tolist())
+    want = [
+        ",".join(map(format_value, (f, i, b, 0.25, True, None))) for f, i, b in rows
+    ] + ["1.5,na,na,na,na,na"]
+    assert path.read_bytes().decode().split("\r\n")[2:] == [*want, ""]
+
+
+def test_write_csv_refuses_unequal_block_columns(tmp_path):
+    """Columns of unequal length raise ValueError and leave neither the CSV
+    nor its .tmp."""
+    blocks = [{"a": 1}, {"a": np.arange(3), "b": np.arange(2.0)}]
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_csv(str(tmp_path / "u.csv"), ("a", "b"), blocks, ExperimentConfig())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_empty_block_writes_nothing(tmp_path):
+    """A zero-length block writes no line and counts no row."""
+    path = tmp_path / "e.csv"
+    blocks = [{"a": np.arange(0), "b": 1.5}, {"a": 2}, {"b": np.array([], dtype=bool)}]
+    assert write_csv(str(path), ("a", "b"), blocks, ExperimentConfig()) == 1
+    assert path.read_bytes().split(b"\r\n")[1:] == [b"a,b", b"2,na", b""]
+
+
+def test_write_csv_rejects_unknown_block_field(tmp_path):
+    """A block naming a column the file does not have raises, as a row does."""
+    blocks = [{"a": np.arange(2)}, {"a": np.arange(2), "c": np.arange(2)}]
+    with pytest.raises(ValueError, match=r"unknown fields \['c'\]"):
+        write_csv(str(tmp_path / "k.csv"), ("a",), blocks, ExperimentConfig())
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -448,14 +494,71 @@ def pools(monkeypatch):
     return opened
 
 
-POOLED_DRIVERS = {  # each grid has two cells or more, so one pool serves every cell
-    "threshold_sweep": (run_threshold_sweep, {"m_list": (50_000, 100_000)}),
+# Per driver: its runner and a grid for three budgets; singular-spectrum
+# refuses an infeasible budget, so its three are all feasible.
+GROUPED_BUDGETS = {
+    "error_norms": (
+        run_error_norm_ensemble, {"n_list": (3, 5), "constructions": ("toeplitz", "nontoeplitz")}
+    ),
+    "singular_spectrum": (run_singular_spectrum, {"n_list": (5,)}),
+    "threshold_sweep": (run_threshold_sweep, {}),
     "optimal_threshold": (run_optimal_threshold_scan, {"n_list": (3, 5)}),
-    "perturbation_bound": (run_perturbation_vs_bound, {"m_list": (100_000, 200_000)}),
-    "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}),
-    # a shipped config at three trials: 42 cells, the last split into blocks
-    # of two trials and one over two workers
-    "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf"),
+    "perturbation_bound": (run_perturbation_vs_bound, {"constructions": ("nontoeplitz",)}),
+}
+
+
+def _lines_by_budget(path: Path) -> dict[bytes, list[bytes]]:
+    """A CSV's data lines, grouped by their m_budget field, in file order."""
+    header, *lines = path.read_bytes().split(b"\r\n")[1:-1]
+    column = header.split(b",").index(b"m_budget")
+    grouped: dict[bytes, list[bytes]] = {}
+    for line in lines:
+        grouped.setdefault(line.split(b",")[column], []).append(line)
+    return grouped
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("mode", ("gaussian", "binomial"))
+@pytest.mark.parametrize("name", list(GROUPED_BUDGETS))
+def test_cell_budgets_match_one_budget_runs(tmp_path, pools, name, mode, workers):
+    """A cell samples its budgets from one draw per block.  Each budget's
+    lines (trial, summary, skipped and slope rows) are byte-equal to those of
+    a run of that budget alone, so no draw leaks from one budget into
+    another, and an infeasible budget between two feasible ones keeps its
+    skipped rows in config order."""
+    runner, grid = GROUPED_BUDGETS[name]
+    budgets = (20_000, 40_000 if name == "singular_spectrum" else 4, 100_000)
+    cfg = small_cfg(
+        tmp_path, "all.csv", trials=4, mode=mode, workers=workers, m_list=budgets, **grid
+    )
+    runner(cfg)
+    grouped = _lines_by_budget(Path(cfg.out))
+    assert list(grouped) == [str(m).encode() for m in budgets]
+    for m in budgets:
+        alone = dataclasses.replace(cfg, m_list=(m,), out=str(tmp_path / f"m{m}.csv"))
+        lines = grouped[str(m).encode()]
+        try:
+            runner(alone)
+        except InfeasibleBudgetError:  # error-norms: no cell is feasible at M = 4
+            assert m == 4 and all(line.startswith(b"skipped,") for line in lines)
+            continue
+        assert lines == _lines_by_budget(Path(alone.out))[str(m).encode()]
+    assert bool(pools) == (workers > 1)  # two workers run over a pool
+
+
+POOLED_DRIVERS = {  # grid and its (construction, n) cells: one pool serves every cell
+    "threshold_sweep": (
+        run_threshold_sweep, {"n_list": (3, 5), "m_list": (50_000, 100_000)}, 2
+    ),
+    "optimal_threshold": (run_optimal_threshold_scan, {"n_list": (3, 5)}, 2),
+    "perturbation_bound": (
+        run_perturbation_vs_bound, {"n_list": (3, 5), "m_list": (100_000, 200_000)}, 2
+    ),
+    # one Krylov order: one cell, the run's last, with both budgets
+    "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}, 1),
+    # a shipped config at three trials: 14 cells of three budgets, the last
+    # split into blocks of two trials and one over two workers
+    "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf", 14),
 }
 
 
@@ -463,7 +566,7 @@ POOLED_DRIVERS = {  # each grid has two cells or more, so one pool serves every 
 def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, name):
     """One block per cell, but the run's last cell takes one per worker; the
     bytes do not depend on the worker count."""
-    runner, grid = POOLED_DRIVERS[name]
+    runner, grid, cells = POOLED_DRIVERS[name]
     blocks = {1: Counter(), 2: Counter()}  # per worker count, blocks per cell's chunk
     real_map = drivers._map_chunks
 
@@ -483,8 +586,7 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, nam
             cfg = small_cfg(tmp_path, path.name, trials=7, workers=workers, **grid)
         runner(cfg)
         out[workers] = path.read_bytes()
-    cells = len(blocks[1])
-    assert cells >= 2 and list(blocks[1].values()) == [1] * cells
+    assert list(blocks[1].values()) == [1] * cells
     assert list(blocks[2].values()) == [1] * (cells - 1) + [2]
     assert len(pools) == 1
     assert out[1] == out[2]
@@ -646,7 +748,7 @@ _SCAN_CHUNK = drivers._scan_chunk
 def _scan_chunk_failing_at_n5(args, rng):
     """The scan chunk, raising in the cells of Krylov order 5 (top-level, so
     pool workers find it)."""
-    if args[0].targets.n == 5:
+    if args[0].n == 5:
         raise RuntimeError("lookahead cell")
     return _SCAN_CHUNK(args, rng)
 
@@ -659,7 +761,7 @@ def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
     real_map, real_write = drivers._map_chunks, drivers.write_csv
 
     def recording_map(fn, ranges, fanout):
-        submitted.append((fn.args[0][0].targets.n, len(written)))
+        submitted.append((fn.args[0][0].n, len(written)))
         return real_map(fn, ranges, fanout)
 
     def recording_write(path, columns, rows, cfg):
@@ -689,26 +791,33 @@ def test_driver_rows_match_written_file(tmp_path):
     assert len(lines) == res.row_count + 3
 
 
-# Per driver: the chunk it maps and a grid of two cells or more.
+# Per driver: the chunk it maps and a grid of two (construction, n) cells or
+# more; singular-spectrum has one Krylov order, so one cell, which runs here
+# in one-trial blocks.
 FAILING_RUNS = {
     "error_norms": (run_error_norm_ensemble, "_norms_chunk", {"n_list": (3, 5)}),
     "singular_spectrum": (
         run_singular_spectrum, "_spectrum_chunk", {"m_list": (10_000, 40_000)}
     ),
-    "threshold_sweep": (run_threshold_sweep, "_sweep_chunk", {"m_list": (50_000, 100_000)}),
+    "threshold_sweep": (
+        run_threshold_sweep, "_sweep_chunk", {"n_list": (3, 5), "m_list": (50_000, 100_000)}
+    ),
     "optimal_threshold": (run_optimal_threshold_scan, "_scan_chunk", {"n_list": (3, 5)}),
     "perturbation_bound": (
-        run_perturbation_vs_bound, "_perturbation_chunk", {"m_list": (100_000, 200_000)}
+        run_perturbation_vs_bound, "_perturbation_chunk",
+        {"n_list": (3, 5), "m_list": (100_000, 200_000)},
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(FAILING_RUNS))
 def test_run_raising_mid_stream_leaves_no_file(tmp_path, monkeypatch, name):
-    """A run that raises in its second cell, once its first cell's rows have
-    gone to `<out>.tmp`, leaves neither `out` nor `out.tmp`, and an earlier
-    `out` keeps its bytes."""
+    """A run that raises in its second cell (singular-spectrum: its one cell's
+    second block), once its rows have begun to stream to `<out>.tmp`, leaves
+    neither `out` nor `out.tmp`, and an earlier `out` keeps its bytes."""
     runner, chunk, grid = FAILING_RUNS[name]
+    if name == "singular_spectrum":
+        monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
     cfg = small_cfg(tmp_path, "run.csv", **grid)
     out, tmp = Path(cfg.out), Path(f"{cfg.out}.tmp")
     real = getattr(drivers, chunk)
@@ -837,15 +946,17 @@ def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch,
     assert sizes == [block] * (16 // block)
 
     system = drivers.build_system(cfg)
-    ((_, cell),) = drivers._pair_cells(cfg, system, cfg.n_list)
-    ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+    (cell,) = drivers._cells(cfg, system)
+    (budget,) = cell.feasible
+    ex = basis_thresholding(cell.h_exact, cell.s_exact, budget.eps)
     sol_ex = solve_gevp(ex.A, ex.B)
     lam_min = float(np.min(ex.b_diagonal))
-    h_stack, s_stack = sample_ensemble(
-        cell.targets, cell.plan_h, cell.plan_s, drivers.noise_from(cfg), 16
-    )
+    targets = drivers.targets_for(system, cell.n, cell.construction)
+    plan_h = drivers._plan_for("H", cell.construction, budget.m_h, cell.n, targets.betas)
+    plan_s = drivers._plan_for("S", cell.construction, budget.m_s, cell.n, targets.betas)
+    h_stack, s_stack = sample_pair(targets, plan_h, plan_s, drivers.noise_from(cfg), 16)
     for row, h, s in zip(rows, h_stack, s_stack, strict=True):
-        pe = basis_thresholding(h, s, cell.eps)
+        pe = basis_thresholding(h, s, budget.eps)
         chi = chi_reference(ex, pe)
         assert (row["n_eps"], row["chi"], row["e0_sampled"], row["cond_s"]) == (
             pe.n_eps, chi, solve_gevp(pe.A, pe.B).ground_energy, cond_reference(pe)
@@ -860,15 +971,17 @@ def test_every_chunk_returns_per_trial_arrays(tmp_path):
     trial of its block, here the block (start = 5, count = 3)."""
     cfg = small_cfg(tmp_path, "chunks.csv", trials=8, m_list=(100_000,))
     system = drivers.build_system(cfg)
-    noise = drivers.noise_from(cfg)
-    ((_, cell),) = drivers._pair_cells(cfg, system, cfg.n_list)
-    ex = basis_thresholding(cell.h_exact, cell.s_exact, cell.eps)
+    (pair, h_only, s_only) = (
+        cell
+        for kind in ("HS", "H", "S")
+        for cell in drivers._cells(cfg, system, [(kind, "toeplitz")])
+    )
     chunks = {
-        drivers._norms_chunk: (cell.targets, cell.plan_h, noise, "H", cell.h_exact),
-        drivers._spectrum_chunk: (cell.targets, cell.plan_s, noise, cell.s_exact),
-        drivers._sweep_chunk: (cell, noise),
-        drivers._scan_chunk: (cell, noise),
-        drivers._perturbation_chunk: (cell, noise, ex, solve_gevp(ex.A, ex.B)),
+        drivers._norms_chunk: (h_only,),
+        drivers._spectrum_chunk: (s_only,),
+        drivers._sweep_chunk: (pair,),
+        drivers._scan_chunk: (pair,),
+        drivers._perturbation_chunk: (pair, *drivers._exact_solutions(pair, cfg.epsilon_ideal)),
     }
     for chunk, args in chunks.items():
         columns = chunk(args, (5, 3))
@@ -900,13 +1013,21 @@ def test_sweep_trials_used_counts_solvable_trials(tmp_path):
     rows = read_rows(run_threshold_sweep(cfg))
     system = drivers.build_system(cfg)
     expected = []
-    for _, cell in drivers._pair_cells(cfg, system, cfg.n_list):
-        pairs = list(zip(*sample_ensemble(
-            cell.targets, cell.plan_h, cell.plan_s, drivers.noise_from(cfg), cfg.trials
-        )))
-        for k in range(1, cell.targets.n + 1):
-            expected.append(sum(_solves(top_k_thresholding, h, s, k) for h, s in pairs))
-        expected.append(sum(_solves(basis_thresholding, h, s, cell.eps) for h, s in pairs))
+    for cell in drivers._cells(cfg, system):
+        targets = drivers.targets_for(system, cell.n, cell.construction)
+        for budget in cell.feasible:
+            plans = [
+                drivers._plan_for(z, cell.construction, share, cell.n, targets.betas)
+                for z, share in (("H", budget.m_h), ("S", budget.m_s))
+            ]
+            pairs = list(zip(*sample_pair(
+                targets, *plans, drivers.noise_from(cfg), cfg.trials
+            )))
+            for k in range(1, cell.n + 1):
+                expected.append(sum(_solves(top_k_thresholding, h, s, k) for h, s in pairs))
+            expected.append(
+                sum(_solves(basis_thresholding, h, s, budget.eps) for h, s in pairs)
+            )
     assert [r["trials_used"] for r in rows] == expected
     assert any(0 < used < cfg.trials for used in expected)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import largest_remainder
+from oracles import largest_remainder, sample_pair
 
 from qksd import rngstream
 from qksd.errors import InfeasibleBudgetError
@@ -20,12 +20,12 @@ from qksd.sampling import (
     MODES,
     TARGETS,
     NoiseSpec,
+    Sampler,
     ShotPlan,
     allocate_nontoeplitz,
     allocate_toeplitz,
     decay_exponent,
     expected_pair,
-    sample_ensemble,
     sample_hamiltonian_ensemble,
     sample_overlap_ensemble,
     split_budget,
@@ -353,8 +353,36 @@ def test_unsampled_overlap_element_is_zero():
     plan_s = ShotPlan("S_toeplitz", 3, counts)
     plan_h = hand_plan_toeplitz_h(3, 4, 4)
     noise = NoiseSpec(mode="gaussian", rng_seed=0)
-    s_stack = sample_ensemble(targets, plan_h, plan_s, noise, 1)[1]
+    s_stack = sample_pair(targets, plan_h, plan_s, noise, 1)[1]
     assert np.all(np.diag(s_stack[0]) == 1.0)  # S's diagonal takes no shots
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("construction", ("toeplitz", "nontoeplitz"))
+def test_sampler_budgets_match_one_plan_ensembles(construction, mode):
+    """A Sampler over three budgets draws a block once and gives each budget's
+    stacks bit for bit as the one-plan ensemble at that budget."""
+    n, betas = 3, np.array([0.4, 0.6])
+    rng = np.random.default_rng(7)
+    shape = (2, n) if construction == "toeplitz" else (2, n, n)
+    frag = 0.3 * (rng.random(shape) + 1j * rng.random(shape))
+    targets = synthetic_targets(
+        n, betas, [1.0, 0.3 + 0.1j, 0.1 - 0.2j], frag, construction, id_coeff=0.25
+    )
+    noise = NoiseSpec(mode=mode, hardware_lambda=0.1, rng_seed=9)
+    budgets = (400, 5_000, 80_000)
+    if construction == "toeplitz":
+        plans = {"S": [allocate_toeplitz(m, n, is_h=False) for m in budgets]}
+        plans["H"] = [allocate_toeplitz(m, n, is_h=True, betas=betas) for m in budgets]
+    else:
+        plans = {"H": [allocate_nontoeplitz(m, n, betas) for m in budgets]}
+    one_plan = {"S": sample_overlap_ensemble, "H": sample_hamiltonian_ensemble}
+    for matrix, matrix_plans in plans.items():
+        sampler = Sampler(targets, matrix_plans, noise)
+        draws = sampler.draw(4, 6)
+        for i, plan in enumerate(matrix_plans):
+            want = one_plan[matrix](targets, plan, noise, 4, 6)
+            assert np.array_equal(sampler.stack(draws, i), want), (matrix, i)
 
 
 def test_sampler_rejects_fragment_count_mismatch():
@@ -383,7 +411,7 @@ def test_sample_structure_toeplitz():
     plan_s = allocate_toeplitz(20_000, 5, is_h=False)
     for mode in ("gaussian", "binomial"):
         noise = NoiseSpec(mode=mode, rng_seed=3)
-        h_stack, s_stack = sample_ensemble(targets, plan_h, plan_s, noise, 1)
+        h_stack, s_stack = sample_pair(targets, plan_h, plan_s, noise, 1)
         h, s = h_stack[0], s_stack[0]
         for m in (h, s):
             assert np.array_equal(m, m.conj().T)
@@ -409,7 +437,7 @@ def test_sample_structure_elementwise():
     plan_h = allocate_nontoeplitz(5000, n, betas=targets.betas)
     plan_s = allocate_toeplitz(5000, n, is_h=False)
     noise = NoiseSpec(mode="gaussian", rng_seed=4)
-    h = sample_ensemble(targets, plan_h, plan_s, noise, 1)[0][0]
+    h = sample_pair(targets, plan_h, plan_s, noise, 1)[0][0]
     assert np.array_equal(h, h.conj().T)
 
 
@@ -420,8 +448,8 @@ def test_ensemble_chunks_reproduce_full_run():
     plan_h = allocate_toeplitz(600, 3, is_h=True)
     plan_s = allocate_toeplitz(600, 3, is_h=False)
     noise = NoiseSpec(mode="gaussian", rng_seed=12)
-    h_all, s_all = sample_ensemble(targets, plan_h, plan_s, noise, trials=8)
-    h_tail, s_tail = sample_ensemble(
+    h_all, s_all = sample_pair(targets, plan_h, plan_s, noise, trials=8)
+    h_tail, s_tail = sample_pair(
         targets, plan_h, plan_s, noise, trials=3, first_trial=5
     )
     assert np.array_equal(h_all[5:], h_tail)
@@ -596,9 +624,9 @@ def test_binomial_chunks_reproduce_full_run(construction, trials, split, first, 
     plan_s = allocate_toeplitz(900, n, is_h=False)
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=seed)
-        h_all, s_all = sample_ensemble(targets, plan_h, plan_s, noise, trials, first)
-        h_a, s_a = sample_ensemble(targets, plan_h, plan_s, noise, split, first)
-        h_b, s_b = sample_ensemble(
+        h_all, s_all = sample_pair(targets, plan_h, plan_s, noise, trials, first)
+        h_a, s_a = sample_pair(targets, plan_h, plan_s, noise, split, first)
+        h_b, s_b = sample_pair(
             targets, plan_h, plan_s, noise, trials - split, first + split
         )
         assert np.array_equal(h_all, np.concatenate([h_a, h_b]))
@@ -642,7 +670,7 @@ def test_seed_changes_samples():
     plan_h = allocate_toeplitz(600, 3, is_h=True)
     plan_s = allocate_toeplitz(600, 3, is_h=False)
     a, b = (
-        sample_ensemble(targets, plan_h, plan_s, NoiseSpec(rng_seed=seed), 1)[0]
+        sample_pair(targets, plan_h, plan_s, NoiseSpec(rng_seed=seed), 1)[0]
         for seed in (1, 2)
     )
     assert not np.array_equal(a, b)
@@ -764,7 +792,7 @@ def test_sampling_centers_on_decayed_pair():
     plan_h = allocate_toeplitz(400_000, 3, is_h=True)
     plan_s = allocate_toeplitz(400_000, 3, is_h=False)
     noise = NoiseSpec(mode="gaussian", hardware_lambda=0.7, rng_seed=9)
-    h_stack, s_stack = sample_ensemble(targets, plan_h, plan_s, noise, trials=400)
+    h_stack, s_stack = sample_pair(targets, plan_h, plan_s, noise, trials=400)
     h_exp, s_exp = expected_pair(targets, hardware_lambda=0.7)
     assert np.abs(h_stack.mean(axis=0) - h_exp).max() < 5e-3
     assert np.abs(s_stack.mean(axis=0) - s_exp).max() < 5e-3
