@@ -4,7 +4,8 @@ Everything here assumes perfectly simulated dynamics: propagation uses the
 eigendecomposition of the Hamiltonian's block on the reference state's
 particle-number sector, so e^{-iHt} is exact to floating precision there.
 The Hubbard Hamiltonian conserves (N_up, N_down), so that block is all the
-dynamics of the reference ever sees.
+dynamics of the reference ever sees, and the reference state is built in
+its coordinates, the sector's sorted Fock indices (`sector_indices`).
 """
 
 from __future__ import annotations
@@ -83,20 +84,13 @@ def sector_ground_energy(h_dense: np.ndarray, L: int, n_up: int, n_down: int) ->
     return float(np.linalg.eigvalsh(block)[0])
 
 
-def hartree_fock_state(
-    L: int, t: float, n_up: int, n_down: int, basis: np.ndarray | None = None
-) -> np.ndarray:
-    """Ground state of the hopping-only Hamiltonian in the (n_up, n_down) sector.
+def hartree_fock_state(L: int, t: float, basis: np.ndarray) -> np.ndarray:
+    """Ground state of the hopping-only Hamiltonian on the sector `basis`.
 
-    Computed by diagonalizing the hopping block on the sector basis; returned
-    with unit norm in the coordinates of `basis`, sorted Fock indices that
-    contain the sector (default: the full 2^{2L} Fock basis).
+    `basis` holds the sorted Fock indices of one (n_up, n_down) sector
+    (`sector_indices`); the hopping block on it is diagonalized, and the
+    ground state is returned with unit norm in its coordinates.
     """
-    idx = sector_indices(L, n_up, n_down)
     hop = build_hubbard_1d(L, t, 0.0)
-    ground = diagonalize(pauli_sum_block(hop, idx)).eigenvectors[:, 0]
-    if basis is None:
-        basis = np.arange(2 ** (2 * L))
-    state = np.zeros(len(basis), dtype=complex)
-    state[np.searchsorted(basis, idx)] = ground
+    state = diagonalize(pauli_sum_block(hop, basis)).eigenvectors[:, 0].astype(complex)
     return state / np.linalg.norm(state)

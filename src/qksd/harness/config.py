@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.out:
+            raise ConfigError("out is empty: it must name the output CSV")
         if not self.n_list:
             raise ConfigError("n list is empty")
         for n in self.n_list:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -128,7 +128,7 @@ def build_system(cfg: ExperimentConfig) -> SystemBundle:
             f"sector ({n_up}, {n_down}) of L = {cfg.sites} has ground energy {e0!r}: "
             "relative energy errors are undefined"
         )
-    ref = hartree_fock_state(cfg.sites, cfg.t_hop, n_up, n_down, basis)
+    ref = hartree_fock_state(cfg.sites, cfg.t_hop, basis)
     dt = cfg.dt if cfg.dt is not None else default_time_step(partition)
     return SystemBundle(
         partition=partition,
@@ -256,7 +256,9 @@ class _Fanout:
 
         A task is one trial block, or, in a cell of more blocks than the
         window, one of `window` contiguous runs of them: a pool task pickles
-        the cell's arguments, which can outweigh a block's work."""
+        the cell's arguments, which can outweigh a block's work: one block a
+        task took configs/long_order.conf at two workers from 0.51 to 0.58 s
+        (medians of 7 alternating runs, 2-core x86-64, one BLAS thread)."""
         ahead = self.workers > 1  # read the next job with each, over a pool
         job = next(jobs, None)
         while job is not None:
@@ -340,11 +342,20 @@ def _cells(
     """One cell per (kind, construction) and n, in config order, by default a
     pair cell ("HS") per construction.  A plan's grid does not depend on its
     budget, so the cell's trial footprint is any feasible budget's; a pair
-    trial also holds S~'s eigenvectors and a batched solve's four stacks."""
+    trial also holds S~'s eigenvectors and a batched solve's four stacks.
+    Each (construction, n)'s targets are built once and held until the last
+    cell that takes them: error-norms' S and Toeplitz H cells share them."""
     noise = noise_from(cfg)
-    for kind, construction in kinds or [("HS", c) for c in cfg.constructions]:
+    kinds = kinds or [("HS", c) for c in cfg.constructions]
+    takers = Counter((construction, n) for _, construction in kinds for n in cfg.n_list)
+    held = {}  # targets by (construction, n) for the cells still to take them
+    for kind, construction in kinds:
         for n in cfg.n_list:
-            targets = targets_for(system, n, construction)
+            key = construction, n
+            targets = held.pop(key, None) or targets_for(system, n, construction)
+            takers[key] -= 1
+            if takers[key]:
+                held[key] = targets
             budgets, plans = [], []  # plans by matrix per feasible budget
             for m in cfg.m_list:
                 try:
@@ -376,11 +387,12 @@ def _cells(
 
 
 def _sampled(
-    trials: _Fanout, cells: Iterable[_Cell], chunk: Callable, extra=lambda cell: ()
+    trials: _Fanout, cells: Iterable[_Cell], columns_of: Callable, extra=lambda cell: ()
 ) -> Iterator[tuple]:
     """(args, budget, columns) per budget of each cell, in config order:
-    args = (cell, *extra(cell)) are the cell's chunk arguments, and columns
-    the budget's share of the chunk's (`_PerBudget`), None if infeasible."""
+    args = (cell, *extra(cell)), and columns the budget's columns_of over the
+    cell's trials (`_per_budget`), None if infeasible."""
+    chunk = partial(_per_budget, columns_of)
     jobs = ((cell, *extra(cell)) for cell in cells)
     for args, columns in trials.stream(
         (a, chunk if a[0].samplers else None, a[0].trial_bytes, a) for a in jobs
@@ -393,25 +405,21 @@ def _sampled(
             yield args, budget, None if budget.note else next(shares)
 
 
-class _PerBudget(NamedTuple):
-    """A trial chunk (args, (start, count)) -> columns: it draws the block
-    once per sampled matrix, then returns columns_of(args, stacks, i) for each
-    feasible budget i in turn, one after another, where stacks maps "H" and
-    "S" to the block's stacks at budget i, held for that call alone."""
-
-    columns_of: Callable
-
-    def __call__(self, args, rng: tuple[int, int]) -> tuple:
-        start, count = rng
-        samplers = args[0].samplers
-        draws = {z: sampler.draw(count, start) for z, sampler in samplers.items()}
-        return tuple(
-            column
-            for i in range(len(args[0].feasible))
-            for column in self.columns_of(
-                args, {z: sampler.stack(draws[z], i) for z, sampler in samplers.items()}, i
-            )
+def _per_budget(columns_of: Callable, args, rng: tuple[int, int]) -> tuple:
+    """A trial chunk: draw the block (start, count) once per sampled matrix,
+    then return columns_of(args, stacks, i) for each feasible budget i in
+    turn, where stacks maps "H" and "S" to the block's stacks at budget i,
+    held for that call alone."""
+    start, count = rng
+    samplers = args[0].samplers
+    draws = {z: sampler.draw(count, start) for z, sampler in samplers.items()}
+    return tuple(
+        column
+        for i in range(len(args[0].feasible))
+        for column in columns_of(
+            args, {z: sampler.stack(draws[z], i) for z, sampler in samplers.items()}, i
         )
+    )
 
 
 def _sampled_eigh(stacks: dict, eps: float):
@@ -496,14 +504,6 @@ def _perturbation_columns(args, stacks, i):
     )
 
 
-# The trial chunks the drivers hand to the fan-out.
-_norms_chunk = _PerBudget(_norm_columns)
-_spectrum_chunk = _PerBudget(_spectrum_columns)
-_sweep_chunk = _PerBudget(_sweep_columns)
-_scan_chunk = _PerBudget(_scan_columns)
-_perturbation_chunk = _PerBudget(_perturbation_columns)
-
-
 # ---------------------------------------------------------------------------
 # Aggregation helpers
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def _run(
     with _Fanout(cfg) as trials:
         system = build_system(cfg)
         count = write_csv(cfg.out, columns, rows_of(cfg, system, trials), cfg)
-    return DriverResult(path=cfg.out, columns=tuple(columns), row_count=count)
+    return DriverResult(path=cfg.out, row_count=count)
 
 
 def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
@@ -576,7 +576,7 @@ def _error_norm_rows(
     summary, or a skipped row; then the slopes."""
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
-    for (cell,), budget, share in _sampled(trials, _cells(cfg, system, kinds), _norms_chunk):
+    for (cell,), budget, share in _sampled(trials, _cells(cfg, system, kinds), _norm_columns):
         kind, construction, n, m = cell.kind, cell.construction, cell.n, budget.m
         base = {"construction": construction, "kind": kind, "n": n, "m_budget": m}
         if share is None:
@@ -634,7 +634,7 @@ def _spectrum_rows(
 ) -> Iterator[dict]:
     """n rows per budget; an infeasible budget raises when its turn comes."""
     cells = _cells(cfg, system, [("S", "toeplitz")])
-    for (cell,), budget, share in _sampled(trials, cells, _spectrum_chunk):
+    for (cell,), budget, share in _sampled(trials, cells, _spectrum_columns):
         if share is None:
             raise InfeasibleBudgetError(budget.note)
         exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
@@ -672,7 +672,7 @@ def _sweep_rows(
         return (_rel_errors(_top_k_sweep(*exact)[0], e0),)
 
     for (cell, ideal), budget, share in _sampled(
-        trials, _cells(cfg, system), _sweep_chunk, ideal_of
+        trials, _cells(cfg, system), _sweep_columns, ideal_of
     ):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
@@ -713,7 +713,7 @@ def _scan_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     e0 = system.e0_sector
-    for (cell,), budget, share in _sampled(trials, _cells(cfg, system), _scan_chunk):
+    for (cell,), budget, share in _sampled(trials, _cells(cfg, system), _scan_columns):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
             yield {**base, "trials_used": 0}
@@ -763,7 +763,7 @@ def _perturbation_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     prepare = partial(_exact_solutions, epsilon_ideal=cfg.epsilon_ideal)
-    budgets = _sampled(trials, _cells(cfg, system), _perturbation_chunk, prepare)
+    budgets = _sampled(trials, _cells(cfg, system), _perturbation_columns, prepare)
     for (cell, exact, e0_full), budget, share in budgets:
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..errors import ConfigError
 from .config import ExperimentConfig
 
 # 0.2.0: exact values computed in the reference state's particle sector.
@@ -97,7 +98,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 @dataclass(frozen=True)
 class DriverResult:
     path: str
-    columns: tuple[str, ...]
     row_count: int
 
 
@@ -140,14 +140,19 @@ def write_csv(
     onto `path`.  If a block or the iterable raises, the `.tmp` is removed and
     `path` is left as it was.  A `path` that exists but is no regular file (a
     device such as /dev/null, or a pipe) cannot be renamed onto, so it is
-    written in place.
+    written in place.  An output that cannot be opened (a directory, or a
+    path under a missing one) is a ConfigError naming `path`.
     """
     known = set(columns)
     staged = os.path.isfile(path) or not os.path.exists(path)
     tmp = f"{path}.tmp" if staged else path
     count = 0
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
+        f = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}") from exc
+    try:
+        with f:
             f.write(
                 f"# config={config_hash(cfg)} seed={cfg.seed} "
                 f"version={ARTIFACT_VERSION}\r\n"

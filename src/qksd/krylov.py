@@ -11,10 +11,10 @@ relabeling.  The non-Toeplitz mode instead fills H elementwise from the basis
 states, which matters once the propagator only approximately commutes with H
 (Trotterization) or when each element is sampled independently.
 
-The exact values behind every measurement are computed in the reference
-state's particle-number sector: the spectrum is that sector's block, and the
-fragments U_j act on the Krylov columns as projected Pauli sums, without a
-full-space operator.
+The exact values behind every measurement, s_k and each fragment U_j's
+overlaps, come from one pass over the spectrum of the reference's particle
+sector, with U_j applied to the Krylov columns as a projected Pauli sum and
+never as a full-space operator.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class KrylovConfig:
 
 
 @dataclass(frozen=True)
-class ToeplitzSequences:
-    """h_k and s_k for k = 0..n-1; negative indices follow by conjugation."""
-
-    h: np.ndarray
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeasurementTargets:
     """Exact values behind every Hadamard-test configuration of one system.
 
@@ -87,23 +79,6 @@ def default_time_step(partition: UnitaryPartition) -> float:
     return float(np.pi / norm)
 
 
-def exact_sequences(spec: Spectrum, ref_state: np.ndarray, cfg: KrylovConfig) -> ToeplitzSequences:
-    """Toeplitz sequences from the spectral decomposition (exact propagators).
-
-    With amplitudes gamma_j = <psi_j|phi_0>, the sequences are
-    s_k = sum_j |gamma_j|^2 e^{-i E_j k dt} and h_k carries an extra E_j.
-    """
-    amps = spec.eigenvectors.conj().T @ ref_state
-    weights = np.abs(amps) ** 2
-    ks = np.arange(cfg.n)
-    phases = np.exp(-1j * np.outer(spec.eigenvalues * cfg.dt, ks))
-    s = weights @ phases
-    h = (weights * spec.eigenvalues) @ phases
-    s[0] = 1.0  # normalization, exact by construction
-    h[0] = h[0].real
-    return ToeplitzSequences(h=h, s=s)
-
-
 def toeplitz_matrix(seq: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix with entry (k,l) = seq[l-k], conjugated below.
 
@@ -126,45 +101,39 @@ def measurement_targets(
     ref_state: np.ndarray,
     cfg: KrylovConfig,
     construction: str,
-    basis: np.ndarray | None = None,
+    basis: np.ndarray,
 ) -> MeasurementTargets:
-    """Exact per-fragment Hadamard-test values on the span of `basis`.
+    """Exact overlap sequence and per-fragment Hadamard-test values.
 
     `spec` and `ref_state` are in the coordinates of the sorted Fock indices
-    `basis` (default: the full 2^{n_qubits} Fock basis).  Fragments U_j are
-    Hermitian unitaries, so <phi|U_j U(k dt)|phi> = (U_j phi)^dag (U(k dt)
-    phi); all overlaps lie in the closed unit disk.  When `basis` spans an
-    H-invariant sector holding the reference, every Krylov column lies in it
-    and the projected fragments P U_j P give the same values; they are applied
-    matrix-free to the block of columns.
+    `basis`, an H-invariant sector holding the reference.  One spectral pass,
+    amplitudes gamma_j = <psi_j|phi_0> and phases e^{-i E_j k dt}, gives both
+    s_k = sum_j |gamma_j|^2 e^{-i E_j k dt} and the Krylov columns U(k dt)|phi_0>.
+    Fragments U_j are Hermitian unitaries, applied matrix-free to the columns
+    as projected Pauli sums, so <phi|U_j U(k dt)|phi> = (U_j phi)^dag
+    (U(k dt) phi); all overlaps lie in the closed unit disk.
     """
+    amps = spec.eigenvectors.conj().T @ ref_state
+    energies = spec.eigenvalues * cfg.dt
+    phases = np.exp(-1j * np.outer(energies, np.arange(cfg.n)))  # lags 0..n-1
+    s_seq = np.abs(amps) ** 2 @ phases
+    s_seq[0] = 1.0  # normalization, exact by construction
+    sums = [g.members for g in partition.groups]  # each fragment's Pauli terms
     if construction == "toeplitz":
-        ks = np.arange(cfg.n)
+        psi = spec.eigenvectors @ (phases * amps[:, None])  # columns U(k dt)|phi_0>
+        frag = np.array([apply_pauli_sum(m, basis, ref_state).conj() @ psi for m in sums])
     elif construction == "nontoeplitz":
-        ks = cfg.grid
+        phases = np.exp(-1j * np.outer(energies, cfg.grid))
+        psi = spec.eigenvectors @ (phases * amps[:, None])
+        frag = np.array([psi.conj().T @ apply_pauli_sum(m, basis, psi) for m in sums])
+        frag = 0.5 * (frag + np.transpose(frag, (0, 2, 1)).conj())
     else:
         raise ValueError(f"unknown construction {construction!r}")
-    if basis is None:
-        basis = np.arange(2**partition.n_qubits)
-    seq = exact_sequences(spec, ref_state, cfg)
-    amps = spec.eigenvectors.conj().T @ ref_state
-    phases = np.exp(-1j * np.outer(spec.eigenvalues * cfg.dt, ks))
-    psi = spec.eigenvectors @ (phases * amps[:, None])  # columns U(k dt)|phi_0>
-    groups = partition.groups
-    if construction == "toeplitz":
-        frag = np.array(
-            [apply_pauli_sum(g.members, basis, ref_state).conj() @ psi for g in groups]
-        )
-    else:
-        frag = np.array(
-            [psi.conj().T @ apply_pauli_sum(g.members, basis, psi) for g in groups]
-        )
-        frag = 0.5 * (frag + np.transpose(frag, (0, 2, 1)).conj())
     return MeasurementTargets(
         construction=construction,
         config=cfg,
         betas=partition.betas,
         id_coeff=id_coeff,
-        s_seq=seq.s,
+        s_seq=s_seq,
         frag=frag,
     )

@@ -3,7 +3,10 @@
 Dense full-space propagators: no driver propagates this way, since the
 package evolves the reference exactly in its particle-number sector.  These
 build the full 2^{2L}-dimensional unitaries, so the tests can check sector
-results and Trotter products against them.
+results and Trotter products against them.  With them, the full-space
+Toeplitz sequences h_k and s_k from a spectral decomposition, and the
+Hartree-Fock reference as a full-space vector from the dense hopping
+operator; the package builds both in the reference's sector only.
 
 Kronecker-built fermions: Jordan-Wigner annihilators as dense products of
 Z, sigma^- and I, and the Hubbard chain assembled from them, with no Pauli
@@ -38,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qksd.evolution import Spectrum
-from qksd.hamiltonian import PauliSum, pauli_to_dense
-from qksd.krylov import CONSTRUCTIONS
+from qksd.evolution import Spectrum, diagonalize, sector_indices
+from qksd.hamiltonian import PauliSum, build_hubbard_1d, pauli_to_dense
+from qksd.krylov import CONSTRUCTIONS, KrylovConfig
 from qksd.sampling import sample_hamiltonian_ensemble, sample_overlap_ensemble
 
 
@@ -60,6 +63,42 @@ def exact_propagator(spec: Spectrum, t: float) -> Propagator:
     phases = np.exp(-1j * spec.eigenvalues * t)
     u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
     return Propagator(matrix=u, time=t, kind="exact")
+
+
+@dataclass(frozen=True)
+class ToeplitzSequences:
+    """h_k and s_k for k = 0..n-1; negative indices follow by conjugation."""
+
+    h: np.ndarray
+    s: np.ndarray
+
+
+def exact_sequences(spec: Spectrum, ref_state: np.ndarray, cfg: KrylovConfig) -> ToeplitzSequences:
+    """Toeplitz sequences from the spectral decomposition (exact propagators).
+
+    With amplitudes gamma_j = <psi_j|phi_0>, the sequences are
+    s_k = sum_j |gamma_j|^2 e^{-i E_j k dt} and h_k carries an extra E_j.
+    """
+    amps = spec.eigenvectors.conj().T @ ref_state
+    weights = np.abs(amps) ** 2
+    ks = np.arange(cfg.n)
+    phases = np.exp(-1j * np.outer(spec.eigenvalues * cfg.dt, ks))
+    s = weights @ phases
+    h = (weights * spec.eigenvalues) @ phases
+    s[0] = 1.0  # normalization, exact by construction
+    h[0] = h[0].real
+    return ToeplitzSequences(h=h, s=s)
+
+
+def hartree_fock_full(L: int, t: float, n_up: int, n_down: int) -> np.ndarray:
+    """The hopping-only ground state of the (n_up, n_down) sector as a unit
+    vector of the full 2^{2L} Fock basis: the dense hopping operator's sector
+    block, diagonalized and scattered onto the sector's indices."""
+    idx = sector_indices(L, n_up, n_down)
+    hop = pauli_to_dense(build_hubbard_1d(L, t, 0.0))[np.ix_(idx, idx)]
+    state = np.zeros(4**L, dtype=complex)
+    state[idx] = diagonalize(hop).eigenvectors[:, 0]
+    return state / np.linalg.norm(state)
 
 
 def _term_exponential(coeff: float, dense_string: np.ndarray, t: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from qksd.bounds import optimal_epsilon
-from qksd.evolution import diagonalize, hartree_fock_state, sector_ground_energy
+from qksd.evolution import diagonalize, sector_ground_energy
 from qksd.gevp import (
     basis_thresholding,
     eigenangle_check,
@@ -30,7 +30,6 @@ from qksd.krylov import (
     KrylovConfig,
     MeasurementTargets,
     default_time_step,
-    exact_sequences,
     measurement_targets,
     toeplitz_matrix,
 )
@@ -57,7 +56,9 @@ from csvrows import read_rows
 from oracles import (
     chi_reference,
     exact_propagator,
+    exact_sequences,
     expected_norm_from_variance,
+    hartree_fock_full,
     hubbard_dense_oracle,
     jw_annihilation_dense,
     nontoeplitz_variance_from_counts,
@@ -88,7 +89,7 @@ def two_site_system(t=0.2, u=0.1):
     hd = dense_hamiltonian(h)
     part = sorted_insertion_partition(h)
     spec = diagonalize(hd)
-    ref = hartree_fock_state(2, t, 1, 1)
+    ref = hartree_fock_full(2, t, 1, 1)
     return h, hd, part, spec, ref
 
 
@@ -301,7 +302,7 @@ def test_05_eigenangle_perturbation_theorem():
     for n, m in ((5, 10**10), (9, 10**12)):
         cfg = KrylovConfig(n=n, dt=dt)
         targets = measurement_targets(
-            spec, part, h.identity_coefficient, ref, cfg, "toeplitz"
+            spec, part, h.identity_coefficient, ref, cfg, "toeplitz", np.arange(len(ref))
         )
         h_ex, s_ex = expected_pair(targets, 0.0)
         m_h, m_s = split_budget(m, n, "toeplitz", beta_norm)

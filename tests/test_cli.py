@@ -116,6 +116,25 @@ def test_main_infeasible_leaves_no_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["small.conf"]
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent", "empty"])
+def test_main_unwritable_out(conf, tmp_path, capsys, monkeypatch, where):
+    """An --out that cannot be opened, a directory, a path under a missing
+    one or the empty path, is a config error naming it (exit 2), and leaves
+    no file behind."""
+    monkeypatch.chdir(tmp_path)  # where an empty out would stage its ".tmp"
+    (tmp_path / "outdir").mkdir()
+    out = {
+        "directory": tmp_path / "outdir",
+        "missing parent": tmp_path / "missing" / "res.csv",
+        "empty": "",
+    }[where]
+    assert main(["error-norms", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "run.conf"]
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "body, reason",
     [

@@ -13,7 +13,7 @@ from qksd.evolution import (
 )
 from qksd.hamiltonian import build_hubbard_1d, pauli_to_dense
 
-from oracles import exact_propagator, trotter_propagator
+from oracles import exact_propagator, hartree_fock_full, trotter_propagator
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +91,13 @@ def test_sector_ground_energy_two_site_analytic():
 
 def test_hartree_fock_state_properties():
     L, t = 3, 0.35
-    state = hartree_fock_state(L, t, 2, 1)
-    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-    # lives in the (2, 1) sector
     idx = sector_indices(L, 2, 1)
-    mask = np.zeros(len(state), dtype=bool)
-    mask[idx] = True
-    assert np.abs(state[~mask]).max() < 1e-14
+    state = hartree_fock_state(L, t, idx)
+    assert state.shape == (len(idx),)
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     # ground state of the hopping-only Hamiltonian restricted to the sector
     h_free = pauli_to_dense(build_hubbard_1d(L, t, 0.0))
-    rayleigh = (state.conj() @ h_free @ state).real
+    rayleigh = (state.conj() @ h_free[np.ix_(idx, idx)] @ state).real
     assert abs(rayleigh - sector_ground_energy(h_free, L, 2, 1)) < 1e-10
 
 
@@ -108,14 +105,10 @@ def test_hartree_fock_overlap_with_interacting_ground():
     # reference must have nonzero weight on the true ground state for QKSD
     L, t, u = 2, 0.2, 0.1
     h = pauli_to_dense(build_hubbard_1d(L, t, u))
-    state = hartree_fock_state(L, t, 1, 1)
-    sp = diagonalize(h)
     idx = sector_indices(L, 1, 1)
-    sub = h[np.ix_(idx, idx)]
-    vals, vecs = np.linalg.eigh(sub)
-    gs = np.zeros(h.shape[0], dtype=complex)
-    gs[idx] = vecs[:, 0]
-    assert abs(gs.conj() @ state) ** 2 > 0.5
+    state = hartree_fock_state(L, t, idx)
+    ground = np.linalg.eigh(h[np.ix_(idx, idx)])[1][:, 0]
+    assert abs(ground.conj() @ state) ** 2 > 0.5
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -142,12 +135,15 @@ def test_sector_indices_cap_and_range(monkeypatch):
 
 
 def test_hartree_fock_state_in_sector_basis():
+    """The sector state is the full-space oracle's, restricted to the sector,
+    and the oracle has no weight outside it."""
     L, t = 3, 0.35
     idx = sector_indices(L, 2, 1)
-    full = hartree_fock_state(L, t, 2, 1)
-    sector = hartree_fock_state(L, t, 2, 1, basis=idx)
+    full = hartree_fock_full(L, t, 2, 1)
+    sector = hartree_fock_state(L, t, idx)
     assert sector.shape == (len(idx),)
     np.testing.assert_allclose(sector, full[idx], rtol=0, atol=1e-15)
+    assert not np.delete(full, idx).any()
 
 
 def test_diagonalize_real_block_matches_complex():

@@ -16,6 +16,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from qksd.harness.config import config_from_mapping, parse_config_text
 from qksd.harness import drivers
 from qksd.harness.drivers import _chunk_ranges, _worker_count
 from qksd.harness.records import check_finite, config_hash, format_value, write_csv
+from qksd.krylov import CONSTRUCTIONS
 
 from csvrows import read_rows
 from oracles import chi_reference, cond_reference, eigenangle_flags_reference, sample_pair
@@ -742,15 +744,15 @@ def test_stream_one_worker_runs_no_job_ahead(monkeypatch):
     ]
 
 
-_SCAN_CHUNK = drivers._scan_chunk
+_SCAN_COLUMNS = drivers._scan_columns
 
 
-def _scan_chunk_failing_at_n5(args, rng):
-    """The scan chunk, raising in the cells of Krylov order 5 (top-level, so
+def _scan_columns_failing_at_n5(args, stacks, i):
+    """The scan columns, raising in the cells of Krylov order 5 (top-level, so
     pool workers find it)."""
     if args[0].n == 5:
         raise RuntimeError("lookahead cell")
-    return _SCAN_CHUNK(args, rng)
+    return _SCAN_COLUMNS(args, stacks, i)
 
 
 def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
@@ -761,13 +763,13 @@ def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
     real_map, real_write = drivers._map_chunks, drivers.write_csv
 
     def recording_map(fn, ranges, fanout):
-        submitted.append((fn.args[0][0].n, len(written)))
+        submitted.append((fn.args[-1][0].n, len(written)))
         return real_map(fn, ranges, fanout)
 
     def recording_write(path, columns, rows, cfg):
         return real_write(path, columns, (written.append(r) or r for r in rows), cfg)
 
-    monkeypatch.setattr(drivers, "_scan_chunk", _scan_chunk_failing_at_n5)
+    monkeypatch.setattr(drivers, "_scan_columns", _scan_columns_failing_at_n5)
     monkeypatch.setattr(drivers, "_map_chunks", recording_map)
     monkeypatch.setattr(drivers, "write_csv", recording_write)
     cfg = small_cfg(
@@ -791,20 +793,20 @@ def test_driver_rows_match_written_file(tmp_path):
     assert len(lines) == res.row_count + 3
 
 
-# Per driver: the chunk it maps and a grid of two (construction, n) cells or
-# more; singular-spectrum has one Krylov order, so one cell, which runs here
-# in one-trial blocks.
+# Per driver: the columns function its chunks call and a grid of two
+# (construction, n) cells or more; singular-spectrum has one Krylov order, so
+# one cell, which runs here in one-trial blocks.
 FAILING_RUNS = {
-    "error_norms": (run_error_norm_ensemble, "_norms_chunk", {"n_list": (3, 5)}),
+    "error_norms": (run_error_norm_ensemble, "_norm_columns", {"n_list": (3, 5)}),
     "singular_spectrum": (
-        run_singular_spectrum, "_spectrum_chunk", {"m_list": (10_000, 40_000)}
+        run_singular_spectrum, "_spectrum_columns", {"m_list": (10_000, 40_000)}
     ),
     "threshold_sweep": (
-        run_threshold_sweep, "_sweep_chunk", {"n_list": (3, 5), "m_list": (50_000, 100_000)}
+        run_threshold_sweep, "_sweep_columns", {"n_list": (3, 5), "m_list": (50_000, 100_000)}
     ),
-    "optimal_threshold": (run_optimal_threshold_scan, "_scan_chunk", {"n_list": (3, 5)}),
+    "optimal_threshold": (run_optimal_threshold_scan, "_scan_columns", {"n_list": (3, 5)}),
     "perturbation_bound": (
-        run_perturbation_vs_bound, "_perturbation_chunk",
+        run_perturbation_vs_bound, "_perturbation_columns",
         {"n_list": (3, 5), "m_list": (100_000, 200_000)},
     ),
 }
@@ -815,22 +817,23 @@ def test_run_raising_mid_stream_leaves_no_file(tmp_path, monkeypatch, name):
     """A run that raises in its second cell (singular-spectrum: its one cell's
     second block), once its rows have begun to stream to `<out>.tmp`, leaves
     neither `out` nor `out.tmp`, and an earlier `out` keeps its bytes."""
-    runner, chunk, grid = FAILING_RUNS[name]
+    runner, columns_of, grid = FAILING_RUNS[name]
     if name == "singular_spectrum":
         monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
     cfg = small_cfg(tmp_path, "run.csv", **grid)
     out, tmp = Path(cfg.out), Path(f"{cfg.out}.tmp")
-    real = getattr(drivers, chunk)
+    real = getattr(drivers, columns_of)
     calls = []
 
-    def second_cell_raises(args, rng):
-        calls.append(rng)
+    def second_cell_raises(args, stacks, i):
+        if i == 0:  # a block's first budget: one call per block
+            calls.append(args)
         if len(calls) == 2:
             assert tmp.exists(), "rows are not streamed to the .tmp"
             raise RuntimeError("second cell")
-        return real(args, rng)
+        return real(args, stacks, i)
 
-    monkeypatch.setattr(drivers, chunk, second_cell_raises)
+    monkeypatch.setattr(drivers, columns_of, second_cell_raises)
     with pytest.raises(RuntimeError, match="second cell"):
         runner(cfg)
     assert list(tmp_path.iterdir()) == []
@@ -934,13 +937,13 @@ def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch,
     if block == 1:
         monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
     sizes = []
-    real_chunk = drivers._perturbation_chunk
+    real_columns = drivers._perturbation_columns
 
-    def recording(args, rng):
-        sizes.append(rng[1])
-        return real_chunk(args, rng)
+    def recording(args, stacks, i):  # one budget, so one call per block
+        sizes.append(len(stacks["H"]))
+        return real_columns(args, stacks, i)
 
-    monkeypatch.setattr(drivers, "_perturbation_chunk", recording)
+    monkeypatch.setattr(drivers, "_perturbation_columns", recording)
     rows = read_rows(run_perturbation_vs_bound(cfg))
     rows = [r for r in rows if r["row_kind"] == "trial"]
     assert sizes == [block] * (16 // block)
@@ -977,18 +980,68 @@ def test_every_chunk_returns_per_trial_arrays(tmp_path):
         for cell in drivers._cells(cfg, system, [(kind, "toeplitz")])
     )
     chunks = {
-        drivers._norms_chunk: (h_only,),
-        drivers._spectrum_chunk: (s_only,),
-        drivers._sweep_chunk: (pair,),
-        drivers._scan_chunk: (pair,),
-        drivers._perturbation_chunk: (pair, *drivers._exact_solutions(pair, cfg.epsilon_ideal)),
+        drivers._norm_columns: (h_only,),
+        drivers._spectrum_columns: (s_only,),
+        drivers._sweep_columns: (pair,),
+        drivers._scan_columns: (pair,),
+        drivers._perturbation_columns: (pair, *drivers._exact_solutions(pair, cfg.epsilon_ideal)),
     }
-    for chunk, args in chunks.items():
-        columns = chunk(args, (5, 3))
-        assert isinstance(columns, tuple) and columns, chunk.__name__
+    for columns_of, args in chunks.items():
+        columns = drivers._per_budget(columns_of, args, (5, 3))
+        assert isinstance(columns, tuple) and columns, columns_of.__name__
         for column in columns:
-            assert isinstance(column, np.ndarray), chunk.__name__
-            assert column.shape[0] == 3, chunk.__name__
+            assert isinstance(column, np.ndarray), columns_of.__name__
+            assert column.shape[0] == 3, columns_of.__name__
+
+
+@pytest.mark.parametrize("name", list(FAILING_RUNS))
+def test_targets_built_once_per_cell(tmp_path, monkeypatch, name):
+    """Every driver builds each (construction, n)'s targets once per run:
+    error-norms' S cells and Toeplitz H cells of the same n share theirs."""
+    runner, _, grid = FAILING_RUNS[name]
+    built = Counter()
+    real = drivers.targets_for
+
+    def counting(system, n, construction):
+        built[construction, n] += 1
+        return real(system, n, construction)
+
+    monkeypatch.setattr(drivers, "targets_for", counting)
+    cfg = small_cfg(tmp_path, "t.csv", constructions=CONSTRUCTIONS, **grid)
+    runner(cfg)
+    constructions = ("toeplitz",) if name == "singular_spectrum" else CONSTRUCTIONS
+    assert built == {(c, n): 1 for c in constructions for n in cfg.n_list}
+
+
+def test_error_norm_cells_release_shared_targets(tmp_path, monkeypatch):
+    """The S cells hold their Toeplitz targets for the H cells of the same n,
+    which release them: no targets outlive the cell after their last taker."""
+    cfg = small_cfg(tmp_path, "x.csv", n_list=(3, 5), constructions=CONSTRUCTIONS)
+    system = drivers.build_system(cfg)
+    built = {}
+    real = drivers.targets_for
+
+    def recording(system, n, construction):
+        targets = real(system, n, construction)
+        built[construction, n] = weakref.ref(targets)
+        return targets
+
+    monkeypatch.setattr(drivers, "targets_for", recording)
+    kinds = [("S", "toeplitz"), ("H", "toeplitz"), ("H", "nontoeplitz")]
+    alive = [
+        sorted(key for key, ref in built.items() if ref() is not None)
+        for cell in drivers._cells(cfg, system, kinds)
+    ]
+    t3, t5 = ("toeplitz", 3), ("toeplitz", 5)
+    n3, n5 = ("nontoeplitz", 3), ("nontoeplitz", 5)
+    assert alive == [
+        [t3],  # S cells
+        [t3, t5],
+        [t3, t5],  # Toeplitz H cells: the n = 3 cell took its targets from the S cell's
+        [t5],
+        [n3],  # non-Toeplitz H cells: built, and freed with the cell after
+        [n5],
+    ]
 
 
 def _solves(reduce, h, s, cut) -> bool:

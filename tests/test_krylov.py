@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from qksd.evolution import (
-    diagonalize,
-    hartree_fock_state,
-    sector_ground_energy,
-    sector_indices,
-)
+from qksd.evolution import diagonalize, sector_ground_energy, sector_indices
 from qksd.hamiltonian import (
     build_hubbard_1d,
     fragment_dense,
@@ -19,13 +14,14 @@ from qksd.harness import ExperimentConfig, build_system, targets_for
 from qksd.krylov import (
     KrylovConfig,
     default_time_step,
-    exact_sequences,
     measurement_targets,
     toeplitz_matrix,
 )
 from qksd.sampling import expected_pair
 
-from oracles import exact_propagator
+from oracles import exact_propagator, exact_sequences, hartree_fock_full
+
+FULL = np.arange(2**4)  # the two-site chain's full Fock basis
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +30,7 @@ def system():
     part = sorted_insertion_partition(spec)
     h = pauli_to_dense(spec)
     sp = diagonalize(h)
-    ref = hartree_fock_state(2, 0.2, 1, 1)
+    ref = hartree_fock_full(2, 0.2, 1, 1)
     return spec, part, h, sp, ref
 
 
@@ -105,6 +101,16 @@ def test_exact_sequences_match_direct_overlaps(system):
     assert seqs.h[0].imag == 0.0
 
 
+@pytest.mark.parametrize("construction", ["toeplitz", "nontoeplitz"])
+def test_targets_overlap_sequence_is_oracle_bits(construction):
+    """The targets' one spectral pass gives the oracle's s_k bit for bit, in
+    the sector coordinates the drivers use."""
+    system = build_system(ExperimentConfig(sites=3))
+    tg = targets_for(system, 9, construction)
+    want = exact_sequences(system.spectrum, system.ref_state, tg.config).s
+    assert tg.s_seq.tobytes() == want.tobytes()
+
+
 def test_pair_builders_agree_for_exact_evolution():
     """With the exact propagator the elementwise H equals the Toeplitz H."""
     for sites in (2, 3, 4):
@@ -119,7 +125,9 @@ def test_pair_builders_agree_for_exact_evolution():
 def test_pair_overlap_matrix_is_psd(system):
     spec, part, _h, sp, ref = system
     cfg = KrylovConfig(n=9, dt=default_time_step(part))
-    targets = measurement_targets(sp, part, spec.identity_coefficient, ref, cfg, "toeplitz")
+    targets = measurement_targets(
+        sp, part, spec.identity_coefficient, ref, cfg, "toeplitz", FULL
+    )
     _, s = expected_pair(targets)
     vals = np.linalg.eigvalsh(s)
     assert vals.min() > -1e-12
@@ -130,7 +138,7 @@ def test_measurement_targets_argument_validation(system):
     spec, part, _h, sp, ref = system
     cfg = KrylovConfig(n=3, dt=0.2)
     with pytest.raises(ValueError):
-        measurement_targets(sp, part, spec.identity_coefficient, ref, cfg, "circulant")
+        measurement_targets(sp, part, spec.identity_coefficient, ref, cfg, "circulant", FULL)
 
 
 @pytest.mark.parametrize("construction", ["toeplitz", "nontoeplitz"])
@@ -138,7 +146,9 @@ def test_measurement_targets_reconstruct_pair(system, construction):
     """Fragment overlaps weighted by betas plus the identity shift give the pair."""
     spec, part, h, sp, ref = system
     cfg = KrylovConfig(n=5, dt=default_time_step(part))
-    tg = measurement_targets(sp, part, spec.identity_coefficient, ref, cfg, construction)
+    tg = measurement_targets(
+        sp, part, spec.identity_coefficient, ref, cfg, construction, FULL
+    )
     if construction == "toeplitz":
         h_seq = tg.frag.T @ tg.betas + spec.identity_coefficient * tg.s_seq
         want = exact_sequences(sp, ref, cfg)
@@ -161,7 +171,7 @@ def test_measurement_targets_lie_in_unit_square(system):
     cfg = KrylovConfig(n=9, dt=default_time_step(part))
     for construction in ("toeplitz", "nontoeplitz"):
         tg = measurement_targets(
-            sp, part, spec.identity_coefficient, ref, cfg, construction
+            sp, part, spec.identity_coefficient, ref, cfg, construction, FULL
         )
         assert np.abs(tg.frag.real).max() <= 1.0 + 1e-12
         assert np.abs(tg.frag.imag).max() <= 1.0 + 1e-12

@@ -59,7 +59,7 @@ def test_readme_cited_names_resolve():
         for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text())
     }
     assert {
-        "qksd.krylov.exact_sequences",
+        "qksd.krylov.measurement_targets",
         "qksd.krylov.toeplitz_matrix",
         "qksd.bounds.concentration_tail",
         "qksd.sampling.expected_pair",
