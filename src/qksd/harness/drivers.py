@@ -19,9 +19,10 @@ for each budget, one budget's stacks at a time; binomial counts are drawn per
 budget (`sampling.Sampler`).  Its chunk returns each feasible budget's
 per-trial arrays in turn, which the fan-out joins column by column; only the
 drivers build rows, from a generator, and `write_csv` writes them as they
-come, so no run holds its rows.  Error-norms hands over each budget's trial
-rows as one block of columns.  The sampled-pair chunks solve a block's
-reduced pairs as stacks, one batched solve per retained dimension
+come, so no run holds its rows.  Error-norms and perturbation-bound hand over
+each budget's trial rows as one block of columns.  No driver checks its values
+for nan or infinity: `write_csv` refuses them.  The sampled-pair chunks solve
+a block's reduced pairs as stacks, one batched solve per retained dimension
 (`gevp.top_k_ground_energies`); perturbation-bound takes chi and the
 assumption flags from the same stacks.
 """
@@ -73,7 +74,6 @@ from .records import (
     SPECTRUM_COLUMNS,
     SWEEP_COLUMNS,
     DriverResult,
-    check_finite,
     write_csv,
 )
 
@@ -513,34 +513,22 @@ def _rel_errors(energies: np.ndarray, e0: float) -> np.ndarray:
     return np.abs(energies - e0) / abs(e0)
 
 
-def _rms(values: np.ndarray) -> Optional[float]:
-    finite = values[np.isfinite(values)]
-    return float(np.sqrt(np.mean(finite**2))) if finite.size else None
-
-
-def _mean(values: np.ndarray) -> Optional[float]:
-    finite = values[np.isfinite(values)]
-    return float(np.mean(finite)) if finite.size else None
+def _error_stats(rel: np.ndarray) -> dict:
+    """trials_used, rms_rel_error and mean_rel_error over the finite entries
+    of rel (the trials solved), None where there is none."""
+    finite = rel[np.isfinite(rel)]
+    if not finite.size:
+        return {"trials_used": 0, "rms_rel_error": None, "mean_rel_error": None}
+    return {
+        "trials_used": finite.size,
+        "rms_rel_error": float(np.sqrt(np.mean(finite**2))),
+        "mean_rel_error": float(np.mean(finite)),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-
-def _flag(ok: bool) -> str:
-    return "holds" if ok else "violated"
-
-
-# Trial columns of a sampled S~ that keeps no direction above eps: nothing to solve.
-_EMPTY_BASIS = {
-    **dict.fromkeys(
-        ("chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched"),
-        "unknown",
-    ),
-    **dict.fromkeys(("n_eps", "chi", "e0_sampled", "cond_s", "observed", "satisfied")),
-    "qualifies": False,
-}
 
 
 def _run(
@@ -685,9 +673,7 @@ def _sweep_rows(
                 **base,
                 "row_kind": "sweep",
                 "k": k,
-                "trials_used": int(np.sum(np.isfinite(rel))),
-                "rms_rel_error": _rms(rel),
-                "mean_rel_error": _mean(rel),
+                **_error_stats(rel),
                 "ideal_rel_error": None if np.isnan(ideal[k - 1]) else float(ideal[k - 1]),
                 "epsilon": budget.eps,
             }
@@ -696,9 +682,7 @@ def _sweep_rows(
         yield {
             **base,
             "row_kind": "epsilon_rule",
-            "trials_used": int(np.sum(np.isfinite(rel))),
-            "rms_rel_error": _rms(rel),
-            "mean_rel_error": _mean(rel),
+            **_error_stats(rel),
             "mean_n_eps": float(np.mean(eps_dims)),
             "epsilon": budget.eps,
         }
@@ -726,9 +710,7 @@ def _scan_rows(
             "m_h": budget.m_h,
             "m_s": budget.m_s,
             "epsilon": budget.eps,
-            "trials_used": int(np.sum(used)),
-            "rms_rel_error": _rms(rel),
-            "mean_rel_error": _mean(rel),
+            **_error_stats(rel),
             "mean_n_eps": float(np.mean(dims[used])) if used.any() else None,
             "e0_sector": e0,
         }
@@ -774,8 +756,34 @@ def _perturbation_rows(
         bound = bounds.sampling_perturbation_bound(
             ex.n_eps, e_h, e_s, budget.m_h + budget.m_s, sol_ex.d0, sol_ex.ground_energy
         )
+        dh, ds, dims, chis, energies, cond_s, chi_small, angle_gap = share
+        solved = dims > 0
+        ill = solved & ~np.isfinite(energies)
+        if ill.any():  # as solve_gevp raises on an overflowing pair
+            t = int(np.argmax(ill))
+            raise IllPosedError(
+                f"trial {t}: B^-1/2 A B^-1/2 is not finite (n_eps = {dims[t]})"
+            )
+        # math.hypot per trial: np.hypot differs from it in the last bit
+        eta = np.array(list(map(math.hypot, dh.tolist(), ds.tolist())))
+        limits = (e_h / math.sqrt(budget.m_h), e_s / math.sqrt(budget.m_s))
+        holds = {
+            "chi_small": chi_small,
+            "angle_gap": angle_gap,
+            "norms_under": (dh < limits[0]) & (ds < limits[1]),
+            "chi_le_eta": chis <= eta,
+            "dims_matched": dims == ex.n_eps,
+        }
+        observed = np.abs(energies - sol_ex.ground_energy)
+        applies = bound is not None and not sol_ex.degenerate_lowest
+        qualifies = np.all([solved, *holds.values()], axis=0) & applies
+        ok = qualifies & (observed <= bound + _BOUND_SLACK) if applies else qualifies
         split = {**base, "m_h": budget.m_h, "m_s": budget.m_s}
-        fixed = {
+        solved_only = {
+            "n_eps": dims, "chi": chis, "e0_sampled": energies, "cond_s": cond_s,
+            "observed": observed,
+        }
+        yield {  # one row a trial; an unsolved one (n_eps = 0) has no solve to judge
             **split,
             "row_kind": "trial",
             "seed": cfg.seed,
@@ -785,41 +793,19 @@ def _perturbation_rows(
             "d0": sol_ex.d0,
             "d0_inv_upper": bounds.crawford_inverse_upper(budget.eps, sol_ex.ground_energy),
             "bound": bound,
+            "trial": np.arange(len(dims)),
+            "dh_norm": dh,
+            "ds_norm": ds,
+            "eta": eta,
+            **{
+                name: np.where(solved, np.where(flag, "holds", "violated"), "unknown")
+                for name, flag in holds.items()
+            },
+            **{name: np.where(solved, column, None) for name, column in solved_only.items()},
+            "qualifies": qualifies,
+            "satisfied": np.where(qualifies, ok, None),
         }
-        limits = (e_h / math.sqrt(budget.m_h), e_s / math.sqrt(budget.m_s))
-        qualifying = satisfied = 0
-        per_trial = zip(*(column.tolist() for column in share))
-        for trial, (dh, ds, k, chi, e0, cond, small, gap) in enumerate(per_trial):
-            eta = math.hypot(dh, ds)
-            row = {**fixed, "trial": trial, "dh_norm": dh, "ds_norm": ds, "eta": eta}
-            if k == 0:
-                yield check_finite({**row, **_EMPTY_BASIS})
-                continue
-            if not math.isfinite(e0):  # as solve_gevp raises on an overflowing pair
-                raise IllPosedError(
-                    f"trial {trial}: B^-1/2 A B^-1/2 is not finite (n_eps = {k})"
-                )
-            flags = {
-                "chi_small": _flag(small),
-                "angle_gap": _flag(gap),
-                "norms_under": _flag(dh < limits[0] and ds < limits[1]),
-                "chi_le_eta": _flag(chi <= eta),
-                "dims_matched": _flag(k == ex.n_eps),
-            }
-            observed = abs(e0 - sol_ex.ground_energy)
-            qualifies = (
-                all(v == "holds" for v in flags.values())
-                and bound is not None
-                and not sol_ex.degenerate_lowest
-            )
-            ok = observed <= bound + _BOUND_SLACK if qualifies else None
-            row.update(
-                flags, n_eps=k, chi=chi, e0_sampled=e0, cond_s=cond,
-                observed=observed, qualifies=qualifies, satisfied=ok,
-            )
-            yield check_finite(row)
-            qualifying += qualifies
-            satisfied += bool(ok)
+        qualifying, satisfied = int(np.count_nonzero(qualifies)), int(np.count_nonzero(ok))
         yield {
             **split,
             "row_kind": "cell_summary",

@@ -4,10 +4,14 @@ Every driver writes one RFC-4180 CSV (CRLF line endings, `.` decimal point).
 The first line is a comment row carrying the config hash, seed, and artifact
 version so a result file is traceable to the exact run that produced it.
 Floats are written with repr (shortest round-trip form); missing or
-not-applicable values are written as the literal string `na`.
+not-applicable values are written as the literal string `na`.  No cell is nan
+or infinite: `write_csv` refuses a block holding one, as a NumericalError
+naming its column.
 
-Rows are written as they arrive, one block of rows at a time (`write_csv`),
-to `<out>.tmp`, which replaces `out` only once the last row is written; a run
+Rows are written as they arrive, one block of rows at a time (`write_csv`):
+error-norms and perturbation-bound hand over each budget's trial rows as one
+block of columns, and every other row is a dict of scalars.  They go to
+`<out>.tmp`, which replaces `out` only once the last row is written; a run
 that raises leaves no `.tmp` and any earlier `out` as it was.
 """
 
@@ -23,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NumericalError
 from .config import ExperimentConfig
 
 # 0.2.0: exact values computed in the reference state's particle sector.
@@ -61,14 +65,6 @@ PERTURBATION_COLUMNS = (
     "chi_small", "angle_gap", "norms_under", "chi_le_eta", "dims_matched", "qualifies", "satisfied",
     "qualifying_trials", "satisfaction_rate",
 )
-
-
-def check_finite(row: Mapping) -> Mapping:
-    """Return the row unchanged; raise if a float in it is nan or infinite."""
-    for name, value in row.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} is not finite; use None for n/a")
-    return row
 
 
 def format_value(v) -> str:
@@ -111,6 +107,16 @@ def _strings(value, rows: int) -> Iterator[str]:
     return chain.from_iterable(map(fmt, run) for run in runs)
 
 
+def _finite(value) -> bool:
+    """Whether a block value holds no nan or infinity: a float, or every float
+    of an array (an object column's floats among its other cells)."""
+    if type(value) is not np.ndarray:
+        return not isinstance(value, float) or math.isfinite(value)
+    if value.dtype.kind == "f":
+        return bool(np.isfinite(value).all())
+    return value.dtype.kind != "O" or all(map(_finite, value.tolist()))
+
+
 def _lines(block: Mapping, columns: Sequence[str]) -> tuple[int, Iterable]:
     """How many rows a block holds, and its rows of cells."""
     if np.ndarray not in set(map(type, block.values())):  # a dict of scalars
@@ -134,7 +140,9 @@ def write_csv(
     A block maps column names to values: a numpy array is a column of one
     value per row, every array of a block of the same length, and any other
     value repeats on each of its rows; a block with no array (a dict of
-    scalars) is one row.  Each column is formatted once, as it is written.
+    scalars) is one row.  Each column is formatted once, as it is written,
+    after the block is checked: a nan or infinity in any of its values is a
+    NumericalError naming the column.
 
     The file is `path` + ".tmp" until the last row is written, then renamed
     onto `path`.  If a block or the iterable raises, the `.tmp` is removed and
@@ -163,6 +171,9 @@ def write_csv(
                 extra = block.keys() - known
                 if extra:
                     raise ValueError(f"row has unknown fields {sorted(extra)}")
+                for name, value in block.items():
+                    if not _finite(value):
+                        raise NumericalError(f"{name} is not finite: no CSV cell is nan or inf")
                 rows, lines = _lines(block, columns)
                 writer.writerows(lines)
                 count += rows

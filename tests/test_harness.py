@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 
 from qksd import cli
-from qksd.errors import ConfigError, EmptyBasisError, IllPosedError, InfeasibleBudgetError
+from qksd.errors import (
+    ConfigError,
+    EmptyBasisError,
+    IllPosedError,
+    InfeasibleBudgetError,
+    NumericalError,
+)
 from qksd.gevp import basis_thresholding, solve_gevp, top_k_thresholding
 from qksd.harness import (
     ExperimentConfig,
@@ -38,7 +44,7 @@ from qksd.harness import (
 from qksd.harness.config import config_from_mapping, parse_config_text
 from qksd.harness import drivers
 from qksd.harness.drivers import _chunk_ranges, _worker_count
-from qksd.harness.records import check_finite, config_hash, format_value, write_csv
+from qksd.harness.records import config_hash, format_value, write_csv
 from qksd.krylov import CONSTRUCTIONS
 
 from csvrows import read_rows
@@ -228,6 +234,24 @@ def test_write_csv_refuses_unequal_block_columns(tmp_path):
     blocks = [{"a": 1}, {"a": np.arange(3), "b": np.arange(2.0)}]
     with pytest.raises(ValueError, match="unequal lengths"):
         write_csv(str(tmp_path / "u.csv"), ("a", "b"), blocks, ExperimentConfig())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("where", ("float column", "object column", "scalar row"))
+def test_write_csv_refuses_non_finite(tmp_path, where, bad):
+    """A nan or infinity in a float column, in an object column next to None,
+    or in a dict of scalars is a NumericalError naming its column, and leaves
+    neither the CSV nor its .tmp."""
+    first = {"a": np.arange(2), "b": np.array([0.5, 1.5])}
+    block = {
+        "float column": {"a": np.arange(2), "b": np.array([0.5, bad])},
+        "object column": {"a": np.arange(2), "b": np.array([None, bad], dtype=object)},
+        "scalar row": {"a": 3, "b": np.float64(bad)},
+    }[where]
+    path = tmp_path / "f.csv"
+    with pytest.raises(NumericalError, match="^b is not finite"):
+        write_csv(str(path), ("a", "b"), [first, block], ExperimentConfig())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -847,19 +871,34 @@ def test_run_raising_mid_stream_leaves_no_file(tmp_path, monkeypatch, name):
 
 
 def test_perturbation_rows_are_checked_finite(tmp_path, monkeypatch):
-    """A nan or infinite float in a trial row raises, naming its column."""
-    row = {"trial": 3, "chi": 0.5, "observed": None, "qualifies": True}
-    assert check_finite(row) is row
-    for bad in (math.nan, math.inf, np.float64(-np.inf)):
-        with pytest.raises(ValueError, match="^observed is not finite"):
-            check_finite({**row, "observed": bad})
+    """A nan chi in a solved trial is refused by the writer, naming its
+    column: the driver raises NumericalError, and the CLI exits 4 with no
+    file left."""
 
     def nan_chi(ex, h, vals, vecs, dims):
         return np.full(len(dims), math.nan)
 
     monkeypatch.setattr(drivers, "chi_between_thresholds", nan_chi)
-    with pytest.raises(ValueError, match="^chi is not finite"):
+    with pytest.raises(NumericalError, match="^chi is not finite"):
         run_perturbation_vs_bound(small_cfg(tmp_path, "nan.csv", trials=2))
+    assert list(tmp_path.iterdir()) == []
+    conf = tmp_path / "nan.conf"
+    conf.write_text("L = 2\nn = 3\nM = 1e4\ntrials = 2\nseed = 3\nworkers = 1\n")
+    out = tmp_path / "nan_cli.csv"
+    assert cli.main(["perturbation-bound", "--config", str(conf), "--out", str(out)]) == 4
+    assert not out.exists() and not Path(f"{out}.tmp").exists()
+
+
+def test_error_norms_non_finite_norm_exits_4(tmp_path, monkeypatch, capsys):
+    """A nan spectral norm reaches no CSV: error-norms exits 4 through the CLI
+    and leaves neither the file nor its .tmp."""
+    monkeypatch.setattr(drivers, "_spec_norms", lambda stack: np.full(len(stack), math.nan))
+    conf = tmp_path / "norms.conf"
+    conf.write_text("L = 2\nn = 3\nM = 1e4\ntrials = 2\nseed = 3\nworkers = 1\n")
+    out = tmp_path / "norms.csv"
+    assert cli.main(["error-norms", "--config", str(conf), "--out", str(out)]) == 4
+    assert "numerical failure: norm is not finite" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.tmp").exists()
 
 
 def test_perturbation_non_finite_energy_is_ill_posed(tmp_path, monkeypatch):
@@ -964,7 +1003,10 @@ def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch,
         assert (row["n_eps"], row["chi"], row["e0_sampled"], row["cond_s"]) == (
             pe.n_eps, chi, solve_gevp(pe.A, pe.B).ground_energy, cond_reference(pe)
         ), row["trial"]
-        flags = tuple(map(drivers._flag, eigenangle_flags_reference(sol_ex, chi, lam_min)))
+        flags = tuple(
+            "holds" if ok else "violated"
+            for ok in eigenangle_flags_reference(sol_ex, chi, lam_min)
+        )
         assert (row["chi_small"], row["angle_gap"]) == flags, row["trial"]
     assert [r["trial"] for r in rows if r["dims_matched"] == "violated"] == [12]
 
