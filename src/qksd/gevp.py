@@ -9,6 +9,12 @@ ground energy is wanted, top_k_ground_energies solves a whole stack of trials
 from their batched eigh(S), each reduced to its own top k directions, so one
 decomposition per trial serves every k and the threshold rule.
 
+The pair comes in the bases `sampling` builds it in: S in real symmetric form,
+H in real form too under the Toeplitz construction, where every step is real
+arithmetic, or complex in its sampled basis.  overlap_eigh owns that rule: it
+returns S's eigenvectors in H's basis, and every thresholding goes through it.
+B is real either way.
+
 Perturbations are compared in the eigenangle coordinate arctan(E), where the
 conditioning is governed by d0 = |x0^dag (A + iB) x0|.  The deviation between
 a perturbed and an exact reduced pair is measured by chi, computed after
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBasisError, IllPosedError
+from .krylov import from_real_form
 
 _DEGENERACY_RTOL = 1e-10
 
@@ -47,7 +54,7 @@ class ThresholdResult:
 
     @property
     def b_diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.B))
+        return np.diag(self.B)
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,21 @@ def _project(
     """Reduced pair on the overlap eigenvectors `keep`, in the order given."""
     v_kept = vecs[:, keep]
     a = _hermitize(v_kept.conj().T @ h @ v_kept)
-    b = np.diag(vals[keep]).astype(complex)
-    return ThresholdResult(A=a, B=b, V_kept=v_kept)
+    return ThresholdResult(A=a, B=np.diag(vals[keep]), V_kept=v_kept)
+
+
+def overlap_eigh(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the overlap S (or a stack of them), its eigenvectors in H's basis.
+
+    A real S is in real form (`krylov.toeplitz_real_form`), and so is a real
+    H, so S's eigenvectors w serve as they are.  A complex H beside a real S
+    is the elementwise H in its sampled basis, where S's eigenvectors are
+    Q w (`krylov.from_real_form`).  A complex S is in H's basis already.
+    """
+    vals, vecs = np.linalg.eigh(s)
+    if np.iscomplexobj(h) and not np.iscomplexobj(s):
+        vecs = from_real_form(vecs)
+    return vals, vecs
 
 
 def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> ThresholdResult:
@@ -84,7 +104,7 @@ def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> Threshol
         raise ValueError("H and S must be square matrices of equal size")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    vals, vecs = np.linalg.eigh(s)
+    vals, vecs = overlap_eigh(h, s)
     keep = np.flatnonzero(vals > epsilon)
     if keep.size == 0:
         raise EmptyBasisError(
@@ -106,7 +126,7 @@ def top_k_thresholding(h: np.ndarray, s: np.ndarray, k: int) -> ThresholdResult:
     s = np.asarray(s)
     if not 1 <= k <= s.shape[0]:
         raise ValueError(f"k must lie in 1..{s.shape[0]}")
-    vals, vecs = np.linalg.eigh(s)
+    vals, vecs = overlap_eigh(h, s)
     positive = np.flatnonzero(vals > 0)
     if positive.size == 0:
         raise EmptyBasisError("overlap matrix has no positive eigenvalue")

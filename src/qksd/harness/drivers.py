@@ -24,7 +24,10 @@ each budget's trial rows as one block of columns.  No driver checks its values
 for nan or infinity: `write_csv` refuses them.  The sampled-pair chunks solve
 a block's reduced pairs as stacks, one batched solve per retained dimension
 (`gevp.top_k_ground_energies`); perturbation-bound takes chi and the
-assumption flags from the same stacks.
+assumption flags from the same stacks.  Toeplitz stacks, sampled and exact,
+come in real form (`sampling.Sampler.stack`, `sampling.expected_pair`), and
+every overlap eigendecomposition of a pair, sampled or exact, goes through
+`gevp.overlap_eigh`, which gives S's eigenvectors in H's basis.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from ..gevp import (
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
+    overlap_eigh,
     solve_gevp,
     top_k_ground_energies,
 )
@@ -80,6 +84,9 @@ from .records import (
 _WEYL_SLACK = 1e-12
 _BOUND_SLACK = 1e-9
 _E0_TOL = 1e-12  # |E0| below this fraction of sum_j beta_j counts as zero
+# An exact overlap eigenvalue at most this times n lambda_max(S) is rounding
+# noise past S's rank: the exact pair kept to it has no ideal energy.
+_RANK_FLOOR = np.finfo(float).eps
 # Nominal bytes (`_trial_bytes`) of one trial block; the draw grid's
 # temporaries make a block's real peak a few times this.
 _BLOCK_BYTES = 4 << 20
@@ -278,7 +285,9 @@ class _Fanout:
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
     """Nominal bytes one trial of a chunk holds: a float per (element, config,
     fragment) of each plan's grid and a complex (n, n) matrix per stack.  This
-    overstates a gaussian plan's draws J-fold, which keeps its blocks small."""
+    overstates a gaussian plan's draws J-fold, and a real-form stack's bytes
+    2-fold, which keeps its blocks small: counted at 8 bytes an entry, real
+    stacks double error-norms' blocks, which raised its peak RSS for no speed."""
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 
@@ -424,14 +433,15 @@ def _per_budget(columns_of: Callable, args, rng: tuple[int, int]) -> tuple:
 
 def _sampled_eigh(stacks: dict, eps: float):
     """A block's sampled H~ and S~ stacks, taken out of `stacks` so that the
-    caller alone holds them, eigh of S~, and each trial's n_eps under the
-    threshold rule (0 if nothing survives).
+    caller alone holds them, eigh of S~ with its eigenvectors in H~'s basis
+    (`gevp.overlap_eigh`), and each trial's n_eps under the threshold rule (0
+    if nothing survives).
 
     eigh's eigenvalues ascend, so the rule keeps each trial's top n_eps
     directions, in the order basis_thresholding keeps them.
     """
     h_stack, s_stack = stacks.pop("H"), stacks.pop("S")
-    vals, vecs = np.linalg.eigh(s_stack)
+    vals, vecs = overlap_eigh(h_stack, s_stack)
     dims = np.count_nonzero(vals > eps, axis=1)
     return h_stack, s_stack, vals, vecs, dims
 
@@ -524,6 +534,12 @@ def _error_stats(rel: np.ndarray) -> dict:
         "rms_rel_error": float(np.sqrt(np.mean(finite**2))),
         "mean_rel_error": float(np.mean(finite)),
     }
+
+
+def _rule_stats(rel: np.ndarray, dims: np.ndarray) -> dict:
+    """_error_stats of the threshold rule's errors, and mean_n_eps over every
+    trial: the rule's dimension is defined for each, solved or not."""
+    return {**_error_stats(rel), "mean_n_eps": float(np.mean(dims))}
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +671,15 @@ def _sweep_rows(
 ) -> Iterator[dict]:
     e0 = system.e0_sector
 
-    def ideal_of(cell: _Cell) -> tuple[np.ndarray]:  # exact top-k errors, k = 1..n
-        exact = (cell.h_exact[None], *np.linalg.eigh(cell.s_exact[None]))
-        return (_rel_errors(_top_k_sweep(*exact)[0], e0),)
+    def ideal_of(cell: _Cell) -> tuple[np.ndarray]:
+        """Exact top-k errors, k = 1..n; nan where the k-th kept eigenvalue
+        is rounding noise (at most n eps_mach lambda_max(S))."""
+        h, s = cell.h_exact[None], cell.s_exact[None]
+        vals, vecs = overlap_eigh(h, s)
+        ideal = _rel_errors(_top_k_sweep(h, vals, vecs)[0], e0)
+        kept = vals[0, ::-1]  # the k-th kept eigenvalue at k - 1
+        ideal[kept <= cell.n * _RANK_FLOOR * kept[0]] = math.nan
+        return (ideal,)
 
     for (cell, ideal), budget, share in _sampled(
         trials, _cells(cfg, system), _sweep_columns, ideal_of
@@ -682,8 +704,7 @@ def _sweep_rows(
         yield {
             **base,
             "row_kind": "epsilon_rule",
-            **_error_stats(rel),
-            "mean_n_eps": float(np.mean(eps_dims)),
+            **_rule_stats(rel, eps_dims),
             "epsilon": budget.eps,
         }
 
@@ -703,15 +724,12 @@ def _scan_rows(
             yield {**base, "trials_used": 0}
             continue
         energies, dims = share
-        rel = _rel_errors(energies, e0)
-        used = np.isfinite(rel)
         yield {
             **base,
             "m_h": budget.m_h,
             "m_s": budget.m_s,
             "epsilon": budget.eps,
-            **_error_stats(rel),
-            "mean_n_eps": float(np.mean(dims[used])) if used.any() else None,
+            **_rule_stats(_rel_errors(energies, e0), dims),
             "e0_sector": e0,
         }
 

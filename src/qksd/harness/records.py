@@ -39,7 +39,11 @@ from .config import ExperimentConfig
 # 0.5.0: a gaussian H draws one normal per (element, configuration) for its
 # beta-weighted fragment sum instead of one per fragment, so gaussian H rows
 # move; binomial rows and S-only rows do not.
-ARTIFACT_VERSION = "0.5.0"
+# 0.6.0: every Hermitian Toeplitz matrix is built and decomposed in real
+# symmetric form, which moves last bits of every driver; the sweep writes na
+# for an ideal error past the exact overlap's rank, and optimal-threshold's
+# mean_n_eps averages over every trial, as the sweep's does.
+ARTIFACT_VERSION = "0.6.0"
 
 ERROR_NORM_COLUMNS = (
     "row_kind", "construction", "kind", "n", "m_budget", "trial",

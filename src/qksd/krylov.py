@@ -15,10 +15,19 @@ The exact values behind every measurement, s_k and each fragment U_j's
 overlaps, come from one pass over the spectrum of the reference's particle
 sector, with U_j applied to the Krylov columns as a projected Pauli sum and
 never as a full-space operator.
+
+A Hermitian Toeplitz matrix T is centro-Hermitian, so with Q = (I + iJ)/sqrt(2),
+J the exchange matrix, R = Q^H T Q is real symmetric with T's eigenvalues
+(A. Lee, Linear Algebra Appl. 29 (1980) 205-210).  The package builds every
+Toeplitz matrix, sampled or exact, S or H, straight from its sequence in this
+real form (`toeplitz_real_form`), so its eigendecompositions and solves are
+real; `from_real_form` maps R's eigenvectors to T's.  `toeplitz_matrix`
+builds the complex T, which only the exact elementwise H's identity term needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +100,39 @@ def toeplitz_matrix(seq: np.ndarray) -> np.ndarray:
     idx = np.subtract.outer(np.arange(n), np.arange(n))  # idx[k,l] = k - l
     out = np.take(seq, np.abs(idx), axis=-1)
     np.conjugate(out, out=out, where=idx > 0)
+    return out
+
+
+def toeplitz_real_form(seq: np.ndarray) -> np.ndarray:
+    """Q^H T Q, real symmetric, of the Hermitian Toeplitz T = toeplitz_matrix(seq).
+
+    Q = (I + iJ)/sqrt(2), with J the exchange matrix.  T is centro-Hermitian
+    (J conj(T) J = T), so R = Q^H T Q is real: a symmetric Toeplitz matrix in
+    Re t plus a Hankel matrix in Im t,
+
+        R[k, l] = Re t_|k-l| - sgn(n-1-k-l) Im t_|n-1-k-l|,
+
+    with T's eigenvalues; T's eigenvectors are Q w for R's eigenvectors w
+    (`from_real_form`).  Works over the last axis as toeplitz_matrix does: two
+    gathers and one in-place add give a C-contiguous (..., n, n) float stack,
+    no more bytes than toeplitz_matrix's complex one.
+    """
+    n = seq.shape[-1]
+    grid = np.arange(n)
+    out = np.take(seq.real, np.abs(np.subtract.outer(grid, grid)), axis=-1)
+    imag = seq.imag
+    # -sgn(m) Im t_|m| at position n-1+m, for m = -(n-1)..n-1
+    hankel = np.concatenate([imag[..., :0:-1], np.zeros_like(imag[..., :1]), -imag[..., 1:]], -1)
+    out += np.take(hankel, 2 * (n - 1) - np.add.outer(grid, grid), axis=-1)
+    return out
+
+
+def from_real_form(w: np.ndarray) -> np.ndarray:
+    """Q w = (w + iJw)/sqrt(2): vectors of a real form (`toeplitz_real_form`),
+    columns over axis -2 as eigh returns them, in the Toeplitz matrix's basis."""
+    w = w * math.sqrt(0.5)
+    out = np.empty(w.shape, dtype=complex)
+    out.real, out.imag = w, w[..., ::-1, :]
     return out
 
 

@@ -41,6 +41,13 @@ trial index, and any split of the trials into blocks draws the same values.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
+
+Bases: a Toeplitz target's (T, n, n) stack, S~ always and H~ under the
+Toeplitz construction, is built from its sampled sequence in real symmetric
+form (`krylov.toeplitz_real_form`), a float stack; the elementwise H~ stays
+complex in its sampled basis.  `expected_pair` returns the exact pair in the
+same bases, so sampled minus expected is the noise in either, and
+`gevp.overlap_eigh` gives S's eigenvectors in H's basis.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import numpy as np
 
 from . import bounds, rngstream
 from .errors import InfeasibleBudgetError
-from .krylov import MeasurementTargets, toeplitz_matrix
+from .krylov import MeasurementTargets, toeplitz_matrix, toeplitz_real_form
 
 MODES = ("binomial", "gaussian")  # noise models
 TARGETS = ("S_toeplitz", "H_toeplitz", "H_nontoeplitz")
@@ -281,7 +288,7 @@ class Sampler:
             toeplitz = plan.target == "H_toeplitz"
             truth, self.betas = decay * targets.frag, targets.betas
             # the identity term, added to every estimate
-            s_part = self.s_true if toeplitz else toeplitz_matrix(self.s_true)[a, b]
+            s_part = self.s_true if toeplitz else self.s_true[b - a]
             self.shift = targets.id_coeff * s_part
         fragments = len(self.betas)
         if plan.counts.shape[2] != fragments:
@@ -339,7 +346,9 @@ class Sampler:
         return (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ self.betas
 
     def stack(self, draws: np.ndarray, i: int) -> np.ndarray:
-        """The block's (T, n, n) stack of sampled matrices at budget i."""
+        """The block's (T, n, n) stack of sampled matrices at budget i: a
+        Toeplitz target's in real form (`krylov.toeplitz_real_form`), float,
+        and the elementwise H~'s in the sampled basis, complex."""
         vals = self.estimates(draws, i)
         trials = len(vals)
         a, b = self.elements[:, 0], self.elements[:, 1]
@@ -348,10 +357,10 @@ class Sampler:
             s_seq_est = np.tile(self.s_true, (trials, 1))
             s_seq_est[:, a] = vals
             del vals  # free before the stack is built, as the block's draws are held
-            return toeplitz_matrix(s_seq_est)
+            return toeplitz_real_form(s_seq_est)
         vals += self.shift  # vals is this call's own array: add in place
         if self.target == "H_toeplitz":  # the grid is every lag 0..n-1 in order
-            return toeplitz_matrix(vals)
+            return toeplitz_real_form(vals)
         h_stack = np.zeros((trials, self.n, self.n), dtype=complex)
         h_stack[:, a, b] = vals
         h_stack[:, b, a] = np.conjugate(vals, out=vals)
@@ -361,22 +370,23 @@ class Sampler:
 def expected_pair(
     targets: MeasurementTargets, hardware_lambda: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The exact (decayed) pair the sampler is estimating, as dense matrices.
+    """The exact (decayed) pair the sampler is estimating, as dense matrices,
+    each in the basis its sampled stacks take (`Sampler.stack`): S, and the
+    Toeplitz H, in real form; the elementwise H in the sampled basis.
 
     Built from the same fragment overlaps the sampler draws around, so
     sampled-minus-expected is precisely the injected noise matrix.
     """
     decay = math.exp(-hardware_lambda)
     s_true = decay * targets.s_seq
-    s_mat = toeplitz_matrix(s_true)
     betas = targets.betas
     if targets.construction == "toeplitz":
         h_seq = betas @ (decay * targets.frag) + targets.id_coeff * s_true
-        h_mat = toeplitz_matrix(h_seq)
+        h_mat = toeplitz_real_form(h_seq)
     else:
         h_mat = np.tensordot(betas, decay * targets.frag, axes=1)
-        h_mat = h_mat + targets.id_coeff * s_mat
-    return h_mat, s_mat
+        h_mat = h_mat + targets.id_coeff * toeplitz_matrix(s_true)
+    return h_mat, toeplitz_real_form(s_true)
 
 
 def sample_overlap_ensemble(
@@ -386,7 +396,7 @@ def sample_overlap_ensemble(
     trials: int,
     first_trial: int = 0,
 ) -> np.ndarray:
-    """Sample `trials` overlap matrices S~ as a (T, n, n) stack.
+    """Sample `trials` overlap matrices S~ as a (T, n, n) stack, in real form.
 
     Per-trial results depend only on (rng_seed, trial index, coordinate), so
     any chunking of the trial range reproduces identical matrices.
@@ -404,7 +414,8 @@ def sample_hamiltonian_ensemble(
     trials: int,
     first_trial: int = 0,
 ) -> np.ndarray:
-    """Sample `trials` projected-Hamiltonian matrices H~ as a (T, n, n) stack."""
+    """Sample `trials` projected-Hamiltonian matrices H~ as a (T, n, n) stack:
+    in real form under the Toeplitz construction, else in the sampled basis."""
     expected_h = "H_toeplitz" if targets.construction == "toeplitz" else "H_nontoeplitz"
     if plan_h.target != expected_h or plan_h.n != targets.n:
         raise ValueError("H plan does not match the construction")

@@ -32,19 +32,33 @@ perturbation-bound driver.
 One-plan pair sampling: the (H~, S~) stacks of one budget's plans from the
 one-plan ensembles, which the drivers' cells, sharing a block's draws over
 their budgets, reproduce at each budget.
+
+The complex path of Hermitian Toeplitz matrices: the package builds every
+Toeplitz matrix, sampled or exact, in real form (`krylov.toeplitz_real_form`)
+and decomposes it with real eigh.  `complex_path` runs the drivers on the
+same draws with each Toeplitz matrix built as `krylov.toeplitz_matrix` of its
+sequence instead, so every overlap eigh and Toeplitz solve is complex.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from qksd.evolution import Spectrum, diagonalize, sector_indices
 from qksd.hamiltonian import PauliSum, build_hubbard_1d, pauli_to_dense
-from qksd.krylov import CONSTRUCTIONS, KrylovConfig
-from qksd.sampling import sample_hamiltonian_ensemble, sample_overlap_ensemble
+from qksd.harness import drivers
+from qksd.krylov import CONSTRUCTIONS, KrylovConfig, toeplitz_matrix
+from qksd.sampling import (
+    Sampler,
+    expected_pair,
+    sample_hamiltonian_ensemble,
+    sample_overlap_ensemble,
+)
 
 
 @dataclass(frozen=True)
@@ -312,3 +326,55 @@ def sample_pair(targets, plan_h, plan_s, noise, trials, first_trial=0):
         sample_hamiltonian_ensemble(targets, plan_h, noise, trials, first_trial),
         sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial),
     )
+
+
+# ---------------------------------------------------------------------------
+# The complex path of Hermitian Toeplitz matrices
+# ---------------------------------------------------------------------------
+
+_SAMPLER_STACK = Sampler.stack
+
+
+def exchange_unitary(n: int) -> np.ndarray:
+    """Q = (I + iJ)/sqrt(2), J the n x n exchange matrix: T = Q R Q^H for the
+    real form R of a Hermitian Toeplitz T."""
+    return (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
+
+
+def complex_expected_pair(targets, hardware_lambda: float = 0.0):
+    """`sampling.expected_pair` with S and the Toeplitz H as complex Hermitian
+    Toeplitz matrices of their sequences, in the sampled basis."""
+    decay = math.exp(-hardware_lambda)
+    s_true = decay * targets.s_seq
+    if targets.construction == "toeplitz":
+        h_seq = targets.betas @ (decay * targets.frag) + targets.id_coeff * s_true
+        h_mat = toeplitz_matrix(h_seq)
+    else:
+        h_mat = expected_pair(targets, hardware_lambda)[0]  # the sampled basis already
+    return h_mat, toeplitz_matrix(s_true)
+
+
+def complex_stack(sampler: Sampler, draws: np.ndarray, i: int) -> np.ndarray:
+    """`Sampler.stack` with a Toeplitz target's stack built as toeplitz_matrix
+    of its sampled sequences: the same estimates, in the sampled basis."""
+    if sampler.target == "H_nontoeplitz":
+        return _SAMPLER_STACK(sampler, draws, i)
+    vals = sampler.estimates(draws, i)
+    if sampler.target == "S_toeplitz":  # lags 1..n-1; the diagonal is known
+        seq = np.tile(sampler.s_true, (len(vals), 1))
+        seq[:, 1:] = vals
+    else:  # lags 0..n-1
+        seq = vals + sampler.shift
+    return toeplitz_matrix(seq)
+
+
+@contextmanager
+def complex_path():
+    """Drivers run on the complex path inside the block: their sampled and
+    exact Toeplitz matrices are complex Hermitian Toeplitz, so every overlap
+    eigh and Toeplitz solve is complex.  Run them at one worker, so that no
+    pool process misses the patch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Sampler, "stack", complex_stack)
+        patch.setattr(drivers, "expected_pair", complex_expected_pair)
+        yield

@@ -35,10 +35,10 @@ from qksd.krylov import (
 )
 from qksd.sampling import (
     NoiseSpec,
+    Sampler,
     allocate_nontoeplitz,
     allocate_toeplitz,
     expected_pair,
-    sample_overlap_ensemble,
     split_budget,
 )
 from qksd.harness import (
@@ -452,7 +452,8 @@ def test_09_binomial_gaussian_agreement():
     Drawn as the drivers draw: one overlap ensemble per mode, each mode under
     its own seed so the two share no stream.  The n = 3 Toeplitz plan at
     M = 4 10^4 gives each configuration of lags 1 and 2 exactly 10^4 shots;
-    lag 1's real and imaginary parts are compared."""
+    lag 1's real and imaginary parts are compared, read from the sampler's
+    estimates, since the sampled stack is in real form."""
     mu = 0.3 - 0.45j
     trials = 10**4
     targets = MeasurementTargets(
@@ -468,7 +469,8 @@ def test_09_binomial_gaussian_agreement():
     draws = {}
     for mode, seed in (("binomial", 77), ("gaussian", 78)):
         noise = NoiseSpec(mode=mode, rng_seed=seed)
-        draws[mode] = sample_overlap_ensemble(targets, plan, noise, trials)[:, 0, 1]
+        sampler = Sampler(targets, [plan], noise)
+        draws[mode] = sampler.estimates(sampler.draw(trials, 0), 0)[:, 0]  # lag 1
     for component in (np.real, np.imag):
         b = component(draws["binomial"])
         g = component(draws["gaussian"])

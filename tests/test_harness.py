@@ -48,7 +48,13 @@ from qksd.harness.records import config_hash, format_value, write_csv
 from qksd.krylov import CONSTRUCTIONS
 
 from csvrows import read_rows
-from oracles import chi_reference, cond_reference, eigenangle_flags_reference, sample_pair
+from oracles import (
+    chi_reference,
+    complex_path,
+    cond_reference,
+    eigenangle_flags_reference,
+    sample_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +412,7 @@ def test_error_norm_driver_skips_starved_cell(tmp_path):
     kept = b"".join(line for line in lines if not line.startswith(b"skipped,"))
     assert len(lines) - len(kept.splitlines()) == 1
     assert hashlib.sha256(kept).hexdigest() == (
-        "597bd6871419be918af5fe2b54093e29da8d225215f8b579ad06272291949871"
+        "e161c3af253137325b033acc090cda64e8493d40c5c79a9de3fb66e6345deee0"
     )
 
 
@@ -451,6 +457,45 @@ def test_threshold_sweep_driver_walks_every_order(tmp_path):
         sweep = [r["k"] for r in alone if r["row_kind"] == "sweep"]
         assert sweep == list(range(1, n + 1)) * 4  # per (construction, M)
     assert len(rows) == 2 * 2 * (3 + 1) + 2 * 2 * (5 + 1)
+
+
+def test_sweep_ideal_error_is_na_past_the_overlap_rank(tmp_path):
+    """The shipped sweep (L = 2, n = 15): the exact overlap has two eigenvalues
+    of order 1 and 13 at rounding level, so the exact pair's ideal error is
+    written for k = 1, 2 and is na wherever the k-th kept eigenvalue is at
+    most n eps_mach lambda_max(S)."""
+    cfg = load_config(
+        str(CONFIG_DIR / "threshold_sweep.conf"),
+        {"trials": 2, "out": str(tmp_path / "sweep.csv")},
+    )
+    rows = read_rows(run_threshold_sweep(cfg))
+    (cell, *_) = drivers._cells(cfg, drivers.build_system(cfg))
+    kept = np.linalg.eigvalsh(cell.s_exact)[::-1]
+    floor = cell.n * np.finfo(float).eps * kept[0]
+    ideal = [r["ideal_rel_error"] for r in rows if r["row_kind"] == "sweep"]
+    assert len(ideal) == len(cfg.m_list) * cell.n
+    for k, value in enumerate(ideal[: cell.n], 1):
+        assert (value is None) == (kept[k - 1] <= floor), k
+    assert [k for k, v in enumerate(ideal[: cell.n], 1) if v is not None] == [1, 2]
+    assert ideal[cell.n :] == ideal[: cell.n]  # the exact pair has no budget
+
+
+def test_threshold_rule_rows_share_mean_n_eps(tmp_path):
+    """The sweep's epsilon_rule row and optimal-threshold's row of the same
+    cell average n_eps over every trial, solved or not.  At hardware_lambda =
+    3 the decayed overlap falls below eps in some trials, which keep nothing."""
+    cfg = small_cfg(
+        tmp_path, "rule.csv", n_list=(9,), m_list=(10_000,), trials=50, seed=5,
+        hardware_lambda=3.0, constructions=("toeplitz", "nontoeplitz"),
+    )
+    sweep = [
+        r for r in read_rows(run_threshold_sweep(cfg)) if r["row_kind"] == "epsilon_rule"
+    ]
+    scan = read_rows(run_optimal_threshold_scan(cfg))
+    assert len(sweep) == len(scan) == 2
+    for a, b in zip(sweep, scan):
+        assert a["trials_used"] == b["trials_used"] < cfg.trials
+        assert a["mean_n_eps"] == b["mean_n_eps"] < 1.0
 
 
 def test_singular_spectrum_refuses_several_orders(tmp_path, monkeypatch):
@@ -1162,28 +1207,31 @@ VARIANTS = {
     "binomial_decay": {"mode": "binomial", "hardware_lambda": 0.3},
     "gaussian_decay": {"mode": "gaussian", "hardware_lambda": 0.3},
     "three_trials": {"trials": 3},
+    "elementwise": {"constructions": ("nontoeplitz",)},
 }
-# sha256 of each CSV at trials = 8, header included; artifact version 0.5.0.
+# sha256 of each CSV at trials = 8, header included; artifact version 0.6.0.
 # A change that moves any of these must bump ARTIFACT_VERSION and re-pin them.
 DRIVER_DIGESTS = {
     ("error_norms", None):
-        "ac32c2ab9176ed78da792896fe53272b8ff5d420111e81fec9770f3bbaa03893",
+        "343702351fdb9c52302c4a78e7dd494b5ce7afb333c293c3ff83aa23cdefd4e4",
     ("singular_spectrum", None):
-        "f396687d006498c32d530759bb8f7b9b7e284d3fef4f3c90d50278cb22ade29f",
+        "57473b9858663828278f3afa781b0f88b903ba7f896d9f7993253cbd807dd798",
     ("threshold_sweep", None):
-        "1fa5e23b44de16c4e00a61ff3baddedb35cb35e696510a28f04b1726594df88f",
+        "112d2068b59d8eb3049e6034de2f278ac1622dbd3ee97afee44b19a86694d7bf",
     ("optimal_threshold", None):
-        "9338f53ee1745654d8f679cbc25036d2c62b6b4840ad20db010988d7b44dd4b5",
+        "9317bdbee437a636030c9f5dd07200fe8a4756c646be14fbc6f06550bedc3b1a",
     ("perturbation_bound", None):
-        "424e49fdbb78c433f3a289a73962b0503e38d45582a0244d365f52df85a99d88",
+        "c151eb28fb482b3799df52c050d433812a0973e0aebafef876bc665654349470",
     ("perturbation_bound", "binomial"):
-        "9c2d4348c12a6b1661ac113ebb02b0578401c6bb98eb5e501c58a4024a79d5d5",
+        "973712928840a4aa5611640deb3e5a4afd3bf9077b0f176a9fc13a9fed929a6b",
     ("error_norms", "binomial_decay"):
-        "8b5aa41e35207157c407dacd22db1d4715f350ff7e51ffa2011c449e0c151658",
+        "6b661a9ffa02280e1011952a857dcdba9bb1f15b6ab51fc352768f31ed3bfb6f",
     ("error_norms", "gaussian_decay"):
-        "1e4c6b8aad2fa868457b9d0973fd9211fcfa18d10cff951d248297a6b1323319",
+        "f3ac3d3141ec10e091e0e6927d3e9f3db83c6577f6e3ab30cabc31f263c5690b",
     ("long_order", None):
-        "b9f120077b24a3e7b228cdd1f13bb4ad849ceae65df04f4e5ecde2f0db251dbc",
+        "680aa1b7113335558fbb96b0ef57995e8f94ba7262b96281d7a2165263235871",
+    ("threshold_sweep", "elementwise"):
+        "a4fc03a60ae4e2d4c2b7690edd90b7ae6b82f388a87d2731b8ed3973a5a5ab38",
 }
 
 
@@ -1229,6 +1277,73 @@ def test_driver_digests_smallest_blocks(
     digest = config_digest(tmp_path, name, variant, workers=workers)
     assert digest == want
     assert len(pools) == workers - 1
+
+
+# Every shipped L = 2 config and the benchmark's chain config (L = 5, binomial).
+ORACLE_CONFIGS = {
+    **{
+        path.stem: (path, DRIVER_FOR_CONFIG[path.stem])
+        for path in sorted(CONFIG_DIR.glob("*.conf"))
+        if load_config(str(path)).sites == 2
+    },
+    "chain": (BENCH_DIR / "chain.conf", run_perturbation_vs_bound),
+}
+_THRESHOLDING = (run_threshold_sweep, run_optimal_threshold_scan, run_perturbation_vs_bound)
+
+
+def _cells_at_threshold(cfg, cells) -> set:
+    """(construction, n, M) of each cell with an exact overlap eigenvalue
+    within 1e-9 relative of its threshold eps or of epsilon_ideal, where
+    rounding alone can change which directions are kept."""
+    near = set()
+    for cell in cells:
+        vals = np.linalg.eigvalsh(cell.s_exact)
+        for budget in cell.feasible:
+            for eps in (budget.eps, cfg.epsilon_ideal):
+                if np.any(np.abs(vals - eps) <= 1e-9 * eps):
+                    near.add((cell.construction, cell.n, budget.m))
+    return near
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_real_form_matches_complex_path(tmp_path, name):
+    """Each config at trials = 8 writes, with every Toeplitz matrix in real
+    form, what the complex path writes from the same draws: identical row
+    kinds, flags and counts, and every float within 1e-9 relative.  Two
+    exceptions: `observed`, a difference of near-equal energies, within
+    1e-12 |e0_sector|; and values the exact pair alone gives at rounding
+    level, the overlap eigenvalues past its rank and the ideal errors of an
+    exact solve, within n eps_mach of their scale (lambda_max(S), and 1).
+    A cell with an exact overlap eigenvalue at its threshold is refused."""
+    path, runner = ORACLE_CONFIGS[name]
+    cfg = load_config(str(path), {"trials": 8, "workers": 1, "out": str(tmp_path / "r.csv")})
+    real = read_rows(runner(cfg))
+    with complex_path():
+        oracle = read_rows(runner(dataclasses.replace(cfg, out=str(tmp_path / "c.csv"))))
+    cells = list(drivers._cells(cfg, drivers.build_system(cfg)))
+    refused = _cells_at_threshold(cfg, cells) if runner in _THRESHOLDING else set()
+    n = max(cfg.n_list)
+    s_max = max(np.linalg.eigvalsh(cell.s_exact)[-1] for cell in cells)
+    floors = {
+        "exact_value": n * drivers._RANK_FLOOR * s_max,
+        "ideal_rel_error": n * drivers._RANK_FLOOR,
+    }
+    compared = 0
+    for want, got in zip(oracle, real, strict=True):
+        cell = (want.get("construction", "toeplitz"), want.get("n", n), want.get("m_budget"))
+        if cell in refused:
+            continue
+        compared += 1
+        assert want.keys() == got.keys()
+        for column, w in want.items():
+            g = got[column]
+            if not (isinstance(w, float) and isinstance(g, float)):
+                assert g == w, (column, want)
+            elif column == "observed":
+                assert abs(g - w) <= 1e-12 * abs(want["e0_sector"]), (column, want)
+            else:
+                assert abs(g - w) <= max(1e-9 * abs(w), floors.get(column, 0.0)), (column, want)
+    assert compared > len(oracle) // 2
 
 
 def test_cell_peak_memory_flat_in_trials(tmp_path, monkeypatch):

@@ -14,12 +14,14 @@ from qksd.harness import ExperimentConfig, build_system, targets_for
 from qksd.krylov import (
     KrylovConfig,
     default_time_step,
+    from_real_form,
     measurement_targets,
     toeplitz_matrix,
+    toeplitz_real_form,
 )
 from qksd.sampling import expected_pair
 
-from oracles import exact_propagator, exact_sequences, hartree_fock_full
+from oracles import exact_propagator, exact_sequences, exchange_unitary, hartree_fock_full
 
 FULL = np.arange(2**4)  # the two-site chain's full Fock basis
 
@@ -87,6 +89,26 @@ def test_toeplitz_matrix_in_place_matches_where_form(shape):
     assert toeplitz_matrix(seq.real).tobytes() == _toeplitz_by_where(seq.real).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_toeplitz_real_form_is_conjugated_toeplitz(n):
+    """The real form of a random stack is Q^H T Q of its complex Toeplitz
+    stack T to 1e-14, real and C-contiguous; Q maps its eigenvectors to
+    eigenvectors of T, orthonormal, with the same eigenvalues."""
+    rng = np.random.default_rng(n)
+    seq = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    seq[:, 0] = seq[:, 0].real  # a Hermitian matrix's diagonal
+    t, q = toeplitz_matrix(seq), exchange_unitary(n)
+    r = toeplitz_real_form(seq)
+    assert r.dtype == np.float64 and r.shape == t.shape and r.flags.c_contiguous
+    assert np.abs(q.conj().T @ t @ q - r).max() < 1e-14
+    vals, w = np.linalg.eigh(r)
+    v = from_real_form(w)
+    assert np.abs(v - q @ w).max() < 1e-15
+    assert np.abs(t @ v - v * vals[:, None, :]).max() < 1e-13
+    assert np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(n)).max() < 1e-14
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(t), rtol=0, atol=1e-13)
+
+
 def test_exact_sequences_match_direct_overlaps(system):
     _spec, part, h, sp, ref = system
     cfg = KrylovConfig(n=7, dt=default_time_step(part))
@@ -112,12 +134,16 @@ def test_targets_overlap_sequence_is_oracle_bits(construction):
 
 
 def test_pair_builders_agree_for_exact_evolution():
-    """With the exact propagator the elementwise H equals the Toeplitz H."""
+    """With the exact propagator the elementwise H equals the Toeplitz H.
+
+    The Toeplitz pair is in real form and the elementwise H in the sampled
+    basis, so the Toeplitz H is mapped back by Q before comparing."""
+    q = exchange_unitary(7)
     for sites in (2, 3, 4):
         system = build_system(ExperimentConfig(sites=sites))
         tp_h, tp_s = expected_pair(targets_for(system, 7, "toeplitz"))
         ntp_h, ntp_s = expected_pair(targets_for(system, 7, "nontoeplitz"))
-        assert np.abs(tp_h - ntp_h).max() < 1e-10
+        assert np.abs(q @ tp_h @ q.conj().T - ntp_h).max() < 1e-10
         assert np.abs(tp_s - ntp_s).max() < 1e-10
         assert np.abs(tp_s - tp_s.conj().T).max() == 0.0
 

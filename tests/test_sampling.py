@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import largest_remainder, sample_pair
+from oracles import exchange_unitary, largest_remainder, sample_pair
 
 from qksd import rngstream
 from qksd.errors import InfeasibleBudgetError
-from qksd.krylov import KrylovConfig, MeasurementTargets
+from qksd.krylov import KrylovConfig, MeasurementTargets, toeplitz_matrix, toeplitz_real_form
 from qksd.sampling import (
     MODES,
     TARGETS,
@@ -354,7 +354,11 @@ def test_unsampled_overlap_element_is_zero():
     plan_h = hand_plan_toeplitz_h(3, 4, 4)
     noise = NoiseSpec(mode="gaussian", rng_seed=0)
     s_stack = sample_pair(targets, plan_h, plan_s, noise, 1)[1]
-    assert np.all(np.diag(s_stack[0]) == 1.0)  # S's diagonal takes no shots
+    # the real-form stack is built from the sequence (1, lag 1, lag 2): S's
+    # diagonal takes no shots
+    sampler = Sampler(targets, [plan_s], noise)
+    seq = np.concatenate([[1.0], sampler.estimates(sampler.draw(1, 0), 0)[0]])
+    assert np.array_equal(s_stack[0], toeplitz_real_form(seq))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -412,13 +416,22 @@ def test_sample_structure_toeplitz():
     for mode in ("gaussian", "binomial"):
         noise = NoiseSpec(mode=mode, rng_seed=3)
         h_stack, s_stack = sample_pair(targets, plan_h, plan_s, noise, 1)
-        h, s = h_stack[0], s_stack[0]
-        for m in (h, s):
+        for stack, plan in ((h_stack, plan_h), (s_stack, plan_s)):
+            # the stack is the real form of the sampled sequence, bit for bit
+            sampler = Sampler(targets, [plan], noise)
+            seq = sampler.estimates(sampler.draw(1, 0), 0)[0]
+            if plan is plan_s:
+                seq = np.concatenate([[1.0], seq])  # S's diagonal takes no shots
+            else:
+                seq = seq + sampler.shift
+            assert stack.dtype == np.float64
+            assert np.array_equal(stack[0], toeplitz_real_form(seq))
+            assert np.array_equal(stack[0], stack[0].T)
+            m = toeplitz_matrix(seq)  # the Hermitian Toeplitz matrix it stands for
             assert np.array_equal(m, m.conj().T)
             # constant diagonals: exact Toeplitz structure
             for k in range(1, 5):
                 assert len(set(np.diag(m, k).tolist())) == 1
-        assert np.all(np.diag(s) == 1.0)
 
 
 def test_sample_structure_elementwise():
@@ -536,6 +549,7 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
     assert not counts[0, 1].any() and counts[1:].all()  # zero mid-grid
     f = targets.frag
     means = np.stack([f.real.T, f.imag.T], axis=1)  # (n, 2, J)
+    q = exchange_unitary(n)
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=29)
         stack = sample_hamiltonian_ensemble(targets, plan, noise, 3, first_trial=4)
@@ -546,7 +560,8 @@ def test_binomial_toeplitz_h_matches_scalar_draw_order():
                 [[h_seq[l - k] if l >= k else h_seq[k - l].conj() for l in range(n)]
                  for k in range(n)]
             )
-            np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+            got = q @ stack[t] @ q.conj().T  # from real form to the sampled basis
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_binomial_elementwise_h_matches_scalar_draw_order():
@@ -586,6 +601,7 @@ def test_binomial_overlap_matches_scalar_draw_order():
     plan = _hand_plan("S_toeplitz", n, positions, 1)
     counts = plan.counts
     means = np.stack([s_seq.real, s_seq.imag], axis=1)[1:, :, None]  # (n - 1, 2, 1)
+    q = exchange_unitary(n)
     for mode in MODES:
         noise = NoiseSpec(mode=mode, rng_seed=37)
         stack = sample_overlap_ensemble(targets, plan, noise, 2, first_trial=3)
@@ -596,7 +612,8 @@ def test_binomial_overlap_matches_scalar_draw_order():
                 [[seq[l - k] if l >= k else seq[k - l].conj() for l in range(n)]
                  for k in range(n)]
             )
-            np.testing.assert_allclose(stack[t], expected, rtol=0, atol=1e-12)
+            got = q @ stack[t] @ q.conj().T  # from real form to the sampled basis
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -729,11 +746,15 @@ def test_collapsed_gaussian_matches_per_fragment_binomial(construction):
     )
     moments = {}
     for mode, seed in MOMENT_SEEDS.items():
-        stack = sample_hamiltonian_ensemble(
-            targets, plan, NoiseSpec(mode=mode, rng_seed=seed), MOMENT_TRIALS
-        )
-        for p, (a, b) in enumerate(cells):
-            d = stack[:, a, b] - betas @ mu[p]
+        sampler = Sampler(targets, [plan], NoiseSpec(mode=mode, rng_seed=seed))
+        draws = sampler.draw(MOMENT_TRIALS, 0)
+        if construction == "toeplitz":  # the real-form stack mixes lags: read them
+            parts = sampler.estimates(draws, 0) + sampler.shift
+        else:
+            stack = sampler.stack(draws, 0)
+            parts = np.stack([stack[:, a, b] for a, b in cells], axis=1)
+        for p in range(len(cells)):
+            d = parts[:, p] - betas @ mu[p]
             for c, x in enumerate((d.real, d.imag)):
                 if not plan.counts[p, c].any():
                     assert not x.any()  # a diagonal's imag takes no draw
