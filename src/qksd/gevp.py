@@ -5,9 +5,13 @@ decays fast, so noise in the small singular directions wrecks a direct solve.
 basis_thresholding projects both matrices onto the eigenvectors of S with
 eigenvalue above a cutoff, giving a reduced pair (A, B) with B diagonal and
 safely positive.  solve_gevp then symmetrizes with B^{-1/2}.  When only the
-ground energy is wanted, top_k_ground_energies solves a whole stack of trials
-from their batched eigh(S), each reduced to its own top k directions, so one
-decomposition per trial serves every k and the threshold rule.
+ground energy is wanted, the stacked solvers work from a batched eigh(S), so
+one decomposition per trial serves every k and the threshold rule, and take
+eigenvalues only: top_k_ground_energies reduces each trial to its own top k
+directions, and top_k_sweep projects each trial once onto all n directions
+and solves the leading block of every k.  Both agree with the per-matrix
+solve within the reduced pair's first-order rounding bound,
+8 k eps_mach ||H||_2 / w_k for w_k the smallest kept overlap eigenvalue.
 
 The pair comes in the bases `sampling` builds it in: S in real symmetric form,
 H in real form too under the Toeplitz construction, where every step is real
@@ -208,31 +212,67 @@ def _reduced_groups(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.nda
         yield rows, vals[rows[:, None], keep], vh, a
 
 
+def _ground_energies(sym: np.ndarray, energies: np.ndarray, rows: np.ndarray) -> None:
+    """energies[rows[t]] = the lowest eigenvalue of sym[t], for the finite sym[t]."""
+    ok = np.isfinite(sym).all(axis=(1, 2))
+    if ok.any():
+        energies[rows[ok]] = np.linalg.eigvalsh(sym[ok])[:, 0]
+
+
+def _symmetrized(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """herm((d A) d) with d = w^{-1/2}: B^{-1/2} A B^{-1/2} for B = diag(w),
+    not finite where an entry of w is <= 0 or small enough to overflow it."""
+    with np.errstate(all="ignore"):
+        d = w**-0.5
+        return _hermitize((d[:, :, None] * a) * d[:, None, :])
+
+
 def top_k_ground_energies(
     h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
     """Ground energy of each trial's pair reduced to its top k[t] overlap directions.
 
     The reduced B is diag(w) of the kept eigenvalues, so B^{-1/2} is the
-    diagonal d and the symmetrized pair is (d A) d: the same floating-point
-    operations as solve_gevp's products with its diagonal inv_sqrt, without
-    eigh(B).  The trials sharing a k are solved as one stack, and a trial gets
-    the same bits in a stack of any size.  Entry t equals
-    top_k_thresholding(h[t], s[t], k[t]) then solve_gevp, bit for bit, when
-    S's largest eigenvalue is of order 1, as for every sampled S~ (diagonal
-    e^{-lambda}).  It is nan where k[t] = 0 and where the symmetrized pair is
+    diagonal d and the symmetrized pair is (d A) d, whose lowest eigenvalue
+    (eigvalsh) is the energy.  The trials sharing a k are solved as one stack,
+    and a trial gets the same bits in a stack of any size.  Entry t agrees
+    with top_k_thresholding(h[t], s[t], k[t]) then solve_gevp to first order
+    in rounding: within 8 k eps_mach ||H_t||_2 / w_k, w_k the smallest kept
+    eigenvalue.  It is nan where k[t] = 0 and where the symmetrized pair is
     not finite: a kept eigenvalue <= 0 makes d inf or nan, and one below about
     1e-150 overflows the pair (solve_gevp raises IllPosedError).
     """
     energies = np.full(len(k), math.nan)
     for rows, w, _, a in _reduced_groups(h, vals, vecs, k):
-        with np.errstate(all="ignore"):
-            d = w**-0.5
-            sym = _hermitize((d[:, :, None] * a) * d[:, None, :])
-        ok = np.isfinite(sym).all(axis=(1, 2))
-        if ok.any():
-            energies[rows[ok]] = np.linalg.eigh(sym[ok])[0][:, 0]
+        _ground_energies(_symmetrized(w, a), energies, rows)
     return energies
+
+
+def top_k_sweep(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(T, n) ground energies of each trial's pair reduced to its top k
+    overlap directions, k = 1..n, from one projection per trial.
+
+    Each trial's pair is reduced to all n directions in kept order, and its
+    symmetrized pair formed once; the k-th energy is the lowest eigenvalue of
+    its leading k x k block.  Entry (t, k - 1) agrees with
+    top_k_ground_energies at k within the same bound, and is nan exactly
+    where it is nan: the leading block takes the k kept eigenvalues, and is
+    not finite where one of them is <= 0 or overflows the pair.  Every trial
+    is projected onto all n directions, so its bits do not depend on its
+    neighbours in the stack.
+    """
+    trials, n = vals.shape
+    # Fresh copies in kept order: on a reversed view, numpy's power rounds
+    # some entries differently, and differently with the stack's size.
+    v = vecs[:, :, ::-1].copy()
+    with np.errstate(all="ignore"):
+        a = _hermitize(v.conj().swapaxes(1, 2) @ h @ v)
+    sym = _symmetrized(vals[:, ::-1].copy(), a)
+    energies = np.full((n, trials), math.nan)
+    everyone = np.arange(trials)
+    for dim in range(1, n + 1):
+        _ground_energies(sym[:, :dim, :dim], energies[dim - 1], everyone)
+    return energies.T
 
 
 def chi_between_thresholds(

@@ -22,11 +22,14 @@ drivers build rows, from a generator, and `write_csv` writes them as they
 come, so no run holds its rows.  Error-norms and perturbation-bound hand over
 each budget's trial rows as one block of columns.  No driver checks its values
 for nan or infinity: `write_csv` refuses them.  The sampled-pair chunks solve
-a block's reduced pairs as stacks, one batched solve per retained dimension
-(`gevp.top_k_ground_energies`); perturbation-bound takes chi and the
-assumption flags from the same stacks.  Toeplitz stacks, sampled and exact,
-come in real form (`sampling.Sampler.stack`, `sampling.expected_pair`), and
-every overlap eigendecomposition of a pair, sampled or exact, goes through
+a block's reduced pairs as stacks, for their eigenvalues only: the threshold
+rule in one batched solve per retained dimension
+(`gevp.top_k_ground_energies`), the retained-dimension sweep from one
+projection of each trial onto all n directions (`gevp.top_k_sweep`).
+Perturbation-bound takes chi and the assumption flags from the same stacks.
+Toeplitz stacks, sampled and exact, come in real form
+(`sampling.Sampler.stack`, `sampling.expected_pair`), and every overlap
+eigendecomposition of a pair, sampled or exact, goes through
 `gevp.overlap_eigh`, which gives S's eigenvectors in H's basis.
 """
 
@@ -34,12 +37,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import Counter, deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+)
 
 import numpy as np
 
@@ -53,6 +58,7 @@ from ..gevp import (
     overlap_eigh,
     solve_gevp,
     top_k_ground_energies,
+    top_k_sweep,
 )
 from ..hamiltonian import (
     UnitaryPartition,
@@ -81,11 +87,15 @@ from .records import (
     write_csv,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
 _WEYL_SLACK = 1e-12
 _BOUND_SLACK = 1e-9
 _E0_TOL = 1e-12  # |E0| below this fraction of sum_j beta_j counts as zero
 # An exact overlap eigenvalue at most this times n lambda_max(S) is rounding
-# noise past S's rank: the exact pair kept to it has no ideal energy.
+# noise past S's rank (`_past_rank`): it is written as na, and so is the ideal
+# energy of the exact pair kept to it.
 _RANK_FLOOR = np.finfo(float).eps
 # Nominal bytes (`_trial_bytes`) of one trial block; the draw grid's
 # temporaries make a block's real peak a few times this.
@@ -172,6 +182,18 @@ def _plan_for(kind: str, construction: str, m: int, n: int, betas: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported when it is first asked for.  Only a run
+    of more than one worker opens a pool, so importing this module and a
+    one-worker run leave the pool machinery unimported; the name is still a
+    module attribute, which callers may replace."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _chunk_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, trials))
     base, rem = divmod(trials, parts)
@@ -207,6 +229,11 @@ class _Fanout:
     def __init__(self, cfg: ExperimentConfig):
         self.trials = cfg.trials
         self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
+        # The pool class, imported here, before the run builds its system
+        # (`_run`), so that its import counts as set-up.
+        self._executor = None
+        if self.workers > 1:
+            self._executor = sys.modules[__name__].ProcessPoolExecutor
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def __enter__(self) -> _Fanout:
@@ -219,7 +246,7 @@ class _Fanout:
 
     def pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = self._executor(max_workers=self.workers)
         return self._pool
 
     def _blocks(self, trial_bytes: int, parts: int) -> list[tuple[int, int]]:
@@ -291,20 +318,34 @@ def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 
+class _Ran(NamedTuple):
+    """A task run inline, whose result is read as a pool future's is."""
+
+    value: list
+
+    def result(self) -> list:
+        return self.value
+
+
 def _map_chunks(
     fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
-) -> Future:
+) -> Future | _Ran:
     """Hand out the task [fn(r) per trial block r, in order]: run inline at
-    one worker, else submitted to the pool; either way, its future."""
+    one worker, else submitted to the pool; either way, something whose
+    result() is the list."""
     if fanout.workers == 1:
-        ran = Future()
-        ran.set_result(_run_blocks(fn, ranges))
-        return ran
+        return _Ran(_run_blocks(fn, ranges))
     return fanout.pool().submit(_run_blocks, fn, ranges)
 
 
 def _run_blocks(fn: Callable, ranges: Sequence[tuple[int, int]]) -> list:
     return [fn(r) for r in ranges]
+
+
+def _past_rank(descending: np.ndarray, n: int) -> np.ndarray:
+    """Where an exact overlap spectrum, sorted descending, is rounding noise:
+    at most n eps_mach lambda_max(S)."""
+    return descending <= n * _RANK_FLOOR * descending[0]
 
 
 def _spec_norms(stack: np.ndarray) -> np.ndarray:
@@ -463,21 +504,11 @@ def _spectrum_columns(args, stacks, i):
     return vals, _spec_norms(stack)
 
 
-def _top_k_sweep(h_stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """(T, n) ground energies keeping each trial's top k directions, k = 1..n."""
-    trials, n = vals.shape
-    ks = range(1, n + 1)
-    return np.stack(
-        [top_k_ground_energies(h_stack, vals, vecs, np.full(trials, k)) for k in ks],
-        axis=1,
-    )
-
-
 def _sweep_columns(args, stacks, i):
     """(top-k energies for k = 1..n, n_eps) per trial."""
     h_stack, s_stack, vals, vecs, dims = _sampled_eigh(stacks, args[0].feasible[i].eps)
     del s_stack  # S~ is not needed past its eigendecomposition
-    return _top_k_sweep(h_stack, vals, vecs), dims
+    return top_k_sweep(h_stack, vals, vecs), dims
 
 
 def _scan_columns(args, stacks, i):
@@ -621,7 +652,8 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     """Exact overlap spectrum next to the sampled spectra, per budget.
 
     The rows have no n column, so the config must list one Krylov order.
-    Eigenvalues are reported descending (index 1 = largest).  weyl_fraction
+    Eigenvalues are reported descending (index 1 = largest); an exact one at
+    rounding level, past S's rank (`_past_rank`), is na.  weyl_fraction
     is the fraction of trials with |perturbed - exact| <= ||Delta_S|| for that
     index; the threshold column carries eps = e_S / sqrt(M_S).
     """
@@ -642,13 +674,14 @@ def _spectrum_rows(
         if share is None:
             raise InfeasibleBudgetError(budget.note)
         exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
+        noise = _past_rank(exact_vals, cell.n)
         vals, ds_norms = share  # vals: (T, n) descending
         dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
         for i in range(cell.n):
             yield {
                 "m_budget": budget.m,
                 "index": i + 1,
-                "exact_value": float(exact_vals[i]),
+                "exact_value": None if noise[i] else float(exact_vals[i]),
                 "mean_value": float(np.mean(vals[:, i])),
                 "std_value": float(np.std(vals[:, i])),
                 "epsilon": budget.eps,
@@ -676,9 +709,8 @@ def _sweep_rows(
         is rounding noise (at most n eps_mach lambda_max(S))."""
         h, s = cell.h_exact[None], cell.s_exact[None]
         vals, vecs = overlap_eigh(h, s)
-        ideal = _rel_errors(_top_k_sweep(h, vals, vecs)[0], e0)
-        kept = vals[0, ::-1]  # the k-th kept eigenvalue at k - 1
-        ideal[kept <= cell.n * _RANK_FLOOR * kept[0]] = math.nan
+        ideal = _rel_errors(top_k_sweep(h, vals, vecs)[0], e0)
+        ideal[_past_rank(vals[0, ::-1], cell.n)] = math.nan  # k-th kept at k - 1
         return (ideal,)
 
     for (cell, ideal), budget, share in _sampled(

@@ -43,7 +43,11 @@ from .config import ExperimentConfig
 # symmetric form, which moves last bits of every driver; the sweep writes na
 # for an ideal error past the exact overlap's rank, and optimal-threshold's
 # mean_n_eps averages over every trial, as the sweep's does.
-ARTIFACT_VERSION = "0.6.0"
+# 0.7.0: reduced pairs are solved for their eigenvalues only (eigvalsh), and
+# the sweep takes every k from one projection onto all n overlap directions,
+# which moves last bits of the sweep and of perturbation-bound's e0_sampled;
+# singular-spectrum writes na for an exact value past the overlap's rank.
+ARTIFACT_VERSION = "0.7.0"
 
 ERROR_NORM_COLUMNS = (
     "row_kind", "construction", "kind", "n", "m_budget", "trial",

@@ -245,6 +245,28 @@ def test_run_never_imports_scipy(conf, tmp_path, mode):
         assert out.exists()
 
 
+def test_one_worker_run_never_imports_the_pool(conf, tmp_path):
+    """The process-pool machinery is imported only where a pool may open:
+    importing the CLI, and a one-worker run, leave it out of sys.modules."""
+    script = (
+        "import sys; from qksd.cli import main; "
+        "pool = 'concurrent.futures.process'; "
+        "assert pool not in sys.modules, 'on import'; "
+        "rc = main(sys.argv[1:]); "
+        "assert pool not in sys.modules, 'after the run'; "
+        "sys.exit(rc)"
+    )
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "threshold-sweep", "--config", str(conf),
+         "--workers", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+
+
 @pytest.mark.skipif(
     shutil.which("qksd") is None,
     reason="the `qksd` console script is not on PATH (package not installed)",

@@ -16,6 +16,7 @@ from qksd.gevp import (
     eigenangle_check,
     solve_gevp,
     top_k_ground_energies,
+    top_k_sweep,
     top_k_thresholding,
 )
 
@@ -182,17 +183,26 @@ def random_stack(spectrum, trials, seed):
 
 def shared_energies(h_stack, vals, vecs, epsilon):
     """From one batched eigh(S): the (T, n) top-k energies, k = 1..n, as the
-    sweep driver solves them, and the eps rule's (energies, n_eps) per trial."""
-    trials, n = vals.shape
-    sweep = np.stack(
-        [
-            top_k_ground_energies(h_stack, vals, vecs, np.full(trials, k))
-            for k in range(1, n + 1)
-        ],
-        axis=1,
-    )
+    sweep driver solves them, and the eps rule's (energies, n_eps) per trial,
+    as the scan solves them."""
     dims = np.count_nonzero(vals > epsilon, axis=1)
-    return sweep, top_k_ground_energies(h_stack, vals, vecs, dims), dims
+    rule = top_k_ground_energies(h_stack, vals, vecs, dims)
+    return top_k_sweep(h_stack, vals, vecs), rule, dims
+
+
+def rounding_bound(h, w, k):
+    """First-order rounding bound of a reduced pair's ground energy:
+    8 k eps_mach ||H||_2 / w_k, with w_k the k-th largest overlap eigenvalue
+    of w (ascending, as eigh returns it), the smallest one kept."""
+    return 8 * k * np.finfo(float).eps * np.linalg.norm(h, 2) / w[len(w) - k]
+
+
+def assert_energy_agrees(got, want, h, w, k):
+    """Ground energies of one pair reduced to its top k directions: both nan,
+    or within rounding_bound of each other."""
+    assert math.isnan(got) == math.isnan(want), (k, got, want)
+    if not math.isnan(want):
+        assert abs(got - want) <= rounding_bound(h, w, k), (k, got, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -213,7 +223,10 @@ def shared_energies(h_stack, vals, vecs, epsilon):
 @example(spectrum=[-0.2, -0.1], trials=1, seed=2, epsilon=0.0)  # nothing positive
 @example(spectrum=[0.3, 0.5, 0.9], trials=2, seed=3, epsilon=1.1)  # eps above all
 def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, epsilon):
-    """One batched eigh(S) shared by every k and the eps rule gives the oracle's bits.
+    """One batched eigh(S) shared by every k and the eps rule agrees with the
+    oracle, which thresholds and solves each trial and k afresh: the same nan
+    pattern and n_eps, and energies within the reduced pair's first-order
+    rounding bound (`rounding_bound`).
 
     Energies are finite wherever every kept overlap eigenvalue is >= 1e-150;
     below that, B^{-1/2} A B^{-1/2} can overflow, and both paths give nan.
@@ -227,16 +240,18 @@ def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, ep
         h_stack, s_stack, vals, sweep, rule_energies, dims
     ):
         top_k, rule = per_trial_energies(h, s, epsilon)
-        assert np.array_equal(shared, top_k, equal_nan=True)
-        assert np.array_equal((e_rule, n_rule), rule, equal_nan=True)
+        for k, (got, want) in enumerate(zip(shared, top_k), 1):
+            assert_energy_agrees(got, want, h, w, k)
+        assert n_rule == rule[1]
         positives = int(np.count_nonzero(w > 0))
         representable = int(np.count_nonzero(w >= 1e-150))
         assert np.isfinite(top_k[:representable]).all()
         assert np.isnan(top_k[positives:]).all()
         if rule[1] == 0:
-            assert not (w > epsilon).any() and math.isnan(rule[0])
+            assert not (w > epsilon).any() and math.isnan(rule[0]) and math.isnan(e_rule)
         else:  # the rule keeps the top n_eps directions, as the sweep's k = n_eps
-            assert np.array_equal(e_rule, shared[n_rule - 1], equal_nan=True)
+            assert_energy_agrees(e_rule, rule[0], h, w, n_rule)
+            assert_energy_agrees(e_rule, shared[n_rule - 1], h, w, n_rule)
 
 
 def test_shared_decomposition_tiny_overlap_spectrum():
@@ -326,6 +341,71 @@ def test_mixed_stack_solves_each_trial_alone():
             ]
         assert np.array_equal(batch, alone, equal_nan=True), k
         assert np.isnan(batch).tolist() == nan, k
+
+
+def sweep_block(dtype):
+    """A block of nine trials of n = 6: six with a positive definite overlap,
+    then one whose overlap has no positive eigenvalue, one with a zero and a
+    negative one, and one whose smallest kept eigenvalue (5e-320) overflows
+    its pair.  Real stacks are the Toeplitz real form's case, complex ones
+    the elementwise."""
+    rng = np.random.default_rng(21)
+    n = 6
+    spectra = [
+        *(np.append(1.0, rng.uniform(1e-3, 1.0, size=n - 1)) for _ in range(6)),
+        [-0.2, -0.1, -0.3, -0.05, -0.4, -0.01],
+        [1.0, 0.3, 0.5, 0.2, 0.0, -0.2],
+        [5e-320, 0.1, 0.2, 0.4, 0.5, 1.0],
+    ]
+    h_stack, vals, vecs = [], [], []
+    for spectrum in spectra:
+        g = rng.normal(size=(n, n)).astype(dtype)
+        q = rng.normal(size=(n, n)).astype(dtype)
+        if dtype is complex:
+            g += 1j * rng.normal(size=(n, n))
+            q += 1j * rng.normal(size=(n, n))
+        q = np.linalg.qr(q)[0]
+        s = (q * np.array(spectrum)) @ q.conj().T
+        h_stack.append(0.5 * (g + g.conj().T))
+        vals.append(np.sort(spectrum))  # exactly, so the zero stays zero
+        vecs.append(np.linalg.eigh(0.5 * (s + s.conj().T))[1])
+    vecs[-1] = np.eye(n, dtype=dtype)
+    return np.array(h_stack), np.array(vals), np.array(vecs)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_sweep_solves_each_trial_alone(dtype):
+    """A trial's top-k energies, k = 1..n, get the same bits alone and inside
+    a block whose neighbours keep nothing, hold non-positive overlap
+    eigenvalues or overflow; nan exactly where a kept eigenvalue is <= 0 or
+    overflows the pair."""
+    h_stack, vals, vecs = sweep_block(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = top_k_sweep(h_stack, vals, vecs)
+        alone = [
+            top_k_sweep(h_stack[t : t + 1], vals[t : t + 1], vecs[t : t + 1])[0]
+            for t in range(len(h_stack))
+        ]
+    assert np.array_equal(block, alone, equal_nan=True)
+    assert np.isnan(block).tolist() == [[False] * 6] * 6 + [
+        [True] * 6,
+        [False] * 4 + [True] * 2,
+        [False] * 5 + [True],
+    ]
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_sweep_matches_uniform_k_solves(dtype):
+    """Each sweep entry (t, k - 1) agrees with top_k_ground_energies at a
+    uniform k: the same nan pattern, and energies within the reduced pair's
+    first-order rounding bound."""
+    h_stack, vals, vecs = sweep_block(dtype)
+    sweep = top_k_sweep(h_stack, vals, vecs)
+    for k in range(1, vals.shape[1] + 1):
+        uniform = top_k_ground_energies(h_stack, vals, vecs, np.full(len(vals), k))
+        for h, w, got, want in zip(h_stack, vals, sweep[:, k - 1], uniform):
+            assert_energy_agrees(got, want, h, w, k)
 
 
 def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):

@@ -90,6 +90,10 @@ def test_every_definition_is_reached(tmp_path, monkeypatch):
         argv = [DRIVER_OF[config.stem], "--config", str(config), "--trials", "2"]
         assert cli.main([*argv, "--out", str(out), *extra]) == 0
 
+    # drivers imports its pool class on first use (its module __getattr__);
+    # an earlier test's patch leaves a copy bound, which this run drops so
+    # that the two-worker run below imports it as a fresh process does
+    monkeypatch.delitem(vars(drivers), "ProcessPoolExecutor", raising=False)
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
