@@ -2,13 +2,18 @@
 
 The raw pair (H, S) is ill-conditioned: S is a Gram matrix whose spectrum
 decays fast, so noise in the small singular directions wrecks a direct solve.
-basis_thresholding projects both matrices onto the eigenvectors of S with
-eigenvalue above a cutoff, giving a reduced pair (A, B) with B diagonal and
-safely positive.  solve_gevp then symmetrizes with B^{-1/2}.  When only the
-ground energy is wanted, the stacked solvers work from a batched eigh(S), so
-one decomposition per trial serves every k and the threshold rule, and take
-eigenvalues only: top_k_ground_energies reduces each trial to its own top k
-directions, and top_k_sweep projects each trial once onto all n directions
+Every thresholding keeps a leading run of S's eigenvectors and projects both
+matrices onto them, giving a reduced pair (A, B) with B diagonal and safely
+positive.  overlap_eigh decomposes S in kept order, largest eigenvalue
+first, so each rule takes a prefix: basis_thresholding the directions above
+a cutoff, top_k_thresholding the first k.  solve_gevp then symmetrizes with
+B^{-1/2}.
+
+_reduced_groups forms every reduced A, for one matrix as a one-trial stack
+and for stacks of trials, so one batched overlap eigh per trial serves every
+k and the threshold rule.  When only the ground energy is wanted, the stacked
+solvers take eigenvalues only: top_k_ground_energies reduces each trial to
+its own top k directions, and top_k_sweep reduces each trial once to all n
 and solves the leading block of every k.  Both agree with the per-matrix
 solve within the reduced pair's first-order rounding bound,
 8 k eps_mach ||H||_2 / w_k for w_k the smallest kept overlap eigenvalue.
@@ -16,8 +21,7 @@ solve within the reduced pair's first-order rounding bound,
 The pair comes in the bases `sampling` builds it in: S in real symmetric form,
 H in real form too under the Toeplitz construction, where every step is real
 arithmetic, or complex in its sampled basis.  overlap_eigh owns that rule: it
-returns S's eigenvectors in H's basis, and every thresholding goes through it.
-B is real either way.
+returns S's eigenvectors in H's basis.  B is real either way.
 
 Perturbations are compared in the eigenangle coordinate arctan(E), where the
 conditioning is governed by d0 = |x0^dag (A + iB) x0|.  The deviation between
@@ -74,16 +78,16 @@ class GevpSolution:
 
 
 def _project(
-    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray
+    h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, dim: int
 ) -> ThresholdResult:
-    """Reduced pair on the overlap eigenvectors `keep`, in the order given."""
-    v_kept = vecs[:, keep]
-    a = _hermitize(v_kept.conj().T @ h @ v_kept)
-    return ThresholdResult(A=a, B=np.diag(vals[keep]), V_kept=v_kept)
+    """Reduced pair on the first `dim` overlap directions, as a one-trial stack."""
+    ((_, w, vh, a),) = _reduced_groups(h[None], vals[None], vecs[None], np.array([dim]))
+    return ThresholdResult(A=a[0], B=np.diag(w[0]), V_kept=vh[0].conj().T)
 
 
 def overlap_eigh(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the overlap S (or a stack of them), its eigenvectors in H's basis.
+    """eigh of the overlap S (or a stack of them) in kept order, largest
+    eigenvalue first, its eigenvectors in H's basis.
 
     A real S is in real form (`krylov.toeplitz_real_form`), and so is a real
     H, so S's eigenvectors w serve as they are.  A complex H beside a real S
@@ -91,6 +95,7 @@ def overlap_eigh(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Q w (`krylov.from_real_form`).  A complex S is in H's basis already.
     """
     vals, vecs = np.linalg.eigh(s)
+    vals, vecs = vals[..., ::-1].copy(), vecs[..., ::-1]
     if np.iscomplexobj(h) and not np.iscomplexobj(s):
         vecs = from_real_form(vecs)
     return vals, vecs
@@ -100,7 +105,7 @@ def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> Threshol
     """Project (H, S) onto eigenvectors of S with eigenvalue > epsilon.
 
     Returns A = V^dag H V and B = V^dag S V = diag of the retained eigenvalues,
-    ordered descending.  Raises EmptyBasisError when nothing survives.
+    in kept order.  Raises EmptyBasisError when nothing survives.
     """
     h = np.asarray(h)
     s = np.asarray(s)
@@ -109,37 +114,35 @@ def basis_thresholding(h: np.ndarray, s: np.ndarray, epsilon: float) -> Threshol
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     vals, vecs = overlap_eigh(h, s)
-    keep = np.flatnonzero(vals > epsilon)
-    if keep.size == 0:
+    dim = int(np.count_nonzero(vals > epsilon))
+    if dim == 0:
         raise EmptyBasisError(
             f"no overlap eigenvalue exceeds epsilon = {epsilon:g}"
         )
-    keep = keep[::-1]  # eigh is ascending; retain descending
-    return _project(h, vals, vecs, keep)
+    return _project(h, vals, vecs, dim)
 
 
 def top_k_thresholding(h: np.ndarray, s: np.ndarray, k: int) -> ThresholdResult:
-    """Keep exactly the k largest overlap directions regardless of magnitude.
+    """Keep the first k overlap directions in kept order, the k largest,
+    regardless of magnitude: the per-matrix form of top_k_sweep's k-th entry.
 
-    Used by the retained-dimension sweep, where the x-axis is the dimension
-    itself rather than a threshold value.  Directions with nonpositive
-    eigenvalue are never kept; asking for more raises EmptyBasisError if
-    nothing is positive, IllPosedError if k exceeds the positive count.
+    Directions with nonpositive eigenvalue are never kept; asking for more
+    raises EmptyBasisError if nothing is positive, IllPosedError if k exceeds
+    the positive count.
     """
     h = np.asarray(h)
     s = np.asarray(s)
     if not 1 <= k <= s.shape[0]:
         raise ValueError(f"k must lie in 1..{s.shape[0]}")
     vals, vecs = overlap_eigh(h, s)
-    positive = np.flatnonzero(vals > 0)
-    if positive.size == 0:
+    positive = int(np.count_nonzero(vals > 0))
+    if positive == 0:
         raise EmptyBasisError("overlap matrix has no positive eigenvalue")
-    if positive.size < k:
+    if positive < k:
         raise IllPosedError(
-            f"only {positive.size} positive overlap directions, {k} requested"
+            f"only {positive} positive overlap directions, {k} requested"
         )
-    keep = np.argsort(vals)[::-1][:k]
-    return _project(h, vals, vecs, keep)
+    return _project(h, vals, vecs, k)
 
 
 def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
@@ -193,23 +196,22 @@ def solve_gevp(a: np.ndarray, b: np.ndarray) -> GevpSolution:
 def _reduced_groups(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray, k: np.ndarray):
     """(rows, w, V^dag, A) per retained dimension of a (T, n, n) stack.
 
-    (vals, vecs) = eigh of the overlap stack, so trial t's top k[t]
-    directions are the columns n - 1, ..., n - k[t], kept in that order as
-    basis_thresholding keeps them (top_k_thresholding too, except on exact
-    ties).  The trials `rows` share one k > 0: w holds their (g, k) kept
-    eigenvalues, V^dag the (g, k, n) adjoints of the kept columns, and
-    A = herm(V^dag H V) their reduced H.  Trials with k = 0 are in no group;
-    a group of every trial takes h as it is, without gathering a copy.
+    (vals, vecs) = overlap_eigh of the overlap stack, so trial t keeps its
+    first k[t] directions.  The trials `rows` share one k > 0: w holds their
+    (g, k) kept eigenvalues, V^dag the (g, k, n) adjoints of the kept columns,
+    and A = herm(V^dag H V) their reduced H.  Trials with k = 0 are in no
+    group; a group of every trial takes h as it is, without gathering a copy.
     """
-    n = vals.shape[1]
     for dim in set(k.tolist()) - {0}:
         rows = np.flatnonzero(k == dim)
-        keep = np.arange(n - 1, n - 1 - dim, -1)
-        vh = vecs[rows[:, None], :, keep].conj()
+        # v and w are fresh C-contiguous copies: on strided views, numpy's
+        # matmul and power round some entries differently.
+        v = np.ascontiguousarray(vecs[rows, :, :dim])
+        vh = v.conj().swapaxes(1, 2)
         h_rows = h if len(rows) == len(k) else h[rows]
         with np.errstate(all="ignore"):
-            a = _hermitize(vh @ h_rows @ vh.conj().swapaxes(1, 2))
-        yield rows, vals[rows[:, None], keep], vh, a
+            a = _hermitize(vh @ h_rows @ v)
+        yield rows, vals[rows, :dim], vh, a
 
 
 def _ground_energies(sym: np.ndarray, energies: np.ndarray, rows: np.ndarray) -> None:
@@ -252,26 +254,19 @@ def top_k_sweep(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray
     """(T, n) ground energies of each trial's pair reduced to its top k
     overlap directions, k = 1..n, from one projection per trial.
 
-    Each trial's pair is reduced to all n directions in kept order, and its
-    symmetrized pair formed once; the k-th energy is the lowest eigenvalue of
-    its leading k x k block.  Entry (t, k - 1) agrees with
-    top_k_ground_energies at k within the same bound, and is nan exactly
-    where it is nan: the leading block takes the k kept eigenvalues, and is
-    not finite where one of them is <= 0 or overflows the pair.  Every trial
-    is projected onto all n directions, so its bits do not depend on its
-    neighbours in the stack.
+    The stack is reduced once at k = n (`_reduced_groups`) and symmetrized
+    once; the k-th energy is the lowest eigenvalue of the leading k x k block.
+    Entry (t, k - 1) agrees with top_k_ground_energies at k within the same
+    bound, and is nan exactly where it is nan: the leading block takes the k
+    kept eigenvalues, and is not finite where one of them is <= 0 or
+    overflows the pair.
     """
     trials, n = vals.shape
-    # Fresh copies in kept order: on a reversed view, numpy's power rounds
-    # some entries differently, and differently with the stack's size.
-    v = vecs[:, :, ::-1].copy()
-    with np.errstate(all="ignore"):
-        a = _hermitize(v.conj().swapaxes(1, 2) @ h @ v)
-    sym = _symmetrized(vals[:, ::-1].copy(), a)
+    ((rows, w, _, a),) = _reduced_groups(h, vals, vecs, np.full(trials, n))
+    sym = _symmetrized(w, a)
     energies = np.full((n, trials), math.nan)
-    everyone = np.arange(trials)
     for dim in range(1, n + 1):
-        _ground_energies(sym[:, :dim, :dim], energies[dim - 1], everyone)
+        _ground_energies(sym[:, :dim, :dim], energies[dim - 1], rows)
     return energies.T
 
 

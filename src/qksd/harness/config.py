@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..errors import ConfigError
 from ..krylov import CONSTRUCTIONS
-from ..sampling import MODES, decay_exponent
+from ..sampling import MODES
 
 # Above this total budget the float64 budget split can round its per-part
 # floors past the total.
@@ -142,8 +142,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-# Config key -> (ExperimentConfig field, parser).  hardware_r and
-# hardware_depth, which set hardware_lambda as a pair, are read on their own.
+# Config key -> (ExperimentConfig field, parser).
 _KEYS = {
     "L": ("sites", _parse_int),
     "t": ("t_hop", _parse_float),
@@ -162,34 +161,15 @@ _KEYS = {
     "out": ("out", _parse_str),
     "workers": ("workers", _parse_int),
 }
-_HARDWARE_PAIR = ("hardware_r", "hardware_depth")
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    unknown = set(raw) - set(_KEYS) - set(_HARDWARE_PAIR)
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {
         field: parse(key, raw[key]) for key, (field, parse) in _KEYS.items() if key in raw
     }
-
-    # decay: either a direct exponent or (fidelity, depth), not both
-    pair = [key for key in _HARDWARE_PAIR if key in raw]
-    if pair:
-        if "hardware_lambda" in raw:
-            raise ConfigError("give hardware_lambda or (hardware_r, hardware_depth), not both")
-        if len(pair) < 2:
-            raise ConfigError("hardware_r and hardware_depth must be given together")
-        r = _parse_float("hardware_r", raw["hardware_r"])
-        depth = _parse_int("hardware_depth", raw["hardware_depth"])
-        if depth < 0:
-            raise ConfigError("hardware_depth must be >= 0")
-        sites = kwargs.get("sites", ExperimentConfig.sites)
-        try:
-            kwargs["hardware_lambda"] = decay_exponent(r, 2 * sites, depth)
-        except ValueError as exc:
-            raise ConfigError(f"hardware_r: {exc}") from None
-
     return ExperimentConfig(**kwargs)
 
 

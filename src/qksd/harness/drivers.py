@@ -30,7 +30,8 @@ Perturbation-bound takes chi and the assumption flags from the same stacks.
 Toeplitz stacks, sampled and exact, come in real form
 (`sampling.Sampler.stack`, `sampling.expected_pair`), and every overlap
 eigendecomposition of a pair, sampled or exact, goes through
-`gevp.overlap_eigh`, which gives S's eigenvectors in H's basis.
+`gevp.overlap_eigh`, which gives S's eigenpairs in kept order, largest
+first, with its eigenvectors in H's basis.
 """
 
 from __future__ import annotations
@@ -474,12 +475,10 @@ def _per_budget(columns_of: Callable, args, rng: tuple[int, int]) -> tuple:
 
 def _sampled_eigh(stacks: dict, eps: float):
     """A block's sampled H~ and S~ stacks, taken out of `stacks` so that the
-    caller alone holds them, eigh of S~ with its eigenvectors in H~'s basis
-    (`gevp.overlap_eigh`), and each trial's n_eps under the threshold rule (0
-    if nothing survives).
-
-    eigh's eigenvalues ascend, so the rule keeps each trial's top n_eps
-    directions, in the order basis_thresholding keeps them.
+    caller alone holds them, S~'s eigenpairs in kept order with its
+    eigenvectors in H~'s basis (`gevp.overlap_eigh`), and each trial's n_eps
+    under the threshold rule (0 if nothing survives): its first n_eps
+    directions, as basis_thresholding keeps them.
     """
     h_stack, s_stack = stacks.pop("H"), stacks.pop("S")
     vals, vecs = overlap_eigh(h_stack, s_stack)
@@ -531,10 +530,9 @@ def _perturbation_columns(args, stacks, i):
     energies = top_k_ground_energies(h_stack, vals, vecs, dims)
     chis = chi_between_thresholds(ex, h_stack, vals, vecs, dims)
     chi_small, angle_gap = eigenangle_check(sol_ex, chis, float(np.min(ex.b_diagonal)))
-    n = vals.shape[1]
-    smallest_kept = vals[np.arange(len(dims)), n - np.maximum(dims, 1)]
+    smallest_kept = vals[np.arange(len(dims)), np.maximum(dims, 1) - 1]
     cond_s = np.divide(
-        vals[:, n - 1], smallest_kept, out=np.full(len(dims), math.nan), where=dims > 0
+        vals[:, 0], smallest_kept, out=np.full(len(dims), math.nan), where=dims > 0
     )
     h_stack -= cell.h_exact
     s_stack -= cell.s_exact
@@ -710,7 +708,7 @@ def _sweep_rows(
         h, s = cell.h_exact[None], cell.s_exact[None]
         vals, vecs = overlap_eigh(h, s)
         ideal = _rel_errors(top_k_sweep(h, vals, vecs)[0], e0)
-        ideal[_past_rank(vals[0, ::-1], cell.n)] = math.nan  # k-th kept at k - 1
+        ideal[_past_rank(vals[0], cell.n)] = math.nan  # k-th kept at k - 1
         return (ideal,)
 
     for (cell, ideal), budget, share in _sampled(

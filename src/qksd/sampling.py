@@ -421,15 +421,3 @@ def sample_hamiltonian_ensemble(
         raise ValueError("H plan does not match the construction")
     sampler = Sampler(targets, [plan_h], noise)
     return sampler.stack(sampler.draw(trials, first_trial), 0)
-
-
-# ---------------------------------------------------------------------------
-# Hardware decay
-# ---------------------------------------------------------------------------
-
-
-def decay_exponent(r: float, n_qubits: int, depth: int) -> float:
-    """lambda = N_q * D * ln(1/r) for per-qubit-per-layer fidelity r."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError("fidelity r must lie in (0, 1]")
-    return n_qubits * depth * math.log(1.0 / r)

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 
 from qksd.errors import EmptyBasisError, IllPosedError
 from qksd.gevp import (
+    _reduced_groups,
     basis_thresholding,
     chi_between_thresholds,
     eigenangle_check,
+    overlap_eigh,
     solve_gevp,
     top_k_ground_energies,
     top_k_sweep,
     top_k_thresholding,
 )
+from qksd.krylov import toeplitz_real_form
 
-from oracles import chi_reference, eigenangle_flags_reference
+from oracles import chi_reference, eigenangle_flags_reference, exchange_unitary
 
 
 def random_pair(n, rng, s_floor=1e-3):
@@ -94,6 +97,71 @@ def test_top_k_validation():
         top_k_thresholding(h, s, 0)
     with pytest.raises(EmptyBasisError):
         top_k_thresholding(h, -np.eye(3, dtype=complex), 3)
+
+
+def overlap_case(basis, spectrum, seed):
+    """(H, S, S in H's basis) of one basis case: a real H beside S in real
+    form (the Toeplitz construction), a complex H in its sampled basis beside
+    S in real form (elementwise), or complex H and S both in the sampled
+    basis.  A `spectrum` makes the S passed diagonal with exactly those
+    eigenvalues; without one, S is the real form of a random positive definite
+    Hermitian Toeplitz matrix T, or T itself."""
+    rng = np.random.default_rng(seed)
+    n = 5 if spectrum is None else len(spectrum)
+    if spectrum is None:
+        seq = rng.uniform(-0.1, 0.1, size=n) + 1j * rng.uniform(-0.1, 0.1, size=n)
+        seq[0] = 1.0  # diagonally dominant, so every eigenvalue is positive
+        real_s = toeplitz_real_form(seq)
+    else:
+        real_s = np.diag(spectrum)
+    q = exchange_unitary(n)
+    sampled_s = q @ real_s @ q.conj().T  # T, in the sampled basis
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = 0.5 * (g + g.conj().T)
+    if basis == "real":
+        return 0.5 * (h.real + h.real.T), real_s, real_s
+    if basis == "complex_h":
+        return h, real_s, sampled_s
+    if spectrum is not None:
+        sampled_s = real_s.astype(complex)
+    return h, sampled_s, sampled_s
+
+
+@pytest.mark.parametrize("basis", ("real", "complex_h", "complex"))
+@pytest.mark.parametrize(
+    "spectrum", (None, [0.5, 1.0, 0.5, 0.1, 0.5]), ids=("toeplitz", "repeated")
+)
+def test_overlap_eigh_kept_order(basis, spectrum):
+    """overlap_eigh gives S's eigenpairs in kept order, largest first, with
+    S v = lambda v in H's basis; both thresholdings return the one-trial
+    stacked reduction of a prefix, bit for bit, with a cut inside a repeated
+    eigenvalue too (k = 2, 3 of the repeated spectrum)."""
+    h, s, s_in_h_basis = overlap_case(basis, spectrum, seed=13)
+    vals, vecs = overlap_eigh(h, s)
+    n = len(vals)
+    assert vecs.dtype == h.dtype and vals.flags.c_contiguous
+    assert np.all(np.diff(vals) <= 0)
+    if spectrum is not None:
+        assert vals.tolist() == sorted(spectrum, reverse=True)
+    residual = s_in_h_basis @ vecs - vecs * vals
+    assert np.abs(residual).max() <= 1e-14 * n * vals[0]
+    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= 1e-14 * n
+
+    def stacked(dim):
+        ((rows, w, vh, a),) = _reduced_groups(
+            h[None], vals[None], vecs[None], np.array([dim])
+        )
+        assert rows.tolist() == [0]
+        return a[0], np.diag(w[0]), vh[0].conj().T
+
+    cuts = [(top_k_thresholding(h, s, k), k) for k in range(1, n + 1)]
+    for eps in (0.0, *(0.5 * (vals[:-1] + vals[1:]))):
+        cuts.append((basis_thresholding(h, s, eps), int(np.count_nonzero(vals > eps))))
+    for thr, dim in cuts:
+        assert thr.n_eps == dim
+        for got, want in zip((thr.A, thr.B, thr.V_kept), stacked(dim)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(thr.V_kept, vecs[:, :dim])
 
 
 def test_solve_gevp_matches_scipy():
@@ -193,8 +261,8 @@ def shared_energies(h_stack, vals, vecs, epsilon):
 def rounding_bound(h, w, k):
     """First-order rounding bound of a reduced pair's ground energy:
     8 k eps_mach ||H||_2 / w_k, with w_k the k-th largest overlap eigenvalue
-    of w (ascending, as eigh returns it), the smallest one kept."""
-    return 8 * k * np.finfo(float).eps * np.linalg.norm(h, 2) / w[len(w) - k]
+    of w (in kept order, as overlap_eigh returns it), the smallest one kept."""
+    return 8 * k * np.finfo(float).eps * np.linalg.norm(h, 2) / w[k - 1]
 
 
 def assert_energy_agrees(got, want, h, w, k):
@@ -232,7 +300,7 @@ def test_shared_decomposition_matches_per_trial_solve(spectrum, trials, seed, ep
     below that, B^{-1/2} A B^{-1/2} can overflow, and both paths give nan.
     """
     h_stack, s_stack = random_stack(spectrum, trials, seed)
-    vals, vecs = np.linalg.eigh(s_stack)
+    vals, vecs = overlap_eigh(h_stack, s_stack)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sweep, rule_energies, dims = shared_energies(h_stack, vals, vecs, epsilon)
@@ -261,7 +329,7 @@ def test_shared_decomposition_tiny_overlap_spectrum():
     that differ from vals in the last bits, so the bitwise claim does not hold.
     """
     h_stack, s_stack = random_stack([0.0, 3.06e-217], trials=3, seed=2)
-    vals, vecs = np.linalg.eigh(s_stack)
+    vals, vecs = overlap_eigh(h_stack, s_stack)
     sweep, rule_energies, dims = shared_energies(h_stack, vals, vecs, 0.0)
     for h, s, shared, e_shared, n_shared in zip(
         h_stack, s_stack, sweep, rule_energies, dims
@@ -289,8 +357,8 @@ def test_overflowing_reduced_pair_is_ill_posed():
         assert thr.b_diagonal.tolist() == [1.0, 5e-320]
         with pytest.raises(IllPosedError, match="not finite"):
             solve_gevp(thr.A, thr.B)
-        energies, (energy,), (n_eps,) = shared_energies(
-            h[None], vals[None], np.eye(2)[None], 0.0
+        energies, (energy,), (n_eps,) = shared_energies(  # in kept order
+            h[None], vals[None, ::-1], np.eye(2)[None, :, ::-1], 0.0
         )
         assert math.isfinite(energies[0, 0]) and math.isnan(energies[0, 1])
         assert math.isnan(energy) and n_eps == 2
@@ -314,13 +382,13 @@ def test_mixed_stack_solves_each_trial_alone():
     h_stack, vals, vecs = [], [], []
     for seed, spectrum in enumerate(spectra):
         h, s = random_stack(spectrum, trials=1, seed=seed)
-        w, v = np.linalg.eigh(s)
+        w, v = overlap_eigh(h, s)
         h_stack.append(h[0])
         vals.append(w[0])
         vecs.append(v[0])
     h_stack.append(h_stack[0])
-    vals.append(np.array([5e-320, 0.2, 0.5, 1.0]))
-    vecs.append(np.eye(4, dtype=complex))
+    vals.append(np.array([1.0, 0.5, 0.2, 5e-320]))
+    vecs.append(np.eye(4, dtype=complex)[:, ::-1])
     h_stack, vals, vecs = map(np.array, (h_stack, vals, vecs))
     cases = [
         (np.array([4, 4, 0, 2, 4]), [False, True, True, False, True]),
@@ -367,9 +435,9 @@ def sweep_block(dtype):
         q = np.linalg.qr(q)[0]
         s = (q * np.array(spectrum)) @ q.conj().T
         h_stack.append(0.5 * (g + g.conj().T))
-        vals.append(np.sort(spectrum))  # exactly, so the zero stays zero
-        vecs.append(np.linalg.eigh(0.5 * (s + s.conj().T))[1])
-    vecs[-1] = np.eye(n, dtype=dtype)
+        vals.append(np.sort(spectrum)[::-1])  # exactly, so the zero stays zero
+        vecs.append(overlap_eigh(h_stack[-1], 0.5 * (s + s.conj().T))[1])
+    vecs[-1] = np.eye(n, dtype=dtype)[:, ::-1]
     return np.array(h_stack), np.array(vals), np.array(vecs)
 
 
@@ -411,7 +479,7 @@ def test_sweep_matches_uniform_k_solves(dtype):
 def chi_at(h_exact, s_exact, h_pert, s_pert, epsilon):
     """chi between the two pairs, each thresholded at the same epsilon, from a
     one-trial stack; and the perturbed pair's retained dimension."""
-    vals, vecs = np.linalg.eigh(s_pert[None])
+    vals, vecs = overlap_eigh(h_pert[None], s_pert[None])
     dims = np.count_nonzero(vals > epsilon, axis=1)
     ex = basis_thresholding(h_exact, s_exact, epsilon)
     (chi,) = chi_between_thresholds(ex, h_pert[None], vals, vecs, dims)
@@ -454,11 +522,10 @@ def test_chi_invariant_to_basis_rotation():
     rng = np.random.default_rng(8)
     h, s = random_pair(6, rng, s_floor=0.2)
     ex = basis_thresholding(h, s, 1e-2)
-    vals, vecs = np.linalg.eigh(s[None])
+    vals, vecs = overlap_eigh(h[None], s[None])
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=6))
     rotated = vecs * phases  # each overlap eigenvector times its own phase
-    keep = np.arange(5, 5 - ex.n_eps, -1)
-    v_rot = rotated[0][:, keep]
+    v_rot = rotated[0][:, : ex.n_eps]
     # raw difference is large, aligned chi vanishes
     assert np.linalg.norm(v_rot.conj().T @ h @ v_rot - ex.A, 2) > 0.1
     dims = np.array([ex.n_eps])
@@ -492,7 +559,7 @@ def test_chi_stack_with_empty_basis_trial():
         h_stack.append(h + 1e-3 * dh)
         s_stack.append(s_pe)
     h_stack, s_stack = np.array(h_stack), np.array(s_stack)
-    vals, vecs = np.linalg.eigh(s_stack)
+    vals, vecs = overlap_eigh(h_stack, s_stack)
     dims = np.count_nonzero(vals > 0.1, axis=1)
     assert ex.n_eps == 4 and dims.tolist() == [4, 0, 4, 3]
     chi = chi_between_thresholds(ex, h_stack, vals, vecs, dims)
@@ -516,7 +583,7 @@ def test_whole_stack_group_matches_gathered_rows(k):
     copy, and gets the gathered form's bits: those of the same stack with one
     more trial that keeps nothing (k = 0), so that no group holds every trial."""
     h_stack, s_stack = random_stack([1.0, 0.6, 0.3, 0.1, 0.02], trials=6, seed=12)
-    vals, vecs = np.linalg.eigh(s_stack)
+    vals, vecs = overlap_eigh(h_stack, s_stack)
     k = np.array(k)
     ex = basis_thresholding(h_stack[0], s_stack[0], 0.2)
     gathered = [np.concatenate([a, a[:1]]) for a in (h_stack, vals, vecs)]

@@ -127,18 +127,15 @@ def test_config_validation():
     assert ExperimentConfig(m_list=(10**15,), seed=-(2**63)).seed == -(2**63)
 
 
-def test_hardware_decay_keys():
-    cfg = config_from_mapping(
-        {"L": "2", "hardware_r": "0.999", "hardware_depth": "100"}
-    )
-    # lambda = 2 L depth ln(1/r): qubit count is twice the site count
-    assert cfg.hardware_lambda == pytest.approx(2 * 2 * 100 * math.log(1 / 0.999))
-    with pytest.raises(ConfigError):
-        config_from_mapping({"hardware_lambda": "0.5", "hardware_r": "0.99"})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"hardware_r": "0.99"})  # depth missing
-    with pytest.raises(ConfigError):
-        config_from_mapping({"hardware_r": "1.2", "hardware_depth": "10"})
+def test_hardware_r_is_unknown_key(tmp_path, capsys):
+    """Decay is set by hardware_lambda alone: hardware_r and hardware_depth
+    are unknown keys, a config error (exit 2)."""
+    with pytest.raises(ConfigError, match="unknown config keys: hardware_depth, hardware_r"):
+        config_from_mapping({"L": "2", "hardware_r": "0.999", "hardware_depth": "100"})
+    conf = tmp_path / "decay.conf"
+    conf.write_text("L = 2\nn = 3\nM = 1e4\ntrials = 2\nhardware_r = 0.999\n")
+    assert cli.main(["error-norms", "--config", str(conf)]) == 2
+    assert "unknown config keys: hardware_r" in capsys.readouterr().err
 
 
 def test_filling_defaults():

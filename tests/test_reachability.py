@@ -16,7 +16,6 @@ from pathlib import Path
 import qksd
 from qksd import cli
 from qksd.harness import drivers
-from qksd.harness.config import config_from_mapping
 
 SRC = Path(qksd.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,10 +101,6 @@ def test_every_definition_is_reached(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(drivers, "_usable_cpus", lambda: 2)
             run(CONFIG_DIR / "threshold_sweep.conf", "--workers", "2")
-        config_from_mapping(
-            {"L": "2", "t": "0.2", "u": "0.1", "n": "5", "M": "1e6",
-             "hardware_r": "0.999", "hardware_depth": "10"}
-        )
     finally:
         sys.setprofile(previous)
 

@@ -24,7 +24,6 @@ from qksd.sampling import (
     ShotPlan,
     allocate_nontoeplitz,
     allocate_toeplitz,
-    decay_exponent,
     expected_pair,
     sample_hamiltonian_ensemble,
     sample_overlap_ensemble,
@@ -779,20 +778,6 @@ def test_collapsed_gaussian_matches_per_fragment_binomial(construction):
 # ---------------------------------------------------------------------------
 # Hardware decay
 # ---------------------------------------------------------------------------
-
-
-def test_decay_exponent_example():
-    lam = decay_exponent(0.999, 8, 100)
-    assert lam == pytest.approx(0.80040, abs=5e-6)
-    assert math.exp(-lam) == pytest.approx(0.449149, abs=1e-6)
-
-
-def test_decay_exponent_validation():
-    with pytest.raises(ValueError):
-        decay_exponent(0.0, 8, 100)
-    with pytest.raises(ValueError):
-        decay_exponent(1.2, 8, 100)
-    assert decay_exponent(1.0, 8, 100) == 0.0
 
 
 def test_decay_scales_expected_pair():
