@@ -2,21 +2,26 @@
 
 Each driver maps an ExperimentConfig to one CSV.  Every driver walks
 (construction, n) cells (`_cells`), each holding every budget M of the config
-and the sampling moments of its shot plans, and hands them, in order, to the
-run's `_Fanout` (`_Fanout.stream`).  The fan-out splits each cell's trials
-once into contiguous blocks, sized from a fixed byte budget (`_BLOCK_BYTES`)
-and the cell's per-trial footprint; only the run's last cell is split into at
-least one block per worker.  One worker runs each cell inline when its turn comes.
-More share the blocks over one process pool per run, at most 2 x workers
-tasks in flight, each one block (or one of 2 x workers runs of a larger
-cell's blocks), later cells' tasks running while earlier ones are collected.
-A cell's peak memory depends on its block, not on `trials`, and since every
+and the sampling moments of its shot plans.  A job (`_jobs`) is the run of
+cells of one (kind, construction), every n of the config, and the driver
+hands its jobs, in order, to the run's `_Fanout` (`_Fanout.stream`).  The
+fan-out splits each job's trials once into contiguous blocks, sized from a
+fixed byte budget (`_BLOCK_BYTES`) and the per-trial footprint of the job's
+largest cell; only the run's last job is split into at least one block per
+worker.  One worker runs each job inline when its turn comes.  More share
+the blocks over one process pool per run, at most 2 x workers tasks in
+flight, each one block (or one of 2 x workers runs of a larger job's
+blocks), later jobs' tasks running while earlier ones are collected.  A
+job's peak memory depends on its block, not on `trials`, and since every
 trial's random stream is keyed by its absolute trial index and every result
 is per trial, any block layout and worker count give byte-identical files.
 
-A block takes its gaussian normals once per sampled matrix and reuses them
-for each budget, one budget's stacks at a time; binomial counts are drawn per
-budget (`sampling.Sampler`).  Its chunk returns each feasible budget's
+A block draws each gaussian matrix's normals once for its whole job: the
+stream key is (seed, trial, matrix), with no n and no M, so a cell's normals
+are the leading columns of the draw of the job's widest cell
+(`sampling.draw_shared`).  Each cell reuses them for each budget, one
+budget's stacks at a time; binomial counts are drawn per cell and budget
+(`sampling.Sampler`).  Its chunk returns each cell's feasible budgets'
 per-trial arrays in turn, which the fan-out joins column by column; only the
 drivers build rows, from a generator, and `write_csv` writes them as they
 come, so no run holds its rows.  Error-norms and perturbation-bound hand over
@@ -74,6 +79,7 @@ from ..sampling import (
     ShotPlan,
     allocate_nontoeplitz,
     allocate_toeplitz,
+    draw_shared,
     expected_pair,
     split_budget,
 )
@@ -257,7 +263,7 @@ class _Fanout:
     def stream(self, jobs: Iterable[tuple]) -> Iterator[tuple]:
         """(item, columns) per job (item, chunk, trial_bytes, args), in job order.
 
-        columns are chunk(args, (start, count)) over the cell's trial blocks,
+        columns are chunk(args, (start, count)) over the job's trial blocks,
         each a tuple of per-trial arrays, joined column by column; None where
         chunk is None.  A block holds at least as many trials of trial_bytes
         each as fit in _BLOCK_BYTES (or all of them) and fewer than twice that,
@@ -282,16 +288,17 @@ class _Fanout:
             item, parts, future, last = queue.popleft()
             if future:
                 parts.extend(future.result())
+                future = None  # parts alone holds the blocks' results
             if last:
-                yield item, parts and [np.concatenate(column) for column in zip(*parts)]
+                yield item, parts and _joined(parts)
 
     def _tasks(self, jobs: Iterator[tuple], window: int) -> Iterator[tuple]:
         """(item, parts, fn, blocks, whether it is its job's last) per task,
         in job order, and (item, None, None, None, True) per skipped job.
 
-        A task is one trial block, or, in a cell of more blocks than the
+        A task is one trial block, or, in a job of more blocks than the
         window, one of `window` contiguous runs of them: a pool task pickles
-        the cell's arguments, which can outweigh a block's work: one block a
+        the job's arguments, which can outweigh a block's work: one block a
         task took configs/long_order.conf at two workers from 0.51 to 0.58 s
         (medians of 7 alternating runs, 2-core x86-64, one BLAS thread)."""
         ahead = self.workers > 1  # read the next job with each, over a pool
@@ -310,12 +317,24 @@ class _Fanout:
             job = following if ahead else next(jobs, None)
 
 
+def _joined(parts: list) -> list:
+    """The blocks' results joined column by column, emptying `parts`: each
+    column's blocks are freed once it is joined."""
+    columns = [list(column) for column in zip(*parts)]
+    parts.clear()
+    for i, blocks in enumerate(columns):
+        columns[i] = np.concatenate(blocks)
+    return columns
+
+
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
-    """Nominal bytes one trial of a chunk holds: a float per (element, config,
+    """Nominal bytes one trial of a cell holds: a float per (element, config,
     fragment) of each plan's grid and a complex (n, n) matrix per stack.  This
     overstates a gaussian plan's draws J-fold, and a real-form stack's bytes
     2-fold, which keeps its blocks small: counted at 8 bytes an entry, real
-    stacks double error-norms' blocks, which raised its peak RSS for no speed."""
+    stacks double error-norms' blocks, which raised its peak RSS for no speed.
+    A job's blocks are sized from its largest cell's count: its other cells
+    run in the same blocks, on views of the largest cell's draws."""
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 
@@ -437,40 +456,64 @@ def _cells(
             )
 
 
+def _jobs(
+    cfg: ExperimentConfig, system: SystemBundle, kinds: Sequence[tuple[str, str]] = ()
+) -> Iterator[tuple[_Cell, ...]]:
+    """The cells (`_cells`) of each (kind, construction) in turn, every n of
+    it, as one job; each is built without reading a cell of the next."""
+    cells = _cells(cfg, system, kinds)
+    while job := tuple(islice(cells, len(cfg.n_list))):
+        yield job
+
+
 def _sampled(
-    trials: _Fanout, cells: Iterable[_Cell], columns_of: Callable, extra=lambda cell: ()
+    trials: _Fanout, jobs: Iterable[tuple[_Cell, ...]], columns_of: Callable,
+    extra=lambda cell: (),
 ) -> Iterator[tuple]:
-    """(args, budget, columns) per budget of each cell, in config order:
-    args = (cell, *extra(cell)), and columns the budget's columns_of over the
-    cell's trials (`_per_budget`), None if infeasible."""
-    chunk = partial(_per_budget, columns_of)
-    jobs = ((cell, *extra(cell)) for cell in cells)
-    for args, columns in trials.stream(
-        (a, chunk if a[0].samplers else None, a[0].trial_bytes, a) for a in jobs
-    ):
-        cell, shares = args[0], iter(())
+    """(args, budget, columns) per budget of each cell of the jobs, in config
+    order: args = (cell, *extra(cell)), and columns the budget's columns_of
+    over the cell's trials, None if infeasible.  The fan-out runs a job's
+    chunk (`_per_job`) over trial blocks sized from its largest cell's
+    footprint."""
+    chunk = partial(_per_job, columns_of)
+
+    def fanout_job(cells: tuple[_Cell, ...]) -> tuple:
+        job = tuple((cell, *extra(cell)) for cell in cells)
+        sampled = any(cell.samplers for cell in cells)
+        return job, chunk if sampled else None, max(c.trial_bytes for c in cells), job
+
+    for job, columns in trials.stream(map(fanout_job, jobs)):
+        shares = iter(())
         if columns:
-            width = len(columns) // len(cell.feasible)
+            width = len(columns) // sum(len(args[0].feasible) for args in job)
             shares = (columns[i : i + width] for i in range(0, len(columns), width))
-        for budget in cell.budgets:
-            yield args, budget, None if budget.note else next(shares)
+        for args in job:
+            for budget in args[0].budgets:
+                yield args, budget, None if budget.note else next(shares)
+        del columns, shares  # free the job's results before the next job runs
 
 
-def _per_budget(columns_of: Callable, args, rng: tuple[int, int]) -> tuple:
-    """A trial chunk: draw the block (start, count) once per sampled matrix,
-    then return columns_of(args, stacks, i) for each feasible budget i in
-    turn, where stacks maps "H" and "S" to the block's stacks at budget i,
+def _per_job(columns_of: Callable, job: tuple, rng: tuple[int, int]) -> tuple:
+    """A trial chunk: draw the block (start, count) once per sampled matrix
+    for all of the job's cells (`sampling.draw_shared`), then return, cell by
+    cell, columns_of(args, stacks, i) for each feasible budget i of the cell
+    in turn, where stacks maps "H" and "S" to the cell's stacks at budget i,
     held for that call alone."""
     start, count = rng
-    samplers = args[0].samplers
-    draws = {z: sampler.draw(count, start) for z, sampler in samplers.items()}
-    return tuple(
-        column
-        for i in range(len(args[0].feasible))
-        for column in columns_of(
-            args, {z: sampler.stack(draws[z], i) for z, sampler in samplers.items()}, i
-        )
-    )
+    draws = {}  # per matrix, an iterator over its cells' draws
+    for z in "HS":
+        samplers = [args[0].samplers[z] for args in job if z in args[0].samplers]
+        if samplers:
+            draws[z] = iter(draw_shared(samplers, count, start))
+    columns = []
+    for args in job:
+        samplers = args[0].samplers
+        taken = {z: next(draws[z]) for z in samplers}
+        for i in range(len(args[0].feasible)):
+            columns.extend(
+                columns_of(args, {z: s.stack(taken[z], i) for z, s in samplers.items()}, i)
+            )
+    return tuple(columns)
 
 
 def _sampled_eigh(stacks: dict, eps: float):
@@ -609,7 +652,7 @@ def _error_norm_rows(
     summary, or a skipped row; then the slopes."""
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
-    for (cell,), budget, share in _sampled(trials, _cells(cfg, system, kinds), _norm_columns):
+    for (cell,), budget, share in _sampled(trials, _jobs(cfg, system, kinds), _norm_columns):
         kind, construction, n, m = cell.kind, cell.construction, cell.n, budget.m
         base = {"construction": construction, "kind": kind, "n": n, "m_budget": m}
         if share is None:
@@ -667,8 +710,8 @@ def _spectrum_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     """n rows per budget; an infeasible budget raises when its turn comes."""
-    cells = _cells(cfg, system, [("S", "toeplitz")])
-    for (cell,), budget, share in _sampled(trials, cells, _spectrum_columns):
+    jobs = _jobs(cfg, system, [("S", "toeplitz")])
+    for (cell,), budget, share in _sampled(trials, jobs, _spectrum_columns):
         if share is None:
             raise InfeasibleBudgetError(budget.note)
         exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
@@ -712,7 +755,7 @@ def _sweep_rows(
         return (ideal,)
 
     for (cell, ideal), budget, share in _sampled(
-        trials, _cells(cfg, system), _sweep_columns, ideal_of
+        trials, _jobs(cfg, system), _sweep_columns, ideal_of
     ):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
@@ -748,7 +791,7 @@ def _scan_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     e0 = system.e0_sector
-    for (cell,), budget, share in _sampled(trials, _cells(cfg, system), _scan_columns):
+    for (cell,), budget, share in _sampled(trials, _jobs(cfg, system), _scan_columns):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
             yield {**base, "trials_used": 0}
@@ -793,7 +836,7 @@ def _perturbation_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     prepare = partial(_exact_solutions, epsilon_ideal=cfg.epsilon_ideal)
-    budgets = _sampled(trials, _cells(cfg, system), _perturbation_columns, prepare)
+    budgets = _sampled(trials, _jobs(cfg, system), _perturbation_columns, prepare)
     for (cell, exact, e0_full), budget, share in budgets:
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:

@@ -10,9 +10,11 @@ naming its column.
 
 Rows are written as they arrive, one block of rows at a time (`write_csv`):
 error-norms and perturbation-bound hand over each budget's trial rows as one
-block of columns, and every other row is a dict of scalars.  They go to
-`<out>.tmp`, which replaces `out` only once the last row is written; a run
-that raises leaves no `.tmp` and any earlier `out` as it was.
+block of columns, which is written as joined text, and every other row is a
+dict of scalars, which csv.writer writes.  Either way the bytes are those of
+csv.writer with its minimal quoting.  They go to `<out>.tmp`, which replaces
+`out` only once the last row is written; a run that raises leaves no `.tmp`
+and any earlier `out` as it was.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -85,7 +86,8 @@ def format_value(v) -> str:
     return str(v)
 
 
-_RUN = 4096  # elements of a column block formatted at a time
+_RUN = 4096  # rows of a column block formatted at a time
+_BOOL = ("0", "1")  # a bool cell by its value
 
 _HASH_EXEMPT = {"out", "workers"}  # execution details, not experiment identity
 
@@ -105,16 +107,6 @@ class DriverResult:
     row_count: int
 
 
-def _strings(value, rows: int) -> Iterator[str]:
-    """A block column's cells: format_value of each element of an array, made
-    a run at a time, or of any other value, repeated."""
-    if type(value) is not np.ndarray:
-        return repeat(format_value(value), rows)
-    fmt = repr if value.dtype.kind == "f" else format_value  # repr is a float's format
-    runs = (value[i : i + _RUN].tolist() for i in range(0, rows, _RUN))
-    return chain.from_iterable(map(fmt, run) for run in runs)
-
-
 def _finite(value) -> bool:
     """Whether a block value holds no nan or infinity: a float, or every float
     of an array (an object column's floats among its other cells)."""
@@ -125,15 +117,41 @@ def _finite(value) -> bool:
     return value.dtype.kind != "O" or all(map(_finite, value.tolist()))
 
 
-def _lines(block: Mapping, columns: Sequence[str]) -> tuple[int, Iterable]:
-    """How many rows a block holds, and its rows of cells."""
-    if np.ndarray not in set(map(type, block.values())):  # a dict of scalars
-        return 1, [[format_value(block.get(c)) for c in columns]]
-    lengths = {len(v) for v in block.values() if type(v) is np.ndarray}
-    if len(lengths) > 1:
-        raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
-    (rows,) = lengths
-    return rows, zip(*(_strings(block.get(c), rows) for c in columns))
+def _quoted(text: str) -> str:
+    """A cell as csv's minimal quoting writes it: in quotes, its quotes
+    doubled, if it holds a delimiter, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(run: np.ndarray) -> list:
+    """A run of a block column, as its line template (`_text`) takes it: a
+    float or int array's own values, which %r and %s format as repr and str
+    do; a bool array's "1" and "0"; any other array's format_value, quoted."""
+    values = run.tolist()
+    if run.dtype.kind in "fiu":
+        return values
+    if run.dtype.kind == "b":
+        return [_BOOL[v] for v in values]
+    return [_quoted(format_value(v)) for v in values]
+
+
+def _text(block: Mapping, columns: Sequence[str], rows: int) -> Iterator[str]:
+    """A column block's lines as text, _RUN rows at a time.  Each constant is
+    formatted and quoted once, into a line template with a %r per float
+    column and a %s per other array column."""
+    template, arrays = [], []
+    for c in columns:
+        value = block.get(c)
+        if type(value) is np.ndarray:
+            template.append("%r" if value.dtype.kind == "f" else "%s")
+            arrays.append(value)
+        else:
+            template.append(_quoted(format_value(value)).replace("%", "%%"))
+    line = ",".join(template) + "\r\n"
+    for i in range(0, rows, _RUN):
+        yield "".join(map(line.__mod__, zip(*(_cells(a[i : i + _RUN]) for a in arrays))))
 
 
 def write_csv(
@@ -148,9 +166,10 @@ def write_csv(
     A block maps column names to values: a numpy array is a column of one
     value per row, every array of a block of the same length, and any other
     value repeats on each of its rows; a block with no array (a dict of
-    scalars) is one row.  Each column is formatted once, as it is written,
-    after the block is checked: a nan or infinity in any of its values is a
-    NumericalError naming the column.
+    scalars) is one row, which csv.writer writes.  A block of columns is
+    written as text, a run of rows at a time (`_text`), after it is checked:
+    a nan or infinity in any of its values is a NumericalError naming the
+    column.
 
     The file is `path` + ".tmp" until the last row is written, then renamed
     onto `path`.  If a block or the iterable raises, the `.tmp` is removed and
@@ -182,8 +201,15 @@ def write_csv(
                 for name, value in block.items():
                     if not _finite(value):
                         raise NumericalError(f"{name} is not finite: no CSV cell is nan or inf")
-                rows, lines = _lines(block, columns)
-                writer.writerows(lines)
+                if np.ndarray not in set(map(type, block.values())):  # a dict of scalars
+                    writer.writerow([format_value(block.get(c)) for c in columns])
+                    count += 1
+                    continue
+                lengths = {len(v) for v in block.values() if type(v) is np.ndarray}
+                if len(lengths) > 1:
+                    raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
+                (rows,) = lengths
+                f.writelines(_text(block, columns, rows))
                 count += rows
         if staged:
             os.replace(tmp, path)

@@ -27,17 +27,22 @@ A `Sampler` samples one target at each budget of a (construction, n) cell,
 one plan per budget.  It computes the moments no trial changes once: the
 mean of each gaussian part, which no budget changes, and its spread at each
 budget.  A block of trials draws its gaussian normals once and reuses them
-for every budget; binomial counts are drawn per budget.  The one-plan
-ensembles (`sample_overlap_ensemble`, `sample_hamiltonian_ensemble`) are a
-one-budget Sampler.
+for every budget; binomial counts are drawn per budget.  `draw_shared`
+serves the samplers of one target at several Krylov orders from one draw at
+the widest.  The one-plan ensembles (`sample_overlap_ensemble`,
+`sample_hamiltonian_ensemble`) are a one-budget Sampler.
 
 Random streams: every draw comes from one generator per (seed, trial, target),
 which draws in the C order of the plan's grid: a standard normal per
 (element, configuration), or a binomial count per (element, configuration,
 fragment).  No key holds the budget, so a trial's budgets share their draws:
 in gaussian mode the same normals, in binomial mode the same stream, drawn
-from its start at each budget.  A single pair is the one-trial ensemble at its
-trial index, and any split of the trials into blocks draws the same values.
+from its start at each budget.  No key holds the Krylov order either, so a
+trial's draws at two orders n < n' share their prefix: in gaussian mode the
+normals at n are the first of those at n', and in binomial mode the counts at
+every n start from the same stream.  A single pair is the one-trial ensemble
+at its trial index, and any split of the trials into blocks draws the same
+values.
 
 Hardware decay multiplies every true overlap by e^{-lambda} before sampling
 noise is applied, so the sampled matrices estimate the decayed pair.
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -365,6 +370,23 @@ class Sampler:
         h_stack[:, a, b] = vals
         h_stack[:, b, a] = np.conjugate(vals, out=vals)
         return h_stack
+
+
+def draw_shared(
+    samplers: Sequence[Sampler], trials: int, first_trial: int
+) -> list[np.ndarray]:
+    """Each sampler's `draw` of the same trials, for samplers of one target
+    at several Krylov orders.  The stream key carries no n, and standard
+    normals fill sequentially, so in gaussian mode the draw at n is the
+    leading cols.size columns of the draw at any larger n: one draw at the
+    widest serves every sampler, each taking a view of its leading columns.
+    Binomial samplers draw their own keys, whose counts depend on m and p."""
+    if len({s.target for s in samplers}) > 1:
+        raise ValueError("shared draws need samplers of one target")
+    if not samplers[0].gaussian:
+        return [s.draw(trials, first_trial) for s in samplers]
+    widest = max(samplers, key=lambda s: s.cols.size).draw(trials, first_trial)
+    return [widest[:, : s.cols.size] for s in samplers]
 
 
 def expected_pair(

@@ -33,6 +33,10 @@ One-plan pair sampling: the (H~, S~) stacks of one budget's plans from the
 one-plan ensembles, which the drivers' cells, sharing a block's draws over
 their budgets, reproduce at each budget.
 
+The per-cell trial chunk: one cell's block drawn by its own samplers, the
+chunk the drivers ran before a job (a run of cells of one kind and
+construction) drew each gaussian matrix once for all of its Krylov orders.
+
 The complex path of Hermitian Toeplitz matrices: the package builds every
 Toeplitz matrix, sampled or exact, in real form (`krylov.toeplitz_real_form`)
 and decomposes it with real eigh.  `complex_path` runs the drivers on the
@@ -325,6 +329,28 @@ def sample_pair(targets, plan_h, plan_s, noise, trials, first_trial=0):
     return (
         sample_hamiltonian_ensemble(targets, plan_h, noise, trials, first_trial),
         sample_overlap_ensemble(targets, plan_s, noise, trials, first_trial),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The per-cell trial chunk
+# ---------------------------------------------------------------------------
+
+
+def per_cell_chunk(columns_of, args, rng):
+    """A cell's trial chunk: draw the block (start, count) once per sampled
+    matrix with the cell's own samplers, then return columns_of(args,
+    stacks, i) for each feasible budget i in turn, where stacks maps "H" and
+    "S" to the block's stacks at budget i."""
+    start, count = rng
+    samplers = args[0].samplers
+    draws = {z: sampler.draw(count, start) for z, sampler in samplers.items()}
+    return tuple(
+        column
+        for i in range(len(args[0].feasible))
+        for column in columns_of(
+            args, {z: sampler.stack(draws[z], i) for z, sampler in samplers.items()}, i
+        )
     )
 
 

@@ -4,10 +4,12 @@ Driver tests run at desk scale (tiny budgets, a handful of trials) and check
 row structure plus the worker-count independence of the output bytes.
 """
 
+import csv
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import io
 import math
 import multiprocessing
 import os
@@ -22,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qksd import cli
 from qksd.errors import (
@@ -44,8 +48,9 @@ from qksd.harness import (
 from qksd.harness.config import config_from_mapping, parse_config_text
 from qksd.harness import drivers
 from qksd.harness.drivers import _chunk_ranges, _worker_count
-from qksd.harness.records import config_hash, format_value, write_csv
+from qksd.harness.records import _RUN, config_hash, format_value, write_csv
 from qksd.krylov import CONSTRUCTIONS
+from qksd.sampling import Sampler, draw_shared
 
 from csvrows import read_rows
 from oracles import (
@@ -53,6 +58,7 @@ from oracles import (
     complex_path,
     cond_reference,
     eigenangle_flags_reference,
+    per_cell_chunk,
     sample_pair,
 )
 
@@ -272,6 +278,114 @@ def test_write_csv_rejects_unknown_block_field(tmp_path):
     with pytest.raises(ValueError, match=r"unknown fields \['c'\]"):
         write_csv(str(tmp_path / "k.csv"), ("a",), blocks, ExperimentConfig())
     assert list(tmp_path.iterdir()) == []
+
+
+def _csv_writer_bytes(columns, blocks) -> tuple[bytes, int]:
+    """The header and rows as csv.writer writes them, row by row, each cell
+    format_value of its value: a block's arrays element by element (as
+    Python scalars), its other values on every row; and the row count."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    count = 0
+    for block in blocks:
+        arrays = {c: v.tolist() for c, v in block.items() if type(v) is np.ndarray}
+        rows = len(next(iter(arrays.values()))) if arrays else 1
+        count += rows
+        for r in range(rows):
+            writer.writerow(
+                [format_value(arrays[c][r] if c in arrays else block.get(c)) for c in columns]
+            )
+    return text.getvalue().encode(), count
+
+
+_SPECIAL_TEXT = st.one_of(
+    st.sampled_from(("a,b", 'say "x"', "cr\r", "lf\n", "%s", "50%")),
+    st.text(alphabet=',"\r\n% ab', max_size=5),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_SCALAR = st.one_of(st.none(), st.booleans(), _INT64, _FINITE, _SPECIAL_TEXT)
+
+
+@st.composite
+def _blocks(draw):
+    """Column names, and blocks over them: column blocks whose arrays (float,
+    int, bool, object arrays of None and floats, str arrays) share a length,
+    zero included, next to constants, mostly text, and missing columns; and
+    dicts of scalars."""
+    columns = draw(st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=6, unique=True))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):  # a dict of scalars
+            names = draw(st.lists(st.sampled_from(columns), unique=True))
+            blocks.append({c: draw(_SCALAR) for c in names})
+            continue
+        rows = draw(st.integers(0, 6))
+        cells = {
+            "float": _FINITE,
+            "int": _INT64,
+            "bool": st.booleans(),
+            "object": st.one_of(st.none(), _FINITE),
+            "str": st.one_of(st.sampled_from(("holds", "violated", "unknown")), _SPECIAL_TEXT),
+        }
+        dtypes = {"float": float, "int": np.int64, "bool": bool, "object": object, "str": str}
+        array_at = draw(st.sampled_from(columns))  # a block has an array
+        block = {}
+        for c in columns:
+            kinds = list(cells) if c == array_at else [*cells, "constant", "missing"]
+            kind = draw(st.sampled_from(kinds))
+            if kind == "constant":
+                block[c] = draw(st.one_of(_SPECIAL_TEXT, _SCALAR))
+            elif kind != "missing":
+                values = draw(st.lists(cells[kind], min_size=rows, max_size=rows))
+                block[c] = np.array(values, dtype=dtypes[kind])
+        blocks.append(block)
+    return columns, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+def test_write_csv_matches_csv_writer(tmp_path_factory, columns_and_blocks):
+    """Column blocks written as joined text, a run of rows at a time, and
+    dicts of scalars give the bytes of csv.writer writing format_value cells
+    row by row: csv's minimal quoting for a cell holding a delimiter, a quote
+    or a line break, and a '%' kept as it is."""
+    columns, blocks = columns_and_blocks
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    rows = write_csv(str(path), columns, blocks, ExperimentConfig())
+    header, body = path.read_bytes().split(b"\r\n", 1)
+    assert header.startswith(b"# config=")
+    assert (body, rows) == _csv_writer_bytes(columns, blocks)
+
+
+def test_write_csv_block_is_written_in_runs(tmp_path):
+    """A 30,000-row block is written _RUN rows at a time, as csv.writer would
+    write its rows: the write's peak holds one run's cells and text, so it
+    does not grow with the rows past the first two runs."""
+    columns = ("row_kind", "trial", "norm", "under_bound", "flag", "note")
+
+    def block(rows):
+        norms = np.random.default_rng(rows).random(rows)
+        return {
+            "row_kind": "trial", "trial": np.arange(rows), "norm": norms,
+            "under_bound": norms < 0.5,
+            "flag": np.where(norms < 0.25, "holds", "violated"), "note": 'a "b", c',
+        }
+
+    peaks = {}
+    for rows in (2 * _RUN, 30_000):
+        blocks = [block(rows)]
+        path = tmp_path / f"{rows}.csv"
+        tracemalloc.start()
+        try:
+            assert write_csv(str(path), columns, blocks, ExperimentConfig()) == rows
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        body = path.read_bytes().split(b"\r\n", 1)[1]
+        assert (body, rows) == _csv_writer_bytes(columns, blocks)
+    assert peaks[30_000] < 1.25 * peaks[2 * _RUN], peaks
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -636,28 +750,36 @@ def test_cell_budgets_match_one_budget_runs(tmp_path, pools, name, mode, workers
     assert bool(pools) == (workers > 1)  # two workers run over a pool
 
 
-POOLED_DRIVERS = {  # grid and its (construction, n) cells: one pool serves every cell
+BOTH = ("toeplitz", "nontoeplitz")
+POOLED_DRIVERS = {  # grid and its jobs, one per construction: one pool serves every job
     "threshold_sweep": (
-        run_threshold_sweep, {"n_list": (3, 5), "m_list": (50_000, 100_000)}, 2
+        run_threshold_sweep,
+        {"n_list": (3, 5), "m_list": (50_000, 100_000), "constructions": BOTH},
+        2,
     ),
-    "optimal_threshold": (run_optimal_threshold_scan, {"n_list": (3, 5)}, 2),
+    "optimal_threshold": (
+        run_optimal_threshold_scan, {"n_list": (3, 5), "constructions": BOTH}, 2
+    ),
     "perturbation_bound": (
-        run_perturbation_vs_bound, {"n_list": (3, 5), "m_list": (100_000, 200_000)}, 2
+        run_perturbation_vs_bound,
+        {"n_list": (3, 5), "m_list": (100_000, 200_000), "constructions": BOTH},
+        2,
     ),
-    # one Krylov order: one cell, the run's last, with both budgets
+    # one Krylov order: one job of one cell, the run's last, with both budgets
     "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}, 1),
-    # a shipped config at three trials: 14 cells of three budgets, the last
-    # split into blocks of two trials and one over two workers
-    "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf", 14),
+    # a shipped config at three trials: two jobs of seven Krylov orders and
+    # three budgets, the last split into blocks of two trials and one over
+    # two workers
+    "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf", 2),
 }
 
 
 @pytest.mark.parametrize("name", list(POOLED_DRIVERS))
 def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, name):
-    """One block per cell, but the run's last cell takes one per worker; the
+    """One block per job, but the run's last job takes one per worker; the
     bytes do not depend on the worker count."""
-    runner, grid, cells = POOLED_DRIVERS[name]
-    blocks = {1: Counter(), 2: Counter()}  # per worker count, blocks per cell's chunk
+    runner, grid, jobs = POOLED_DRIVERS[name]
+    blocks = {1: Counter(), 2: Counter()}  # per worker count, blocks per job's chunk
     real_map = drivers._map_chunks
 
     def counted_map(fn, ranges, fanout):
@@ -676,8 +798,8 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, nam
             cfg = small_cfg(tmp_path, path.name, trials=7, workers=workers, **grid)
         runner(cfg)
         out[workers] = path.read_bytes()
-    assert list(blocks[1].values()) == [1] * cells
-    assert list(blocks[2].values()) == [1] * (cells - 1) + [2]
+    assert list(blocks[1].values()) == [1] * jobs
+    assert list(blocks[2].values()) == [1] * (jobs - 1) + [2]
     assert len(pools) == 1
     assert out[1] == out[2]
 
@@ -686,10 +808,10 @@ def test_one_pool_per_driver_run(tmp_path, monkeypatch, pools):
     """A run opens its pool once, at most, and reaps it on return or on raise."""
     cfg = small_cfg(
         tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
-        trials=4, workers=2,
+        constructions=BOTH, trials=4, workers=2,
     )
     res = run_optimal_threshold_scan(cfg)
-    assert [r["trials_used"] for r in read_rows(res)] == [4, 4, 4, 4]
+    assert [r["trials_used"] for r in read_rows(res)] == [4] * 8
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 
@@ -704,11 +826,11 @@ def test_one_pool_per_driver_run(tmp_path, monkeypatch, pools):
         return real_map(fn, ranges, fanout)
 
     def failing_write(path, columns, rows, cfg):
-        next(iter(rows))  # the first cell's four blocks are in
+        next(iter(rows))  # the first job's four blocks are in
         assert len(submitted) == 4 + 3  # and a window, less one, of lookahead blocks
         raise OSError("disk full")
 
-    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)  # one-trial blocks: 16 in all
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)  # one-trial blocks: 8 in all
     monkeypatch.setattr(drivers, "_map_chunks", counted_map)
     monkeypatch.setattr(drivers, "write_csv", failing_write)
     with pytest.raises(OSError, match="disk full"):
@@ -836,22 +958,23 @@ _SCAN_COLUMNS = drivers._scan_columns
 
 
 def _scan_columns_failing_at_n5(args, stacks, i):
-    """The scan columns, raising in the cells of Krylov order 5 (top-level, so
-    pool workers find it)."""
-    if args[0].n == 5:
+    """The scan columns, raising in the non-Toeplitz cell of Krylov order 5
+    (top-level, so pool workers find it)."""
+    if (args[0].construction, args[0].n) == ("nontoeplitz", 5):
         raise RuntimeError("lookahead cell")
     return _SCAN_COLUMNS(args, stacks, i)
 
 
 def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
-    """A chunk that raises in a cell submitted ahead raises when that cell's
-    turn comes: the earlier cells' rows have reached write_csv, and the run
+    """A chunk that raises in a job submitted ahead raises when that job's
+    turn comes: the earlier job's rows have reached write_csv, and the run
     leaves no file, no .tmp and no child process."""
     written, submitted = [], []
     real_map, real_write = drivers._map_chunks, drivers.write_csv
 
     def recording_map(fn, ranges, fanout):
-        submitted.append((fn.args[-1][0].n, len(written)))
+        job = fn.args[-1]  # its cells' args
+        submitted.append(([args[0].construction for args in job], len(written)))
         return real_map(fn, ranges, fanout)
 
     def recording_write(path, columns, rows, cfg):
@@ -861,12 +984,16 @@ def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
     monkeypatch.setattr(drivers, "_map_chunks", recording_map)
     monkeypatch.setattr(drivers, "write_csv", recording_write)
     cfg = small_cfg(
-        tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000), workers=2
+        tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
+        constructions=BOTH, workers=2,
     )
     with pytest.raises(RuntimeError, match="lookahead cell"):
         run_optimal_threshold_scan(cfg)
-    assert (5, 0) in submitted  # an n = 5 cell went out before any row was written
-    assert [(r["n"], r["m_budget"]) for r in written] == [(3, 50_000), (3, 100_000)]
+    # the failing cell's job went out before any row was written
+    assert (["nontoeplitz"] * 2, 0) in submitted
+    assert [(r["construction"], r["n"], r["m_budget"]) for r in written] == [
+        ("toeplitz", n, m) for n in (3, 5) for m in (50_000, 100_000)
+    ]
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
 
@@ -1076,28 +1203,125 @@ def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch,
 
 
 def test_every_chunk_returns_per_trial_arrays(tmp_path):
-    """Each trial chunk returns a tuple of arrays with one leading row per
-    trial of its block, here the block (start = 5, count = 3)."""
-    cfg = small_cfg(tmp_path, "chunks.csv", trials=8, m_list=(100_000,))
+    """Each job's trial chunk returns a tuple of arrays with one leading row
+    per trial of its block, here the block (start = 5, count = 3) of a job
+    of two Krylov orders."""
+    cfg = small_cfg(tmp_path, "chunks.csv", trials=8, n_list=(3, 5), m_list=(100_000,))
     system = drivers.build_system(cfg)
-    (pair, h_only, s_only) = (
-        cell
-        for kind in ("HS", "H", "S")
-        for cell in drivers._cells(cfg, system, [(kind, "toeplitz")])
+    pair, h_only, s_only = (
+        tuple(drivers._cells(cfg, system, [(kind, "toeplitz")])) for kind in ("HS", "H", "S")
     )
     chunks = {
-        drivers._norm_columns: (h_only,),
-        drivers._spectrum_columns: (s_only,),
-        drivers._sweep_columns: (pair,),
-        drivers._scan_columns: (pair,),
-        drivers._perturbation_columns: (pair, *drivers._exact_solutions(pair, cfg.epsilon_ideal)),
+        drivers._norm_columns: [(cell,) for cell in h_only],
+        drivers._spectrum_columns: [(cell,) for cell in s_only],
+        drivers._sweep_columns: [(cell,) for cell in pair],
+        drivers._scan_columns: [(cell,) for cell in pair],
+        drivers._perturbation_columns: [
+            (cell, *drivers._exact_solutions(cell, cfg.epsilon_ideal)) for cell in pair
+        ],
     }
-    for columns_of, args in chunks.items():
-        columns = drivers._per_budget(columns_of, args, (5, 3))
+    for columns_of, job in chunks.items():
+        columns = drivers._per_job(columns_of, tuple(job), (5, 3))
         assert isinstance(columns, tuple) and columns, columns_of.__name__
         for column in columns:
             assert isinstance(column, np.ndarray), columns_of.__name__
             assert column.shape[0] == 3, columns_of.__name__
+
+
+# Every target at each of a config's Krylov orders, one cell a (kind, n).
+EVERY_TARGET = [("S", "toeplitz"), ("H", "toeplitz"), ("H", "nontoeplitz")]
+
+
+@pytest.mark.parametrize("first", (0, 37))
+def test_draw_at_each_order_leads_the_longer_ones(first):
+    """The stream key carries no n: for each gaussian target and every pair
+    of a config's Krylov orders n < n', the draw at n is the leading
+    cols.size columns of the draw at n', bit for bit; and the shared draw of
+    a target's samplers is each sampler's own."""
+    cfg = load_config(str(CONFIG_DIR / "optimal_threshold.conf"), {"trials": 8})
+    cells = list(drivers._cells(cfg, drivers.build_system(cfg), EVERY_TARGET))
+    for kind, construction in EVERY_TARGET:
+        samplers = [
+            cell.samplers[kind] for cell in cells
+            if (cell.kind, cell.construction) == (kind, construction)
+        ]
+        assert [s.n for s in samplers] == list(cfg.n_list)
+        draws = [s.draw(5, first) for s in samplers]
+        for shorter, n_draw in zip(samplers, draws):
+            for longer, longer_draw in zip(samplers, draws):
+                if longer.n > shorter.n:
+                    lead = longer_draw[:, : shorter.cols.size]
+                    assert lead.tobytes() == n_draw.tobytes(), (kind, shorter.n, longer.n)
+        shared = draw_shared(samplers, 5, first)
+        assert [d.tobytes() for d in shared] == [d.tobytes() for d in draws]
+
+
+# Per driver: its columns function, its cells' (kind, construction)s, and
+# the args its chunk takes beyond the cell
+_JOB_CHUNKS = {
+    "norms": (drivers._norm_columns, EVERY_TARGET, lambda cell, cfg: ()),
+    "spectrum": (drivers._spectrum_columns, [("S", "toeplitz")], lambda cell, cfg: ()),
+    "sweep": (drivers._sweep_columns, [("HS", c) for c in CONSTRUCTIONS], lambda cell, cfg: ()),
+    "scan": (drivers._scan_columns, [("HS", c) for c in CONSTRUCTIONS], lambda cell, cfg: ()),
+    "perturbation": (
+        drivers._perturbation_columns,
+        [("HS", c) for c in CONSTRUCTIONS],
+        lambda cell, cfg: drivers._exact_solutions(cell, cfg.epsilon_ideal),
+    ),
+}
+
+
+def _jobs(cfg, kinds, extra):
+    """The jobs of a run (`drivers._jobs`), each as its cells' args."""
+    jobs = drivers._jobs(cfg, drivers.build_system(cfg), kinds)
+    return [tuple((cell, *extra(cell, cfg)) for cell in job) for job in jobs]
+
+
+@pytest.mark.parametrize("blocks", (7, 3))
+@pytest.mark.parametrize("mode", ("gaussian", "binomial"))
+@pytest.mark.parametrize("name", list(_JOB_CHUNKS))
+def test_job_chunk_matches_per_cell_chunks(tmp_path, name, mode, blocks):
+    """A job's chunk, drawing each gaussian matrix once for every Krylov
+    order, returns per block what the per-cell chunk returns for each cell in
+    turn, bit for bit: at one-trial blocks and at three blocks of 7 trials.
+    The widest cell comes first; a cell with no feasible budget (S and the
+    pair at n = 1) adds no columns, and one with an infeasible budget (the
+    pair at M = 12) gives its feasible budget's alone."""
+    columns_of, kinds, extra = _JOB_CHUNKS[name]
+    cfg = small_cfg(
+        tmp_path, "j.csv", n_list=(5, 1, 3), m_list=(12, 100_000), trials=7, mode=mode
+    )
+    jobs = _jobs(cfg, kinds, extra)
+    assert jobs and all(len(job) == 3 for job in jobs)
+    for job in jobs:
+        for rng in _chunk_ranges(cfg.trials, blocks):
+            got = drivers._per_job(columns_of, job, rng)
+            want = [column for args in job for column in per_cell_chunk(columns_of, args, rng)]
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+@pytest.mark.parametrize("mode", ("gaussian", "binomial"))
+def test_binomial_jobs_draw_per_cell(tmp_path, monkeypatch, mode):
+    """A gaussian job draws each sampled matrix once a block, from its widest
+    cell's sampler; a binomial job draws per cell, whose counts depend on
+    each cell's shots and probabilities."""
+    cfg = small_cfg(tmp_path, "d.csv", n_list=(3, 5, 7), m_list=(100_000,), mode=mode)
+    (job,) = _jobs(cfg, [("HS", "toeplitz")], lambda cell, cfg: ())
+    drawn = []
+    real_draw = Sampler.draw
+
+    def recording_draw(self, trials, first_trial):
+        drawn.append((self.target, self.n))
+        return real_draw(self, trials, first_trial)
+
+    monkeypatch.setattr(Sampler, "draw", recording_draw)
+    drivers._per_job(drivers._scan_columns, job, (0, 5))
+    if mode == "gaussian":
+        assert drawn == [("H_toeplitz", 7), ("S_toeplitz", 7)]
+    else:
+        assert drawn == [(t, n) for t in ("H_toeplitz", "S_toeplitz") for n in (3, 5, 7)]
 
 
 @pytest.mark.parametrize("name", list(FAILING_RUNS))
