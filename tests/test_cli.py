@@ -267,6 +267,28 @@ def test_one_worker_run_never_imports_the_pool(conf, tmp_path):
     assert out.exists()
 
 
+def test_run_never_imports_csv(tmp_path):
+    """The writer formats every CSV line itself: an optimal-threshold run of
+    the shipped config leaves the csv module out of sys.modules."""
+    script = (
+        "import sys; from qksd.cli import main; "
+        "rc = main(sys.argv[1:]); "
+        "loaded = [m for m in ('csv', '_csv') if m in sys.modules]; "
+        "assert not loaded, loaded; "
+        "sys.exit(rc)"
+    )
+    config = Path(__file__).resolve().parents[1] / "configs" / "optimal_threshold.conf"
+    out = tmp_path / "scan.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "optimal-threshold", "--config", str(config),
+         "--trials", "3", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+
+
 @pytest.mark.skipif(
     shutil.which("qksd") is None,
     reason="the `qksd` console script is not on PATH (package not installed)",

@@ -272,6 +272,17 @@ def test_write_csv_empty_block_writes_nothing(tmp_path):
     assert path.read_bytes().split(b"\r\n")[1:] == [b"a,b", b"2,na", b""]
 
 
+def test_write_csv_lone_empty_field_is_quoted(tmp_path):
+    """An empty cell alone on its row is written as `""`, in a dict of
+    scalars and in a column block alike, so csv.reader reads it back as one
+    empty field rather than a blank line."""
+    path = tmp_path / "lone.csv"
+    blocks = [{"x": ""}, {"x": np.array(["", "y"])}]
+    assert write_csv(str(path), ("x",), blocks, ExperimentConfig()) == 3
+    with open(path, newline="") as f:
+        assert list(csv.reader(f))[1:] == [["x"], [""], [""], ["y"]]
+
+
 def test_write_csv_rejects_unknown_block_field(tmp_path):
     """A block naming a column the file does not have raises, as a row does."""
     blocks = [{"a": np.arange(2)}, {"a": np.arange(2), "c": np.arange(2)}]
@@ -314,7 +325,7 @@ def _blocks(draw):
     int, bool, object arrays of None and floats, str arrays) share a length,
     zero included, next to constants, mostly text, and missing columns; and
     dicts of scalars."""
-    columns = draw(st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=6, unique=True))
+    columns = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6, unique=True))
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):  # a dict of scalars
@@ -1010,7 +1021,7 @@ def test_driver_rows_match_written_file(tmp_path):
 
 # Per driver: the columns function its chunks call and a grid of two
 # (construction, n) cells or more; singular-spectrum has one Krylov order, so
-# one cell, which runs here in one-trial blocks.
+# one cell and one job.
 FAILING_RUNS = {
     "error_norms": (run_error_norm_ensemble, "_norm_columns", {"n_list": (3, 5)}),
     "singular_spectrum": (
@@ -1029,36 +1040,59 @@ FAILING_RUNS = {
 
 @pytest.mark.parametrize("name", list(FAILING_RUNS))
 def test_run_raising_mid_stream_leaves_no_file(tmp_path, monkeypatch, name):
-    """A run that raises in its second cell (singular-spectrum: its one cell's
-    second block), once its rows have begun to stream to `<out>.tmp`, leaves
-    neither `out` nor `out.tmp`, and an earlier `out` keeps its bytes."""
+    """A run of two constructions that raises in its second job's chunk
+    (singular-spectrum: at its second budget), once the first job's rows
+    have reached write_csv and `<out>.tmp`, leaves neither `out` nor
+    `out.tmp`, and an earlier `out` keeps its bytes."""
     runner, columns_of, grid = FAILING_RUNS[name]
-    if name == "singular_spectrum":
-        monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
-    cfg = small_cfg(tmp_path, "run.csv", **grid)
+    if name == "singular_spectrum":  # one job, whatever the grid
+        columns_of, grid = None, {"m_list": (10_000, 4)}  # 4 is infeasible
+    cfg = small_cfg(tmp_path, "run.csv", constructions=BOTH, **grid)
     out, tmp = Path(cfg.out), Path(f"{cfg.out}.tmp")
-    real = getattr(drivers, columns_of)
-    calls = []
+    jobs = []  # each (kind, construction) whose chunk has run, in order
+    if columns_of:
+        real = getattr(drivers, columns_of)
 
-    def second_cell_raises(args, stacks, i):
-        if i == 0:  # a block's first budget: one call per block
-            calls.append(args)
-        if len(calls) == 2:
-            assert tmp.exists(), "rows are not streamed to the .tmp"
-            raise RuntimeError("second cell")
-        return real(args, stacks, i)
+        def second_job_raises(args, stacks, i):
+            job = args[0].kind, args[0].construction
+            if job not in jobs:
+                jobs.append(job)
+            if len(jobs) == 2:
+                raise RuntimeError("second job")
+            return real(args, stacks, i)
 
-    monkeypatch.setattr(drivers, columns_of, second_cell_raises)
-    with pytest.raises(RuntimeError, match="second cell"):
+        monkeypatch.setattr(drivers, columns_of, second_job_raises)
+    real_write = drivers.write_csv
+    at_raise = []  # per run, (rows handed to write_csv, whether the .tmp exists)
+
+    def recording_write(path, columns, rows, cfg):
+        def recorded():
+            written = 0
+            try:
+                for written, row in enumerate(rows, 1):
+                    yield row
+            except Exception:
+                at_raise.append((written, tmp.exists()))
+                raise
+
+        return real_write(path, columns, recorded(), cfg)
+
+    monkeypatch.setattr(drivers, "write_csv", recording_write)
+    error, match = (RuntimeError, InfeasibleBudgetError), "second job|below one shot"
+    with pytest.raises(error, match=match):
         runner(cfg)
     assert list(tmp_path.iterdir()) == []
 
-    calls.clear()
+    jobs.clear()
     out.write_bytes(b"an earlier run\r\n")
-    with pytest.raises(RuntimeError, match="second cell"):
+    with pytest.raises(error, match=match):
         runner(cfg)
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"an earlier run\r\n"
+    (written, tmp_existed), again = at_raise
+    assert written > 0, "no row reached write_csv before the raise"
+    assert tmp_existed, "rows are not streamed to the .tmp"
+    assert again == (written, True)
 
 
 def test_perturbation_rows_are_checked_finite(tmp_path, monkeypatch):
