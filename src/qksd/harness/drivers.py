@@ -4,17 +4,14 @@ Each driver maps an ExperimentConfig to one CSV.  Every driver walks
 (construction, n) cells (`_cells`), each holding every budget M of the config
 and the sampling moments of its shot plans.  A job (`_jobs`) is the run of
 cells of one (kind, construction), every n of the config, and the driver
-hands its jobs, in order, to the run's `_Fanout` (`_Fanout.stream`).  The
-fan-out splits each job's trials once into contiguous blocks, sized from a
-fixed byte budget (`_BLOCK_BYTES`) and the per-trial footprint of the job's
-largest cell; only the run's last job is split into at least one block per
-worker.  One worker runs each job inline when its turn comes.  More share
-the blocks over one process pool per run, at most 2 x workers tasks in
-flight, each one block (or one of 2 x workers runs of a larger job's
-blocks), later jobs' tasks running while earlier ones are collected.  A
-job's peak memory depends on its block, not on `trials`, and since every
-trial's random stream is keyed by its absolute trial index and every result
-is per trial, any block layout and worker count give byte-identical files.
+hands its jobs, in order, to the run's `_Fanout` (`_Fanout.stream`), which
+runs each job's chunk over contiguous trial blocks sized from a fixed byte
+budget (`_BLOCK_BYTES`) and the per-trial footprint of the job's largest
+cell: inline at one worker, else in one forked child per contiguous slice of
+the job's trials, while the parent builds the next job.  A job's peak memory
+depends on its block, not on `trials`, and since every trial's random stream
+is keyed by its absolute trial index and every result is per trial, any
+block layout and worker count give byte-identical files.
 
 A block draws each gaussian matrix's normals once for its whole job: the
 stream key is (seed, trial, matrix), with no n and no M, so a cell's normals
@@ -43,19 +40,19 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
-from collections import Counter, deque
+from collections import Counter
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
-)
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .. import bounds
-from ..errors import ConfigError, IllPosedError, InfeasibleBudgetError
+from ..errors import ConfigError, IllPosedError, InfeasibleBudgetError, ResourceLimitError
 from ..evolution import Spectrum, diagonalize, hartree_fock_state, sector_indices
 from ..gevp import (
     basis_thresholding,
@@ -93,9 +90,6 @@ from .records import (
     DriverResult,
     write_csv,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
 
 _WEYL_SLACK = 1e-12
 _BOUND_SLACK = 1e-9
@@ -190,10 +184,9 @@ def _plan_for(kind: str, construction: str, m: int, n: int, betas: np.ndarray) -
 
 
 def __getattr__(name: str):
-    """ProcessPoolExecutor, imported when it is first asked for.  Only a run
-    of more than one worker opens a pool, so importing this module and a
-    one-worker run leave the pool machinery unimported; the name is still a
-    module attribute, which callers may replace."""
+    """ProcessPoolExecutor, imported when it is first asked for.  No run opens
+    a pool; only the benchmark's tracer (bench/spans.py) asks for the name,
+    to count pools.  ROADMAP item 1 Step B deletes it with the tracer."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -202,16 +195,11 @@ def __getattr__(name: str):
 
 
 def _chunk_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
+    """(start, count) of each of `parts` contiguous, near-equal runs of trials."""
     parts = max(1, min(parts, trials))
     base, rem = divmod(trials, parts)
-    ranges = []
-    start = 0
-    for i in range(parts):
-        count = base + (1 if i < rem else 0)
-        if count:
-            ranges.append((start, count))
-            start += count
-    return ranges
+    starts = [i * base + min(i, rem) for i in range(parts + 1)]
+    return [(a, b - a) for a, b in zip(starts, starts[1:]) if b > a]
 
 
 def _worker_count(requested: int, trials: int, cpus: Optional[int]) -> int:
@@ -221,44 +209,30 @@ def _worker_count(requested: int, trials: int, cpus: Optional[int]) -> int:
 
 def _usable_cpus() -> Optional[int]:
     """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count()
 
 
-class _Fanout:
-    """Trial fan-out of one driver run, used as a context manager.  Its pool
-    is opened at the first task handed to it, and shut down when the `with`
-    block exits, raising or not: the tasks in flight (one window at most, all
-    of them running or queued for the workers already) finish, and its
-    children are joined."""
+class _Fanout(AbstractContextManager):
+    """Trial fan-out of one driver run, used as a context manager.  Over W > 1
+    workers (Linux only: it forks) at most W children are alive at a time;
+    when the `with` block exits, raising or not, any still running is killed
+    and every child is reaped."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.trials = cfg.trials
         self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
-        # The pool class, imported here, before the run builds its system
-        # (`_run`), so that its import counts as set-up.
-        self._executor = None
-        if self.workers > 1:
-            self._executor = sys.modules[__name__].ProcessPoolExecutor
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def __enter__(self) -> _Fanout:
-        return self
+        if self.workers > 1 and sys.platform != "linux":
+            raise ConfigError(f"workers > 1 forks, on Linux only, not on {sys.platform}")
+        self.children: set[_Child] = set()  # forked, not yet reaped
 
     def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        for child in list(self.children):
+            child.reap(kill=True)
 
-    def pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = self._executor(max_workers=self.workers)
-        return self._pool
-
-    def _blocks(self, trial_bytes: int, parts: int) -> list[tuple[int, int]]:
+    def _blocks(self, trial_bytes: int, start: int, count: int) -> list[tuple[int, int]]:
         per_block = max(1, _BLOCK_BYTES // trial_bytes)
-        return _chunk_ranges(self.trials, max(parts, self.trials // per_block))
+        return [(start + s, c) for s, c in _chunk_ranges(count, count // per_block)]
 
     def stream(self, jobs: Iterable[tuple]) -> Iterator[tuple]:
         """(item, columns) per job (item, chunk, trial_bytes, args), in job order.
@@ -266,55 +240,40 @@ class _Fanout:
         columns are chunk(args, (start, count)) over the job's trial blocks,
         each a tuple of per-trial arrays, joined column by column; None where
         chunk is None.  A block holds at least as many trials of trial_bytes
-        each as fit in _BLOCK_BYTES (or all of them) and fewer than twice that,
-        but the run's last job is split into at least one block per worker.
-
-        The blocks go out as tasks (`_tasks`) in job order while fewer than a
-        window of them are in flight, and are collected in that order.  At one
-        worker the window is one task, run inline, and a job is read only once
-        the previous item has been taken.  Over a pool it is 2 x workers
-        tasks, and a job is read with the next one, to tell the run's last
-        job; so an error in building a job can raise before earlier items are
-        taken.
+        as fit in _BLOCK_BYTES (or its whole slice) and fewer than twice that.
+        One worker reads a job, and runs its blocks inline, once the previous
+        item has been taken.  W workers fork a child per contiguous slice of
+        the job's trials and read the next job while they run; they collect
+        the children in slice order (the lowest slice's error raises first)
+        and fork the next job's before the item is yielded.  An error in
+        reading the next job raises once the item has been taken.
         """
-        window = 2 * self.workers if self.workers > 1 else 1
-        queue: deque = deque()  # (item, parts, future, last) per task handed out
-        tasks = self._tasks(iter(jobs), window)
-        while True:
-            for item, parts, fn, blocks, last in islice(tasks, window - len(queue)):
-                queue.append((item, parts, fn and _map_chunks(fn, blocks, self), last))
-            if not queue:
-                return
-            item, parts, future, last = queue.popleft()
-            if future:
-                parts.extend(future.result())
-                future = None  # parts alone holds the blocks' results
-            if last:
-                yield item, parts and _joined(parts)
+        if self.workers == 1:
+            for item, chunk, trial_bytes, args in jobs:
+                blocks = self._blocks(trial_bytes, 0, self.trials)
+                yield item, chunk and _joined([chunk(args, r) for r in blocks])
+            return
+        jobs, error = iter(jobs), None
+        following = next(jobs, None)
+        running = following and self._fork(*following)
+        while running:
+            item, children = running
+            try:
+                following = next(jobs, None)  # built while the children run
+            except Exception as exc:
+                following, error = None, exc
+            parts = [part for child in children or () for part in child.result()]
+            running = following and self._fork(*following)
+            yield item, children and _joined(parts)
+        if error is not None:
+            raise error
 
-    def _tasks(self, jobs: Iterator[tuple], window: int) -> Iterator[tuple]:
-        """(item, parts, fn, blocks, whether it is its job's last) per task,
-        in job order, and (item, None, None, None, True) per skipped job.
-
-        A task is one trial block, or, in a job of more blocks than the
-        window, one of `window` contiguous runs of them: a pool task pickles
-        the job's arguments, which can outweigh a block's work: one block a
-        task took configs/long_order.conf at two workers from 0.51 to 0.58 s
-        (medians of 7 alternating runs, 2-core x86-64, one BLAS thread)."""
-        ahead = self.workers > 1  # read the next job with each, over a pool
-        job = next(jobs, None)
-        while job is not None:
-            following = next(jobs, None) if ahead else None
-            item, chunk, trial_bytes, args = job
-            if chunk is None:
-                yield item, None, None, None, True
-            else:
-                fn, parts = partial(chunk, args), []
-                blocks = self._blocks(trial_bytes, self.workers if following is None else 1)
-                runs = _chunk_ranges(len(blocks), window)
-                for i, (start, count) in enumerate(runs, 1):
-                    yield item, parts, fn, blocks[start : start + count], i == len(runs)
-            job = following if ahead else next(jobs, None)
+    def _fork(self, item, chunk: Optional[Callable], trial_bytes: int, args) -> tuple:
+        """(item, a child per trial slice in order, or None if chunk is None)."""
+        if chunk is None:
+            return item, None
+        fn, slices = partial(chunk, args), _chunk_ranges(self.trials, self.workers)
+        return item, [_map_chunks(fn, self._blocks(trial_bytes, *s), self) for s in slices]
 
 
 def _joined(parts: list) -> list:
@@ -338,28 +297,71 @@ def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 
-class _Ran(NamedTuple):
-    """A task run inline, whose result is read as a pool future's is."""
+class _Child(NamedTuple):
+    """A forked child (`_map_chunks`), its pipe's read end, and its fan-out."""
 
-    value: list
+    pid: int
+    pipe: BinaryIO
+    fanout: _Fanout
 
     def result(self) -> list:
-        return self.value
+        """The child's block results, once it is reaped.  Its chunk's exception
+        raises here, as does a RuntimeError naming a child that sent nothing."""
+        with self.pipe:
+            sent = self.pipe.read()
+        code = self.reap()
+        if code < 0:
+            raise RuntimeError(f"child {self.pid} was killed by signal {-code}")
+        if code or not sent:
+            raise RuntimeError(f"child {self.pid} exited with status {code}")
+        value = pickle.loads(sent)
+        if isinstance(value, BaseException):
+            raise value
+        return value
+
+    def reap(self, kill: bool = False) -> int:
+        """Its exit code once it ends (killed first if kill), or minus its signal."""
+        if kill:
+            from signal import SIGKILL  # only a run that raises kills its children
+
+            self.pipe.close()
+            os.kill(self.pid, SIGKILL)
+        status = os.waitpid(self.pid, 0)[1]
+        self.fanout.children.discard(self)
+        return os.waitstatus_to_exitcode(status)
 
 
-def _map_chunks(
-    fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
-) -> Future | _Ran:
-    """Hand out the task [fn(r) per trial block r, in order]: run inline at
-    one worker, else submitted to the pool; either way, something whose
-    result() is the list."""
-    if fanout.workers == 1:
-        return _Ran(_run_blocks(fn, ranges))
-    return fanout.pool().submit(_run_blocks, fn, ranges)
-
-
-def _run_blocks(fn: Callable, ranges: Sequence[tuple[int, int]]) -> list:
-    return [fn(r) for r in ranges]
+def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout) -> _Child:
+    """Fork a child that pickles [fn(r) per trial block r, in order] into a
+    pipe, or the exception that stopped it (a RuntimeError with its repr if it
+    does not pickle).  The child inherits fn's arguments copy-on-write, so
+    nothing is pickled on the way in.  A refused fork is a ResourceLimitError."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise ResourceLimitError(f"cannot fork a trial child: {exc}") from exc
+    if pid:
+        os.close(write_fd)
+        child = _Child(pid, open(read_fd, "rb"), fanout)
+        fanout.children.add(child)
+        return child
+    code = 1
+    try:  # the child, which never returns
+        try:
+            sent = pickle.dumps([fn(r) for r in ranges], pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                pickle.loads(sent := pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:
+                sent = pickle.dumps(RuntimeError(repr(exc)), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(sent)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _past_rank(descending: np.ndarray, n: int) -> np.ndarray:
@@ -374,7 +376,7 @@ def _spec_norms(stack: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cells and their trial chunks (top-level so they pickle)
+# Cells and their trial chunks
 # ---------------------------------------------------------------------------
 
 
@@ -625,11 +627,8 @@ def _run(
     rows_of: Callable[[ExperimentConfig, SystemBundle, _Fanout], Iterable[dict]],
 ) -> DriverResult:
     """Build the system, then write rows_of(cfg, system, trials) to cfg.out as
-    the rows come.
-
-    The system is built before the first row is asked for, so a config error
-    raises before any file is opened; a run that raises later leaves no file.
-    """
+    the rows come.  A config error, the worker count's included, raises before
+    any file is opened; a run that raises later leaves no file and no child."""
     with _Fanout(cfg) as trials:
         system = build_system(cfg)
         count = write_csv(cfg.out, columns, rows_of(cfg, system, trials), cfg)

@@ -246,25 +246,29 @@ def test_run_never_imports_scipy(conf, tmp_path, mode):
 
 
 def test_one_worker_run_never_imports_the_pool(conf, tmp_path):
-    """The process-pool machinery is imported only where a pool may open:
-    importing the CLI, and a one-worker run, leave it out of sys.modules."""
+    """No run imports the process-pool machinery: importing the CLI, and a
+    run at one worker or at two, which forks its children itself, leave
+    concurrent.futures and multiprocessing out of sys.modules."""
     script = (
         "import sys; from qksd.cli import main; "
-        "pool = 'concurrent.futures.process'; "
-        "assert pool not in sys.modules, 'on import'; "
+        "from qksd.harness import drivers; "
+        "drivers._usable_cpus = lambda: 2; "
+        "pools = ('concurrent.futures', 'multiprocessing'); "
+        "assert not any(p in sys.modules for p in pools), 'on import'; "
         "rc = main(sys.argv[1:]); "
-        "assert pool not in sys.modules, 'after the run'; "
+        "assert not any(p in sys.modules for p in pools), 'after the run'; "
         "sys.exit(rc)"
     )
-    out = tmp_path / "sweep.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "threshold-sweep", "--config", str(conf),
-         "--workers", "1", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.exists()
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep_w{workers}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "threshold-sweep", "--config", str(conf),
+             "--workers", workers, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
 
 def test_run_never_imports_csv(tmp_path):

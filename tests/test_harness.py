@@ -6,14 +6,15 @@ row structure plus the worker-count independence of the output bytes.
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
 import importlib.util
 import io
 import math
-import multiprocessing
 import os
 import re
+import signal
 import stat
 import sys
 import threading
@@ -21,6 +22,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from qksd.errors import (
     IllPosedError,
     InfeasibleBudgetError,
     NumericalError,
+    ResourceLimitError,
 )
 from qksd.gevp import basis_thresholding, solve_gevp, top_k_thresholding
 from qksd.harness import (
@@ -695,18 +698,31 @@ def test_driver_output_worker_invariant(tmp_path):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Process pools the drivers open, on a machine that lends them two CPUs."""
-    opened = []
-
-    class CountingPool(drivers.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(drivers, "ProcessPoolExecutor", CountingPool)
+def two_cpus(monkeypatch):
+    """A machine that lends the drivers two CPUs."""
     monkeypatch.setattr(drivers, "_usable_cpus", lambda: 2)
-    return opened
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child the drivers fork, in order."""
+    pids = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def _no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Per driver: its runner and a grid for three budgets; singular-spectrum
@@ -735,7 +751,7 @@ def _lines_by_budget(path: Path) -> dict[bytes, list[bytes]]:
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("mode", ("gaussian", "binomial"))
 @pytest.mark.parametrize("name", list(GROUPED_BUDGETS))
-def test_cell_budgets_match_one_budget_runs(tmp_path, pools, name, mode, workers):
+def test_cell_budgets_match_one_budget_runs(tmp_path, two_cpus, forks, name, mode, workers):
     """A cell samples its budgets from one draw per block.  Each budget's
     lines (trial, summary, skipped and slope rows) are byte-equal to those of
     a run of that budget alone, so no draw leaks from one budget into
@@ -758,11 +774,13 @@ def test_cell_budgets_match_one_budget_runs(tmp_path, pools, name, mode, workers
             assert m == 4 and all(line.startswith(b"skipped,") for line in lines)
             continue
         assert lines == _lines_by_budget(Path(alone.out))[str(m).encode()]
-    assert bool(pools) == (workers > 1)  # two workers run over a pool
+    # two workers fork a child per trial slice of every job; one forks none
+    assert bool(forks) == (workers > 1) and len(forks) % workers == 0
+    _no_child_left()
 
 
 BOTH = ("toeplitz", "nontoeplitz")
-POOLED_DRIVERS = {  # grid and its jobs, one per construction: one pool serves every job
+POOLED_DRIVERS = {  # grid and its number of jobs, one per construction
     "threshold_sweep": (
         run_threshold_sweep,
         {"n_list": (3, 5), "m_list": (50_000, 100_000), "constructions": BOTH},
@@ -776,30 +794,32 @@ POOLED_DRIVERS = {  # grid and its jobs, one per construction: one pool serves e
         {"n_list": (3, 5), "m_list": (100_000, 200_000), "constructions": BOTH},
         2,
     ),
-    # one Krylov order: one job of one cell, the run's last, with both budgets
+    # one Krylov order: one job of one cell, with both budgets
     "singular_spectrum": (run_singular_spectrum, {"m_list": (10_000, 40_000)}, 1),
     # a shipped config at three trials: two jobs of seven Krylov orders and
-    # three budgets, the last split into blocks of two trials and one over
-    # two workers
+    # three budgets, each forked as slices of two trials and one over two
+    # workers, and of one trial each over three
     "optimal_threshold_conf": (run_optimal_threshold_scan, "optimal_threshold.conf", 2),
 }
 
 
 @pytest.mark.parametrize("name", list(POOLED_DRIVERS))
-def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, name):
-    """One block per job, but the run's last job takes one per worker; the
-    bytes do not depend on the worker count."""
+def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, forks, name):
+    """Over W workers every job forks exactly W children, one per contiguous
+    slice of its trials in order, each running its slice's blocks; one
+    worker forks none.  The bytes do not depend on the worker count."""
     runner, grid, jobs = POOLED_DRIVERS[name]
-    blocks = {1: Counter(), 2: Counter()}  # per worker count, blocks per job's chunk
+    slices = {1: [], 2: [], 3: []}  # per worker count, each child's blocks
     real_map = drivers._map_chunks
 
     def counted_map(fn, ranges, fanout):
-        blocks[fanout.workers][fn] += len(ranges)
+        slices[fanout.workers].append((fn, list(ranges)))
         return real_map(fn, ranges, fanout)
 
     monkeypatch.setattr(drivers, "_map_chunks", counted_map)
     out = {}
-    for workers in (1, 2):
+    for workers in slices:
+        monkeypatch.setattr(drivers, "_usable_cpus", lambda: workers)
         path = tmp_path / f"w{workers}.csv"
         if isinstance(grid, str):
             cfg = load_config(
@@ -809,49 +829,64 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, pools, nam
             cfg = small_cfg(tmp_path, path.name, trials=7, workers=workers, **grid)
         runner(cfg)
         out[workers] = path.read_bytes()
-    assert list(blocks[1].values()) == [1] * jobs
-    assert list(blocks[2].values()) == [1] * (jobs - 1) + [2]
-    assert len(pools) == 1
-    assert out[1] == out[2]
+        forked = slices[workers]
+        assert len(forks) == sum(len(s) for s in slices.values())
+        assert len(forked) == (jobs * workers if workers > 1 else 0)
+        for job in range(0, len(forked), workers):
+            children = forked[job : job + workers]
+            assert len({fn for fn, _ in children}) == 1  # one job's chunk
+            blocks = [block for _, ranges in children for block in ranges]
+            assert [start for start, _ in blocks] == list(
+                np.cumsum([0] + [count for _, count in blocks])[:-1]
+            )
+            covered = [(ranges[0][0], sum(c for _, c in ranges)) for _, ranges in children]
+            assert covered == _chunk_ranges(cfg.trials, workers)
+    assert out[1] == out[2] == out[3]
+    _no_child_left()
 
 
-def test_one_pool_per_driver_run(tmp_path, monkeypatch, pools):
-    """A run opens its pool once, at most, and reaps it on return or on raise."""
+def test_no_child_outlives_a_run(tmp_path, monkeypatch, two_cpus, forks):
+    """A two-worker run forks two children per job and reaps them all on
+    return; a run whose writer raises once the first job's rows are in, with
+    the second job's children forked and running, kills and reaps them and
+    leaves no CSV and no .tmp.  One worker forks nothing."""
     cfg = small_cfg(
         tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
         constructions=BOTH, trials=4, workers=2,
     )
     res = run_optimal_threshold_scan(cfg)
     assert [r["trials_used"] for r in read_rows(res)] == [4] * 8
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 * 2
+    _no_child_left()
 
     run_optimal_threshold_scan(dataclasses.replace(cfg, workers=1))
-    assert len(pools) == 1
+    assert len(forks) == 4
+    Path(cfg.out).unlink()
 
-    submitted = []
-    real_map = drivers._map_chunks
-
-    def counted_map(fn, ranges, fanout):
-        submitted.extend(ranges)
-        return real_map(fn, ranges, fanout)
+    at_raise = []
+    real_write = drivers.write_csv
 
     def failing_write(path, columns, rows, cfg):
-        next(iter(rows))  # the first job's four blocks are in
-        assert len(submitted) == 4 + 3  # and a window, less one, of lookahead blocks
-        raise OSError("disk full")
+        def first_job_then_raise():
+            for row in rows:
+                yield row
+                if row["construction"] == "toeplitz" and row["n"] == 5:
+                    at_raise.append(len(forks))
+                    raise OSError("disk full")
 
-    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)  # one-trial blocks: 8 in all
-    monkeypatch.setattr(drivers, "_map_chunks", counted_map)
+        return real_write(path, columns, first_job_then_raise(), cfg)
+
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)  # one-trial blocks
     monkeypatch.setattr(drivers, "write_csv", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_optimal_threshold_scan(cfg)
-    assert len(pools) == 2
-    assert multiprocessing.active_children() == []
+    assert at_raise == [4 + 4]  # the second job's children were forked
+    _no_child_left()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _offset_trials(offset, rng):
-    """A trial chunk (top-level, so it pickles): its block's trial indices plus offset."""
+    """A trial chunk: its block's trial indices plus offset."""
     start, count = rng
     return (np.arange(start, start + count) + offset,)
 
@@ -865,7 +900,7 @@ def _stream_jobs(offsets, reads=None, chunk=_offset_trials):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_stream_keeps_job_order(pools, monkeypatch, workers):
+def test_stream_keeps_job_order(two_cpus, forks, monkeypatch, workers):
     """Items come back in job order with their cells' trials in order, and a
     skipped job's item passes through with no columns, at one worker and two."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
@@ -880,54 +915,60 @@ def test_stream_keeps_job_order(pools, monkeypatch, workers):
         else:
             (column,) = columns
             assert column.tolist() == list(range(offset, offset + 5))
-    assert len(pools) == workers - 1
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (4 * workers if workers > 1 else 0)  # none for a skipped job
+    _no_child_left()
 
 
-class _TrackedFuture:
-    """A pool task's future that takes its blocks out of flight when collected."""
+class _Collected(NamedTuple):
+    """A forked child's handle that logs when it is collected."""
 
-    def __init__(self, future, blocks, flying):
-        self.future, self.blocks, self.flying = future, blocks, flying
+    child: object
+    events: list
 
     def result(self):
-        self.flying[0] -= self.blocks
-        return self.future.result()
+        self.events.append(("collect", self.child.pid))
+        return self.child.result()
 
 
-def test_stream_window(pools, monkeypatch):
-    """Over two workers, later jobs' blocks are submitted while earlier ones
-    are collected, one block a task, and never more than 2 x workers blocks
-    are in flight."""
+def test_stream_reads_the_next_job_while_children_run(two_cpus, monkeypatch):
+    """Over two workers a job's two children are forked, the next job is
+    read while they run, and they are collected before the next job's
+    children are forked and the item is taken; at most two children are
+    alive at any time, and a skipped job forks none."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)  # one-trial blocks
-    flying, peak, submitted = [0], [0], []
+    events, alive = [], []
     real_map = drivers._map_chunks
 
     def tracked_map(fn, ranges, fanout):
-        submitted.append((fn.args[0], len(ranges), taken[:]))
-        flying[0] += len(ranges)
-        peak[0] = max(peak[0], flying[0])
-        return _TrackedFuture(real_map(fn, ranges, fanout), len(ranges), flying)
+        alive.append(len(fanout.children) + 1)
+        child = real_map(fn, ranges, fanout)
+        events.append(("fork", fn.args[0], child.pid))
+        return _Collected(child, events)
 
     monkeypatch.setattr(drivers, "_map_chunks", tracked_map)
-    offsets = [0, 100, None, 200, 300, 400]
-    taken = []
     with drivers._Fanout(ExperimentConfig(trials=3, workers=2)) as fanout:
-        for item, columns in fanout.stream(_stream_jobs(offsets)):
-            assert flying[0] <= 4
-            taken.append(item)
-    assert peak[0] == 4 and flying[0] == 0
-    assert [count for _, count, _ in submitted] == [1] * (5 * 3)
-    # the second job's blocks went out before the first job was taken
-    assert any(offset == 100 and not before for offset, _, before in submitted)
-    assert taken == list(range(len(offsets)))
+        for item, _ in fanout.stream(_stream_jobs([0, 100, None, 200], events)):
+            events.append(("taken", item))
+    pids = iter(event[2] for event in events if event[0] == "fork")
+    a, b, c, d, e, f = pids
+    assert events == [
+        ("read", 0), ("fork", 0, a), ("fork", 0, b),
+        ("read", 1), ("collect", a), ("collect", b),
+        ("fork", 100, c), ("fork", 100, d), ("taken", 0),
+        ("read", 2), ("collect", c), ("collect", d), ("taken", 1),
+        ("read", 3), ("fork", 200, e), ("fork", 200, f), ("taken", 2),
+        ("collect", e), ("collect", f), ("taken", 3),
+    ]
+    assert max(alive) == 2
+    _no_child_left()
 
 
-def test_stream_sends_a_large_cell_in_window_runs(pools, monkeypatch):
-    """A cell of more blocks than the window (2 x workers) goes to the pool as
-    that many tasks, each a contiguous run of its blocks, so its arguments
-    are pickled four times, not ten."""
-    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)  # one-trial blocks
+@pytest.mark.parametrize("workers", (2, 3))
+def test_stream_forks_a_contiguous_slice_per_worker(monkeypatch, workers):
+    """Each of a job's W children runs one contiguous slice of its trials, in
+    blocks sized from the byte budget; the columns join in trial order."""
+    monkeypatch.setattr(drivers, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
     runs = []
     real_map = drivers._map_chunks
 
@@ -936,12 +977,14 @@ def test_stream_sends_a_large_cell_in_window_runs(pools, monkeypatch):
         return real_map(fn, ranges, fanout)
 
     monkeypatch.setattr(drivers, "_map_chunks", recording_map)
-    with drivers._Fanout(ExperimentConfig(trials=10, workers=2)) as fanout:
+    with drivers._Fanout(ExperimentConfig(trials=10, workers=workers)) as fanout:
         ((_, (column,)),) = fanout.stream(_stream_jobs([0]))
     assert column.tolist() == list(range(10))
-    assert [[start for start, _ in run] for run in runs] == [
-        [0, 1, 2], [3, 4, 5], [6, 7], [8, 9]
-    ]
+    assert runs == {
+        2: [[(0, 3), (3, 2)], [(5, 3), (8, 2)]],
+        3: [[(0, 2), (2, 2)], [(4, 3)], [(7, 3)]],  # three trials: one block
+    }[workers]
+    _no_child_left()
 
 
 def test_stream_one_worker_runs_no_job_ahead(monkeypatch):
@@ -969,17 +1012,16 @@ _SCAN_COLUMNS = drivers._scan_columns
 
 
 def _scan_columns_failing_at_n5(args, stacks, i):
-    """The scan columns, raising in the non-Toeplitz cell of Krylov order 5
-    (top-level, so pool workers find it)."""
+    """The scan columns, raising in the non-Toeplitz cell of Krylov order 5."""
     if (args[0].construction, args[0].n) == ("nontoeplitz", 5):
         raise RuntimeError("lookahead cell")
     return _SCAN_COLUMNS(args, stacks, i)
 
 
-def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
-    """A chunk that raises in a job submitted ahead raises when that job's
-    turn comes: the earlier job's rows have reached write_csv, and the run
-    leaves no file, no .tmp and no child process."""
+def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, two_cpus, forks):
+    """A chunk that raises in a job forked ahead raises when that job's turn
+    comes: the earlier job's rows have reached write_csv, and the run leaves
+    no file, no .tmp and no child process."""
     written, submitted = [], []
     real_map, real_write = drivers._map_chunks, drivers.write_csv
 
@@ -1000,13 +1042,149 @@ def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, pools):
     )
     with pytest.raises(RuntimeError, match="lookahead cell"):
         run_optimal_threshold_scan(cfg)
-    # the failing cell's job went out before any row was written
+    # the failing cell's job was forked before any row was written
     assert (["nontoeplitz"] * 2, 0) in submitted
     assert [(r["construction"], r["n"], r["m_budget"]) for r in written] == [
         ("toeplitz", n, m) for n in (3, 5) for m in (50_000, 100_000)
     ]
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 4
+    _no_child_left()
+
+
+def _scan_cfg(tmp_path, **kw):
+    return small_cfg(
+        tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
+        constructions=BOTH, trials=4, workers=2, **kw,
+    )
+
+
+def test_child_error_raises_lowest_slice_first(tmp_path, monkeypatch, two_cpus, forks):
+    """A chunk that raises in every child raises, in the parent, the same
+    type and message as the lowest slice's; the run leaves no CSV, no .tmp
+    and no child."""
+
+    def failing_job(columns_of, job, rng):
+        raise LookupError(f"block at trial {rng[0]}")
+
+    monkeypatch.setattr(drivers, "_per_job", failing_job)
+    with pytest.raises(LookupError, match=r"^block at trial 0$"):
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert len(forks) == 2  # the first job's two slices: trials 0-1 and 2-3
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+def test_error_building_next_job_raises_after_rows(tmp_path, monkeypatch, two_cpus, forks):
+    """The next job is built while the current job's children run; an error
+    in building it raises only once the current job's rows have reached
+    write_csv, and the run leaves no CSV, no .tmp and no child."""
+    real_targets, real_write = drivers.targets_for, drivers.write_csv
+    written = []
+
+    def targets_for(system, n, construction):
+        if construction == "nontoeplitz":
+            raise ArithmeticError("second job")
+        return real_targets(system, n, construction)
+
+    def recording_write(path, columns, rows, cfg):
+        return real_write(path, columns, (written.append(r) or r for r in rows), cfg)
+
+    monkeypatch.setattr(drivers, "targets_for", targets_for)
+    monkeypatch.setattr(drivers, "write_csv", recording_write)
+    with pytest.raises(ArithmeticError, match="second job"):
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert [(r["construction"], r["n"], r["m_budget"]) for r in written] == [
+        ("toeplitz", n, m) for n in (3, 5) for m in (50_000, 100_000)
+    ]
+    assert len(forks) == 2
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+def test_killed_child_names_its_pid_and_signal(tmp_path, monkeypatch, two_cpus, forks):
+    """A child killed by a signal before it sends its results raises an
+    error naming its pid and the signal; the run leaves no CSV, no .tmp and
+    no child."""
+    parent = os.getpid()
+
+    def killed_job(columns_of, job, rng):
+        if os.getpid() != parent:  # never the test process itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(drivers, "_per_job", killed_job)
+    killed = rf"child (\d+) was killed by signal {int(signal.SIGKILL)}$"
+    with pytest.raises(RuntimeError, match=killed) as info:
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert re.search(r"child (\d+)", str(info.value))[1] == str(forks[0])
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles, but unpickling calls __init__ with args alone and fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("local", (True, False))
+def test_unpicklable_child_error_arrives_as_its_repr(tmp_path, monkeypatch, two_cpus, local):
+    """An exception a child cannot send as it is (a class pickle cannot find,
+    or one that does not unpickle) arrives as a RuntimeError carrying its
+    repr; the run leaves no CSV, no .tmp and no child."""
+
+    class Local(Exception):
+        pass
+
+    error = Local("no class to find") if local else _NeedsTwoArguments("bad", "block")
+
+    def failing_job(columns_of, job, rng):
+        raise error
+
+    monkeypatch.setattr(drivers, "_per_job", failing_job)
+    with pytest.raises(RuntimeError) as info:
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert str(info.value) == repr(error)
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("code", (errno.EAGAIN, errno.ENOMEM))
+def test_failed_fork_is_a_resource_limit(tmp_path, monkeypatch, capsys, two_cpus, code):
+    """A fork the system refuses raises ResourceLimitError (exit code 2) and
+    leaves no CSV, no .tmp and no child."""
+
+    def refused_fork():
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    with pytest.raises(ResourceLimitError, match="cannot fork"):
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    out = tmp_path / "cli.csv"
+    argv = ["optimal-threshold", "--config", str(CONFIG_DIR / "optimal_threshold.conf"),
+            "--trials", "2", "--workers", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "cannot fork" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+def test_workers_off_linux_is_a_config_error(tmp_path, monkeypatch, capsys, two_cpus):
+    """Forking is used on Linux only: elsewhere, a run whose worker count
+    comes to more than one exits 2 naming the platform, before any file is
+    opened; one worker runs."""
+    monkeypatch.setattr(sys, "platform", "darwin")
+    out = tmp_path / "scan.csv"
+    argv = ["optimal-threshold", "--config", str(CONFIG_DIR / "optimal_threshold.conf"),
+            "--trials", "2", "--out", str(out)]
+    assert cli.main([*argv, "--workers", "2"]) == 2
+    assert "darwin" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError, match="Linux"):
+        drivers._Fanout(ExperimentConfig(trials=2, workers=2))
+    assert cli.main([*argv, "--workers", "1"]) == 0
+    assert out.exists()
 
 
 def test_driver_rows_match_written_file(tmp_path):
@@ -1530,7 +1708,7 @@ def test_driver_digests(tmp_path, name, variant):
     assert config_digest(tmp_path, name, variant) == DRIVER_DIGESTS[(name, variant)]
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("workers", (1, 2, 3))
 @pytest.mark.parametrize(
     "name, variant",
     # at three trials, one-trial Toeplitz blocks meet reduced solves that a
@@ -1543,17 +1721,20 @@ def test_driver_digests(tmp_path, name, variant):
     ids=lambda v: v or "shipped",
 )
 def test_driver_digests_smallest_blocks(
-    tmp_path, monkeypatch, pools, name, variant, workers
+    tmp_path, monkeypatch, forks, name, variant, workers
 ):
     """Trial blocks do not show in the bytes: with the smallest blocks (one
     trial each), every config reproduces its bytes at the default budget
-    (pinned where DRIVER_DIGESTS has them) inline and over a pool, and a
-    single-worker run of many blocks opens no pool."""
+    (pinned where DRIVER_DIGESTS has them) inline and over forked children
+    of two and three workers, which fork a child per worker for every job;
+    a single-worker run of many blocks forks none."""
     want = DRIVER_DIGESTS.get((name, variant)) or config_digest(tmp_path, name, variant)
+    monkeypatch.setattr(drivers, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1)
     digest = config_digest(tmp_path, name, variant, workers=workers)
     assert digest == want
-    assert len(pools) == workers - 1
+    assert bool(forks) == (workers > 1) and len(forks) % workers == 0
+    _no_child_left()
 
 
 # Every shipped L = 2 config and the benchmark's chain config (L = 5, binomial).
