@@ -215,9 +215,9 @@ def _usable_cpus() -> Optional[int]:
 
 class _Fanout(AbstractContextManager):
     """Trial fan-out of one driver run, used as a context manager.  Over W > 1
-    workers (Linux only: it forks) at most W children are alive at a time;
-    when the `with` block exits, raising or not, any still running is killed
-    and every child is reaped."""
+    workers (Linux only: it forks) at most W children are alive at a time, and
+    the parent runs no slice: it would grow the heap later children inherit.
+    On exit, raising or not, any child still running is killed; all are reaped."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.trials = cfg.trials
@@ -243,9 +243,9 @@ class _Fanout(AbstractContextManager):
         as fit in _BLOCK_BYTES (or its whole slice) and fewer than twice that.
         One worker reads a job, and runs its blocks inline, once the previous
         item has been taken.  W workers fork a child per contiguous slice of
-        the job's trials and read the next job while they run; they collect
-        the children in slice order (the lowest slice's error raises first)
-        and fork the next job's before the item is yielded.  An error in
+        the job's trials and read the next job while they run; the children
+        are collected in slice order (the lowest slice's error raises first)
+        and the next job's forked before the item is yielded.  An error in
         reading the next job raises once the item has been taken.
         """
         if self.workers == 1:

@@ -398,8 +398,8 @@ def complex_stack(sampler: Sampler, draws: np.ndarray, i: int) -> np.ndarray:
 def complex_path():
     """Drivers run on the complex path inside the block: their sampled and
     exact Toeplitz matrices are complex Hermitian Toeplitz, so every overlap
-    eigh and Toeplitz solve is complex.  Run them at one worker, so that no
-    pool process misses the patch."""
+    eigh and Toeplitz solve is complex.  Forked trial children inherit the
+    patch, so it holds at any worker count."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Sampler, "stack", complex_stack)
         patch.setattr(drivers, "expected_pair", complex_expected_pair)

@@ -4,8 +4,9 @@ The drivers are the package's reason to exist: API that no driver, config
 key or CLI flag reaches is dead weight.  This runs every shipped config and
 the benchmark's chain config through `qksd.cli.main` under a profile hook,
 plus the paths a default run does not take (a two-worker run, which forks
-a child per worker for every job, and the hardware-fidelity config keys), and asserts that every function, method and
-property defined under `src/qksd` was called.
+a child per worker for every job, and the hardware-fidelity config keys),
+and asserts that every function, method and property defined under
+`src/qksd` was called.
 """
 
 import ast
