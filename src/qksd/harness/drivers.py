@@ -98,8 +98,8 @@ _E0_TOL = 1e-12  # |E0| below this fraction of sum_j beta_j counts as zero
 # noise past S's rank (`_past_rank`): it is written as na, and so is the ideal
 # energy of the exact pair kept to it.
 _RANK_FLOOR = np.finfo(float).eps
-# Nominal bytes (`_trial_bytes`) of one trial block; the draw grid's
-# temporaries make a block's real peak a few times this.
+# Nominal bytes (`_trial_bytes`) of one trial block; a block's traced peak
+# is about a third to two fifths of its nominal bytes (README).
 _BLOCK_BYTES = 4 << 20
 
 
@@ -289,11 +289,15 @@ def _joined(parts: list) -> list:
 def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
     """Nominal bytes one trial of a cell holds: a float per (element, config,
     fragment) of each plan's grid and a complex (n, n) matrix per stack.  This
-    overstates a gaussian plan's draws J-fold, and a real-form stack's bytes
-    2-fold, which keeps its blocks small: counted at 8 bytes an entry, real
-    stacks double error-norms' blocks, which raised its peak RSS for no speed.
-    A job's blocks are sized from its largest cell's count: its other cells
-    run in the same blocks, on views of the largest cell's draws."""
+    overstates a plan's draws J-fold in either mode (a gaussian trial holds a
+    normal per filled (element, config), a binomial one a complex estimate per
+    element, its fragments reduced a trial at a time), and a real-form
+    stack's bytes 2-fold, which keeps its blocks small: counted at 8 bytes an
+    entry, real stacks double error-norms' blocks, which raised its peak RSS
+    for no speed.  The count is kept as it is, so blocks keep their sizes
+    until a re-measure shows that larger ones pay.  A job's blocks are sized
+    from its largest cell's count: its other cells run in the same blocks, on
+    views of the largest cell's draws."""
     return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
 
 
@@ -306,7 +310,8 @@ class _Child(NamedTuple):
 
     def result(self) -> list:
         """The child's block results, once it is reaped.  Its chunk's exception
-        raises here, as does a RuntimeError naming a child that sent nothing."""
+        raises here, noted with the child's traceback on Python 3.11 and later,
+        as does a RuntimeError naming a child that sent nothing."""
         with self.pipe:
             sent = self.pipe.read()
         code = self.reap()
@@ -315,8 +320,11 @@ class _Child(NamedTuple):
         if code or not sent:
             raise RuntimeError(f"child {self.pid} exited with status {code}")
         value = pickle.loads(sent)
-        if isinstance(value, BaseException):
-            raise value
+        if isinstance(value, tuple):  # (the exception, its traceback in the child)
+            error, trace = value
+            if sys.version_info >= (3, 11):
+                error.add_note(trace)
+            raise error
         return value
 
     def reap(self, kill: bool = False) -> int:
@@ -334,8 +342,10 @@ class _Child(NamedTuple):
 def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout) -> _Child:
     """Fork a child that pickles [fn(r) per trial block r, in order] into a
     pipe, or the exception that stopped it (a RuntimeError with its repr if it
-    does not pickle).  The child inherits fn's arguments copy-on-write, so
-    nothing is pickled on the way in.  A refused fork is a ResourceLimitError."""
+    does not pickle) with its formatted traceback, which the parent attaches
+    as a note on Python 3.11 and later.  The child inherits fn's arguments
+    copy-on-write, so nothing is pickled on the way in.  A refused fork is a
+    ResourceLimitError."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -353,10 +363,13 @@ def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
         try:
             sent = pickle.dumps([fn(r) for r in ranges], pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
+            from traceback import format_exc  # only a failing child formats one
+
+            trace = format_exc()
             try:
-                pickle.loads(sent := pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                pickle.loads(sent := pickle.dumps((exc, trace), pickle.HIGHEST_PROTOCOL))
             except Exception:
-                sent = pickle.dumps(RuntimeError(repr(exc)), pickle.HIGHEST_PROTOCOL)
+                sent = pickle.dumps((RuntimeError(repr(exc)), trace), pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
             pipe.write(sent)
         code = 0

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import Spectrum
 from .hamiltonian import UnitaryPartition, apply_pauli_sum
@@ -113,17 +114,19 @@ def toeplitz_real_form(seq: np.ndarray) -> np.ndarray:
         R[k, l] = Re t_|k-l| - sgn(n-1-k-l) Im t_|n-1-k-l|,
 
     with T's eigenvalues; T's eigenvectors are Q w for R's eigenvectors w
-    (`from_real_form`).  Works over the last axis as toeplitz_matrix does: two
-    gathers and one in-place add give a C-contiguous (..., n, n) float stack,
-    no more bytes than toeplitz_matrix's complex one.
+    (`from_real_form`).  Works over the last axis as toeplitz_matrix does:
+    both terms are length-n windows of (..., 2n - 1) sequences, so one copy
+    and one in-place add give a C-contiguous (..., n, n) float stack, which
+    owns its data, and no other (..., n, n) array is built.
     """
     n = seq.shape[-1]
-    grid = np.arange(n)
-    out = np.take(seq.real, np.abs(np.subtract.outer(grid, grid)), axis=-1)
-    imag = seq.imag
-    # -sgn(m) Im t_|m| at position n-1+m, for m = -(n-1)..n-1
-    hankel = np.concatenate([imag[..., :0:-1], np.zeros_like(imag[..., :1]), -imag[..., 1:]], -1)
-    out += np.take(hankel, 2 * (n - 1) - np.add.outer(grid, grid), axis=-1)
+    real, imag = seq.real, seq.imag
+    # Re t_|m| at position n-1+m, for m = -(n-1)..n-1: row k is the window at n-1-k
+    mirrored = np.concatenate([real[..., :0:-1], real], -1)
+    out = sliding_window_view(mirrored, n, axis=-1)[..., ::-1, :].copy()
+    # sgn(m) Im t_|m| at position n-1+m: row k is the window at k
+    hankel = np.concatenate([-imag[..., :0:-1], np.zeros_like(imag[..., :1]), imag[..., 1:]], -1)
+    out += sliding_window_view(hankel, n, axis=-1)
     return out
 
 

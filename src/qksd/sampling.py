@@ -27,7 +27,10 @@ A `Sampler` samples one target at each budget of a (construction, n) cell,
 one plan per budget.  It computes the moments no trial changes once: the
 mean of each gaussian part, which no budget changes, and its spread at each
 budget.  A block of trials draws its gaussian normals once and reuses them
-for every budget; binomial counts are drawn per budget.  `draw_shared`
+for every budget; binomial counts are drawn per budget, a trial at a time,
+into one (element, fragment) complex grid, which the fragment weights reduce
+to the trial's estimates before the next trial is drawn, so a block never
+holds its per-fragment estimates.  `draw_shared`
 serves the samplers of one target at several Krylov orders from one draw at
 the widest.  The one-plan ensembles (`sample_overlap_ensemble`,
 `sample_hamiltonian_ensemble`) are a one-budget Sampler.
@@ -270,13 +273,16 @@ class Sampler:
     configuration)'s mean mu = sum_j beta_j mu_j, the same at every budget,
     and its spread sigma_i = sqrt(sum_j beta_j^2 (1 - mu_j^2)/m_ij) at budget
     i, the binomial estimator's; in binomial mode p = (1 + mu_j)/2 per sampled
-    coordinate, after the range check.
+    coordinate, after the range check, and each sampled coordinate's slot, Re
+    or Im, in a complex (P, J) grid of one trial's fragment estimates.
 
     A block of trials takes its draws once (`draw`): a standard normal per
     filled (element, configuration) in gaussian mode, which every budget
     reuses as mu + sigma_i z, or its streams' keys in binomial mode, whose
-    counts are drawn per budget from the start of each trial's stream.
-    `stack` builds one budget's (T, n, n) stack from them.
+    counts are drawn per budget from the start of each trial's stream into
+    that grid, reused for every trial and reduced by the weights into the
+    trial's row of the block's (T, P) estimates (`estimates`).  `stack`
+    builds one budget's (T, n, n) stack from them.
     """
 
     def __init__(self, targets: MeasurementTargets, plans, noise: NoiseSpec):
@@ -316,14 +322,18 @@ class Sampler:
                 for p in plans
             ]
             return
-        self.sampled = plan.counts > 0  # the same coordinates at every budget
-        mean = means[self.sampled]
+        sampled = plan.counts > 0  # the same coordinates at every budget
+        mean = means[sampled]
         out_of_range = np.abs(mean) > 1.0 + 1e-9
         if np.any(out_of_range):
             bad = float(mean[out_of_range][0])
             raise ValueError(f"binomial mode needs |part| <= 1, got {bad}")
         self.p = 0.5 * (1.0 + np.clip(mean, -1.0, 1.0))
-        self.shots = [p.counts[self.sampled] for p in plans]
+        self.shots = [p.counts[sampled] for p in plans]
+        # each sampled (p, c, j), in draw order, to its float in a complex
+        # (P, J) grid: Re at 2 (p J + j), Im one further
+        elem, conf, frag = np.nonzero(sampled)
+        self.slots = 2 * (elem * fragments + frag) + conf
 
     def draw(self, trials: int, first_trial: int) -> np.ndarray:
         """The draws of the `trials` trials from first_trial on: a (T, C)
@@ -335,7 +345,9 @@ class Sampler:
 
     def estimates(self, draws: np.ndarray, i: int) -> np.ndarray:
         """(T, P) estimates sum_j beta_j (Re + i Im) of the grid at budget i;
-        unfilled configurations stay 0."""
+        unfilled configurations stay 0.  A binomial trial's counts fill the
+        reused (P, J) grid in draw order, and one matrix-vector product
+        writes its row, so no (T, P, 2, J) array is built."""
         trials = len(draws)
         if self.gaussian:
             # (Re, Im) pairs of a (T, P); mu + sigma z with one temporary
@@ -345,10 +357,13 @@ class Sampler:
             est[:, self.cols] = part
             return est.view(complex)
         m = self.shots[i]
-        est = np.zeros((trials,) + self.sampled.shape)
-        for row, gen in zip(est, rngstream.streams(draws)):  # drawn into place
-            row[self.sampled] = 2.0 * gen.binomial(m, self.p) / m - 1.0
-        return (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ self.betas
+        est = np.empty((trials, len(self.elements)), dtype=complex)
+        grid = np.zeros((len(self.elements), len(self.betas)), dtype=complex)
+        parts = grid.reshape(-1).view(float)  # unsampled parts stay 0 in every trial
+        for row, gen in zip(est, rngstream.streams(draws)):  # reduced into place
+            parts[self.slots] = 2.0 * gen.binomial(m, self.p) / m - 1.0
+            np.matmul(grid, self.betas, out=row)
+        return est
 
     def stack(self, draws: np.ndarray, i: int) -> np.ndarray:
         """The block's (T, n, n) stack of sampled matrices at budget i: a

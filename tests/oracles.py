@@ -42,6 +42,14 @@ Toeplitz matrix, sampled or exact, in real form (`krylov.toeplitz_real_form`)
 and decomposes it with real eigh.  `complex_path` runs the drivers on the
 same draws with each Toeplitz matrix built as `krylov.toeplitz_matrix` of its
 sequence instead, so every overlap eigh and Toeplitz solve is complex.
+
+The gather-built real form and the grid-reduced binomial estimates: the
+package builds a real form from strided windows of its sequences, and
+reduces each trial's binomial fragment counts into its estimates one trial
+at a time.  `take_real_form` gathers both terms through index grids into a
+full (..., n, n) temporary, and `grid_binomial_estimates` draws a block's
+counts into a (T, P, 2, J) float grid and reduces its complex copy in one
+stacked product; the package's forms must reproduce both bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ import pytest
 
 from qksd.evolution import Spectrum, diagonalize, sector_indices
 from qksd.hamiltonian import PauliSum, build_hubbard_1d, pauli_to_dense
+from qksd import rngstream
 from qksd.harness import drivers
 from qksd.krylov import CONSTRUCTIONS, KrylovConfig, toeplitz_matrix
 from qksd.sampling import (
@@ -404,3 +413,35 @@ def complex_path():
         patch.setattr(Sampler, "stack", complex_stack)
         patch.setattr(drivers, "expected_pair", complex_expected_pair)
         yield
+
+
+# ---------------------------------------------------------------------------
+# The gather-built real form and the grid-reduced binomial estimates
+# ---------------------------------------------------------------------------
+
+
+def take_real_form(seq: np.ndarray) -> np.ndarray:
+    """`krylov.toeplitz_real_form` by two index-grid gathers: the symmetric
+    Toeplitz matrix in Re t, plus a gathered (..., n, n) Hankel matrix in
+    -sgn(m) Im t_|m|, m = n-1-k-l, added in place."""
+    n = seq.shape[-1]
+    grid = np.arange(n)
+    out = np.take(seq.real, np.abs(np.subtract.outer(grid, grid)), axis=-1)
+    imag = seq.imag
+    # -sgn(m) Im t_|m| at position n-1+m, for m = -(n-1)..n-1
+    hankel = np.concatenate([imag[..., :0:-1], np.zeros_like(imag[..., :1]), -imag[..., 1:]], -1)
+    out += np.take(hankel, 2 * (n - 1) - np.add.outer(grid, grid), axis=-1)
+    return out
+
+
+def grid_binomial_estimates(sampler: Sampler, plan, draws: np.ndarray, i: int) -> np.ndarray:
+    """A binomial `Sampler.estimates` at budget i through the whole block's
+    (T, P, 2, J) float grid: each trial's counts drawn into the coordinates
+    plan.counts samples, then sum_j beta_j (Re + i Im) of the grid's complex
+    (T, P, J) copy."""
+    sampled = plan.counts > 0
+    m = sampler.shots[i]
+    est = np.zeros((len(draws),) + sampled.shape)
+    for row, gen in zip(est, rngstream.streams(draws)):
+        row[sampled] = 2.0 * gen.binomial(m, sampler.p) / m - 1.0
+    return (est[:, :, 0, :] + 1j * est[:, :, 1, :]) @ sampler.betas

@@ -1061,15 +1061,21 @@ def _scan_cfg(tmp_path, **kw):
 
 def test_child_error_raises_lowest_slice_first(tmp_path, monkeypatch, two_cpus, forks):
     """A chunk that raises in every child raises, in the parent, the same
-    type and message as the lowest slice's; the run leaves no CSV, no .tmp
-    and no child."""
+    type and message as the lowest slice's, and on Python 3.11 and later
+    carries the child's traceback, which names the raising function, as a
+    note; the run leaves no CSV, no .tmp and no child."""
 
     def failing_job(columns_of, job, rng):
         raise LookupError(f"block at trial {rng[0]}")
 
     monkeypatch.setattr(drivers, "_per_job", failing_job)
-    with pytest.raises(LookupError, match=r"^block at trial 0$"):
+    with pytest.raises(LookupError) as info:
         run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert str(info.value) == "block at trial 0"  # pytest's match reads notes too
+    if sys.version_info >= (3, 11):
+        (trace,) = info.value.__notes__
+        assert trace.startswith("Traceback") and "in failing_job" in trace
+        assert trace.rstrip().endswith("LookupError: block at trial 0")
     assert len(forks) == 2  # the first job's two slices: trials 0-1 and 2-3
     assert list(tmp_path.iterdir()) == []
     _no_child_left()
@@ -1654,6 +1660,7 @@ DRIVER_FOR_CONFIG = {
     "threshold_sweep": run_threshold_sweep,
     "optimal_threshold": run_optimal_threshold_scan,
     "perturbation_bound": run_perturbation_vs_bound,
+    "chain": run_perturbation_vs_bound,  # bench/chain.conf
 }
 # Overrides applied on top of a shipped config, by variant name.
 VARIANTS = {
@@ -1687,7 +1694,15 @@ DRIVER_DIGESTS = {
         "42a7fb9ab603f8dd867d421a1e3800a2edff14add28e418873ea7e69ae5d04ea",
     ("threshold_sweep", "elementwise"):
         "2c4cb4fb5b363493eb700d7a2c427edf2e5b51275d3e68e81537cb8b5b549af4",
+    # L = 5, binomial, both constructions: J = 17 fragments per H grid
+    ("chain", None):
+        "a39110e26b42e930e72abadb61577bfd0631a7f2426901942d39d9435cc8a448",
 }
+
+
+def config_path(name: str) -> Path:
+    """A shipped config's file, or the benchmark's chain config's."""
+    return BENCH_DIR / "chain.conf" if name == "chain" else CONFIG_DIR / f"{name}.conf"
 
 
 def config_digest(tmp_path, name, variant, **overrides):
@@ -1695,7 +1710,7 @@ def config_digest(tmp_path, name, variant, **overrides):
     them), under a variant."""
     out = tmp_path / f"{name}.csv"
     overrides = {"trials": 8, "out": str(out), **VARIANTS[variant], **overrides}
-    cfg = load_config(str(CONFIG_DIR / f"{name}.conf"), overrides)
+    cfg = load_config(str(config_path(name)), overrides)
     DRIVER_FOR_CONFIG[name](cfg)
     return hashlib.sha256(out.read_bytes()).hexdigest()
 

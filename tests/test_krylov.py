@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qksd.evolution import diagonalize, sector_ground_energy, sector_indices
 from qksd.hamiltonian import (
@@ -21,7 +24,13 @@ from qksd.krylov import (
 )
 from qksd.sampling import expected_pair
 
-from oracles import exact_propagator, exact_sequences, exchange_unitary, hartree_fock_full
+from oracles import (
+    exact_propagator,
+    exact_sequences,
+    exchange_unitary,
+    hartree_fock_full,
+    take_real_form,
+)
 
 FULL = np.arange(2**4)  # the two-site chain's full Fock basis
 
@@ -107,6 +116,45 @@ def test_toeplitz_real_form_is_conjugated_toeplitz(n):
     assert np.abs(t @ v - v * vals[:, None, :]).max() < 1e-13
     assert np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(n)).max() < 1e-14
     np.testing.assert_allclose(vals, np.linalg.eigvalsh(t), rtol=0, atol=1e-13)
+
+
+# parts with exact zeros of both signs among them
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 33),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    data=st.data(),
+)
+def test_toeplitz_real_form_matches_take_oracle(n, lead, data):
+    """The strided-window real form of a 1-, 2- or 3-D stack of complex
+    sequences, and of their real parts, is bit for bit the index-gathered one
+    (`oracles.take_real_form`), signed zeros included, and a C-contiguous,
+    writable array that owns its data."""
+    shape = (*lead, n)
+    seq = np.empty(shape, dtype=complex)
+    seq.real = data.draw(hnp.arrays(np.float64, shape, elements=_PARTS))
+    seq.imag = data.draw(hnp.arrays(np.float64, shape, elements=_PARTS))
+    for s in (seq, seq.real):
+        got, want = toeplitz_real_form(s), take_real_form(s)
+        assert got.dtype == want.dtype and got.shape == want.shape == (*lead, n, n)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+
+
+@pytest.mark.parametrize("shape", [(1,), (4, 1), (2, 3, 1)])
+def test_toeplitz_real_form_of_one_element_is_its_own_array(shape):
+    """At n = 1 every window is the sequence itself, yet the real form is a
+    new writable, C-contiguous array owning its data, which the drivers
+    subtract from in place without touching the sequence."""
+    seq = np.full(shape, 0.5 - 0.25j)
+    r = toeplitz_real_form(seq)
+    assert r.shape == (*shape, 1)
+    assert r.flags.c_contiguous and r.flags.writeable and r.flags.owndata
+    r -= 0.5
+    assert not r.any() and np.all(seq == 0.5 - 0.25j)
 
 
 def test_exact_sequences_match_direct_overlaps(system):

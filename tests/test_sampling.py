@@ -6,12 +6,13 @@ synthetic measurement targets whose variances are known in closed form.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exchange_unitary, largest_remainder, sample_pair
+from oracles import exchange_unitary, grid_binomial_estimates, largest_remainder, sample_pair
 
 from qksd import rngstream
 from qksd.errors import InfeasibleBudgetError
@@ -677,6 +678,69 @@ def test_binomial_ensemble_ignores_out_of_range_mean_without_shots():
     counts[2, 0, 1] = 0  # no other coordinate may go without shots
     with pytest.raises(InfeasibleBudgetError):
         ShotPlan("H_toeplitz", 3, counts)
+
+
+def _binomial_sampler(target, fragments, n, budgets, decay=0.0, seed=0):
+    """A binomial Sampler of one target over random overlaps, and its plans."""
+    rng = np.random.default_rng(fragments * 100 + n)
+    betas = rng.uniform(0.2, 1.0, fragments)
+    elementwise = target == "H_nontoeplitz"
+    s_seq = np.concatenate([[1.0], _random_overlaps(rng, n - 1)])
+    frag = _random_overlaps(rng, (fragments, n, n) if elementwise else (fragments, n))
+    targets = synthetic_targets(
+        n=n, betas=betas, s_seq=s_seq, frag=frag,
+        construction="nontoeplitz" if elementwise else "toeplitz", id_coeff=0.2,
+    )
+    if elementwise:
+        plans = [allocate_nontoeplitz(m, n, betas=betas) for m in budgets]
+    else:
+        plans = [allocate_toeplitz(m, n, target == "H_toeplitz", betas) for m in budgets]
+    noise = NoiseSpec(mode="binomial", hardware_lambda=decay, rng_seed=seed)
+    return Sampler(targets, plans, noise), plans
+
+
+@pytest.mark.parametrize("decay", (0.0, 0.3))
+@pytest.mark.parametrize(
+    "target, fragments",
+    [("S_toeplitz", 1), ("H_toeplitz", 1), ("H_toeplitz", 4),
+     ("H_nontoeplitz", 1), ("H_nontoeplitz", 4)],
+)
+def test_binomial_estimates_match_grid_oracle(target, fragments, decay):
+    """Reducing each trial's fragment counts into its row reproduces, bit for
+    bit, the whole block's (T, P, 2, J) grid reduced in one stacked product
+    (`oracles.grid_binomial_estimates`): at one and several fragments, in
+    one-trial and several-trial blocks, at each of two budgets, with and
+    without decay."""
+    sampler, plans = _binomial_sampler(target, fragments, 5, (4000, 90_000), decay, seed=41)
+    for trials, first in ((1, 7), (6, 0)):
+        draws = sampler.draw(trials, first)
+        for i, plan in enumerate(plans):
+            got = sampler.estimates(draws, i)
+            want = grid_binomial_estimates(sampler, plan, draws, i)
+            assert got.shape == want.shape == (trials, plan.counts.shape[0])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_binomial_stack_peak_does_not_scale_with_fragments():
+    """A binomial block's traced peak in `Sampler.stack` grows with the
+    fragment count J by less than one float per (trial, element, fragment):
+    counts are drawn into one trial's (P, J) grid at a time and reduced into
+    the block's (T, P) estimates, never held as a (T, P, 2, J) grid.  An
+    elementwise n = 9 block of 64 trials at J = 2 and 34 fragments."""
+    n, trials, small, large = 9, 64, 2, 34
+    peaks = {}
+    for fragments in (small, large):
+        sampler, _ = _binomial_sampler("H_nontoeplitz", fragments, n, (10**7,))
+        draws = sampler.draw(trials, 0)
+        sampler.stack(draws, 0)  # warm up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            sampler.stack(draws, 0)
+            peaks[fragments] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    elements = n * (n + 1) // 2
+    assert peaks[large] - peaks[small] < 8 * trials * elements * (large - small), peaks
 
 
 def test_seed_changes_samples():
