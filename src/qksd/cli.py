@@ -3,8 +3,9 @@
     qksd <driver> --config <path> [--seed N] [--trials N] [--out PATH]
                   [--mode binomial|gaussian] [--construction ...] [--workers N]
 
-Exit codes: 0 success, 2 configuration error or system above the size cap,
-3 infeasible budget, 4 numerical failure.
+Exit codes: 0 success, 2 configuration error or resource limit (system
+above the size cap, a refused fork, out of memory), 3 infeasible budget,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # raised in this process or in a forked child
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource limit: out of memory{detail}", file=sys.stderr)
         return 2
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)

@@ -5,13 +5,15 @@ Each driver maps an ExperimentConfig to one CSV.  Every driver walks
 and the sampling moments of its shot plans.  A job (`_jobs`) is the run of
 cells of one (kind, construction), every n of the config, and the driver
 hands its jobs, in order, to the run's `_Fanout` (`_Fanout.stream`), which
-runs each job's chunk over contiguous trial blocks sized from a fixed byte
-budget (`_BLOCK_BYTES`) and the per-trial footprint of the job's largest
-cell: inline at one worker, else in one forked child per contiguous slice of
-the job's trials, while the parent builds the next job.  A job's peak memory
-depends on its block, not on `trials`, and since every trial's random stream
-is keyed by its absolute trial index and every result is per trial, any
-block layout and worker count give byte-identical files.
+runs each job's chunk over contiguous trial blocks: inline at one worker,
+else in one forked child per contiguous slice of the job's trials, while the
+parent builds the next job.  A block holds as many trials as fit a fixed
+budget (`_BLOCK_BYTES`) at the bytes a trial of the job's largest cell
+really holds (`_trial_bytes`): its draws, and the (n, n) stacks its driver's
+columns hold at their peak, at their dtype.  A job's peak memory depends on
+its block, not on `trials`, and since every trial's random stream is keyed
+by its absolute trial index and every result is per trial, any block layout
+and worker count give byte-identical files.
 
 A block draws each gaussian matrix's normals once for its whole job: the
 stream key is (seed, trial, matrix), with no n and no M, so a cell's normals
@@ -98,9 +100,10 @@ _E0_TOL = 1e-12  # |E0| below this fraction of sum_j beta_j counts as zero
 # noise past S's rank (`_past_rank`): it is written as na, and so is the ideal
 # energy of the exact pair kept to it.
 _RANK_FLOOR = np.finfo(float).eps
-# Nominal bytes (`_trial_bytes`) of one trial block; a block's traced peak
-# is about a third to two fifths of its nominal bytes (README).
-_BLOCK_BYTES = 4 << 20
+# Bytes (`_trial_bytes`) one trial block holds.  Traced around its chunk, a
+# full block allocates 0.60 to 1.13 times its count, on every driver and in
+# either noise mode (README), so this budget bounds a block's memory.
+_BLOCK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +289,6 @@ def _joined(parts: list) -> list:
     return columns
 
 
-def _trial_bytes(n: int, stacks: int, *plans: ShotPlan) -> int:
-    """Nominal bytes one trial of a cell holds: a float per (element, config,
-    fragment) of each plan's grid and a complex (n, n) matrix per stack.  This
-    overstates a plan's draws J-fold in either mode (a gaussian trial holds a
-    normal per filled (element, config), a binomial one a complex estimate per
-    element, its fragments reduced a trial at a time), and a real-form
-    stack's bytes 2-fold, which keeps its blocks small: counted at 8 bytes an
-    entry, real stacks double error-norms' blocks, which raised its peak RSS
-    for no speed.  The count is kept as it is, so blocks keep their sizes
-    until a re-measure shows that larger ones pay.  A job's blocks are sized
-    from its largest cell's count: its other cells run in the same blocks, on
-    views of the largest cell's draws."""
-    return 8 * sum(plan.counts.size for plan in plans) + 16 * n * n * stacks
-
-
 class _Child(NamedTuple):
     """A forked child (`_map_chunks`), its pipe's read end, and its fan-out."""
 
@@ -418,18 +406,15 @@ class _Cell(NamedTuple):
     budgets: tuple[_Budget, ...]
     feasible: tuple[_Budget, ...]
     samplers: dict[str, Sampler]
-    trial_bytes: int
 
 
 def _cells(
     cfg: ExperimentConfig, system: SystemBundle, kinds: Sequence[tuple[str, str]] = ()
 ) -> Iterator[_Cell]:
     """One cell per (kind, construction) and n, in config order, by default a
-    pair cell ("HS") per construction.  A plan's grid does not depend on its
-    budget, so the cell's trial footprint is any feasible budget's; a pair
-    trial also holds S~'s eigenvectors and a batched solve's four stacks.
-    Each (construction, n)'s targets are built once and held until the last
-    cell that takes them: error-norms' S and Toeplitz H cells share them."""
+    pair cell ("HS") per construction.  Each (construction, n)'s targets are
+    built once and held until the last cell that takes them: error-norms' S
+    and Toeplitz H cells share them."""
     noise = noise_from(cfg)
     kinds = kinds or [("HS", c) for c in cfg.constructions]
     takers = Counter((construction, n) for _, construction in kinds for n in cfg.n_list)
@@ -462,12 +447,10 @@ def _cells(
                 for z in kind
                 if plans
             }
-            first = plans[0].values() if plans else ()
-            trial_bytes = _trial_bytes(n, 7 if kind == "HS" else 2, *first)
             feasible = tuple(budget for budget in budgets if not budget.note)
             yield _Cell(
                 kind, construction, n, *expected_pair(targets, cfg.hardware_lambda),
-                tuple(budgets), feasible, samplers, trial_bytes,
+                tuple(budgets), feasible, samplers,
             )
 
 
@@ -481,21 +464,45 @@ def _jobs(
         yield job
 
 
+def _trial_bytes(cell: _Cell, stacks: int) -> int:
+    """Bytes one trial of a cell holds in a block.  Per sampled matrix, its
+    draws: a float per filled (element, configuration) in gaussian mode, the
+    job's shared draw of which the cell takes a view, or in binomial mode a
+    complex estimate per element, its fragments reduced a trial at a time.
+    Then `stacks` (n, n) stacks, each at its dtype: 8 bytes an entry in real
+    form, 16 where the cell samples the elementwise H, whose stacks are
+    complex.  `stacks` is set per driver from tracemalloc of its columns at
+    the shipped configs, with the stacks they are handed: they peak at 1.1 to
+    2.0 stacks for error-norms (counted as 2), 1.2 for singular-spectrum (2),
+    3.2 to 3.6 for optimal-threshold (4), 7.2 for threshold-sweep (7) and
+    3.7 for perturbation-bound (5: at 4, the benchmark's L = 5 chain's
+    blocks would allocate up to 1.37 times their count).
+    A job's blocks are sized from its largest cell's count: its other cells
+    run in the same blocks, on views of that cell's draws."""
+    draws = sum(
+        8 * s.cols.size if s.gaussian else 16 * len(s.elements)
+        for s in cell.samplers.values()
+    )
+    entry = 16 if cell.construction == "nontoeplitz" and "H" in cell.kind else 8
+    return draws + stacks * entry * cell.n * cell.n
+
+
 def _sampled(
     trials: _Fanout, jobs: Iterable[tuple[_Cell, ...]], columns_of: Callable,
-    extra=lambda cell: (),
+    stacks: int, extra=lambda cell: (),
 ) -> Iterator[tuple]:
     """(args, budget, columns) per budget of each cell of the jobs, in config
     order: args = (cell, *extra(cell)), and columns the budget's columns_of
     over the cell's trials, None if infeasible.  The fan-out runs a job's
     chunk (`_per_job`) over trial blocks sized from its largest cell's
-    footprint."""
+    `_trial_bytes`, with `stacks` the (n, n) stacks columns_of holds."""
     chunk = partial(_per_job, columns_of)
 
     def fanout_job(cells: tuple[_Cell, ...]) -> tuple:
         job = tuple((cell, *extra(cell)) for cell in cells)
         sampled = any(cell.samplers for cell in cells)
-        return job, chunk if sampled else None, max(c.trial_bytes for c in cells), job
+        trial_bytes = max(_trial_bytes(cell, stacks) for cell in cells)
+        return job, chunk if sampled else None, trial_bytes, job
 
     for job, columns in trials.stream(map(fanout_job, jobs)):
         shares = iter(())
@@ -664,7 +671,8 @@ def _error_norm_rows(
     summary, or a skipped row; then the slopes."""
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
-    for (cell,), budget, share in _sampled(trials, _jobs(cfg, system, kinds), _norm_columns):
+    jobs = _jobs(cfg, system, kinds)
+    for (cell,), budget, share in _sampled(trials, jobs, _norm_columns, stacks=2):
         kind, construction, n, m = cell.kind, cell.construction, cell.n, budget.m
         base = {"construction": construction, "kind": kind, "n": n, "m_budget": m}
         if share is None:
@@ -723,7 +731,7 @@ def _spectrum_rows(
 ) -> Iterator[dict]:
     """n rows per budget; an infeasible budget raises when its turn comes."""
     jobs = _jobs(cfg, system, [("S", "toeplitz")])
-    for (cell,), budget, share in _sampled(trials, jobs, _spectrum_columns):
+    for (cell,), budget, share in _sampled(trials, jobs, _spectrum_columns, stacks=2):
         if share is None:
             raise InfeasibleBudgetError(budget.note)
         exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
@@ -767,7 +775,7 @@ def _sweep_rows(
         return (ideal,)
 
     for (cell, ideal), budget, share in _sampled(
-        trials, _jobs(cfg, system), _sweep_columns, ideal_of
+        trials, _jobs(cfg, system), _sweep_columns, stacks=7, extra=ideal_of
     ):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
@@ -803,7 +811,8 @@ def _scan_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     e0 = system.e0_sector
-    for (cell,), budget, share in _sampled(trials, _jobs(cfg, system), _scan_columns):
+    jobs = _jobs(cfg, system)
+    for (cell,), budget, share in _sampled(trials, jobs, _scan_columns, stacks=4):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
             yield {**base, "trials_used": 0}
@@ -848,7 +857,8 @@ def _perturbation_rows(
     cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
 ) -> Iterator[dict]:
     prepare = partial(_exact_solutions, epsilon_ideal=cfg.epsilon_ideal)
-    budgets = _sampled(trials, _jobs(cfg, system), _perturbation_columns, prepare)
+    jobs = _jobs(cfg, system)
+    budgets = _sampled(trials, jobs, _perturbation_columns, stacks=5, extra=prepare)
     for (cell, exact, e0_full), budget, share in budgets:
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:

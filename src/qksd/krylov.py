@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import Spectrum
 from .hamiltonian import UnitaryPartition, apply_pauli_sum
@@ -115,19 +114,30 @@ def toeplitz_real_form(seq: np.ndarray) -> np.ndarray:
 
     with T's eigenvalues; T's eigenvectors are Q w for R's eigenvectors w
     (`from_real_form`).  Works over the last axis as toeplitz_matrix does:
-    both terms are length-n windows of (..., 2n - 1) sequences, so one copy
-    and one in-place add give a C-contiguous (..., n, n) float stack, which
-    owns its data, and no other (..., n, n) array is built.
+    both terms are length-n windows of (..., 2n - 1) sequences (`_windows`),
+    so one copy and one in-place add give a C-contiguous (..., n, n) float
+    stack, which owns its data, and no other (..., n, n) array is built.
     """
     n = seq.shape[-1]
     real, imag = seq.real, seq.imag
     # Re t_|m| at position n-1+m, for m = -(n-1)..n-1: row k is the window at n-1-k
     mirrored = np.concatenate([real[..., :0:-1], real], -1)
-    out = sliding_window_view(mirrored, n, axis=-1)[..., ::-1, :].copy()
+    out = _windows(mirrored, n - 1, -1).copy()
     # sgn(m) Im t_|m| at position n-1+m: row k is the window at k
     hankel = np.concatenate([-imag[..., :0:-1], np.zeros_like(imag[..., :1]), imag[..., 1:]], -1)
-    out += sliding_window_view(hankel, n, axis=-1)
+    out += _windows(hankel, 0, 1)
     return out
+
+
+def _windows(seq: np.ndarray, first: int, step: int) -> np.ndarray:
+    """The read-only (..., n, n) view of a C-contiguous (..., 2n - 1) stack
+    of sequences whose row k is the length-n window at first + step k: one
+    strided view, built directly."""
+    n, unit = (seq.shape[-1] + 1) // 2, seq.itemsize
+    strides = (*seq.strides[:-1], step * unit, unit)
+    view = np.ndarray((*seq.shape[:-1], n, n), seq.dtype, seq, first * unit, strides)
+    view.flags.writeable = False
+    return view
 
 
 def from_real_form(w: np.ndarray) -> np.ndarray:

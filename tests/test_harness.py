@@ -892,7 +892,7 @@ def _offset_trials(offset, rng):
 
 
 def _stream_jobs(offsets, reads=None, chunk=_offset_trials):
-    """One job per offset, each trial 1 MiB nominal; None marks a skipped cell."""
+    """One job per offset, each trial counted at 1 MiB; None marks a skipped cell."""
     for i, offset in enumerate(offsets):
         if reads is not None:
             reads.append(("read", i))
@@ -990,6 +990,7 @@ def test_stream_forks_a_contiguous_slice_per_worker(monkeypatch, workers):
 def test_stream_one_worker_runs_no_job_ahead(monkeypatch):
     """At one worker, no job is read, nor its chunk run, before the previous
     item has been taken."""
+    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 4 << 20)  # one block a job
     events = []
 
     def chunk(offset, rng):
@@ -1172,6 +1173,29 @@ def test_failed_fork_is_a_resource_limit(tmp_path, monkeypatch, capsys, two_cpus
             "--trials", "2", "--workers", "2", "--out", str(out)]
     assert cli.main(argv) == 2
     assert "cannot fork" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_out_of_memory_is_a_resource_limit(
+    tmp_path, monkeypatch, capsys, two_cpus, forks, workers
+):
+    """A MemoryError, raised inline at one worker or in a forked child at two,
+    exits 2 as a resource limit, with its message, and leaves no CSV, no .tmp
+    and no child.  The chunk raises it; nothing is allocated to trigger it."""
+
+    def exhausted(args, stacks, i):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(drivers, "_scan_columns", exhausted)
+    out = tmp_path / "cli.csv"
+    argv = ["optimal-threshold", "--config", str(CONFIG_DIR / "optimal_threshold.conf"),
+            "--trials", "2", "--workers", str(workers), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "resource limit: out of memory: Unable to allocate 1.00 TiB\n"
+    assert bool(forks) == (workers > 1)
     assert list(tmp_path.iterdir()) == []
     _no_child_left()
 
@@ -1816,13 +1840,71 @@ def test_real_form_matches_complex_path(tmp_path, name):
     assert compared > len(oracle) // 2
 
 
+# Trials at which every job of the config runs at least one full block.
+FULL_BLOCK_TRIALS = {
+    "error_norms": 100,
+    "singular_spectrum": 280,
+    "threshold_sweep": 80,
+    "optimal_threshold": 140,
+    "perturbation_bound": 300,
+    "chain": 300,
+}
+
+
+@pytest.mark.parametrize("mode", ("gaussian", "binomial"))
+@pytest.mark.parametrize("name", list(FULL_BLOCK_TRIALS))
+def test_block_traced_peak_matches_its_count(tmp_path, monkeypatch, name, mode):
+    """What a full trial block allocates, traced around its chunk, is 0.5 to
+    1.25 times its counted bytes (its trials times `_trial_bytes`), for every
+    driver in both noise modes: the count is what a block holds, so the
+    block budget bounds a block's memory.  Here it reads 0.61 to 1.13.  A
+    nominal count, 8 bytes per (element, configuration, fragment) of each
+    plan and a complex (n, n) stack per stack held, reads 0.24 to 0.44."""
+    cfg = load_config(
+        str(config_path(name)),
+        {"trials": FULL_BLOCK_TRIALS[name], "mode": mode, "workers": 1,
+         "out": str(tmp_path / "b.csv")},
+    )
+    runner = DRIVER_FOR_CONFIG[name]
+    runner(dataclasses.replace(cfg, trials=2))  # warm up: lazy imports and caches
+    counted, blocks = [], []
+    real_blocks, real_job = drivers._Fanout._blocks, drivers._per_job
+
+    def recording_blocks(self, trial_bytes, start, count):
+        counted.append(trial_bytes)
+        return real_blocks(self, trial_bytes, start, count)
+
+    def traced_job(columns_of, job, rng):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        columns = real_job(columns_of, job, rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        blocks.append((len(counted) - 1, rng[1], peak))
+        return columns
+
+    monkeypatch.setattr(drivers._Fanout, "_blocks", recording_blocks)
+    monkeypatch.setattr(drivers, "_per_job", traced_job)
+    tracemalloc.start()
+    try:
+        runner(cfg)
+    finally:
+        tracemalloc.stop()
+    full = [
+        (job, peak / (count * counted[job]))
+        for job, count, peak in blocks
+        if count >= drivers._BLOCK_BYTES // counted[job]
+    ]
+    assert {job for job, _ in full} == set(range(len(counted))), "a job ran no full block"
+    assert all(0.5 <= ratio <= 1.25 for _, ratio in full), full
+
+
 def test_cell_peak_memory_flat_in_trials(tmp_path, monkeypatch):
     """An error-norms H-elementwise cell peaks at its trial block, not at `trials`.
 
-    At n = 25 a trial is about 51 kB nominal, so a 1 MiB budget makes blocks
-    of 20 to 22 trials: 64 trials run in 3 blocks and 512 in 25.  Unblocked,
-    the 512-trial peak is about 8x the 64-trial one; blocked, only the
-    per-trial norms grow, which the 25% margin covers.
+    At n = 25 a trial counts 25,000 bytes (`_trial_bytes`), so a 1 MiB budget
+    makes blocks of 41 to 81 trials: 64 trials run in one block and 512 in 12
+    of 42 or 43.  Unblocked, the 512-trial peak is about 8x the 64-trial one;
+    blocked, only the per-trial norms grow, which the 25% margin covers.
     """
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)
     cfg = small_cfg(
@@ -1843,11 +1925,12 @@ def test_cell_peak_memory_flat_in_trials(tmp_path, monkeypatch):
 
 def test_run_peak_memory_flat_in_trials(tmp_path, monkeypatch):
     """An error-norms run's peak does not grow with `trials`: its rows stream
-    to the file as they are built.  At n = 25 with a 1 MiB block budget, a
-    cell of 300 trials runs in 5 or 6 blocks and one of 1,500 in 29 to 32;
-    only the per-trial norms (8 bytes a trial per cell) grow.  Held for one
-    write at the end, the 1,500-trial run's 6,000 rows would put its peak
-    about 1.5x the 300-trial one's."""
+    to the file as they are built.  At n = 25 a Toeplitz trial counts about
+    10.4 kB, so with a 1 MiB block budget a cell of 300 trials runs in 3
+    blocks and one of 1,500 in 15, of 100 trials each; only the per-trial
+    norms (8 bytes a trial per cell) grow.  Held for one write at the end,
+    the 1,500-trial run's 6,000 rows would put its peak about 1.5x the
+    300-trial one's."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)
     cfg = small_cfg(tmp_path, "flat.csv", n_list=(25,), m_list=(10**6, 10**8))
     run_error_norm_ensemble(dataclasses.replace(cfg, trials=2))  # warm up
