@@ -5,15 +5,16 @@ Each driver maps an ExperimentConfig to one CSV.  Every driver walks
 and the sampling moments of its shot plans.  A job (`_jobs`) is the run of
 cells of one (kind, construction), every n of the config, and the driver
 hands its jobs, in order, to the run's `_Fanout` (`_Fanout.stream`), which
-runs each job's chunk over contiguous trial blocks: inline at one worker,
-else in one forked child per contiguous slice of the job's trials, while the
-parent builds the next job.  A block holds as many trials as fit a fixed
-budget (`_BLOCK_BYTES`) at the bytes a trial of the job's largest cell
-really holds (`_trial_bytes`): its draws, and the (n, n) stacks its driver's
-columns hold at their peak, at their dtype.  A job's peak memory depends on
-its block, not on `trials`, and since every trial's random stream is keyed
-by its absolute trial index and every result is per trial, any block layout
-and worker count give byte-identical files.
+runs each job's chunk over contiguous trial blocks, one job at a time:
+inline at one worker, else in one forked child per contiguous slice of the
+job's trials, all collected before the job's rows are built and the next job
+is read.  A block holds as many trials as fit a fixed budget
+(`_BLOCK_BYTES`) at the bytes a trial of the job's largest cell really holds
+(`_trial_bytes`): its draws, and the (n, n) stacks its driver's columns hold
+at their peak, at their dtype; a slice's last block holds the rest.  A
+job's peak memory depends on its block, not on `trials`, and since every
+trial's random stream is keyed by its absolute trial index and every result
+is per trial, any block layout and worker count give byte-identical files.
 
 A block draws each gaussian matrix's normals once for its whole job: the
 stream key is (seed, trial, matrix), with no n and no M, so a cell's normals
@@ -45,7 +46,6 @@ import os
 import pickle
 import sys
 from collections import Counter
-from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -189,7 +189,7 @@ def _plan_for(kind: str, construction: str, m: int, n: int, betas: np.ndarray) -
 def __getattr__(name: str):
     """ProcessPoolExecutor, imported when it is first asked for.  No run opens
     a pool; only the benchmark's tracer (bench/spans.py) asks for the name,
-    to count pools.  ROADMAP item 1 Step B deletes it with the tracer."""
+    to count pools.  ROADMAP item 2 Step B deletes it with the tracer."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -216,67 +216,61 @@ def _usable_cpus() -> Optional[int]:
     return len(affinity(0)) if affinity else os.cpu_count()
 
 
-class _Fanout(AbstractContextManager):
-    """Trial fan-out of one driver run, used as a context manager.  Over W > 1
-    workers (Linux only: it forks) at most W children are alive at a time, and
-    the parent runs no slice: it would grow the heap later children inherit.
-    On exit, raising or not, any child still running is killed; all are reaped."""
+class _Fanout:
+    """Trial fan-out of one driver run.  Over W > 1 workers (Linux only: it
+    forks) each job forks one child per contiguous slice of its trials, at
+    most W alive at a time, and the parent runs no slice: it would grow the
+    heap later children inherit."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.trials = cfg.trials
         self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
         if self.workers > 1 and sys.platform != "linux":
             raise ConfigError(f"workers > 1 forks, on Linux only, not on {sys.platform}")
-        self.children: set[_Child] = set()  # forked, not yet reaped
-
-    def __exit__(self, *exc) -> None:
-        for child in list(self.children):
-            child.reap(kill=True)
 
     def _blocks(self, trial_bytes: int, start: int, count: int) -> list[tuple[int, int]]:
         per_block = max(1, _BLOCK_BYTES // trial_bytes)
-        return [(start + s, c) for s, c in _chunk_ranges(count, count // per_block)]
+        end = start + count
+        return [(s, min(per_block, end - s)) for s in range(start, end, per_block)]
 
     def stream(self, jobs: Iterable[tuple]) -> Iterator[tuple]:
         """(item, columns) per job (item, chunk, trial_bytes, args), in job order.
 
         columns are chunk(args, (start, count)) over the job's trial blocks,
         each a tuple of per-trial arrays, joined column by column; None where
-        chunk is None.  A block holds at least as many trials of trial_bytes
-        as fit in _BLOCK_BYTES (or its whole slice) and fewer than twice that.
-        One worker reads a job, and runs its blocks inline, once the previous
-        item has been taken.  W workers fork a child per contiguous slice of
-        the job's trials and read the next job while they run; the children
-        are collected in slice order (the lowest slice's error raises first)
-        and the next job's forked before the item is yielded.  An error in
-        reading the next job raises once the item has been taken.
+        chunk is None.  A slice's blocks hold as many trials of trial_bytes as
+        fit in _BLOCK_BYTES (at least one), and its last block the rest.  A
+        job is read once the previous item has been taken.  One worker runs
+        its blocks inline; W workers fork a child per contiguous slice of its
+        trials and collect them in slice order (`_forked`) before the item is
+        yielded.
         """
-        if self.workers == 1:
-            for item, chunk, trial_bytes, args in jobs:
-                blocks = self._blocks(trial_bytes, 0, self.trials)
-                yield item, chunk and _joined([chunk(args, r) for r in blocks])
-            return
-        jobs, error = iter(jobs), None
-        following = next(jobs, None)
-        running = following and self._fork(*following)
-        while running:
-            item, children = running
-            try:
-                following = next(jobs, None)  # built while the children run
-            except Exception as exc:
-                following, error = None, exc
-            parts = [part for child in children or () for part in child.result()]
-            running = following and self._fork(*following)
-            yield item, children and _joined(parts)
-        if error is not None:
-            raise error
+        for item, chunk, trial_bytes, args in jobs:
+            if chunk is None:
+                yield item, None
+                continue
+            fn, ranges = partial(chunk, args), _chunk_ranges(self.trials, self.workers)
+            slices = [self._blocks(trial_bytes, *s) for s in ranges]
+            parts = _forked(fn, slices) if self.workers > 1 else [fn(r) for r in slices[0]]
+            yield item, _joined(parts)
 
-    def _fork(self, item, chunk: Optional[Callable], trial_bytes: int, args) -> tuple:
-        """(item, a child per trial slice in order, or None if chunk is None)."""
-        if chunk is None:
-            return item, None
-        fn, slices = partial(chunk, args), _chunk_ranges(self.trials, self.workers)
-        return item, [_map_chunks(fn, self._blocks(trial_bytes, *s), self) for s in slices]
+
+def _forked(fn: Callable, slices: list) -> list:
+    """The results of fn over each slice's blocks, in order, from a child
+    forked per slice (`_map_chunks`) and collected in slice order: the lowest
+    slice's error raises first.  A child still running when another raises,
+    or a fork is refused, is killed and reaped, so no child outlives the job."""
+    running: list[_Child] = []
+    try:
+        for blocks in slices:
+            running.append(_map_chunks(fn, blocks))
+        parts = []
+        while running:
+            parts.extend(running.pop(0).result())  # off the list: result() reaps it
+        return parts
+    finally:
+        for child in running:
+            child.reap(kill=True)
 
 
 def _joined(parts: list) -> list:
@@ -290,11 +284,10 @@ def _joined(parts: list) -> list:
 
 
 class _Child(NamedTuple):
-    """A forked child (`_map_chunks`), its pipe's read end, and its fan-out."""
+    """A forked child (`_map_chunks`) and its pipe's read end."""
 
     pid: int
     pipe: BinaryIO
-    fanout: _Fanout
 
     def result(self) -> list:
         """The child's block results, once it is reaped.  Its chunk's exception
@@ -322,12 +315,10 @@ class _Child(NamedTuple):
 
             self.pipe.close()
             os.kill(self.pid, SIGKILL)
-        status = os.waitpid(self.pid, 0)[1]
-        self.fanout.children.discard(self)
-        return os.waitstatus_to_exitcode(status)
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout) -> _Child:
+def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]]) -> _Child:
     """Fork a child that pickles [fn(r) per trial block r, in order] into a
     pipe, or the exception that stopped it (a RuntimeError with its repr if it
     does not pickle) with its formatted traceback, which the parent attaches
@@ -343,9 +334,7 @@ def _map_chunks(fn: Callable, ranges: Sequence[tuple[int, int]], fanout: _Fanout
         raise ResourceLimitError(f"cannot fork a trial child: {exc}") from exc
     if pid:
         os.close(write_fd)
-        child = _Child(pid, open(read_fd, "rb"), fanout)
-        fanout.children.add(child)
-        return child
+        return _Child(pid, open(read_fd, "rb"))
     code = 1
     try:  # the child, which never returns
         try:
@@ -649,9 +638,9 @@ def _run(
     """Build the system, then write rows_of(cfg, system, trials) to cfg.out as
     the rows come.  A config error, the worker count's included, raises before
     any file is opened; a run that raises later leaves no file and no child."""
-    with _Fanout(cfg) as trials:
-        system = build_system(cfg)
-        count = write_csv(cfg.out, columns, rows_of(cfg, system, trials), cfg)
+    trials = _Fanout(cfg)
+    system = build_system(cfg)
+    count = write_csv(cfg.out, columns, rows_of(cfg, system, trials), cfg)
     return DriverResult(path=cfg.out, row_count=count)
 
 

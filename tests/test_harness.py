@@ -812,9 +812,9 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, forks, nam
     slices = {1: [], 2: [], 3: []}  # per worker count, each child's blocks
     real_map = drivers._map_chunks
 
-    def counted_map(fn, ranges, fanout):
-        slices[fanout.workers].append((fn, list(ranges)))
-        return real_map(fn, ranges, fanout)
+    def counted_map(fn, ranges):
+        slices[workers].append((fn, list(ranges)))
+        return real_map(fn, ranges)
 
     monkeypatch.setattr(drivers, "_map_chunks", counted_map)
     out = {}
@@ -847,9 +847,10 @@ def test_pooled_driver_output_worker_invariant(tmp_path, monkeypatch, forks, nam
 
 def test_no_child_outlives_a_run(tmp_path, monkeypatch, two_cpus, forks):
     """A two-worker run forks two children per job and reaps them all on
-    return; a run whose writer raises once the first job's rows are in, with
-    the second job's children forked and running, kills and reaps them and
-    leaves no CSV and no .tmp.  One worker forks nothing."""
+    return; when its writer raises once the first job's rows are in, the
+    first job's children are reaped and the second job's not yet forked, so
+    no child is alive, and the run leaves no CSV and no .tmp.  One worker
+    forks nothing."""
     cfg = small_cfg(
         tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
         constructions=BOTH, trials=4, workers=2,
@@ -872,6 +873,7 @@ def test_no_child_outlives_a_run(tmp_path, monkeypatch, two_cpus, forks):
                 yield row
                 if row["construction"] == "toeplitz" and row["n"] == 5:
                     at_raise.append(len(forks))
+                    _no_child_left()  # the first job's children are reaped
                     raise OSError("disk full")
 
         return real_write(path, columns, first_job_then_raise(), cfg)
@@ -880,7 +882,7 @@ def test_no_child_outlives_a_run(tmp_path, monkeypatch, two_cpus, forks):
     monkeypatch.setattr(drivers, "write_csv", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_optimal_threshold_scan(cfg)
-    assert at_raise == [4 + 4]  # the second job's children were forked
+    assert at_raise == [4 + 2]  # the first job's two children; the next job's not yet
     _no_child_left()
     assert list(tmp_path.iterdir()) == []
 
@@ -905,9 +907,8 @@ def test_stream_keeps_job_order(two_cpus, forks, monkeypatch, workers):
     skipped job's item passes through with no columns, at one worker and two."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
     offsets = [None, 0, 100, None, 200, 300, None]
-    cfg = ExperimentConfig(trials=5, workers=workers)
-    with drivers._Fanout(cfg) as fanout:
-        out = list(fanout.stream(_stream_jobs(offsets)))
+    fanout = drivers._Fanout(ExperimentConfig(trials=5, workers=workers))
+    out = list(fanout.stream(_stream_jobs(offsets)))
     assert [item for item, _ in out] == list(range(len(offsets)))
     for (_, columns), offset in zip(out, offsets):
         if offset is None:
@@ -930,126 +931,69 @@ class _Collected(NamedTuple):
         return self.child.result()
 
 
-def test_stream_reads_the_next_job_while_children_run(two_cpus, monkeypatch):
-    """Over two workers a job's two children are forked, the next job is
-    read while they run, and they are collected before the next job's
-    children are forked and the item is taken; at most two children are
-    alive at any time, and a skipped job forks none."""
+@pytest.mark.parametrize("workers", (1, 2))
+def test_stream_runs_one_job_at_a_time(two_cpus, monkeypatch, workers):
+    """Each job is read, then its blocks run inline at one worker, or its two
+    children are forked and collected in slice order at two, and only then
+    is its item taken: no job is read before the previous item has been
+    taken, a skipped job runs and forks nothing, and no child is left at any
+    taken item."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)  # one-trial blocks
-    events, alive = [], []
+    events = []
     real_map = drivers._map_chunks
 
-    def tracked_map(fn, ranges, fanout):
-        alive.append(len(fanout.children) + 1)
-        child = real_map(fn, ranges, fanout)
+    def chunk(offset, rng):
+        events.append(("run", offset))  # in a child, at two workers: not seen here
+        return _offset_trials(offset, rng)
+
+    def tracked_map(fn, ranges):
+        child = real_map(fn, ranges)
         events.append(("fork", fn.args[0], child.pid))
         return _Collected(child, events)
 
     monkeypatch.setattr(drivers, "_map_chunks", tracked_map)
-    with drivers._Fanout(ExperimentConfig(trials=3, workers=2)) as fanout:
-        for item, _ in fanout.stream(_stream_jobs([0, 100, None, 200], events)):
-            events.append(("taken", item))
+    offsets = [0, 100, None, 200]
+    fanout = drivers._Fanout(ExperimentConfig(trials=3, workers=workers))
+    for item, _ in fanout.stream(_stream_jobs(offsets, events, chunk)):
+        _no_child_left()
+        events.append(("taken", item))
     pids = iter(event[2] for event in events if event[0] == "fork")
-    a, b, c, d, e, f = pids
-    assert events == [
-        ("read", 0), ("fork", 0, a), ("fork", 0, b),
-        ("read", 1), ("collect", a), ("collect", b),
-        ("fork", 100, c), ("fork", 100, d), ("taken", 0),
-        ("read", 2), ("collect", c), ("collect", d), ("taken", 1),
-        ("read", 3), ("fork", 200, e), ("fork", 200, f), ("taken", 2),
-        ("collect", e), ("collect", f), ("taken", 3),
-    ]
-    assert max(alive) == 2
-    _no_child_left()
+    expected = []
+    for i, offset in enumerate(offsets):
+        expected.append(("read", i))
+        if offset is not None and workers == 1:
+            expected += [("run", offset)] * 3  # three one-trial blocks
+        elif offset is not None:
+            children = [next(pids), next(pids)]  # slices of two trials and one
+            expected += [("fork", offset, pid) for pid in children]
+            expected += [("collect", pid) for pid in children]
+        expected.append(("taken", i))
+    assert events == expected
+    assert next(pids, None) is None
 
 
 @pytest.mark.parametrize("workers", (2, 3))
 def test_stream_forks_a_contiguous_slice_per_worker(monkeypatch, workers):
     """Each of a job's W children runs one contiguous slice of its trials, in
-    blocks sized from the byte budget; the columns join in trial order."""
+    blocks of as many trials as fit the byte budget and a last block of the
+    slice's rest; the columns join in trial order."""
     monkeypatch.setattr(drivers, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
     runs = []
     real_map = drivers._map_chunks
 
-    def recording_map(fn, ranges, fanout):
+    def recording_map(fn, ranges):
         runs.append(list(ranges))
-        return real_map(fn, ranges, fanout)
+        return real_map(fn, ranges)
 
     monkeypatch.setattr(drivers, "_map_chunks", recording_map)
-    with drivers._Fanout(ExperimentConfig(trials=10, workers=workers)) as fanout:
-        ((_, (column,)),) = fanout.stream(_stream_jobs([0]))
+    fanout = drivers._Fanout(ExperimentConfig(trials=10, workers=workers))
+    ((_, (column,)),) = fanout.stream(_stream_jobs([0]))
     assert column.tolist() == list(range(10))
-    assert runs == {
-        2: [[(0, 3), (3, 2)], [(5, 3), (8, 2)]],
-        3: [[(0, 2), (2, 2)], [(4, 3)], [(7, 3)]],  # three trials: one block
+    assert runs == {  # full blocks of two trials, then the slice's rest
+        2: [[(0, 2), (2, 2), (4, 1)], [(5, 2), (7, 2), (9, 1)]],
+        3: [[(0, 2), (2, 2)], [(4, 2), (6, 1)], [(7, 2), (9, 1)]],
     }[workers]
-    _no_child_left()
-
-
-def test_stream_one_worker_runs_no_job_ahead(monkeypatch):
-    """At one worker, no job is read, nor its chunk run, before the previous
-    item has been taken."""
-    monkeypatch.setattr(drivers, "_BLOCK_BYTES", 4 << 20)  # one block a job
-    events = []
-
-    def chunk(offset, rng):
-        events.append(("run", offset))
-        return _offset_trials(offset, rng)
-
-    jobs = _stream_jobs([0, None, 100, 200], events, chunk)
-    with drivers._Fanout(ExperimentConfig(trials=3, workers=1)) as fanout:
-        for item, _ in fanout.stream(jobs):
-            events.append(("taken", item))
-    assert events == [
-        ("read", 0), ("run", 0), ("taken", 0),
-        ("read", 1), ("taken", 1),
-        ("read", 2), ("run", 100), ("taken", 2),
-        ("read", 3), ("run", 200), ("taken", 3),
-    ]
-
-
-_SCAN_COLUMNS = drivers._scan_columns
-
-
-def _scan_columns_failing_at_n5(args, stacks, i):
-    """The scan columns, raising in the non-Toeplitz cell of Krylov order 5."""
-    if (args[0].construction, args[0].n) == ("nontoeplitz", 5):
-        raise RuntimeError("lookahead cell")
-    return _SCAN_COLUMNS(args, stacks, i)
-
-
-def test_lookahead_chunk_raises_at_its_turn(tmp_path, monkeypatch, two_cpus, forks):
-    """A chunk that raises in a job forked ahead raises when that job's turn
-    comes: the earlier job's rows have reached write_csv, and the run leaves
-    no file, no .tmp and no child process."""
-    written, submitted = [], []
-    real_map, real_write = drivers._map_chunks, drivers.write_csv
-
-    def recording_map(fn, ranges, fanout):
-        job = fn.args[-1]  # its cells' args
-        submitted.append(([args[0].construction for args in job], len(written)))
-        return real_map(fn, ranges, fanout)
-
-    def recording_write(path, columns, rows, cfg):
-        return real_write(path, columns, (written.append(r) or r for r in rows), cfg)
-
-    monkeypatch.setattr(drivers, "_scan_columns", _scan_columns_failing_at_n5)
-    monkeypatch.setattr(drivers, "_map_chunks", recording_map)
-    monkeypatch.setattr(drivers, "write_csv", recording_write)
-    cfg = small_cfg(
-        tmp_path, "scan.csv", n_list=(3, 5), m_list=(50_000, 100_000),
-        constructions=BOTH, workers=2,
-    )
-    with pytest.raises(RuntimeError, match="lookahead cell"):
-        run_optimal_threshold_scan(cfg)
-    # the failing cell's job was forked before any row was written
-    assert (["nontoeplitz"] * 2, 0) in submitted
-    assert [(r["construction"], r["n"], r["m_budget"]) for r in written] == [
-        ("toeplitz", n, m) for n in (3, 5) for m in (50_000, 100_000)
-    ]
-    assert list(tmp_path.iterdir()) == []
-    assert len(forks) == 4
     _no_child_left()
 
 
@@ -1083,9 +1027,9 @@ def test_child_error_raises_lowest_slice_first(tmp_path, monkeypatch, two_cpus, 
 
 
 def test_error_building_next_job_raises_after_rows(tmp_path, monkeypatch, two_cpus, forks):
-    """The next job is built while the current job's children run; an error
-    in building it raises only once the current job's rows have reached
-    write_csv, and the run leaves no CSV, no .tmp and no child."""
+    """The next job is built once the current job's rows have been taken:
+    an error in building it raises only once they have reached write_csv,
+    and the run leaves no CSV, no .tmp and no child."""
     real_targets, real_write = drivers.targets_for, drivers.write_csv
     written = []
 
@@ -1173,6 +1117,37 @@ def test_failed_fork_is_a_resource_limit(tmp_path, monkeypatch, capsys, two_cpus
             "--trials", "2", "--workers", "2", "--out", str(out)]
     assert cli.main(argv) == 2
     assert "cannot fork" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+def test_fork_refused_at_second_slice(tmp_path, monkeypatch, capsys, two_cpus):
+    """A fork refused at a job's second slice, its first slice's child
+    already running, raises ResourceLimitError (exit code 2); the first child
+    is killed and reaped, and the run leaves no CSV and no .tmp."""
+    pids = []
+    real_fork = os.fork
+
+    def second_refused():
+        if len(pids) % 2:  # every second fork, counting from one per run
+            pids.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", second_refused)
+    with pytest.raises(ResourceLimitError, match="cannot fork"):
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert len(pids) == 2 and pids[1] is None
+    _no_child_left()
+    out = tmp_path / "cli.csv"
+    argv = ["optimal-threshold", "--config", str(CONFIG_DIR / "optimal_threshold.conf"),
+            "--trials", "2", "--workers", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "cannot fork" in capsys.readouterr().err
+    assert len(pids) == 4 and pids[3] is None
     assert list(tmp_path.iterdir()) == []
     _no_child_left()
 
@@ -1902,9 +1877,10 @@ def test_cell_peak_memory_flat_in_trials(tmp_path, monkeypatch):
     """An error-norms H-elementwise cell peaks at its trial block, not at `trials`.
 
     At n = 25 a trial counts 25,000 bytes (`_trial_bytes`), so a 1 MiB budget
-    makes blocks of 41 to 81 trials: 64 trials run in one block and 512 in 12
-    of 42 or 43.  Unblocked, the 512-trial peak is about 8x the 64-trial one;
-    blocked, only the per-trial norms grow, which the 25% margin covers.
+    makes blocks of 41 trials and a smaller last one: 64 trials run in blocks
+    of 41 and 23, and 512 in 12 of 41 and one of 20.  Unblocked, the
+    512-trial peak is about 8x the 64-trial one; blocked, only the per-trial
+    norms grow, which the 25% margin covers.
     """
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)
     cfg = small_cfg(
