@@ -1,20 +1,19 @@
 """Experiment drivers: system setup, trial ensembles, aggregation, CSV output.
 
-Each driver maps an ExperimentConfig to one CSV.  Every driver walks
-(construction, n) cells (`_cells`), each holding every budget M of the config
-and the sampling moments of its shot plans.  A job (`_jobs`) is the run of
-cells of one (kind, construction), every n of the config, and the driver
-hands its jobs, in order, to the run's `_Fanout` (`_Fanout.stream`), which
-runs each job's chunk over contiguous trial blocks, one job at a time:
-inline at one worker, else in one forked child per contiguous slice of the
-job's trials, all collected before the job's rows are built and the next job
-is read.  A block holds as many trials as fit a fixed budget
-(`_BLOCK_BYTES`) at the bytes a trial of the job's largest cell really holds
-(`_trial_bytes`): its draws, and the (n, n) stacks its driver's columns hold
-at their peak, at their dtype; a slice's last block holds the rest.  A
-job's peak memory depends on its block, not on `trials`, and since every
-trial's random stream is keyed by its absolute trial index and every result
-is per trial, any block layout and worker count give byte-identical files.
+Each driver maps an ExperimentConfig to one CSV.  A job (`_jobs`) is the
+cells of one (kind, construction), one per n of the config, each holding
+every budget M of the config and the sampling moments of its shot plans.
+The driver takes its jobs in order, one at a time (`_sampled`): a job's
+chunk runs over contiguous trial blocks (`_trial_columns`), inline at one
+worker, else in one forked child per contiguous slice of the job's trials,
+all collected before the job's rows are built and the next job is read.  A
+block holds as many trials as fit a fixed budget (`_BLOCK_BYTES`) at the
+bytes a trial of the job's largest cell really holds (`_trial_bytes`): its
+draws, and the (n, n) stacks its driver's columns hold at their peak, at
+their dtype; a slice's last block holds the rest.  A job's peak memory
+depends on its block, not on `trials`, and since every trial's random
+stream is keyed by its absolute trial index and every result is per trial,
+any block layout and worker count give byte-identical files.
 
 A block draws each gaussian matrix's normals once for its whole job: the
 stream key is (seed, trial, matrix), with no n and no M, so a cell's normals
@@ -22,15 +21,15 @@ are the leading columns of the draw of the job's widest cell
 (`sampling.draw_shared`).  Each cell reuses them for each budget, one
 budget's stacks at a time; binomial counts are drawn per cell and budget
 (`sampling.Sampler`).  Its chunk returns each cell's feasible budgets'
-per-trial arrays in turn, which the fan-out joins column by column; only the
-drivers build rows, from a generator, and `write_csv` writes them as they
-come, so no run holds its rows.  Error-norms and perturbation-bound hand over
-each budget's trial rows as one block of columns.  No driver checks its values
-for nan or infinity: `write_csv` refuses them.  The sampled-pair chunks solve
-a block's reduced pairs as stacks, for their eigenvalues only: the threshold
-rule in one batched solve per retained dimension
-(`gevp.top_k_ground_energies`), the retained-dimension sweep from one
-projection of each trial onto all n directions (`gevp.top_k_sweep`).
+per-trial arrays in turn, which `_trial_columns` joins column by column;
+only the drivers build rows, from a generator, and `write_csv` writes them
+as they come, so no run holds its rows.  Error-norms and perturbation-bound
+hand over each budget's trial rows as one block of columns.  No driver
+checks its values for nan or infinity: `write_csv` refuses them.  The
+sampled-pair chunks solve a block's reduced pairs as stacks, for their
+eigenvalues only: the threshold rule in one batched solve per retained
+dimension (`gevp.top_k_ground_energies`), the retained-dimension sweep from
+one projection of each trial onto all n directions (`gevp.top_k_sweep`).
 Perturbation-bound takes chi and the assumption flags from the same stacks.
 Toeplitz stacks, sampled and exact, come in real form
 (`sampling.Sampler.stack`, `sampling.expected_pair`), and every overlap
@@ -46,9 +45,8 @@ import os
 import pickle
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -216,43 +214,22 @@ def _usable_cpus() -> Optional[int]:
     return len(affinity(0)) if affinity else os.cpu_count()
 
 
-class _Fanout:
-    """Trial fan-out of one driver run.  Over W > 1 workers (Linux only: it
-    forks) each job forks one child per contiguous slice of its trials, at
-    most W alive at a time, and the parent runs no slice: it would grow the
+def _trial_columns(cfg: ExperimentConfig, fn: Callable, trial_bytes: int) -> list:
+    """fn((start, count)) over the run's trial blocks, each a tuple of
+    per-trial arrays, joined column by column.  Each of cfg.workers
+    contiguous slices of the trials is cut into blocks of as many trials of
+    trial_bytes as fit in _BLOCK_BYTES (at least one), its last block holding
+    the rest.  One worker runs the blocks inline; W workers fork a child per
+    slice (Linux only: `_run` refuses W > 1 elsewhere) and collect them in
+    slice order (`_forked`).  The parent runs no slice: it would grow the
     heap later children inherit."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.trials = cfg.trials
-        self.workers = _worker_count(cfg.workers, cfg.trials, _usable_cpus())
-        if self.workers > 1 and sys.platform != "linux":
-            raise ConfigError(f"workers > 1 forks, on Linux only, not on {sys.platform}")
-
-    def _blocks(self, trial_bytes: int, start: int, count: int) -> list[tuple[int, int]]:
-        per_block = max(1, _BLOCK_BYTES // trial_bytes)
-        end = start + count
-        return [(s, min(per_block, end - s)) for s in range(start, end, per_block)]
-
-    def stream(self, jobs: Iterable[tuple]) -> Iterator[tuple]:
-        """(item, columns) per job (item, chunk, trial_bytes, args), in job order.
-
-        columns are chunk(args, (start, count)) over the job's trial blocks,
-        each a tuple of per-trial arrays, joined column by column; None where
-        chunk is None.  A slice's blocks hold as many trials of trial_bytes as
-        fit in _BLOCK_BYTES (at least one), and its last block the rest.  A
-        job is read once the previous item has been taken.  One worker runs
-        its blocks inline; W workers fork a child per contiguous slice of its
-        trials and collect them in slice order (`_forked`) before the item is
-        yielded.
-        """
-        for item, chunk, trial_bytes, args in jobs:
-            if chunk is None:
-                yield item, None
-                continue
-            fn, ranges = partial(chunk, args), _chunk_ranges(self.trials, self.workers)
-            slices = [self._blocks(trial_bytes, *s) for s in ranges]
-            parts = _forked(fn, slices) if self.workers > 1 else [fn(r) for r in slices[0]]
-            yield item, _joined(parts)
+    per_block = max(1, _BLOCK_BYTES // trial_bytes)
+    slices = [
+        [(s, min(per_block, start + count - s)) for s in range(start, start + count, per_block)]
+        for start, count in _chunk_ranges(cfg.trials, cfg.workers)
+    ]
+    parts = _forked(fn, slices) if cfg.workers > 1 else [fn(r) for r in slices[0]]
+    return _joined(parts)
 
 
 def _forked(fn: Callable, slices: list) -> list:
@@ -290,17 +267,21 @@ class _Child(NamedTuple):
     pipe: BinaryIO
 
     def result(self) -> list:
-        """The child's block results, once it is reaped.  Its chunk's exception
-        raises here, noted with the child's traceback on Python 3.11 and later,
-        as does a RuntimeError naming a child that sent nothing."""
-        with self.pipe:
-            sent = self.pipe.read()
-        code = self.reap()
+        """The child's block results, unpickled as they stream in, once it is
+        reaped.  Its chunk's exception raises here, noted with the child's
+        traceback on Python 3.11 and later, as does a RuntimeError naming a
+        child that sent nothing or was cut off."""
+        try:
+            with self.pipe:
+                value = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # nothing sent, or a cut-off pickle
+            value = None
+        finally:
+            code = self.reap()
         if code < 0:
             raise RuntimeError(f"child {self.pid} was killed by signal {-code}")
-        if code or not sent:
+        if code or value is None:
             raise RuntimeError(f"child {self.pid} exited with status {code}")
-        value = pickle.loads(sent)
         if isinstance(value, tuple):  # (the exception, its traceback in the child)
             error, trace = value
             if sys.version_info >= (3, 11):
@@ -397,11 +378,12 @@ class _Cell(NamedTuple):
     samplers: dict[str, Sampler]
 
 
-def _cells(
+def _jobs(
     cfg: ExperimentConfig, system: SystemBundle, kinds: Sequence[tuple[str, str]] = ()
-) -> Iterator[_Cell]:
-    """One cell per (kind, construction) and n, in config order, by default a
-    pair cell ("HS") per construction.  Each (construction, n)'s targets are
+) -> Iterator[tuple[_Cell, ...]]:
+    """One job per (kind, construction), in config order, by default a pair
+    ("HS") per construction: a tuple of its cells, one per n of the config,
+    built before the next job is read.  Each (construction, n)'s targets are
     built once and held until the last cell that takes them: error-norms' S
     and Toeplitz H cells share them."""
     noise = noise_from(cfg)
@@ -409,6 +391,7 @@ def _cells(
     takers = Counter((construction, n) for _, construction in kinds for n in cfg.n_list)
     held = {}  # targets by (construction, n) for the cells still to take them
     for kind, construction in kinds:
+        job = []
         for n in cfg.n_list:
             key = construction, n
             targets = held.pop(key, None) or targets_for(system, n, construction)
@@ -437,20 +420,11 @@ def _cells(
                 if plans
             }
             feasible = tuple(budget for budget in budgets if not budget.note)
-            yield _Cell(
+            job.append(_Cell(
                 kind, construction, n, *expected_pair(targets, cfg.hardware_lambda),
                 tuple(budgets), feasible, samplers,
-            )
-
-
-def _jobs(
-    cfg: ExperimentConfig, system: SystemBundle, kinds: Sequence[tuple[str, str]] = ()
-) -> Iterator[tuple[_Cell, ...]]:
-    """The cells (`_cells`) of each (kind, construction) in turn, every n of
-    it, as one job; each is built without reading a cell of the next."""
-    cells = _cells(cfg, system, kinds)
-    while job := tuple(islice(cells, len(cfg.n_list))):
-        yield job
+            ))
+        yield tuple(job)
 
 
 def _trial_bytes(cell: _Cell, stacks: int) -> int:
@@ -477,31 +451,29 @@ def _trial_bytes(cell: _Cell, stacks: int) -> int:
 
 
 def _sampled(
-    trials: _Fanout, jobs: Iterable[tuple[_Cell, ...]], columns_of: Callable,
+    cfg: ExperimentConfig, jobs: Iterable[tuple[_Cell, ...]], columns_of: Callable,
     stacks: int, extra=lambda cell: (),
 ) -> Iterator[tuple]:
     """(args, budget, columns) per budget of each cell of the jobs, in config
     order: args = (cell, *extra(cell)), and columns the budget's columns_of
-    over the cell's trials, None if infeasible.  The fan-out runs a job's
-    chunk (`_per_job`) over trial blocks sized from its largest cell's
-    `_trial_bytes`, with `stacks` the (n, n) stacks columns_of holds."""
-    chunk = partial(_per_job, columns_of)
-
-    def fanout_job(cells: tuple[_Cell, ...]) -> tuple:
+    over the cell's trials, None if infeasible.  A job with a sampled matrix
+    runs its chunk (`_per_job`) over trial blocks sized from its largest
+    cell's `_trial_bytes`, with `stacks` the (n, n) stacks columns_of holds
+    (`_trial_columns`); a job is read once the previous job's last budget
+    has been taken."""
+    for cells in jobs:
         job = tuple((cell, *extra(cell)) for cell in cells)
-        sampled = any(cell.samplers for cell in cells)
-        trial_bytes = max(_trial_bytes(cell, stacks) for cell in cells)
-        return job, chunk if sampled else None, trial_bytes, job
-
-    for job, columns in trials.stream(map(fanout_job, jobs)):
         shares = iter(())
-        if columns:
-            width = len(columns) // sum(len(args[0].feasible) for args in job)
-            shares = (columns[i : i + width] for i in range(0, len(columns), width))
+        if any(cell.samplers for cell in cells):
+            trial_bytes = max(_trial_bytes(cell, stacks) for cell in cells)
+            columns = _trial_columns(cfg, partial(_per_job, columns_of, job), trial_bytes)
+            width = len(columns) // sum(len(cell.feasible) for cell in cells)
+            shares = iter([columns[i : i + width] for i in range(0, len(columns), width)])
+            del columns
         for args in job:
             for budget in args[0].budgets:
                 yield args, budget, None if budget.note else next(shares)
-        del columns, shares  # free the job's results before the next job runs
+        del shares  # free the job's results before the next job runs
 
 
 def _per_job(columns_of: Callable, job: tuple, rng: tuple[int, int]) -> tuple:
@@ -633,14 +605,18 @@ def _rule_stats(rel: np.ndarray, dims: np.ndarray) -> dict:
 def _run(
     cfg: ExperimentConfig,
     columns: Sequence[str],
-    rows_of: Callable[[ExperimentConfig, SystemBundle, _Fanout], Iterable[dict]],
+    rows_of: Callable[[ExperimentConfig, SystemBundle], Iterable[dict]],
 ) -> DriverResult:
-    """Build the system, then write rows_of(cfg, system, trials) to cfg.out as
-    the rows come.  A config error, the worker count's included, raises before
-    any file is opened; a run that raises later leaves no file and no child."""
-    trials = _Fanout(cfg)
+    """Fix the worker count (`_worker_count`), build the system, then write
+    rows_of(cfg, system) to cfg.out as the rows come.  A config error, a
+    worker count above one off Linux included, raises before any file is
+    opened; a run that raises later leaves no file and no child.  The count
+    is not hashed (`records._HASH_EXEMPT`), so it moves no header byte."""
+    cfg = replace(cfg, workers=_worker_count(cfg.workers, cfg.trials, _usable_cpus()))
+    if cfg.workers > 1 and sys.platform != "linux":
+        raise ConfigError(f"workers > 1 forks, on Linux only, not on {sys.platform}")
     system = build_system(cfg)
-    count = write_csv(cfg.out, columns, rows_of(cfg, system, trials), cfg)
+    count = write_csv(cfg.out, columns, rows_of(cfg, system), cfg)
     return DriverResult(path=cfg.out, row_count=count)
 
 
@@ -653,15 +629,13 @@ def run_error_norm_ensemble(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, ERROR_NORM_COLUMNS, _error_norm_rows)
 
 
-def _error_norm_rows(
-    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
-) -> Iterator[dict]:
+def _error_norm_rows(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[dict]:
     """Per budget of each cell, its trial rows as one column block and its
     summary, or a skipped row; then the slopes."""
     slope_points: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
     kinds = [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
     jobs = _jobs(cfg, system, kinds)
-    for (cell,), budget, share in _sampled(trials, jobs, _norm_columns, stacks=2):
+    for (cell,), budget, share in _sampled(cfg, jobs, _norm_columns, stacks=2):
         kind, construction, n, m = cell.kind, cell.construction, cell.n, budget.m
         base = {"construction": construction, "kind": kind, "n": n, "m_budget": m}
         if share is None:
@@ -715,12 +689,10 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, SPECTRUM_COLUMNS, _spectrum_rows)
 
 
-def _spectrum_rows(
-    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
-) -> Iterator[dict]:
+def _spectrum_rows(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[dict]:
     """n rows per budget; an infeasible budget raises when its turn comes."""
     jobs = _jobs(cfg, system, [("S", "toeplitz")])
-    for (cell,), budget, share in _sampled(trials, jobs, _spectrum_columns, stacks=2):
+    for (cell,), budget, share in _sampled(cfg, jobs, _spectrum_columns, stacks=2):
         if share is None:
             raise InfeasibleBudgetError(budget.note)
         exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
@@ -749,9 +721,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, SWEEP_COLUMNS, _sweep_rows)
 
 
-def _sweep_rows(
-    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
-) -> Iterator[dict]:
+def _sweep_rows(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[dict]:
     e0 = system.e0_sector
 
     def ideal_of(cell: _Cell) -> tuple[np.ndarray]:
@@ -764,7 +734,7 @@ def _sweep_rows(
         return (ideal,)
 
     for (cell, ideal), budget, share in _sampled(
-        trials, _jobs(cfg, system), _sweep_columns, stacks=7, extra=ideal_of
+        cfg, _jobs(cfg, system), _sweep_columns, stacks=7, extra=ideal_of
     ):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
@@ -796,12 +766,10 @@ def run_optimal_threshold_scan(cfg: ExperimentConfig) -> DriverResult:
     return _run(cfg, SCAN_COLUMNS, _scan_rows)
 
 
-def _scan_rows(
-    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
-) -> Iterator[dict]:
+def _scan_rows(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[dict]:
     e0 = system.e0_sector
     jobs = _jobs(cfg, system)
-    for (cell,), budget, share in _sampled(trials, jobs, _scan_columns, stacks=4):
+    for (cell,), budget, share in _sampled(cfg, jobs, _scan_columns, stacks=4):
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:
             yield {**base, "trials_used": 0}
@@ -842,12 +810,10 @@ def _exact_solutions(cell: _Cell, epsilon_ideal: float) -> tuple:
     return exact, solve_gevp(full.A, full.B).ground_energy
 
 
-def _perturbation_rows(
-    cfg: ExperimentConfig, system: SystemBundle, trials: _Fanout
-) -> Iterator[dict]:
+def _perturbation_rows(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[dict]:
     prepare = partial(_exact_solutions, epsilon_ideal=cfg.epsilon_ideal)
     jobs = _jobs(cfg, system)
-    budgets = _sampled(trials, jobs, _perturbation_columns, stacks=5, extra=prepare)
+    budgets = _sampled(cfg, jobs, _perturbation_columns, stacks=5, extra=prepare)
     for (cell, exact, e0_full), budget, share in budgets:
         base = {"construction": cell.construction, "n": cell.n, "m_budget": budget.m}
         if share is None:

@@ -18,11 +18,12 @@ Scalar largest-remainder rounding: the loop the row-wise
 
 The matrix variance statistic v of a shot plan, by the diagonal-accumulation
 and row-sum forms, with its closed-form minimum at the optimal plans and the
-expected-norm bound sqrt(2 v log 2n) it controls.  No driver evaluates v: the
-drivers' closed-form bound e_Z / sqrt(M) is at least sqrt(2 v log 2n) at the
-optimal plans.  The tests check v against brute-force matrix series, the
-allocators against its minimum, and the sampled norms' growth in n against
-the bound.
+expected-norm bound sqrt(2 v log 2n) it controls; and the exact variance of
+a gaussian sampler's error matrix, from its stacks at unit draws, which the
+statistic bounds.  No driver evaluates v: the drivers' closed-form bound
+e_Z / sqrt(M) is at least sqrt(2 v log 2n) at the optimal plans.  The tests
+check v against brute-force matrix series, the allocators against its
+minimum, and the sampled norms' growth in n against the bound.
 
 Per-trial perturbation accounting: chi, the eigenangle assumption flags and
 cond(B) of one thresholded pair at a time, the references for the stacked
@@ -288,6 +289,26 @@ def optimal_variance(m_budget: float, n: int, v_z: float, construction: str,
 def expected_norm_from_variance(v: float, n: int) -> float:
     """Matrix-series tail bound E[norm] <= sqrt(2 v log 2n)."""
     return math.sqrt(2.0 * v * math.log(2 * n))
+
+
+def matrix_series_terms(sampler: Sampler, i: int) -> np.ndarray:
+    """The (C, n, n) terms D_c of a gaussian sampler's error matrix at budget
+    i, a Gaussian matrix series sum_c z_c D_c with one Hermitian
+    D_c = sigma_c A_c per filled (element, configuration) c: the stack at the
+    unit draw e_c less the stack at no draw, as `Sampler.stack` is affine in
+    the draws."""
+    cols = sampler.cols.size
+    return sampler.stack(np.eye(cols), i) - sampler.stack(np.zeros((1, cols)), i)
+
+
+def exact_matrix_variance(sampler: Sampler, i: int) -> float:
+    """The exact matrix variance v = ||sum_c D_c D_c|| of a gaussian
+    sampler's error matrix at budget i (`matrix_series_terms`).  D_c is
+    squared as D_c D_c, not D_c D_c^T, which differs for the complex
+    elementwise H.  A Toeplitz stack's real form is unitarily similar to its
+    matrix, so v is the same in either form."""
+    terms = matrix_series_terms(sampler, i)
+    return float(np.abs(np.linalg.eigvalsh(np.einsum("cij,cjk->ik", terms, terms))).max())
 
 
 # ---------------------------------------------------------------------------

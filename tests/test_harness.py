@@ -13,6 +13,7 @@ import importlib.util
 import io
 import math
 import os
+import pickle
 import re
 import signal
 import stat
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qksd import cli
+from qksd import bounds, cli
 from qksd.errors import (
     ConfigError,
     EmptyBasisError,
@@ -61,8 +62,12 @@ from oracles import (
     complex_path,
     cond_reference,
     eigenangle_flags_reference,
+    exact_matrix_variance,
+    expected_norm_from_variance,
+    matrix_series_terms,
     per_cell_chunk,
     sample_pair,
+    variance_statistic,
 )
 
 
@@ -566,7 +571,7 @@ def test_exact_overlap_value_is_na_past_its_rank(tmp_path):
         {"trials": 2, "out": str(tmp_path / "spec.csv")},
     )
     rows = read_rows(run_singular_spectrum(cfg))
-    (cell,) = drivers._cells(cfg, drivers.build_system(cfg), [("S", "toeplitz")])
+    (cell,) = _cells(cfg, drivers.build_system(cfg), [("S", "toeplitz")])
     exact = np.linalg.eigvalsh(cell.s_exact)[::-1]
     floor = cell.n * np.finfo(float).eps * exact[0]
     assert (exact <= floor).tolist() == [False] * 2 + [True] * 13
@@ -616,7 +621,7 @@ def test_sweep_ideal_error_is_na_past_the_overlap_rank(tmp_path):
         {"trials": 2, "out": str(tmp_path / "sweep.csv")},
     )
     rows = read_rows(run_threshold_sweep(cfg))
-    (cell, *_) = drivers._cells(cfg, drivers.build_system(cfg))
+    (cell, *_) = _cells(cfg, drivers.build_system(cfg))
     kept = np.linalg.eigvalsh(cell.s_exact)[::-1]
     floor = cell.n * np.finfo(float).eps * kept[0]
     ideal = [r["ideal_rel_error"] for r in rows if r["row_kind"] == "sweep"]
@@ -893,28 +898,46 @@ def _offset_trials(offset, rng):
     return (np.arange(start, start + count) + offset,)
 
 
-def _stream_jobs(offsets, reads=None, chunk=_offset_trials):
-    """One job per offset, each trial counted at 1 MiB; None marks a skipped cell."""
+def _offset_jobs(offsets, reads=None):
+    """One job of one cell per offset, the cell's n holding the offset and its
+    one budget's M the job's index; None marks a job whose budget is
+    infeasible, so that it samples nothing."""
     for i, offset in enumerate(offsets):
         if reads is not None:
             reads.append(("read", i))
-        yield i, None if offset is None else chunk, 1 << 20, offset
+        budget = drivers._Budget(i, note="infeasible" if offset is None else "")
+        feasible, samplers = ((), {}) if offset is None else ((budget,), {"S": None})
+        yield (drivers._Cell("S", "toeplitz", offset, None, None, (budget,), feasible, samplers),)
+
+
+@pytest.fixture
+def offset_chunks(monkeypatch):
+    """Jobs of `_offset_jobs` run columns_of(offset, block) as their chunk,
+    and each of their trials counts 1 MiB."""
+
+    def chunk(columns_of, job, rng):
+        ((cell,),) = job
+        return columns_of(cell.n, rng)
+
+    monkeypatch.setattr(drivers, "_per_job", chunk)
+    monkeypatch.setattr(drivers, "_trial_bytes", lambda cell, stacks: 1 << 20)
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_stream_keeps_job_order(two_cpus, forks, monkeypatch, workers):
-    """Items come back in job order with their cells' trials in order, and a
-    skipped job's item passes through with no columns, at one worker and two."""
+def test_stream_keeps_job_order(forks, monkeypatch, offset_chunks, workers):
+    """Budgets come back in job order with their cells' trials in order, and a
+    skipped job's budget passes through with no columns, at one worker and
+    two; a skipped job forks nothing."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
     offsets = [None, 0, 100, None, 200, 300, None]
-    fanout = drivers._Fanout(ExperimentConfig(trials=5, workers=workers))
-    out = list(fanout.stream(_stream_jobs(offsets)))
-    assert [item for item, _ in out] == list(range(len(offsets)))
-    for (_, columns), offset in zip(out, offsets):
+    cfg = ExperimentConfig(trials=5, workers=workers)
+    out = list(drivers._sampled(cfg, _offset_jobs(offsets), _offset_trials, stacks=1))
+    assert [budget.m for _, budget, _ in out] == list(range(len(offsets)))
+    for (_, _, share), offset in zip(out, offsets):
         if offset is None:
-            assert columns is None
+            assert share is None
         else:
-            (column,) = columns
+            (column,) = share
             assert column.tolist() == list(range(offset, offset + 5))
     assert len(forks) == (4 * workers if workers > 1 else 0)  # none for a skipped job
     _no_child_left()
@@ -932,12 +955,12 @@ class _Collected(NamedTuple):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_stream_runs_one_job_at_a_time(two_cpus, monkeypatch, workers):
+def test_stream_runs_one_job_at_a_time(monkeypatch, offset_chunks, workers):
     """Each job is read, then its blocks run inline at one worker, or its two
     children are forked and collected in slice order at two, and only then
-    is its item taken: no job is read before the previous item has been
-    taken, a skipped job runs and forks nothing, and no child is left at any
-    taken item."""
+    is its budget taken: no job is read before the previous job's budget has
+    been taken, a skipped job runs and forks nothing, and no child is left
+    at any taken budget."""
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 1 << 20)  # one-trial blocks
     events = []
     real_map = drivers._map_chunks
@@ -948,15 +971,16 @@ def test_stream_runs_one_job_at_a_time(two_cpus, monkeypatch, workers):
 
     def tracked_map(fn, ranges):
         child = real_map(fn, ranges)
-        events.append(("fork", fn.args[0], child.pid))
+        ((cell,),) = fn.args[1]  # fn is the job's chunk over (columns_of, job)
+        events.append(("fork", cell.n, child.pid))
         return _Collected(child, events)
 
     monkeypatch.setattr(drivers, "_map_chunks", tracked_map)
     offsets = [0, 100, None, 200]
-    fanout = drivers._Fanout(ExperimentConfig(trials=3, workers=workers))
-    for item, _ in fanout.stream(_stream_jobs(offsets, events, chunk)):
+    cfg = ExperimentConfig(trials=3, workers=workers)
+    for _, budget, _ in drivers._sampled(cfg, _offset_jobs(offsets, events), chunk, stacks=1):
         _no_child_left()
-        events.append(("taken", item))
+        events.append(("taken", budget.m))
     pids = iter(event[2] for event in events if event[0] == "fork")
     expected = []
     for i, offset in enumerate(offsets):
@@ -977,7 +1001,6 @@ def test_stream_forks_a_contiguous_slice_per_worker(monkeypatch, workers):
     """Each of a job's W children runs one contiguous slice of its trials, in
     blocks of as many trials as fit the byte budget and a last block of the
     slice's rest; the columns join in trial order."""
-    monkeypatch.setattr(drivers, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(drivers, "_BLOCK_BYTES", 2 << 20)  # two trials a block
     runs = []
     real_map = drivers._map_chunks
@@ -987,8 +1010,8 @@ def test_stream_forks_a_contiguous_slice_per_worker(monkeypatch, workers):
         return real_map(fn, ranges)
 
     monkeypatch.setattr(drivers, "_map_chunks", recording_map)
-    fanout = drivers._Fanout(ExperimentConfig(trials=10, workers=workers))
-    ((_, (column,)),) = fanout.stream(_stream_jobs([0]))
+    cfg = ExperimentConfig(trials=10, workers=workers)
+    (column,) = drivers._trial_columns(cfg, lambda rng: _offset_trials(0, rng), 1 << 20)
     assert column.tolist() == list(range(10))
     assert runs == {  # full blocks of two trials, then the slice's rest
         2: [[(0, 2), (2, 2), (4, 1)], [(5, 2), (7, 2), (9, 1)]],
@@ -1066,6 +1089,37 @@ def test_killed_child_names_its_pid_and_signal(tmp_path, monkeypatch, two_cpus, 
     monkeypatch.setattr(drivers, "_per_job", killed_job)
     killed = rf"child (\d+) was killed by signal {int(signal.SIGKILL)}$"
     with pytest.raises(RuntimeError, match=killed) as info:
+        run_optimal_threshold_scan(_scan_cfg(tmp_path))
+    assert re.search(r"child (\d+)", str(info.value))[1] == str(forks[0])
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "code, cut", [(0, False), (5, False), (0, True)], ids=("exit0", "exit5", "truncated")
+)
+def test_child_without_a_whole_pickle_names_its_status(
+    tmp_path, monkeypatch, two_cpus, forks, code, cut
+):
+    """A child that exits before it sends its results, with status 0 or 5, or
+    whose pickle is cut off halfway, raises an error naming its pid and its
+    exit status; the run leaves no CSV, no .tmp and no child."""
+    parent = os.getpid()
+    real_job, real_dumps = drivers._per_job, pickle.dumps
+
+    def exiting_job(columns_of, job, rng):
+        if os.getpid() != parent and not cut:  # never the test process itself
+            os._exit(code)
+        return real_job(columns_of, job, rng)
+
+    def cut_dumps(obj, protocol=None):
+        sent = real_dumps(obj, protocol)
+        return sent if os.getpid() == parent else sent[: len(sent) // 2]
+
+    monkeypatch.setattr(drivers, "_per_job", exiting_job)
+    if cut:
+        monkeypatch.setattr(pickle, "dumps", cut_dumps)
+    with pytest.raises(RuntimeError, match=rf"child (\d+) exited with status {code}$") as info:
         run_optimal_threshold_scan(_scan_cfg(tmp_path))
     assert re.search(r"child (\d+)", str(info.value))[1] == str(forks[0])
     assert list(tmp_path.iterdir()) == []
@@ -1177,8 +1231,8 @@ def test_out_of_memory_is_a_resource_limit(
 
 def test_workers_off_linux_is_a_config_error(tmp_path, monkeypatch, capsys, two_cpus):
     """Forking is used on Linux only: elsewhere, a run whose worker count
-    comes to more than one exits 2 naming the platform, before any file is
-    opened; one worker runs."""
+    comes to more than one exits 2 naming the platform, before the system is
+    built or any file is opened; one worker runs."""
     monkeypatch.setattr(sys, "platform", "darwin")
     out = tmp_path / "scan.csv"
     argv = ["optimal-threshold", "--config", str(CONFIG_DIR / "optimal_threshold.conf"),
@@ -1186,10 +1240,18 @@ def test_workers_off_linux_is_a_config_error(tmp_path, monkeypatch, capsys, two_
     assert cli.main([*argv, "--workers", "2"]) == 2
     assert "darwin" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ConfigError, match="Linux"):
-        drivers._Fanout(ExperimentConfig(trials=2, workers=2))
     assert cli.main([*argv, "--workers", "1"]) == 0
     assert out.exists()
+    out.unlink()
+
+    def never(*args):
+        raise AssertionError("the run went past its worker count")
+
+    monkeypatch.setattr(drivers, "build_system", never)  # _run refuses before it
+    cfg = ExperimentConfig(trials=2, workers=2, out=str(out))
+    with pytest.raises(ConfigError, match="Linux"):
+        drivers._run(cfg, drivers.SCAN_COLUMNS, never)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_driver_rows_match_written_file(tmp_path):
@@ -1396,7 +1458,7 @@ def test_stacked_perturbation_rows_match_per_trial_oracle(tmp_path, monkeypatch,
     assert sizes == [block] * (16 // block)
 
     system = drivers.build_system(cfg)
-    (cell,) = drivers._cells(cfg, system)
+    (cell,) = _cells(cfg, system)
     (budget,) = cell.feasible
     ex = basis_thresholding(cell.h_exact, cell.s_exact, budget.eps)
     sol_ex = solve_gevp(ex.A, ex.B)
@@ -1426,7 +1488,7 @@ def test_every_chunk_returns_per_trial_arrays(tmp_path):
     cfg = small_cfg(tmp_path, "chunks.csv", trials=8, n_list=(3, 5), m_list=(100_000,))
     system = drivers.build_system(cfg)
     pair, h_only, s_only = (
-        tuple(drivers._cells(cfg, system, [(kind, "toeplitz")])) for kind in ("HS", "H", "S")
+        tuple(_cells(cfg, system, [(kind, "toeplitz")])) for kind in ("HS", "H", "S")
     )
     chunks = {
         drivers._norm_columns: [(cell,) for cell in h_only],
@@ -1456,7 +1518,7 @@ def test_draw_at_each_order_leads_the_longer_ones(first):
     cols.size columns of the draw at n', bit for bit; and the shared draw of
     a target's samplers is each sampler's own."""
     cfg = load_config(str(CONFIG_DIR / "optimal_threshold.conf"), {"trials": 8})
-    cells = list(drivers._cells(cfg, drivers.build_system(cfg), EVERY_TARGET))
+    cells = _cells(cfg, drivers.build_system(cfg), EVERY_TARGET)
     for kind, construction in EVERY_TARGET:
         samplers = [
             cell.samplers[kind] for cell in cells
@@ -1486,6 +1548,11 @@ _JOB_CHUNKS = {
         lambda cell, cfg: drivers._exact_solutions(cell, cfg.epsilon_ideal),
     ),
 }
+
+
+def _cells(cfg, system, kinds=()):
+    """Every cell of a run's jobs (`drivers._jobs`), in order."""
+    return [cell for job in drivers._jobs(cfg, system, kinds) for cell in job]
 
 
 def _jobs(cfg, kinds, extra):
@@ -1561,8 +1628,9 @@ def test_targets_built_once_per_cell(tmp_path, monkeypatch, name):
 
 
 def test_error_norm_cells_release_shared_targets(tmp_path, monkeypatch):
-    """The S cells hold their Toeplitz targets for the H cells of the same n,
-    which release them: no targets outlive the cell after their last taker."""
+    """The S job holds its Toeplitz targets for the H cells of the same n,
+    which release them: once a job is built, no targets outlive their last
+    taker but the last ones built or taken."""
     cfg = small_cfg(tmp_path, "x.csv", n_list=(3, 5), constructions=CONSTRUCTIONS)
     system = drivers.build_system(cfg)
     built = {}
@@ -1577,17 +1645,14 @@ def test_error_norm_cells_release_shared_targets(tmp_path, monkeypatch):
     kinds = [("S", "toeplitz"), ("H", "toeplitz"), ("H", "nontoeplitz")]
     alive = [
         sorted(key for key, ref in built.items() if ref() is not None)
-        for cell in drivers._cells(cfg, system, kinds)
+        for job in drivers._jobs(cfg, system, kinds)
     ]
     t3, t5 = ("toeplitz", 3), ("toeplitz", 5)
-    n3, n5 = ("nontoeplitz", 3), ("nontoeplitz", 5)
+    n5 = ("nontoeplitz", 5)
     assert alive == [
-        [t3],  # S cells
-        [t3, t5],
-        [t3, t5],  # Toeplitz H cells: the n = 3 cell took its targets from the S cell's
-        [t5],
-        [n3],  # non-Toeplitz H cells: built, and freed with the cell after
-        [n5],
+        [t3, t5],  # the S job: both held for the Toeplitz H cells
+        [t5],  # the Toeplitz H job took them; the n = 3 targets are freed
+        [n5],  # the non-Toeplitz H job: n = 3's freed with the n = 5 cell after
     ]
 
 
@@ -1613,7 +1678,7 @@ def test_sweep_trials_used_counts_solvable_trials(tmp_path):
     rows = read_rows(run_threshold_sweep(cfg))
     system = drivers.build_system(cfg)
     expected = []
-    for cell in drivers._cells(cfg, system):
+    for cell in _cells(cfg, system):
         targets = drivers.targets_for(system, cell.n, cell.construction)
         for budget in cell.feasible:
             plans = [
@@ -1791,7 +1856,7 @@ def test_real_form_matches_complex_path(tmp_path, name):
     real = read_rows(runner(cfg))
     with complex_path():
         oracle = read_rows(runner(dataclasses.replace(cfg, out=str(tmp_path / "c.csv"))))
-    cells = list(drivers._cells(cfg, drivers.build_system(cfg)))
+    cells = _cells(cfg, drivers.build_system(cfg))
     refused = _cells_at_threshold(cfg, cells) if runner in _THRESHOLDING else set()
     n = max(cfg.n_list)
     ideal_floor = n * drivers._RANK_FLOOR
@@ -1813,6 +1878,54 @@ def test_real_form_matches_complex_path(tmp_path, name):
             else:
                 assert abs(g - w) <= 1e-9 * abs(w), (column, want)
     assert compared > len(oracle) // 2
+
+
+# The (kind, construction)s a driver's jobs sample, where they are not a
+# pair ("HS") per construction.
+DRIVER_KINDS = {
+    run_error_norm_ensemble: lambda cfg: (
+        [("S", "toeplitz")] + [("H", c) for c in cfg.constructions]
+    ),
+    run_singular_spectrum: lambda cfg: [("S", "toeplitz")],
+}
+
+
+def test_exact_matrix_variance_under_statistic_and_bound():
+    """The exact variance v of each sampled error matrix
+    (`oracles.exact_matrix_variance`) is at most its plan's variance
+    statistic, which counts every fragment's 1 - mu_j^2 as 1, and the
+    matrix-series bound sqrt(2 v log 2n) on its expected norm is at most the
+    drivers' e_Z / sqrt(M_Z), with M_H and M_S for pair cells: for every
+    cell, budget and sampled matrix of every shipped L = 2 config and the
+    benchmark's chain config, 127 matrices.  v is at least each column's
+    expected squared error, sum_c ||D_c e_k||^2, the diagonal of
+    sum_c D_c D_c, which squaring by D_c D_c^T would undercount for the
+    complex elementwise H.  The chain's cells are built in
+    gaussian mode, since sigma_c is the binomial estimator's variance in
+    either mode.  Here v / statistic reads 0.41 to 0.63, and the bound ratio
+    0.48 to 0.76.  long_order is left out: its n = 101 elementwise cells,
+    one (n, n) stack per filled (element, configuration), took 47 s."""
+    checked = 0
+    for name, (path, runner) in ORACLE_CONFIGS.items():
+        cfg = load_config(str(path), {"mode": "gaussian"})
+        system = drivers.build_system(cfg)
+        kinds = DRIVER_KINDS.get(runner, lambda cfg: ())(cfg)
+        for cell in _cells(cfg, system, kinds):
+            for z, sampler in cell.samplers.items():
+                v_z = 1.0 if z == "S" else system.beta_norm
+                construction = "toeplitz" if z == "S" else cell.construction
+                for i, budget in enumerate(cell.feasible):
+                    where = (name, z, cell.construction, cell.n, budget.m)
+                    share = budget.m_h if z == "H" else budget.m_s
+                    plan = drivers._plan_for(z, cell.construction, share, cell.n, sampler.betas)
+                    v = exact_matrix_variance(sampler, i)
+                    columns = np.sum(np.abs(matrix_series_terms(sampler, i)) ** 2, axis=(0, 1))
+                    assert v >= (1 - 1e-12) * columns.max(), where
+                    assert v <= variance_statistic(plan, v_z), where
+                    bound = bounds.error_norm_bound(cell.n, v_z, construction) / math.sqrt(share)
+                    assert expected_norm_from_variance(v, cell.n) <= bound, where
+                    checked += 1
+    assert checked == 127
 
 
 # Trials at which every job of the config runs at least one full block.
@@ -1843,11 +1956,11 @@ def test_block_traced_peak_matches_its_count(tmp_path, monkeypatch, name, mode):
     runner = DRIVER_FOR_CONFIG[name]
     runner(dataclasses.replace(cfg, trials=2))  # warm up: lazy imports and caches
     counted, blocks = [], []
-    real_blocks, real_job = drivers._Fanout._blocks, drivers._per_job
+    real_columns, real_job = drivers._trial_columns, drivers._per_job
 
-    def recording_blocks(self, trial_bytes, start, count):
+    def recording_columns(cfg, fn, trial_bytes):
         counted.append(trial_bytes)
-        return real_blocks(self, trial_bytes, start, count)
+        return real_columns(cfg, fn, trial_bytes)
 
     def traced_job(columns_of, job, rng):
         tracemalloc.reset_peak()
@@ -1857,7 +1970,7 @@ def test_block_traced_peak_matches_its_count(tmp_path, monkeypatch, name, mode):
         blocks.append((len(counted) - 1, rng[1], peak))
         return columns
 
-    monkeypatch.setattr(drivers._Fanout, "_blocks", recording_blocks)
+    monkeypatch.setattr(drivers, "_trial_columns", recording_columns)
     monkeypatch.setattr(drivers, "_per_job", traced_job)
     tracemalloc.start()
     try:
