@@ -65,13 +65,14 @@ def sector_indices(L: int, n_up: int, n_down: int) -> np.ndarray:
         )
     nq = 2 * L
 
-    def occupations(spin: int, count: int) -> np.ndarray:
+    def occupations(spin: int, count: int) -> list[int]:
         bits = [1 << (nq - 1 - (2 * i + spin)) for i in range(L)]
-        return np.array(
-            [sum(c) for c in itertools.combinations(bits, count)], dtype=np.int64
-        )
+        return [sum(c) for c in itertools.combinations(bits, count)]
 
-    return np.sort(np.add.outer(occupations(0, n_up), occupations(1, n_down)).ravel())
+    # Python's sort of at most SECTOR_DIM_CAP ints: numpy's int64 sort kernel
+    # is about 0.25 MB of resident code that a run would touch for this alone
+    ups, downs = occupations(0, n_up), occupations(1, n_down)
+    return np.array(sorted(u + d for u in ups for d in downs), dtype=np.int64)
 
 
 def sector_ground_energy(h_dense: np.ndarray, L: int, n_up: int, n_down: int) -> float:

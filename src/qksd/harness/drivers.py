@@ -522,7 +522,7 @@ def _norm_columns(args, stacks, i):
 
 def _spectrum_columns(args, stacks, i):
     """Each trial's S~ eigenvalues, descending, and ||S~ - S||."""
-    (cell,) = args
+    cell = args[0]
     stack = stacks["S"]
     vals = np.linalg.eigvalsh(stack)[:, ::-1]
     stack -= cell.s_exact
@@ -691,12 +691,17 @@ def run_singular_spectrum(cfg: ExperimentConfig) -> DriverResult:
 
 def _spectrum_rows(cfg: ExperimentConfig, system: SystemBundle) -> Iterator[dict]:
     """n rows per budget; an infeasible budget raises when its turn comes."""
+
+    def exact_of(cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
+        """The exact overlap spectrum, descending, and where it is past S's rank."""
+        exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
+        return exact_vals, _past_rank(exact_vals, cell.n)
+
     jobs = _jobs(cfg, system, [("S", "toeplitz")])
-    for (cell,), budget, share in _sampled(cfg, jobs, _spectrum_columns, stacks=2):
+    budgets = _sampled(cfg, jobs, _spectrum_columns, stacks=2, extra=exact_of)
+    for (cell, exact_vals, noise), budget, share in budgets:
         if share is None:
             raise InfeasibleBudgetError(budget.note)
-        exact_vals = np.linalg.eigvalsh(cell.s_exact)[::-1]
-        noise = _past_rank(exact_vals, cell.n)
         vals, ds_norms = share  # vals: (T, n) descending
         dev_ok = np.abs(vals - exact_vals) <= ds_norms[:, None] + _WEYL_SLACK
         for i in range(cell.n):

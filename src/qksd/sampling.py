@@ -157,7 +157,8 @@ class NoiseSpec:
 
 
 def _largest_remainder(ideals: np.ndarray, totals) -> np.ndarray:
-    """Round nonnegative (..., K) ideals to integers, each row summing to its total.
+    """Round nonnegative (K,) or (R, K) ideals to integers, each row summing to
+    its total.
 
     `totals` broadcasts against the rows.  A row's remainder shots go to its
     largest fractional parts; ties break by position, i.e. canonical element
@@ -169,8 +170,16 @@ def _largest_remainder(ideals: np.ndarray, totals) -> np.ndarray:
     if np.any(rem < 0):
         raise ValueError("ideals exceed the total")
     order = np.argsort(-(ideals - floors), axis=-1, kind="stable")
-    rank = np.argsort(order, axis=-1)  # each position's place in the queue
-    laps, extra = np.divmod(rem[..., None], ideals.shape[-1])
+    # each position's place in the queue: the inverse of its row's order,
+    # scattered, not argsorted (numpy's default argsort kernel is about
+    # 0.25 MB of resident code that a run would touch for this alone)
+    k = ideals.shape[-1]
+    rank = np.empty_like(order)
+    if order.ndim == 1:
+        rank[order] = np.arange(k)
+    else:
+        rank[np.arange(len(order))[:, None], order] = np.arange(k)
+    laps, extra = np.divmod(rem[..., None], k)
     return floors + laps + (rank < extra)
 
 

@@ -14,7 +14,12 @@ string in between, so they check the closed-form Pauli terms of
 `hamiltonian.build_hubbard_1d`.
 
 Scalar largest-remainder rounding: the loop the row-wise
-`sampling._largest_remainder` replaced, one row at a time.
+`sampling._largest_remainder` replaced, one row at a time.  With it, the
+row-wise rounding as it ranked each row's queue by a second `np.argsort`,
+and the sector's Fock indices as `np.sort` ordered them.  The package
+scatters the inverse of each row's order and sorts the indices with
+Python's `sorted()`, so that no run touches numpy's sort kernels; it must
+reproduce both exactly.
 
 The matrix variance statistic v of a shot plan, by the diagonal-accumulation
 and row-sum forms, with its closed-form minimum at the optimal plans and the
@@ -55,6 +60,7 @@ stacked product; the package's forms must reproduce both bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -203,6 +209,34 @@ def largest_remainder(ideals: np.ndarray, total: int) -> np.ndarray:
         for i in range(rem):
             floors[order[i % len(order)]] += 1
     return floors
+
+
+def argsort_largest_remainder(ideals: np.ndarray, totals) -> np.ndarray:
+    """`sampling._largest_remainder` with each row's queue places ranked by
+    a second argsort, the inverse of its stable order."""
+    ideals = np.asarray(ideals, dtype=float)
+    floors = np.floor(ideals).astype(np.int64)
+    rem = np.asarray(totals, dtype=np.int64) - floors.sum(axis=-1)
+    if np.any(rem < 0):
+        raise ValueError("ideals exceed the total")
+    order = np.argsort(-(ideals - floors), axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)
+    laps, extra = np.divmod(rem[..., None], ideals.shape[-1])
+    return floors + laps + (rank < extra)
+
+
+def numpy_sorted_sector_indices(L: int, n_up: int, n_down: int) -> np.ndarray:
+    """`evolution.sector_indices` as numpy sorted it: the outer sum of the
+    up and down occupations, raveled and passed to `np.sort`."""
+    nq = 2 * L
+
+    def occupations(spin: int, count: int) -> np.ndarray:
+        bits = [1 << (nq - 1 - (2 * i + spin)) for i in range(L)]
+        return np.array(
+            [sum(c) for c in itertools.combinations(bits, count)], dtype=np.int64
+        )
+
+    return np.sort(np.add.outer(occupations(0, n_up), occupations(1, n_down)).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ from qksd.evolution import (
 )
 from qksd.hamiltonian import build_hubbard_1d, pauli_to_dense
 
-from oracles import exact_propagator, hartree_fock_full, trotter_propagator
+from oracles import (
+    exact_propagator,
+    hartree_fock_full,
+    numpy_sorted_sector_indices,
+    trotter_propagator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +128,19 @@ def test_sector_indices_match_brute_force(L):
                 and sum((b >> (nq - 2 - 2 * i)) & 1 for i in range(L)) == n_down
             ]
             np.testing.assert_array_equal(sector_indices(L, n_up, n_down), want)
+
+
+def test_sector_indices_match_numpy_sort_oracle():
+    """sorted() gives np.sort's int64 indices, byte for byte, for every
+    filling of every chain up to L = 7 (its largest sector, 35 x 35, is
+    under the sector cap)."""
+    for L in range(1, 8):
+        for n_up in range(L + 1):
+            for n_down in range(L + 1):
+                got = sector_indices(L, n_up, n_down)
+                want = numpy_sorted_sector_indices(L, n_up, n_down)
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_sector_indices_cap_and_range(monkeypatch):

@@ -1816,6 +1816,32 @@ def test_driver_digests_smallest_blocks(
     _no_child_left()
 
 
+@pytest.mark.parametrize("name", sorted({name for name, _ in DRIVER_DIGESTS}))
+def test_no_run_calls_a_numpy_sort_kernel(tmp_path, monkeypatch, name):
+    """No run calls numpy.sort, or numpy.argsort other than the stable float
+    argsort that fixes the allocation's tie order.  Each of those kernels is
+    about 0.25 MB of resident code a run touches once (the sector's Fock
+    indices, the shot rounding's queue ranks), and so shows in every run's
+    peak RSS; the program sorts those with Python's sorted() and a scatter."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.sort called")
+
+    argsort = np.argsort
+
+    def stable_only(a, axis=-1, kind=None, order=None, **kwargs):
+        if kind != "stable":
+            raise AssertionError(f"numpy.argsort called with kind={kind!r}")
+        return argsort(a, axis=axis, kind=kind, order=order, **kwargs)
+
+    monkeypatch.setattr(np, "sort", refused)
+    monkeypatch.setattr(np, "argsort", stable_only)
+    out = tmp_path / f"{name}.csv"
+    cfg = load_config(str(config_path(name)), {"trials": 8, "out": str(out)})
+    DRIVER_FOR_CONFIG[name](cfg)
+    assert out.stat().st_size > 0
+
+
 # Every shipped L = 2 config and the benchmark's chain config (L = 5, binomial).
 ORACLE_CONFIGS = {
     **{

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exchange_unitary, grid_binomial_estimates, largest_remainder, sample_pair
+from oracles import (
+    argsort_largest_remainder,
+    exchange_unitary,
+    grid_binomial_estimates,
+    largest_remainder,
+    sample_pair,
+)
 
 from qksd import rngstream
 from qksd.errors import InfeasibleBudgetError
@@ -163,6 +169,31 @@ def test_largest_remainder_matches_scalar_oracle(rows):
     short[-1] = np.floor(ideals[-1]).sum() - 1
     with pytest.raises(ValueError, match="exceed the total"):
         _largest_remainder(ideals, short)
+
+
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.lists(_IDEAL, min_size=k, max_size=k), st.integers(0, 3 * k)),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    one_d=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_largest_remainder_ranks_match_argsort_oracle(rows, one_d):
+    """Queue places scattered from each row's order give the double argsort's
+    counts exactly (dtype and bytes), on 1-D and 2-D ideals, with ties,
+    integer ideals (zero remainder) and remainders of K or more (laps)."""
+    ideals = np.array([r[0] for r in rows])
+    totals = np.array([int(np.floor(r[0]).sum()) + r[1] for r in rows])
+    if one_d:
+        ideals, totals = ideals[0], int(totals[0])
+    got = _largest_remainder(ideals, totals)
+    want = argsort_largest_remainder(ideals, totals)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_allocation_deterministic():
